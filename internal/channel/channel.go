@@ -126,17 +126,7 @@ func (c *Channel) NodeIDs() []string {
 // Features, and previously attached Channel Features.
 func (c *Channel) AttachFeature(f Feature) error {
 	c.mu.Lock()
-	err := c.attachFeatureLocked(f)
-	c.mu.Unlock()
-	if err == nil && c.layer != nil {
-		// Attached features make the channel an eager tree consumer,
-		// which the layer's batch path must route synchronously.
-		c.layer.recomputeEager()
-	}
-	return err
-}
-
-func (c *Channel) attachFeatureLocked(f Feature) error {
+	defer c.mu.Unlock()
 	for _, existing := range c.features {
 		if existing.FeatureName() == f.FeatureName() {
 			return fmt.Errorf("%w: %q on %q", ErrFeatureExists, f.FeatureName(), c.id)
@@ -196,15 +186,7 @@ func (c *Channel) checkRequirements(req Requirements) error {
 // DetachFeature removes the named Channel Feature.
 func (c *Channel) DetachFeature(name string) error {
 	c.mu.Lock()
-	err := c.detachFeatureLocked(name)
-	c.mu.Unlock()
-	if err == nil && c.layer != nil {
-		c.layer.recomputeEager()
-	}
-	return err
-}
-
-func (c *Channel) detachFeatureLocked(name string) error {
+	defer c.mu.Unlock()
 	for i, f := range c.features {
 		if f.FeatureName() == name {
 			// Copy-on-write: deliver iterates a lock-free snapshot of
@@ -285,16 +267,10 @@ func (c *Channel) LastTree() (*DataTree, bool) {
 		return nil, false
 	}
 	root := c.lastRoot
-	// Pin a pooled root payload while we hold the read lock (the writer
-	// that could release the channel's reference is excluded), so a
-	// delivery racing the build below cannot recycle it mid-copy.
-	core.RetainPayload(root.Payload)
 	c.mu.RUnlock()
 	// Build outside c.mu: the layer lock is ordered before the channel
-	// lock everywhere else (observe -> deliver).
-	t := c.layer.buildDetachedTree(c, root)
-	core.ReleasePayload(root.Payload)
-	return t, true
+	// lock everywhere else (Tap -> deliver).
+	return c.layer.buildDetachedTree(c, root), true
 }
 
 // deliver is called by the Layer when the channel end point emits a
@@ -305,13 +281,8 @@ func (c *Channel) deliver(tree *DataTree) *DataTree {
 	c.mu.Lock()
 	prev := c.lastTree
 	c.lastTree = tree
-	if c.hasRoot {
-		// Drop the reference a preceding lazy delivery pinned on its
-		// root payload, or the pool never gets the object back.
-		c.hasRoot = false
-		core.ReleasePayload(c.lastRoot.Payload)
-		c.lastRoot = core.Sample{}
-	}
+	c.hasRoot = false
+	c.lastRoot = core.Sample{}
 	features := c.features
 	c.mu.Unlock()
 	for _, f := range features {
@@ -325,15 +296,9 @@ func (c *Channel) deliver(tree *DataTree) *DataTree {
 // (LastTree reconstructs the tree from history when asked) and returns
 // any previously held tree for recycling.
 func (c *Channel) deliverRoot(root core.Sample) *DataTree {
-	// The channel holds one payload reference for the recorded root
-	// (released when the next delivery replaces it).
-	core.RetainPayload(root.Payload)
 	c.mu.Lock()
 	prev := c.lastTree
 	c.lastTree = nil
-	if c.hasRoot {
-		core.ReleasePayload(c.lastRoot.Payload)
-	}
 	c.lastRoot = root
 	c.hasRoot = true
 	c.mu.Unlock()

@@ -3,7 +3,6 @@ package channel
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"perpos/internal/core"
 )
@@ -26,12 +25,6 @@ type Layer struct {
 	// onTree, when set, is invoked for every built data tree (after the
 	// layer lock is released, alongside feature delivery).
 	onTree func(c *Channel, t *DataTree)
-
-	// eager mirrors "some delivery consumes trees at delivery time"
-	// (tree observer set, or any channel has features attached). It
-	// decides, per emission and without locks, whether the batch path
-	// must fall back to synchronous per-emission delivery (NeedsSync).
-	eager atomic.Bool
 
 	cancelTap func()
 }
@@ -71,12 +64,7 @@ func NewLayer(g *core.Graph, opts ...LayerOption) *Layer {
 		opt(l)
 	}
 	l.rebuild(nil)
-	l.recomputeEager()
-	// The layer registers as a batch-capable tap: synchronous burst
-	// drivers amortize its per-emission locking across a whole run of
-	// emissions (see TapBatch), while per-emission behaviour is
-	// unchanged outside bursts.
-	l.cancelTap = g.TapBatch(l)
+	l.cancelTap = g.Tap(l.Tap)
 	return l
 }
 
@@ -145,30 +133,6 @@ func (l *Layer) Refresh() {
 	old := l.channels
 	l.mu.Unlock()
 	l.rebuild(old)
-	l.recomputeEager()
-}
-
-// recomputeEager refreshes the eager flag after feature attach/detach
-// or a channel rebuild. Channels are snapshotted under l.mu and
-// inspected outside it (the layer lock is ordered before the channel
-// lock).
-func (l *Layer) recomputeEager() {
-	if l.onTree != nil {
-		l.eager.Store(true)
-		return
-	}
-	l.mu.Lock()
-	channels := make([]*Channel, len(l.channels))
-	copy(channels, l.channels)
-	l.mu.Unlock()
-	eager := false
-	for _, c := range channels {
-		if c.hasFeatures() {
-			eager = true
-			break
-		}
-	}
-	l.eager.Store(eager)
 }
 
 func (l *Layer) rebuild(old []*Channel) {
@@ -215,9 +179,10 @@ func (l *Layer) rebuild(old []*Channel) {
 	}
 }
 
-// observe is the graph tap: record the sample, and when the emitting
-// component is a channel end point, build and deliver the data tree.
-func (l *Layer) observe(componentID string, s core.Sample) {
+// Tap is the layer's graph tap (a core.TapFunc): record the sample, and
+// when the emitting component is a channel end point, build and deliver
+// the data tree.
+func (l *Layer) Tap(componentID string, s core.Sample) {
 	l.mu.Lock()
 	r, ok := l.history[componentID]
 	if !ok {
@@ -272,70 +237,6 @@ type delivery struct {
 	tree *DataTree
 }
 
-// Tap implements core.BatchTap: per-emission delivery, identical to the
-// pre-batching tap behaviour.
-func (l *Layer) Tap(componentID string, s core.Sample) { l.observe(componentID, s) }
-
-// NeedsSync implements core.BatchTap. Eager tree consumers (attached
-// features, a tree observer) must see every delivery before propagation
-// continues — the Feature.Apply contract says a feature's state always
-// corresponds to the sample the consumer is about to process — so those
-// emissions bypass burst buffering.
-func (l *Layer) NeedsSync(string, core.Sample) bool { return l.eager.Load() }
-
-// rootDelivery records the final root delivered to one channel during a
-// burst flush.
-type rootDelivery struct {
-	c    *Channel
-	root core.Sample
-}
-
-// TapBatch implements core.BatchTap: it absorbs a whole burst of
-// emissions under ONE layer-lock acquisition — recording every sample
-// into history in emission order — and then delivers each touched
-// channel's FINAL root. Intermediate roots within a flush are not
-// observable: only lazy channels reach this path (NeedsSync routes
-// eager emissions synchronously, and feature changes cannot interleave
-// a burst — the runtime's step lock serializes them), and a lazy
-// channel's root is only read through LastTree, which reflects the
-// latest delivery anyway.
-func (l *Layer) TapBatch(events []core.TapEvent) {
-	var rbuf [4]rootDelivery
-	roots := rbuf[:0]
-	l.mu.Lock()
-	for i := range events {
-		ev := &events[i]
-		r, ok := l.history[ev.ComponentID]
-		if !ok {
-			r = newRing(l.keep)
-			l.history[ev.ComponentID] = r
-		}
-		r.add(ev.Sample)
-		if ev.Sample.FromFeature != "" {
-			continue
-		}
-		for _, c := range l.byEndpoint[ev.ComponentID] {
-			found := false
-			for j := range roots {
-				if roots[j].c == c {
-					roots[j].root = ev.Sample
-					found = true
-					break
-				}
-			}
-			if !found {
-				roots = append(roots, rootDelivery{c: c, root: ev.Sample})
-			}
-		}
-	}
-	l.mu.Unlock()
-	for i := range roots {
-		if prev := roots[i].c.deliverRoot(roots[i].root); prev != nil {
-			releaseTree(prev)
-		}
-	}
-}
-
 // buildTreeLocked builds the Fig. 4 data tree for one endpoint sample by
 // resolving consumption spans against recorded history, bounded to the
 // channel's own components. Trees and nodes come from the package pool;
@@ -372,7 +273,7 @@ func (l *Layer) buildNodeLocked(c *Channel, s core.Sample) *TreeNode {
 			continue
 		}
 		// Scan the ring's two contiguous segments directly rather than
-		// materializing an inRange slice per span per node.
+		// materializing a filtered copy per span per node.
 		lo, hi := r.segments()
 		for _, seg := range [2][]core.Sample{lo, hi} {
 			for i := range seg {
@@ -511,12 +412,6 @@ func newRing(capacity int) *ring {
 }
 
 func (r *ring) add(s core.Sample) {
-	// The ring owns one payload reference per recorded sample: retain
-	// on entry, release the sample being overwritten on wrap.
-	if r.full {
-		core.ReleasePayload(r.buf[r.next].Payload)
-	}
-	core.RetainPayload(s.Payload)
 	r.buf[r.next] = s
 	r.next++
 	if r.next == len(r.buf) {
@@ -532,20 +427,4 @@ func (r *ring) segments() ([]core.Sample, []core.Sample) {
 		return r.buf[r.next:], r.buf[:r.next]
 	}
 	return r.buf[:r.next], nil
-}
-
-// inRange returns the recorded samples with logical time in [from, to],
-// in logical order. Feature-emitted samples interleaved in the range are
-// included — they contributed to the channel output's grouping window.
-func (r *ring) inRange(from, to core.LogicalTime) []core.Sample {
-	var out []core.Sample
-	lo, hi := r.segments()
-	for _, seg := range [2][]core.Sample{lo, hi} {
-		for i := range seg {
-			if seg[i].Logical >= from && seg[i].Logical <= to {
-				out = append(out, seg[i])
-			}
-		}
-	}
-	return out
 }

@@ -53,11 +53,9 @@ var (
 func newTree() *DataTree { return treePool.Get().(*DataTree) }
 
 // newTreeNode allocates a pooled node carrying s, with zero children
-// (but retained child capacity from its previous life). The node holds
-// a payload reference until releaseNode.
+// (but retained child capacity from its previous life).
 func newTreeNode(s core.Sample) *TreeNode {
 	n := nodePool.Get().(*TreeNode)
-	core.RetainPayload(s.Payload)
 	n.Sample = s
 	return n
 }
@@ -83,7 +81,6 @@ func releaseNode(n *TreeNode) {
 		n.Children[i] = nil
 	}
 	n.Children = n.Children[:0]
-	core.ReleasePayload(n.Sample.Payload)
 	n.Sample = core.Sample{}
 	nodePool.Put(n)
 }

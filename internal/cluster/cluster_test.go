@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"perpos/internal/catalog"
+	"perpos/internal/chaos"
 	"perpos/internal/checkpoint"
 	"perpos/internal/core"
 	"perpos/internal/geo"
@@ -186,6 +187,56 @@ func TestTrackAndQuery(t *testing.T) {
 	}
 	if got := len(r.Targets()); got != len(targets) {
 		t.Fatalf("Targets() = %d, want %d", got, len(targets))
+	}
+}
+
+// TestPumpCountsErrors: a session whose source fails every step, and a
+// healthy session whose periodic checkpoints fail, are skipped by the
+// pump but counted in the hub's ClusterPumpErrors.
+func TestPumpCountsErrors(t *testing.T) {
+	hub := obs.New()
+	cfg := kalmanSessionConfig(t)
+	cfg.Observability = hub
+	overrides := cfg.Overrides
+	cfg.Overrides = func(sessionID string) []core.InstantiateOption {
+		opts := overrides(sessionID)
+		if sessionID != "broken" {
+			return opts
+		}
+		return append(opts, core.WithComponentOverride("gps", func(cid string) core.Component {
+			tr := trace.OutdoorTrack(testOrigin, 1, 2, 100, 1.4, time.Second)
+			return chaos.WrapSource(gps.NewReceiver(cid, tr, gps.Config{Seed: 1, Loop: true}),
+				chaos.WithErrorEvery(1))
+		}))
+	}
+	n, err := StartNode(NodeConfig{ID: "n1", Dir: t.TempDir(), Session: cfg, CheckpointEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	for _, id := range []string{"broken", "healthy"} {
+		if _, err := n.Manager().GetOrCreate(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := n.Pump(4); err != nil {
+		t.Fatal(err)
+	}
+	if got := hub.ClusterPumpErrors.Value(); got != 4 {
+		t.Fatalf("after 4 rounds with one failing source: pump errors = %d, want 4", got)
+	}
+
+	// With the store gone, the healthy session's checkpoints (rounds 6
+	// and 8) fail too.
+	if err := n.Store().Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Pump(4); err != nil {
+		t.Fatal(err)
+	}
+	if got := hub.ClusterPumpErrors.Value(); got != 4+4+2 {
+		t.Fatalf("after 4 more rounds without a store: pump errors = %d, want 10", got)
 	}
 }
 

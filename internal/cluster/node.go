@@ -10,6 +10,7 @@ import (
 
 	"perpos/internal/chaos"
 	"perpos/internal/checkpoint"
+	"perpos/internal/obs"
 	"perpos/internal/remote"
 	"perpos/internal/runtime"
 )
@@ -57,6 +58,9 @@ type Node struct {
 	ln      net.Listener
 	ckptEv  int
 	lockTry time.Duration
+	// hub is the session template's metrics hub (nil when the node
+	// runs unobserved); the pump counts its failures there.
+	hub *obs.Metrics
 
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{}
@@ -118,6 +122,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		ln:      ln,
 		ckptEv:  ckptEv,
 		lockTry: lockTry,
+		hub:     cfg.Session.Observability,
 		conns:   make(map[net.Conn]struct{}),
 	}
 	n.wg.Add(1)
@@ -158,7 +163,8 @@ func (n *Node) Down() bool {
 // Pump advances every live session one step per round, checkpointing
 // each session every CheckpointEvery rounds — the deterministic
 // traffic driver. Sessions that error, close mid-round (a concurrent
-// handoff export) or exhaust their trace are skipped, not fatal.
+// handoff export) or exhaust their trace are skipped, not fatal; step
+// and checkpoint errors are counted in the hub's ClusterPumpErrors.
 func (n *Node) Pump(rounds int) error {
 	for i := 0; i < rounds; i++ {
 		n.mu.Lock()
@@ -176,14 +182,26 @@ func (n *Node) Pump(rounds int) error {
 				continue
 			}
 			if _, err := s.StepN(1); err != nil {
+				n.pumpError(err)
 				continue
 			}
 			if ckpt {
-				_, _ = s.Checkpoint()
+				if _, err := s.Checkpoint(); err != nil {
+					n.pumpError(err)
+				}
 			}
 		}
 	}
 	return nil
+}
+
+// pumpError counts one failed step or checkpoint. A session that a
+// concurrent handoff closed mid-round has moved, not failed, so
+// ErrClosed is not counted.
+func (n *Node) pumpError(err error) {
+	if n.hub != nil && !errors.Is(err, runtime.ErrClosed) {
+		n.hub.ClusterPumpErrors.Inc()
+	}
 }
 
 // StartPump pumps continuously at the given interval until StopPump,

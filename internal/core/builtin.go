@@ -138,10 +138,6 @@ func (s *Sink) Spec() Spec {
 
 // Process implements Component.
 func (s *Sink) Process(_ int, in Sample, _ Emit) error {
-	// The sink retains samples past this delivery and hands them to
-	// application callbacks, so pooled payloads leave the pool's
-	// ownership domain here.
-	in.Payload = DetachPayload(in.Payload)
 	s.mu.Lock()
 	if s.keep > 0 && len(s.received) >= s.keep {
 		s.received[s.start] = in

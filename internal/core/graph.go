@@ -13,6 +13,14 @@ import (
 // fast and thread-safe when the async engine is used.
 type TapFunc func(componentID string, s Sample)
 
+// TapEvent is one observed emission: the component that emitted and the
+// sample as stamped at emission time. Tools that record a tap stream for
+// later replay keep it as a slice of these.
+type TapEvent struct {
+	ComponentID string
+	Sample      Sample
+}
+
 // Edge describes one connection for inspection.
 type Edge struct {
 	From string
@@ -45,17 +53,6 @@ type Graph struct {
 	// lock plus a map iteration.
 	tapList atomic.Pointer[[]TapFunc]
 
-	// Batch-capable observers (see burst.go), guarded by tapMu like
-	// taps; batchList mirrors tapList. burst is non-nil while a
-	// synchronous driver has a Burst open.
-	batchTaps map[int]BatchTap
-	batchID   int
-	batchList atomic.Pointer[[]BatchTap]
-	burst     atomic.Pointer[Burst]
-	// burstFree caches the last ended Burst (and its events buffer) for
-	// reuse by the next BeginBurst.
-	burstFree atomic.Pointer[Burst]
-
 	errMu sync.Mutex
 	// errPending mirrors "errs or errDropped non-empty" so the per-step
 	// drain check is a single atomic load when nothing failed.
@@ -80,9 +77,8 @@ func (g *Graph) setAsync(d asyncDeliver) {
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{
-		nodes:     make(map[string]*Node),
-		taps:      make(map[int]TapFunc),
-		batchTaps: make(map[int]BatchTap),
+		nodes: make(map[string]*Node),
+		taps:  make(map[int]TapFunc),
 	}
 }
 
@@ -407,15 +403,6 @@ func (g *Graph) rebuildTapListLocked() {
 }
 
 func (g *Graph) notifyTaps(componentID string, s Sample) {
-	// Batch observers first (buffered while a burst is open), then
-	// plain taps, which always fire per emission.
-	if b := g.burst.Load(); b != nil {
-		b.add(componentID, s)
-	} else if blst := g.batchList.Load(); blst != nil {
-		for _, bt := range *blst {
-			bt.Tap(componentID, s)
-		}
-	}
 	lst := g.tapList.Load()
 	if lst == nil {
 		return

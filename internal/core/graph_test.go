@@ -480,6 +480,76 @@ func TestTapObservesEveryEmission(t *testing.T) {
 	}
 }
 
+// TestTapsFireInRegistrationOrder: every tap sees each emission, in the
+// order the taps were registered, and cancelling one keeps the order of
+// the rest.
+func TestTapsFireInRegistrationOrder(t *testing.T) {
+	g, _ := buildLinear(t, 2)
+	var order []string
+	tap := func(name string) TapFunc {
+		return func(id string, s Sample) { order = append(order, fmt.Sprintf("%s<%s:%d", name, id, s.Logical)) }
+	}
+	g.Tap(tap("a"))
+	cancelB := g.Tap(tap("b"))
+	g.Tap(tap("c"))
+	if err := g.Inject("src", NewSample(kindRaw, 1, time.Time{})); err != nil {
+		t.Fatal(err)
+	}
+	// src's emission reaches every tap before mid's emission does.
+	want := "[a<src:1 b<src:1 c<src:1 a<mid:1 b<mid:1 c<mid:1]"
+	if got := fmt.Sprint(order); got != want {
+		t.Errorf("tap order = %s, want %s", got, want)
+	}
+
+	cancelB()
+	order = nil
+	if err := g.Inject("src", NewSample(kindRaw, 2, time.Time{})); err != nil {
+		t.Fatal(err)
+	}
+	if want := "[a<src:2 c<src:2 a<mid:2 c<mid:2]"; fmt.Sprint(order) != want {
+		t.Errorf("tap order after cancel = %v, want %s", order, want)
+	}
+}
+
+// TestSampleDetachCopiesSpansAndAttrs: a detached sample shares no
+// mutable state with the original, so a consumer may keep it after the
+// pooled data tree that carried it is recycled.
+func TestSampleDetachCopiesSpansAndAttrs(t *testing.T) {
+	orig := NewSample(kindRaw, "payload", time.Time{}).WithAttr("hdop", 1.5)
+	orig.Spans = []Span{{Source: "src", From: 1, To: 2}}
+	d := orig.Detach()
+	if d.Payload != "payload" || d.Spans[0] != orig.Spans[0] || d.Attrs["hdop"] != 1.5 {
+		t.Fatalf("Detach changed the sample: %+v", d)
+	}
+	d.Spans[0].To = 9
+	d.Attrs["hdop"] = 9.9
+	if orig.Spans[0].To != 2 || orig.Attrs["hdop"] != 1.5 {
+		t.Errorf("mutating the detached copy reached the original: spans %v attrs %v", orig.Spans, orig.Attrs)
+	}
+	// Empty spans and attrs stay nil rather than becoming empty copies.
+	if bare := NewSample(kindRaw, 1, time.Time{}).Detach(); bare.Spans != nil || bare.Attrs != nil {
+		t.Errorf("bare Detach = %+v, want nil spans and attrs", bare)
+	}
+}
+
+// TestSinkKeepRetainsNewest: WithKeep turns the sink's record into a
+// ring of the n most recent samples, oldest first.
+func TestSinkKeepRetainsNewest(t *testing.T) {
+	sink := NewSink("app", nil, WithKeep(2))
+	for i := 1; i <= 5; i++ {
+		if err := sink.Process(0, NewSample(kindRaw, i, time.Time{}), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := sink.Received()
+	if len(got) != 2 || got[0].Payload != 4 || got[1].Payload != 5 {
+		t.Errorf("Received = %v, want payloads [4 5]", got)
+	}
+	if last, ok := sink.Last(); !ok || last.Payload != 5 {
+		t.Errorf("Last = %v, %v, want payload 5", last, ok)
+	}
+}
+
 func TestKindAnyAcceptsEverything(t *testing.T) {
 	g := New()
 	mustAdd(t, g, source("src", 1))

@@ -106,12 +106,11 @@ func (s Sample) WithAttr(key string, value any) Sample {
 }
 
 // Detach returns a copy of the sample that shares no engine-managed
-// mutable state with the original: Spans and Attrs are deep-copied, and
-// a pooled payload (DESIGN.md §13) is converted to its legacy immutable
-// form. Non-pooled payloads are carried over as-is (they are immutable
-// by convention). Consumers that retain samples past the delivery that
-// carried them — e.g. a Channel Feature keeping history out of a pooled
-// data tree — must detach them first.
+// mutable state with the original: Spans and Attrs are deep-copied. The
+// Payload is carried over as-is (payloads are immutable by convention).
+// Consumers that retain samples past the delivery that carried them —
+// e.g. a Channel Feature keeping history out of a pooled data tree —
+// must detach them first.
 func (s Sample) Detach() Sample {
 	if len(s.Spans) > 0 {
 		s.Spans = append([]Span(nil), s.Spans...)
@@ -123,7 +122,6 @@ func (s Sample) Detach() Sample {
 		}
 		s.Attrs = attrs
 	}
-	s.Payload = DetachPayload(s.Payload)
 	return s
 }
 

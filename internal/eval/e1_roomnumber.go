@@ -167,8 +167,8 @@ func RunE1(cfg E1Config) (Result, error) {
 	res := Result{
 		Samples: out.N + len(rooms),
 		ID:      "E1",
-		Title:  "Room Number application (Fig. 1): GPS outdoors, WiFi room indoors",
-		Header: []string{"metric", "value"},
+		Title:   "Room Number application (Fig. 1): GPS outdoors, WiFi room indoors",
+		Header:  []string{"metric", "value"},
 		Rows: [][]string{
 			{"trace duration", tr.Duration().String()},
 			{"outdoor GPS fixes", itoa(out.N)},

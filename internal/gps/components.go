@@ -37,27 +37,14 @@ func (p *Parser) Spec() core.Spec {
 	}
 }
 
-// Process implements core.Component. Raw payloads arrive as strings or,
-// from a pooled-output receiver, as *nmea.Raw; pooled input produces
-// pooled *nmea.Parsed output so the whole sentence path stays
-// allocation-free.
+// Process implements core.Component.
 func (p *Parser) Process(_ int, in core.Sample, emit core.Emit) error {
-	var (
-		s   nmea.Sentence
-		err error
-	)
-	switch raw := in.Payload.(type) {
-	case string:
-		s, err = nmea.Parse(raw)
-	case *nmea.Raw:
-		// The receiver's Raw stays referenced by the channel-layer
-		// history for the duration of this synchronous call, and
-		// ParsePooled retains nothing from the input bytes.
-		s, err = nmea.ParsePooled(raw.Bytes())
-	default:
+	raw, ok := in.Payload.(string)
+	if !ok {
 		p.dropped++
 		return nil
 	}
+	s, err := nmea.Parse(raw)
 	if err != nil {
 		if errors.Is(err, nmea.ErrUnknownType) {
 			// Unknown-but-well-formed sentences are normal; ignore.
@@ -121,53 +108,37 @@ func (i *Interpreter) Spec() core.Spec {
 	}
 }
 
-// Process implements core.Component. Sentences arrive as boxed values
-// from the legacy Parser path or as pooled *nmea.Parsed unions.
+// Process implements core.Component.
 func (i *Interpreter) Process(_ int, in core.Sample, emit core.Emit) error {
 	switch s := in.Payload.(type) {
 	case nmea.GGA:
-		i.handleGGA(in, s, emit)
+		if s.Quality == nmea.FixInvalid {
+			return nil
+		}
+		pos := positioning.Position{
+			Time:     in.Time,
+			Global:   geo.Point{Lat: s.Lat, Lon: s.Lon, Alt: s.Altitude},
+			Accuracy: s.HDOP * i.uere,
+			Source:   "gps",
+		}
+		i.emitted++
+		out := core.NewSample(positioning.KindPosition, pos, in.Time)
+		// Carry the measurement's feature-attached detail (HDOP,
+		// satellite count) forward: consumers asked for it by attaching
+		// the features upstream.
+		if in.Attrs == nil {
+			out.Attrs = i.speedAttrs()
+		} else {
+			out.Attrs = in.Attrs
+			out = out.WithAttr("speedMS", i.lastSpeedMS)
+		}
+		emit(out)
 	case nmea.RMC:
-		i.handleRMC(s)
-	case *nmea.Parsed:
-		switch s.Kind() {
-		case nmea.KindGGA:
-			i.handleGGA(in, s.GGA(), emit)
-		case nmea.KindRMC:
-			i.handleRMC(s.RMC())
+		if s.Valid {
+			i.lastSpeedMS = s.SpeedMS()
 		}
 	}
 	return nil
-}
-
-func (i *Interpreter) handleGGA(in core.Sample, s nmea.GGA, emit core.Emit) {
-	if s.Quality == nmea.FixInvalid {
-		return
-	}
-	pos := positioning.Position{
-		Time:     in.Time,
-		Global:   geo.Point{Lat: s.Lat, Lon: s.Lon, Alt: s.Altitude},
-		Accuracy: s.HDOP * i.uere,
-		Source:   "gps",
-	}
-	i.emitted++
-	out := core.NewSample(positioning.KindPosition, pos, in.Time)
-	// Carry the measurement's feature-attached detail (HDOP,
-	// satellite count) forward: consumers asked for it by attaching
-	// the features upstream.
-	if in.Attrs == nil {
-		out.Attrs = i.speedAttrs()
-	} else {
-		out.Attrs = in.Attrs
-		out = out.WithAttr("speedMS", i.lastSpeedMS)
-	}
-	emit(out)
-}
-
-func (i *Interpreter) handleRMC(s nmea.RMC) {
-	if s.Valid {
-		i.lastSpeedMS = s.SpeedMS()
-	}
 }
 
 // speedAttrs returns a shared {"speedMS": lastSpeedMS} snapshot,

@@ -211,7 +211,7 @@ func RewriteHDOP(raw string, hdop float64) string {
 }
 
 // hdopOf extracts HDOP from a parsed-sentence sample. Both GGA and GSA
-// sentences carry it, boxed or pooled.
+// sentences carry it.
 func hdopOf(s core.Sample) (float64, bool) {
 	switch v := s.Payload.(type) {
 	case nmea.GGA:
@@ -224,22 +224,6 @@ func hdopOf(s core.Sample) (float64, bool) {
 			return 0, false
 		}
 		return v.HDOP, true
-	case *nmea.Parsed:
-		switch v.Kind() {
-		case nmea.KindGGA:
-			g := v.GGA()
-			if g.Quality == nmea.FixInvalid {
-				return 0, false
-			}
-			return g.HDOP, true
-		case nmea.KindGSA:
-			g := v.GSA()
-			if g.FixMode < 2 {
-				return 0, false
-			}
-			return g.HDOP, true
-		}
-		return 0, false
 	default:
 		return 0, false
 	}
@@ -253,14 +237,6 @@ func satellitesOf(s core.Sample) (int, bool) {
 		return v.NumSatellites, true
 	case nmea.GSA:
 		return len(v.PRNs), true
-	case *nmea.Parsed:
-		switch v.Kind() {
-		case nmea.KindGGA:
-			return v.GGA().NumSatellites, true
-		case nmea.KindGSA:
-			return len(v.GSA().PRNs), true
-		}
-		return 0, false
 	default:
 		return 0, false
 	}

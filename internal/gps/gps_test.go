@@ -330,6 +330,19 @@ func TestParserDropsGarbage(t *testing.T) {
 	}
 }
 
+// TestParserDropsUnknownPayloadType pins the Parser's defensive arm.
+func TestParserDropsUnknownPayloadType(t *testing.T) {
+	p := NewParser("parser")
+	if err := p.Process(0, core.NewSample(KindRaw, 42, time.Now()), func(core.Sample) {
+		t.Fatal("emitted from garbage payload")
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, dropped := p.Stats(); dropped != 1 {
+		t.Errorf("dropped = %d, want 1", dropped)
+	}
+}
+
 func TestInterpreterSpeedFromRMC(t *testing.T) {
 	i := NewInterpreter("interp", 0)
 	var got []core.Sample

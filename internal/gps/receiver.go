@@ -137,10 +137,6 @@ type Receiver struct {
 	emitted    int
 	epochCount int
 
-	// pooled switches raw output from string payloads to pooled
-	// *nmea.Raw payloads (see WithPooledOutput).
-	pooled bool
-
 	// gsvSats is formatting scratch for one GSV sentence; the formatted
 	// string never aliases it, so reuse across epochs is safe.
 	gsvSats [4]nmea.SatelliteInView
@@ -163,17 +159,6 @@ func StartOff() ReceiverOption {
 		r.mode = ModeOff
 		r.offSince = time.Time{} // never been on: cold
 	}
-}
-
-// WithPooledOutput makes the receiver emit pooled *nmea.Raw payloads
-// instead of strings, eliminating the per-sentence string and interface
-// allocations on the saturated hot path. Pooled payloads follow the
-// core.PooledPayload ownership contract (DESIGN.md §13); the session's
-// channel-layer history must be deeper than any downstream buffering so
-// a sentence stays referenced while in flight. The Parser accepts both
-// forms, so enabling this is transparent to the rest of the pipeline.
-func WithPooledOutput() ReceiverOption {
-	return func(r *Receiver) { r.pooled = true }
 }
 
 // NewReceiver returns a receiver replaying the given ground-truth trace.
@@ -417,14 +402,11 @@ func (r *Receiver) noFixGGA() nmea.GGA {
 
 // emitSentence renders and emits one sentence. It is generic over the
 // concrete sentence type (a constraint, not an interface parameter) so
-// the value never boxes on the legacy path; in pooled mode it renders
-// into a recycled *nmea.Raw instead of allocating a string.
+// the sentence value never boxes. The scratch buffer still escapes,
+// because AppendFormat is called through the generic dictionary, so a
+// sentence costs three allocations: buffer, string and payload box.
 func emitSentence[S nmea.Appender](r *Receiver, emit core.Emit, s S) {
 	r.emitted++
-	if r.pooled {
-		emit(core.NewSample(KindRaw, nmea.FormatRaw(s), r.now))
-		return
-	}
 	emit(core.NewSample(KindRaw, string(s.AppendFormat(make([]byte, 0, 96))), r.now))
 }
 

@@ -8,13 +8,13 @@
 //
 // The node state machine:
 //
-//	            consecutive errors >= MaxConsecutiveErrors
-//	            or silence > deadline (watched nodes)
-//	  Healthy ────────────────────────────────────────────▶ Down
-//	     ▲                                                   │
-//	     └───────────────────────────────────────────────────┘
-//	            RecoveryEmissions outputs observed
-//	            and the error streak broken
+//	          consecutive errors >= MaxConsecutiveErrors
+//	          or silence > deadline (watched nodes)
+//	Healthy ────────────────────────────────────────────▶ Down
+//	   ▲                                                   │
+//	   └───────────────────────────────────────────────────┘
+//	          RecoveryEmissions outputs observed
+//	          and the error streak broken
 //
 // While Down, the breaker quarantines the node (the runner's delivery
 // gate drops its inbox traffic) except for a half-open probe admitted

@@ -10,9 +10,16 @@ import (
 
 // Formatting is on the saturated hot path (the simulated receiver
 // renders every epoch's sentence group), so sentences are assembled
-// with strconv.Append* into a caller-supplied byte buffer — zero
-// allocations when the caller recycles the buffer (see FormatRaw), one
-// (the final string) for the legacy Format methods.
+// with strconv.Append* into a caller-supplied byte buffer instead of
+// fmt: the final string is the only allocation per sentence.
+
+// Appender is satisfied by sentence values that can render their framed
+// wire form into a caller-supplied buffer. It is meant as a type
+// constraint, not a boxing surface: a generic emitter over Appender
+// keeps value sentences on the stack.
+type Appender interface {
+	AppendFormat(dst []byte) []byte
+}
 
 // Frame wraps a payload (without '$' or checksum) into a complete
 // sentence with checksum and CRLF, ready to be emitted by a receiver.
@@ -62,8 +69,6 @@ func Format(s Sentence) (string, error) {
 		return v.Format(), nil
 	case GSV:
 		return v.Format(), nil
-	case *Parsed:
-		return v.format()
 	default:
 		return "", fmt.Errorf("%w: %T", ErrUnknownType, s)
 	}
@@ -100,8 +105,13 @@ func appendIntPad(p []byte, v, width int) []byte {
 // using it are quantised to one decimal anyway, so the value is scaled
 // to tenths and rendered with integer appends — strconv's general
 // float-to-decimal path (rightShift/decimal.Assign) dominated the
-// saturated-bench CPU profile before this.
+// saturated-bench CPU profile before this. Magnitudes whose tenths
+// overflow an int64 (Parse accepts long digit runs) take that general
+// path instead.
 func appendFixed(p []byte, v float64) []byte {
+	if math.Abs(v) >= 1e17 {
+		return strconv.AppendFloat(p, v, 'f', 1, 64)
+	}
 	if v < 0 {
 		scaled := int64(-v*10 + 0.5)
 		if scaled != 0 {

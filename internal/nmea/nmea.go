@@ -12,6 +12,7 @@ package nmea
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -210,66 +211,48 @@ func unframe(raw string) (string, error) {
 }
 
 func parseGGA(f []string) (Sentence, error) {
+	// $GPGGA,hhmmss.ss,llll.ll,a,yyyyy.yy,a,x,xx,x.x,x.x,M,x.x,M,,*hh
+	if len(f) != 15 {
+		return nil, fmt.Errorf("%w: GGA has %d fields, want 15", ErrFieldCount, len(f))
+	}
 	var g GGA
-	if err := parseGGAInto(f, &g); err != nil {
+	var err error
+	if g.Time, err = parseUTC(f[1], ""); err != nil {
+		return nil, err
+	}
+	if g.Lat, err = parseLatLon(f[2], f[3], true); err != nil {
+		return nil, err
+	}
+	if g.Lon, err = parseLatLon(f[4], f[5], false); err != nil {
+		return nil, err
+	}
+	q, err := parseInt(f[6], "fix quality")
+	if err != nil {
+		return nil, err
+	}
+	g.Quality = FixQuality(q)
+	if g.NumSatellites, err = parseInt(f[7], "satellite count"); err != nil {
+		return nil, err
+	}
+	if g.HDOP, err = parseFloat(f[8], "hdop"); err != nil {
+		return nil, err
+	}
+	if g.Altitude, err = parseFloat(f[9], "altitude"); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
-// parseGGAInto parses into a caller-supplied GGA, overwriting every
-// field, so pooled callers need not zero the destination first.
-func parseGGAInto(f []string, g *GGA) error {
-	// $GPGGA,hhmmss.ss,llll.ll,a,yyyyy.yy,a,x,xx,x.x,x.x,M,x.x,M,,*hh
-	if len(f) != 15 {
-		return fmt.Errorf("%w: GGA has %d fields, want 15", ErrFieldCount, len(f))
-	}
-	var err error
-	if g.Time, err = parseUTC(f[1], ""); err != nil {
-		return err
-	}
-	if g.Lat, err = parseLatLon(f[2], f[3], true); err != nil {
-		return err
-	}
-	if g.Lon, err = parseLatLon(f[4], f[5], false); err != nil {
-		return err
-	}
-	q, err := parseInt(f[6], "fix quality")
-	if err != nil {
-		return err
-	}
-	g.Quality = FixQuality(q)
-	if g.NumSatellites, err = parseInt(f[7], "satellite count"); err != nil {
-		return err
-	}
-	if g.HDOP, err = parseFloat(f[8], "hdop"); err != nil {
-		return err
-	}
-	if g.Altitude, err = parseFloat(f[9], "altitude"); err != nil {
-		return err
-	}
-	return nil
-}
-
 func parseRMC(f []string) (Sentence, error) {
-	var r RMC
-	if err := parseRMCInto(f, &r); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// parseRMCInto parses into a caller-supplied RMC, overwriting every
-// field.
-func parseRMCInto(f []string, r *RMC) error {
 	// $GPRMC,hhmmss.ss,A,llll.ll,a,yyyyy.yy,a,x.x,x.x,ddmmyy,x.x,a*hh
 	// Some receivers add a 13th mode field; accept 12 or 13.
 	if len(f) != 12 && len(f) != 13 {
-		return fmt.Errorf("%w: RMC has %d fields, want 12 or 13", ErrFieldCount, len(f))
+		return nil, fmt.Errorf("%w: RMC has %d fields, want 12 or 13", ErrFieldCount, len(f))
 	}
+	var r RMC
 	var err error
 	if r.Time, err = parseUTC(f[1], f[9]); err != nil {
-		return err
+		return nil, err
 	}
 	switch f[2] {
 	case "A":
@@ -277,60 +260,48 @@ func parseRMCInto(f []string, r *RMC) error {
 	case "V", "":
 		r.Valid = false
 	default:
-		return fmt.Errorf("%w: RMC status %q", ErrBadField, f[2])
+		return nil, fmt.Errorf("%w: RMC status %q", ErrBadField, f[2])
 	}
 	if r.Lat, err = parseLatLon(f[3], f[4], true); err != nil {
-		return err
+		return nil, err
 	}
 	if r.Lon, err = parseLatLon(f[5], f[6], false); err != nil {
-		return err
+		return nil, err
 	}
 	if r.SpeedKn, err = parseFloat(f[7], "speed"); err != nil {
-		return err
+		return nil, err
 	}
 	if r.CourseT, err = parseFloat(f[8], "course"); err != nil {
-		return err
+		return nil, err
 	}
-	return nil
+	return r, nil
 }
 
 func parseGSA(f []string) (Sentence, error) {
-	var g GSA
-	if err := parseGSAInto(f, &g, nil); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// parseGSAInto parses into a caller-supplied GSA, overwriting every
-// field. PRNs are appended to prns (pooled callers pass a reusable
-// zero-length buffer); when prns is nil a fresh slice is allocated on
-// the first PRN, matching the legacy nil-when-empty behaviour.
-func parseGSAInto(f []string, g *GSA, prns []int) error {
 	// $GPGSA,A,3,prn*12,pdop,hdop,vdop*hh -> 18 fields
 	if len(f) != 18 {
-		return fmt.Errorf("%w: GSA has %d fields, want 18", ErrFieldCount, len(f))
+		return nil, fmt.Errorf("%w: GSA has %d fields, want 18", ErrFieldCount, len(f))
 	}
+	var g GSA
 	switch f[1] {
 	case "A":
 		g.Auto = true
 	case "M":
 		g.Auto = false
 	default:
-		return fmt.Errorf("%w: GSA mode %q", ErrBadField, f[1])
+		return nil, fmt.Errorf("%w: GSA mode %q", ErrBadField, f[1])
 	}
 	var err error
 	if g.FixMode, err = parseInt(f[2], "fix mode"); err != nil {
-		return err
+		return nil, err
 	}
-	g.PRNs = prns
 	for i := 3; i < 15; i++ {
 		if f[i] == "" {
 			continue
 		}
 		prn, err := parseInt(f[i], "prn")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if g.PRNs == nil {
 			g.PRNs = make([]int, 0, 12)
@@ -338,67 +309,53 @@ func parseGSAInto(f []string, g *GSA, prns []int) error {
 		g.PRNs = append(g.PRNs, prn)
 	}
 	if g.PDOP, err = parseFloat(f[15], "pdop"); err != nil {
-		return err
+		return nil, err
 	}
 	if g.HDOP, err = parseFloat(f[16], "hdop"); err != nil {
-		return err
+		return nil, err
 	}
 	if g.VDOP, err = parseFloat(f[17], "vdop"); err != nil {
-		return err
-	}
-	return nil
-}
-
-func parseGSV(f []string) (Sentence, error) {
-	var g GSV
-	if err := parseGSVInto(f, &g, nil); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
-// parseGSVInto parses into a caller-supplied GSV, overwriting every
-// field. Satellites are appended to sats (pooled callers pass a
-// reusable zero-length buffer); when sats is nil a fresh slice is
-// allocated.
-func parseGSVInto(f []string, g *GSV, sats []SatelliteInView) error {
+func parseGSV(f []string) (Sentence, error) {
 	// $GPGSV,total,num,inview,(prn,elev,az,snr)x1..4*hh
 	if len(f) < 4 || (len(f)-4)%4 != 0 {
-		return fmt.Errorf("%w: GSV has %d fields", ErrFieldCount, len(f))
+		return nil, fmt.Errorf("%w: GSV has %d fields", ErrFieldCount, len(f))
 	}
+	var g GSV
 	var err error
 	if g.TotalMsgs, err = parseInt(f[1], "total msgs"); err != nil {
-		return err
+		return nil, err
 	}
 	if g.MsgNum, err = parseInt(f[2], "msg num"); err != nil {
-		return err
+		return nil, err
 	}
 	if g.TotalInView, err = parseInt(f[3], "in view"); err != nil {
-		return err
+		return nil, err
 	}
-	if sats == nil {
-		sats = make([]SatelliteInView, 0, (len(f)-4)/4)
-	}
-	g.Satellites = sats
+	g.Satellites = make([]SatelliteInView, 0, (len(f)-4)/4)
 	for i := 4; i+4 <= len(f); i += 4 {
 		var sv SatelliteInView
 		if sv.PRN, err = parseInt(f[i], "prn"); err != nil {
-			return err
+			return nil, err
 		}
 		if sv.Elevation, err = parseInt(f[i+1], "elevation"); err != nil {
-			return err
+			return nil, err
 		}
 		if sv.Azimuth, err = parseInt(f[i+2], "azimuth"); err != nil {
-			return err
+			return nil, err
 		}
 		if f[i+3] != "" {
 			if sv.SNR, err = parseInt(f[i+3], "snr"); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		g.Satellites = append(g.Satellites, sv)
 	}
-	return nil
+	return g, nil
 }
 
 // parseUTC parses hhmmss(.sss) plus an optional ddmmyy date field.
@@ -416,7 +373,8 @@ func parseUTC(hms, date string) (time.Time, error) {
 	if !ok {
 		secf, err3 = strconv.ParseFloat(hms[4:], 64)
 	}
-	if err1 != nil || err2 != nil || err3 != nil || h > 23 || m > 59 || secf >= 61 {
+	// The negated range test also rejects a NaN seconds field.
+	if err1 != nil || err2 != nil || err3 != nil || h < 0 || h > 23 || m < 0 || m > 59 || !(secf >= 0 && secf < 61) {
 		return time.Time{}, fmt.Errorf("%w: time %q", ErrBadField, hms)
 	}
 	sec := int(secf)
@@ -452,7 +410,7 @@ func parseLatLon(v, hemi string, isLat bool) (float64, error) {
 		return 0, fmt.Errorf("%w: coordinate %q", ErrBadField, v)
 	}
 	deg, err := strconv.Atoi(v[:degDigits])
-	if err != nil {
+	if err != nil || deg < 0 {
 		return 0, fmt.Errorf("%w: coordinate %q", ErrBadField, v)
 	}
 	minutes, ok := parseDecimal(v[degDigits:])
@@ -463,7 +421,8 @@ func parseLatLon(v, hemi string, isLat bool) (float64, error) {
 			return 0, fmt.Errorf("%w: coordinate minutes %q", ErrBadField, v)
 		}
 	}
-	if minutes >= 60 {
+	// Signed or NaN minutes (strconv accepts both) are no coordinate.
+	if !(minutes >= 0 && minutes < 60) {
 		return 0, fmt.Errorf("%w: coordinate minutes %q", ErrBadField, v)
 	}
 	dd := float64(deg) + minutes/60
@@ -546,8 +505,9 @@ func parseFloat(v, what string) (float64, error) {
 		}
 		return f, nil
 	}
+	// strconv also accepts "NaN" and "Inf", which no NMEA field carries.
 	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
+	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
 		return 0, fmt.Errorf("%w: %s %q", ErrBadField, what, v)
 	}
 	return f, nil

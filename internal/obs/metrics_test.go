@@ -176,6 +176,7 @@ func TestMetricsSnapshotShape(t *testing.T) {
 	m.ObserveTreeDepth(3)
 	m.CheckpointAppend("s", 128, time.Millisecond, nil)
 	m.CheckpointAppend("s", 0, 0, errors.New("boom"))
+	m.ClusterPumpErrors.Inc()
 
 	snap := m.Snapshot()
 	data, err := json.Marshal(snap)
@@ -185,6 +186,7 @@ func TestMetricsSnapshotShape(t *testing.T) {
 	for _, key := range []string{
 		`"spans_emitted":3`, `"sessions_live":0`, `"shard_live":[0,0]`,
 		`"provider_transitions":{"AVAILABLE":1}`, `"tree_depth"`, `"nodes"`,
+		`"pump_errors":1`,
 	} {
 		if !strings.Contains(string(data), key) {
 			t.Errorf("snapshot JSON missing %s:\n%s", key, data)

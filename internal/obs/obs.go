@@ -122,6 +122,10 @@ type Metrics struct {
 	ClusterResurrected   Counter
 	ClusterRebalanced    Counter
 	ClusterStaleServed   Counter
+	// ClusterPumpErrors counts session steps and periodic checkpoints
+	// that failed inside a node's traffic pump, which skips the session
+	// and carries on with the round.
+	ClusterPumpErrors Counter
 	// ClusterHandoffNs is the end-to-end handoff latency distribution
 	// (pause → checkpoint → ship → resume → route flip) in nanoseconds.
 	ClusterHandoffNs Histogram
@@ -380,6 +384,7 @@ func (m *Metrics) Snapshot() map[string]any {
 			"resurrected":    m.ClusterResurrected.Value(),
 			"rebalanced":     m.ClusterRebalanced.Value(),
 			"stale_served":   m.ClusterStaleServed.Value(),
+			"pump_errors":    m.ClusterPumpErrors.Value(),
 			"handoff_ns":     m.ClusterHandoffNs.Snapshot(),
 			"node_sessions":  nodeSessions,
 			"node_up":        nodeUp,

@@ -24,7 +24,6 @@ var (
 	_ core.RunnerObserver = (*GraphObserver)(nil)
 	_ core.DeliveryGate   = (*GraphObserver)(nil)
 	_ core.NodeTimer      = (*GraphObserver)(nil)
-	_ core.BatchTap       = (*GraphObserver)(nil)
 )
 
 // NewGraphObserver wraps inner (which may be nil) with metric
@@ -90,49 +89,4 @@ func (o *GraphObserver) Allow(nodeID string) bool {
 func (o *GraphObserver) Tap(componentID string, _ core.Sample) {
 	o.m.SpansEmitted.Inc()
 	o.m.Node(componentID).Emissions.Inc()
-}
-
-// NeedsSync implements core.BatchTap: counters never require
-// synchronous delivery.
-func (o *GraphObserver) NeedsSync(string, core.Sample) bool { return false }
-
-// TapBatch implements core.BatchTap: aggregate the burst per component
-// so the global counter takes one atomic add per flush and each node's
-// counter one add per component, instead of two string-keyed updates
-// per emission.
-func (o *GraphObserver) TapBatch(events []core.TapEvent) {
-	o.m.SpansEmitted.Add(uint64(len(events)))
-	// A burst touches a handful of components; a linear scan over a
-	// stack buffer beats a map here.
-	var agg [8]struct {
-		id string
-		n  uint64
-	}
-	used := 0
-	for i := range events {
-		id := events[i].ComponentID
-		found := false
-		for j := 0; j < used; j++ {
-			if agg[j].id == id {
-				agg[j].n++
-				found = true
-				break
-			}
-		}
-		if found {
-			continue
-		}
-		if used == len(agg) {
-			// Overflow: flush the fullest slot semantics aren't needed —
-			// just count this one directly.
-			o.m.Node(id).Emissions.Inc()
-			continue
-		}
-		agg[used].id = id
-		agg[used].n = 1
-		used++
-	}
-	for j := 0; j < used; j++ {
-		o.m.Node(agg[j].id).Emissions.Add(agg[j].n)
-	}
 }

@@ -87,6 +87,7 @@ func WritePrometheus(w io.Writer, m *Metrics) {
 	counter("perpos_cluster_sessions_resurrected_total", "Sessions resurrected on survivors after a node death.", m.ClusterResurrected.Value())
 	counter("perpos_cluster_sessions_rebalanced_total", "Sessions moved by join/leave rebalancing.", m.ClusterRebalanced.Value())
 	counter("perpos_cluster_stale_served_total", "Position queries served from the router's last-known cache.", m.ClusterStaleServed.Value())
+	counter("perpos_cluster_pump_errors_total", "Session steps and checkpoints that failed in a node's traffic pump.", m.ClusterPumpErrors.Value())
 	writeLabeledGauges(w, "perpos_cluster_node_sessions", "Sessions routed to each cluster node.",
 		"node", collectGauges(&m.clusterNodeSessions))
 	writeLabeledGauges(w, "perpos_cluster_node_up", "Cluster node breaker state: 1 healthy, 0 quarantined or dead.",

@@ -23,6 +23,7 @@ func TestWritePrometheusCoversMetricFamilies(t *testing.T) {
 	m.Node("gps").ProcessNs.ObserveDuration(3 * time.Microsecond)
 	m.CheckpointAppend("s", 128, 2*time.Millisecond, nil)
 	m.ObserveTreeDepth(4)
+	m.ClusterPumpErrors.Add(2)
 
 	var b strings.Builder
 	WritePrometheus(&b, m)
@@ -48,6 +49,8 @@ func TestWritePrometheusCoversMetricFamilies(t *testing.T) {
 		"perpos_checkpoint_bytes_total 128",
 		"# TYPE perpos_checkpoint_write_ns histogram",
 		"perpos_tree_depth_sum 4",
+		"# TYPE perpos_cluster_pump_errors_total counter",
+		"perpos_cluster_pump_errors_total 2",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q", want)

@@ -141,22 +141,18 @@ type wireSample struct {
 	Payload     json.RawMessage  `json:"payload"`
 }
 
-// encodeSample converts a sample to its frame body. Pooled payloads
-// are detached first: the wire outlives the pool object's refcount,
-// and codecs only know the detached (plain string / boxed struct)
-// forms.
+// encodeSample converts a sample to its frame body.
 func encodeSample(s core.Sample, codecs Codecs) ([]byte, error) {
 	c, ok := codecs[s.Kind]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoCodec, s.Kind)
 	}
-	detached := core.DetachPayload(s.Payload)
 	var payload json.RawMessage
 	var err error
 	if c.Encode != nil {
-		payload, err = c.Encode(detached)
+		payload, err = c.Encode(s.Payload)
 	} else {
-		payload, err = json.Marshal(detached)
+		payload, err = json.Marshal(s.Payload)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("encode %q payload: %w", s.Kind, err)

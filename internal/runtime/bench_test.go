@@ -232,12 +232,14 @@ func BenchmarkRuntimeSaturated(b *testing.B) {
 
 // saturatedSessionConfig is gpsSessionConfig with an endless (looping)
 // receiver and no acquisition delay, so flat-out drivers never run the
-// source dry and every epoch emits a full sentence group.
-func saturatedSessionConfig(b *testing.B) SessionConfig {
-	b.Helper()
+// source dry and every epoch emits a full sentence group. The receiver
+// is seeded from the session ID, so two sessions created under the same
+// ID replay the same sentence stream.
+func saturatedSessionConfig(tb testing.TB) SessionConfig {
+	tb.Helper()
 	bp, err := catalog.GPSBlueprint()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return SessionConfig{
 		Blueprint: bp,
@@ -246,14 +248,11 @@ func saturatedSessionConfig(b *testing.B) SessionConfig {
 			tr := trace.OutdoorTrack(testOrigin, seed, 4, 200, 1.4, time.Second)
 			return []core.InstantiateOption{
 				core.WithComponentOverride("gps", func(cid string) core.Component {
-					// Pooled raw/parsed payloads: the saturated path's
-					// remaining allocs were dominated by per-sentence
-					// string + interface boxing (DESIGN.md §13).
 					return gps.NewReceiver(cid, tr, gps.Config{
 						Seed:      seed,
 						ColdStart: time.Nanosecond,
 						Loop:      true,
-					}, gps.WithPooledOutput())
+					})
 				}),
 			}
 		},

@@ -244,9 +244,7 @@ func newSession(id string, rev int, bp *core.Blueprint, cfg SessionConfig, clock
 			inner = s.monitor
 		}
 		s.obsObserver = obs.NewGraphObserver(m, inner)
-		// Batch-capable: StepN bursts hand the observer whole runs of
-		// emissions so counter updates aggregate per component.
-		s.obsTapCancel = g.TapBatch(s.obsObserver)
+		s.obsTapCancel = g.Tap(s.obsObserver.Tap)
 		s.availCancel = s.provider.NotifyAvailability(func(a positioning.Availability) {
 			m.ProviderTransition(a.String())
 		})
@@ -472,24 +470,11 @@ func (s *Session) Step() (bool, error) {
 	return s.StepN(1)
 }
 
-// stepBatchFlush bounds how long a burst-buffered emission may wait for
-// batch observers while StepN is driving: the burst is also flushed
-// between source steps once this deadline passes, so even a slow
-// (externally paced) StepN caller adds at most one step plus this bound
-// of observer latency.
-const stepBatchFlush = 2 * time.Millisecond
-
 // StepN advances every source in the session n times under a single
 // lock acquisition, amortizing the per-step run-lock and idle-clock
 // cost — the batched drive loop for saturated (unpaced) workloads. It
 // stops early once the sources are exhausted. Supervisor edits never
 // interleave a batch: like Run, propagation holds the run lock.
-//
-// Multi-step drives additionally open a tap burst (DESIGN.md §13):
-// batch-capable observers (the channel layer, metrics) absorb the whole
-// run of emissions in amortized calls instead of paying their locks per
-// sample. The run lock held here is what makes the burst safe — no
-// feature attach/detach or structural edit can interleave it.
 func (s *Session) StepN(n int) (bool, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
@@ -500,11 +485,6 @@ func (s *Session) StepN(n int) (bool, error) {
 	}
 	s.lastUsed = s.clock()
 	s.mu.Unlock()
-	var burst *core.Burst
-	if n > 1 {
-		burst = s.graph.BeginBurst(stepBatchFlush)
-		defer burst.End()
-	}
 	more := true
 	for i := 0; i < n && more; i++ {
 		var err error
@@ -512,7 +492,6 @@ func (s *Session) StepN(n int) (bool, error) {
 		if err != nil {
 			return more, err
 		}
-		burst.FlushIfStale()
 	}
 	return more, nil
 }
