@@ -13,6 +13,7 @@ import (
 	"perpos/internal/core"
 	"perpos/internal/geo"
 	"perpos/internal/gps"
+	"perpos/internal/health"
 	"perpos/internal/obs"
 	"perpos/internal/positioning"
 	"perpos/internal/runtime"
@@ -237,6 +238,40 @@ func TestPumpCountsErrors(t *testing.T) {
 	}
 	if got := hub.ClusterPumpErrors.Value(); got != 4+4+2 {
 		t.Fatalf("after 4 more rounds without a store: pump errors = %d, want 10", got)
+	}
+}
+
+// TestPumpErrorsTripBreaker: the pump steps sessions with StepN(1), and
+// a supervised session's failing component still trips its breaker —
+// the errors reach health, not only ClusterPumpErrors.
+func TestPumpErrorsTripBreaker(t *testing.T) {
+	cfg := kalmanSessionConfig(t)
+	cfg.Health = &health.Policy{MaxConsecutiveErrors: 3, ProbeInterval: time.Hour, Sweep: time.Hour}
+	overrides := cfg.Overrides
+	cfg.Overrides = func(sessionID string) []core.InstantiateOption {
+		return append(overrides(sessionID), core.WithComponentOverride("parser", func(cid string) core.Component {
+			return chaos.WrapComponent(gps.NewParser(cid), chaos.WithErrorEvery(1))
+		}))
+	}
+	n, err := StartNode(NodeConfig{ID: "n1", Dir: t.TempDir(), Session: cfg, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	s, err := n.Manager().GetOrCreate("broken")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Pump(4); err != nil {
+		t.Fatal(err)
+	}
+	s.Supervisor().Sweep(time.Now())
+	h, ok := s.Monitor().Health("parser")
+	if !ok || h.Trips != 1 || h.State != health.StateDown {
+		t.Fatalf("parser health = %+v, want one trip and down", h)
+	}
+	if got := s.Provider().Availability(); got != positioning.TemporarilyUnavailable {
+		t.Errorf("provider availability = %v, want TEMPORARILY_UNAVAILABLE", got)
 	}
 }
 

@@ -699,7 +699,7 @@ func (r *Router) noteResult(node string, err error) {
 	if _, ok := err.(*RemoteError); ok {
 		err = nil // the node answered; application errors are not node failures
 	}
-	r.monitor.NodeResult(node, err)
+	r.monitor.Done(node, 0, err)
 	if err == nil {
 		r.monitor.Tap(node, core.Sample{})
 	}
@@ -711,7 +711,7 @@ func (r *Router) noteTransport(node string, err error) {
 	if _, ok := err.(*RemoteError); ok {
 		return
 	}
-	r.monitor.NodeResult(node, err)
+	r.monitor.Done(node, 0, err)
 }
 
 func (r *Router) noteStale() {

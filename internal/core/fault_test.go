@@ -225,15 +225,18 @@ func (s *dyingSource) Restart() error {
 	return nil
 }
 
-// recordingObserver captures runner callbacks for assertions.
+// recordingObserver captures observer callbacks for assertions.
 type recordingObserver struct {
 	mu        sync.Mutex
 	results   map[string][]error
-	exhausted []string
 	restarted []int
 }
 
-func (o *recordingObserver) NodeResult(node string, err error) {
+func (o *recordingObserver) Tap(string, Sample) {}
+
+func (o *recordingObserver) Allow(string) bool { return true }
+
+func (o *recordingObserver) Done(node string, _ time.Duration, err error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.results == nil {
@@ -242,13 +245,7 @@ func (o *recordingObserver) NodeResult(node string, err error) {
 	o.results[node] = append(o.results[node], err)
 }
 
-func (o *recordingObserver) SourceExhausted(node string) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.exhausted = append(o.exhausted, node)
-}
-
-func (o *recordingObserver) SourceRestarted(_ string, attempt int) {
+func (o *recordingObserver) Restarted(_ string, attempt int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.restarted = append(o.restarted, attempt)
@@ -265,9 +262,8 @@ func TestRunnerRestartsFailedSource(t *testing.T) {
 	}
 
 	obs := &recordingObserver{}
-	r := NewRunner(g,
-		WithRunnerObserver(obs),
-		WithSourceRestart(RestartPolicy{Base: time.Millisecond, Max: 5 * time.Millisecond}))
+	g.Observe(obs)
+	r := NewRunner(g, WithSourceRestart(RestartPolicy{Base: time.Millisecond, Max: 5 * time.Millisecond}))
 	if err := r.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -282,10 +278,7 @@ func TestRunnerRestartsFailedSource(t *testing.T) {
 	obs.mu.Lock()
 	defer obs.mu.Unlock()
 	if len(obs.restarted) == 0 {
-		t.Error("observer saw no SourceRestarted")
-	}
-	if len(obs.exhausted) != 1 || obs.exhausted[0] != "src" {
-		t.Errorf("exhausted = %v, want [src]", obs.exhausted)
+		t.Error("observer saw no Restarted")
 	}
 }
 
@@ -301,9 +294,8 @@ func TestRunnerRestartCapExhausts(t *testing.T) {
 	}
 
 	obs := &recordingObserver{}
-	r := NewRunner(g,
-		WithRunnerObserver(obs),
-		WithSourceRestart(RestartPolicy{MaxRestarts: 3, Base: time.Millisecond, Max: 2 * time.Millisecond}))
+	g.Observe(obs)
+	r := NewRunner(g, WithSourceRestart(RestartPolicy{MaxRestarts: 3, Base: time.Millisecond, Max: 2 * time.Millisecond}))
 	if err := r.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -311,10 +303,21 @@ func TestRunnerRestartCapExhausts(t *testing.T) {
 	if err := r.Stop(); err == nil {
 		t.Error("Stop = nil, want the terminal source error")
 	}
+	src.mu.Lock()
+	if src.restarts != 3 {
+		t.Errorf("restarts = %d, want 3 (the runner gives up at the cap)", src.restarts)
+	}
+	src.mu.Unlock()
 	obs.mu.Lock()
 	defer obs.mu.Unlock()
-	if len(obs.exhausted) != 1 {
-		t.Fatalf("exhausted = %v, want exactly one entry after the restart cap", obs.exhausted)
+	// Four failed steps and three failed restarts, each reported.
+	if got := obs.results["src"]; len(got) != 7 {
+		t.Errorf("observer saw %d outcomes for src, want 7: %v", len(got), got)
+	}
+	for _, err := range obs.results["src"] {
+		if err == nil {
+			t.Error("observer saw a success from a source that never recovers")
+		}
 	}
 	if len(obs.restarted) != 0 {
 		t.Errorf("restarted = %v, want none (restarts never succeeded)", obs.restarted)
@@ -396,10 +399,10 @@ type blockingGate struct {
 
 func (g *blockingGate) Allow(node string) bool { return node != g.deny }
 
-func TestRunnerDeliveryGateDropsQuarantined(t *testing.T) {
+func TestRunnerGateDropsQuarantined(t *testing.T) {
 	g, sink := buildLinear(t, 10)
-	gate := &blockingGate{deny: "app"}
-	r := NewRunner(g, WithRunnerObserver(gate))
+	g.Observe(&blockingGate{deny: "app"})
+	r := NewRunner(g)
 	if err := r.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -5,13 +5,48 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 )
+
+// Observer watches a graph run. Both engines — StepAll/StepN and the
+// Runner — call it from the same Node methods, so it sees the same
+// events whichever drives the graph. Methods run on the propagating
+// goroutine and must be fast and safe for concurrent use.
+type Observer interface {
+	// Tap is called for every emission anywhere in the graph, before
+	// the sample propagates downstream.
+	Tap(nodeID string, s Sample)
+	// Allow is called before each delivery to a node's input port;
+	// false drops the sample (a breaker's quarantine). Sources are
+	// never gated.
+	Allow(nodeID string) bool
+	// Done is called after every process or step: err is nil on
+	// success and wraps ErrPanicked when the component panicked. d is
+	// the call's wall time on the one call in timedEvery per node that
+	// is timed, and 0 on the others.
+	Done(nodeID string, d time.Duration, err error)
+	// Restarted is called after a Runner restarts a failed source
+	// (attempt counts consecutive restarts since the last success).
+	Restarted(nodeID string, attempt int)
+}
 
 // TapFunc observes every sample emitted anywhere in the graph. Taps are
 // how the Process Channel Layer maintains its causal connection to the
-// positioning process. Taps run on the emitting goroutine and must be
-// fast and thread-safe when the async engine is used.
+// positioning process. As an Observer it allows every delivery and
+// ignores outcomes.
 type TapFunc func(componentID string, s Sample)
+
+// Tap implements Observer.
+func (f TapFunc) Tap(componentID string, s Sample) { f(componentID, s) }
+
+// Allow implements Observer: a tap gates nothing.
+func (TapFunc) Allow(string) bool { return true }
+
+// Done implements Observer.
+func (TapFunc) Done(string, time.Duration, error) {}
+
+// Restarted implements Observer.
+func (TapFunc) Restarted(string, int) {}
 
 // TapEvent is one observed emission: the component that emitted and the
 // sample as stamped at emission time. Tools that record a tap stream for
@@ -34,8 +69,8 @@ type Edge struct {
 // plus synchronous propagation for deterministic runs.
 //
 // Concurrency contract: structural mutation (Add/Connect/Remove/attach)
-// must not run concurrently with propagation (Inject/Step*). The
-// asynchronous Runner freezes the structure while running.
+// must not run concurrently with propagation (Inject/Step*). The Runner
+// freezes the structure while running.
 type Graph struct {
 	mu    sync.RWMutex
 	nodes map[string]*Node
@@ -45,13 +80,12 @@ type Graph struct {
 	// invalidated (under mu) when the node set changes.
 	producers []*Node
 
-	tapMu sync.RWMutex
-	taps  map[int]TapFunc
-	tapID int
-	// tapList is an immutable snapshot of taps, rebuilt on Tap/cancel,
-	// so notifyTaps on the emission path is one atomic load instead of a
-	// lock plus a map iteration.
-	tapList atomic.Pointer[[]TapFunc]
+	obsMu sync.Mutex
+	obs   map[int]Observer
+	obsID int
+	// observing is an immutable snapshot of obs, rebuilt on Observe and
+	// cancel, so the propagation path reads it with one atomic load.
+	observing atomic.Pointer[observerList]
 
 	errMu sync.Mutex
 	// errPending mirrors "errs or errDropped non-empty" so the per-step
@@ -60,25 +94,24 @@ type Graph struct {
 	errs       []error
 	errDropped int
 
+	// running freezes the structure while a Runner is active.
 	running atomic.Bool
-	// deliver is installed by a running async Runner; nil means
-	// synchronous direct-call propagation. Written only while no
-	// propagation is in flight.
-	deliver asyncDeliver
 }
 
-// setAsync installs (or removes, with nil) the async delivery hook and
-// flips the running flag that freezes graph structure.
-func (g *Graph) setAsync(d asyncDeliver) {
-	g.deliver = d
-	g.running.Store(d != nil)
+// observerList snapshots a graph's observers in registration order.
+type observerList struct {
+	// all is tapped on every emission.
+	all []Observer
+	// hooks holds the observers that gate or report: all but plain
+	// TapFuncs, whose other methods do nothing.
+	hooks []Observer
 }
 
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{
 		nodes: make(map[string]*Node),
-		taps:  make(map[int]TapFunc),
+		obs:   make(map[int]Observer),
 	}
 }
 
@@ -100,10 +133,16 @@ func (g *Graph) Add(c Component) (*Node, error) {
 	n := &Node{
 		graph:   g,
 		comp:    c,
+		id:      id,
 		spec:    c.Spec(),
 		inbound: make([]*Node, len(c.Spec().Inputs)),
 	}
-	n.selfEmit = n.emitFunc("")
+	n.selfEmit = func(s Sample) { n.emit(s, "") }
+	if n.spec.IsSource() {
+		// A source's emissions take its lock, which serialises them
+		// with Graph.Inject; Step itself runs unlocked.
+		n.selfEmit = n.emitLocked
+	}
 	g.nodes[id] = n
 	g.order = append(g.order, id)
 	g.producers = nil
@@ -369,46 +408,61 @@ func (g *Graph) InsertBetween(c Component, fromID, toID string, toPort, cInPort 
 	return nil
 }
 
-// Tap registers an observer for every emission in the graph and returns
-// a cancel function.
-func (g *Graph) Tap(fn TapFunc) (cancel func()) {
-	g.tapMu.Lock()
-	defer g.tapMu.Unlock()
-	id := g.tapID
-	g.tapID++
-	g.taps[id] = fn
-	g.rebuildTapListLocked()
+// Observe registers an observer and returns a cancel function.
+func (g *Graph) Observe(o Observer) (cancel func()) {
+	g.obsMu.Lock()
+	defer g.obsMu.Unlock()
+	id := g.obsID
+	g.obsID++
+	g.obs[id] = o
+	g.rebuildObserversLocked()
 	return func() {
-		g.tapMu.Lock()
-		defer g.tapMu.Unlock()
-		delete(g.taps, id)
-		g.rebuildTapListLocked()
+		g.obsMu.Lock()
+		defer g.obsMu.Unlock()
+		delete(g.obs, id)
+		g.rebuildObserversLocked()
 	}
 }
 
-// rebuildTapListLocked snapshots taps into tapList in registration
-// order. Called with tapMu held.
-func (g *Graph) rebuildTapListLocked() {
-	if len(g.taps) == 0 {
-		g.tapList.Store(nil)
+// Tap registers fn for every emission in the graph.
+func (g *Graph) Tap(fn TapFunc) (cancel func()) { return g.Observe(fn) }
+
+// rebuildObserversLocked snapshots obs in registration order. Called
+// with obsMu held.
+func (g *Graph) rebuildObserversLocked() {
+	if len(g.obs) == 0 {
+		g.observing.Store(nil)
 		return
 	}
-	lst := make([]TapFunc, 0, len(g.taps))
-	for id := 0; id < g.tapID; id++ {
-		if fn, ok := g.taps[id]; ok {
-			lst = append(lst, fn)
+	l := &observerList{}
+	for id := 0; id < g.obsID; id++ {
+		o, ok := g.obs[id]
+		if !ok {
+			continue
+		}
+		l.all = append(l.all, o)
+		if _, tap := o.(TapFunc); !tap {
+			l.hooks = append(l.hooks, o)
 		}
 	}
-	g.tapList.Store(&lst)
+	g.observing.Store(l)
+}
+
+// hooks returns the registered observers that gate or report.
+func (g *Graph) hooks() []Observer {
+	if l := g.observing.Load(); l != nil {
+		return l.hooks
+	}
+	return nil
 }
 
 func (g *Graph) notifyTaps(componentID string, s Sample) {
-	lst := g.tapList.Load()
-	if lst == nil {
+	l := g.observing.Load()
+	if l == nil {
 		return
 	}
-	for _, fn := range *lst {
-		fn(componentID, s)
+	for _, o := range l.all {
+		o.Tap(componentID, s)
 	}
 }
 
@@ -463,7 +517,7 @@ func (g *Graph) Inject(id string, s Sample) error {
 	if !ok {
 		return fmt.Errorf("%w: component %q", ErrNotFound, id)
 	}
-	n.emit(s, "")
+	n.emitLocked(s)
 	return g.drainErrors()
 }
 
@@ -480,9 +534,7 @@ func (g *Graph) Deliver(id string, port int, s Sample) error {
 	if port < 0 || port >= len(n.spec.Inputs) {
 		return fmt.Errorf("%w: %q port %d", ErrPortIndex, id, port)
 	}
-	if err := n.process(port, s); err != nil {
-		g.noteError(err)
-	}
+	n.process(port, s)
 	return g.drainErrors()
 }
 
@@ -496,10 +548,7 @@ func (g *Graph) StepSource(id string) (bool, error) {
 	if !ok {
 		return false, fmt.Errorf("%w: component %q", ErrNotFound, id)
 	}
-	more, err := n.step()
-	if err != nil {
-		g.noteError(err)
-	}
+	more, _ := n.step()
 	return more, g.drainErrors()
 }
 
@@ -508,11 +557,7 @@ func (g *Graph) StepSource(id string) (bool, error) {
 func (g *Graph) StepAll() (bool, error) {
 	any := false
 	for _, n := range g.producerList() {
-		more, err := n.step()
-		if err != nil {
-			g.noteError(err)
-		}
-		if more {
+		if more, _ := n.step(); more {
 			any = true
 		}
 	}

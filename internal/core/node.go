@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"time"
 )
 
 // Node wraps a Component inside a Graph: it owns the component's
@@ -15,7 +17,19 @@ import (
 type Node struct {
 	graph *Graph
 	comp  Component
-	spec  Spec // cached; Spec must be constant
+	id    string // cached; ID must be constant
+	spec  Spec   // cached; Spec must be constant
+
+	// mu is held while the component runs in process and while one of
+	// a source's emissions propagates (its emit closure and
+	// Graph.Inject), so a component never runs concurrently with
+	// itself, and one stuck in Process holds up only its own branch.
+	// Locks are taken along edges, and the graph is acyclic.
+	mu sync.Mutex
+	// calls counts observed process/step calls to pick the timed ones.
+	// Guarded by mu on processing nodes; a source is stepped by one
+	// goroutine at a time.
+	calls uint32
 
 	// features in attach order (hook order is attach order).
 	features []Feature
@@ -52,7 +66,7 @@ type edge struct {
 }
 
 // ID returns the wrapped component's ID.
-func (n *Node) ID() string { return n.comp.ID() }
+func (n *Node) ID() string { return n.id }
 
 // Component returns the wrapped component, giving PSL clients access to
 // "all methods available on the implementing classes" (paper §2.1).
@@ -172,18 +186,42 @@ func (n *Node) Downstream() []*Node {
 	return ds
 }
 
-// --- engine internals (called with graph.mu held for reading) ---
+// --- engine internals: both engines propagate through these ---
 
-// process delivers one sample to the node's input port: consume hooks,
-// span bookkeeping, then the component's Process. A panicking component
-// (or feature hook) is contained: the panic becomes an error instead of
-// taking the whole positioning process down — third-party Processing
-// Components are exactly the code the middleware cannot vouch for.
-func (n *Node) process(port int, s Sample) (err error) {
+// timedEvery is the sampling period of Observer.Done durations: a node
+// times one observed call in timedEvery, which bounds the clock reads
+// and the writes to fleet-wide histograms a saturated step pays.
+const timedEvery = 16
+
+// process delivers one sample to the node's input port: the observers'
+// gate, then consume hooks, span bookkeeping and the component's
+// Process under the node lock, then the outcome to the observers and,
+// on failure, the graph's error buffer.
+func (n *Node) process(port int, s Sample) {
+	hooks := n.graph.hooks()
+	for _, o := range hooks {
+		if !o.Allow(n.id) {
+			return
+		}
+	}
+	n.mu.Lock()
+	d, err := n.consume(port, &s, hooks != nil)
+	n.mu.Unlock()
+	n.report(hooks, d, err)
+}
+
+// consume runs the node's part of process with n.mu held. A panicking
+// component (or feature hook) is contained: the panic becomes an error
+// instead of taking the whole positioning process down — third-party
+// Processing Components are exactly the code the middleware cannot
+// vouch for.
+func (n *Node) consume(port int, s *Sample, observed bool) (d time.Duration, err error) {
+	start := n.startTimer(observed)
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("component %q: %w: %v", n.ID(), ErrPanicked, r)
 		}
+		d = since(start)
 	}()
 	for _, f := range n.features {
 		hook, ok := f.(ConsumeHook)
@@ -191,39 +229,88 @@ func (n *Node) process(port int, s Sample) (err error) {
 			continue
 		}
 		var keep bool
-		s, keep = hook.Consume(port, s)
+		*s, keep = hook.Consume(port, *s)
 		if !keep {
-			return nil
+			return 0, nil
 		}
 	}
 	n.noteConsumed(s)
-	if perr := n.comp.Process(port, s, n.selfEmit); perr != nil {
-		return fmt.Errorf("component %q: %w", n.ID(), perr)
+	if perr := n.comp.Process(port, *s, n.selfEmit); perr != nil {
+		return 0, fmt.Errorf("component %q: %w", n.ID(), perr)
 	}
-	return nil
+	return 0, nil
 }
 
 // step drives a Producer source for one tick, with the same panic
-// containment as process.
+// containment, timing and reporting as process. Sources are never
+// gated, and Step runs without the node lock: only its emissions take
+// it, so a source blocked in Step does not hold up Graph.Inject.
 func (n *Node) step() (more bool, err error) {
+	hooks := n.graph.hooks()
+	var d time.Duration
+	more, d, err = n.produce(hooks != nil)
+	n.report(hooks, d, err)
+	return more, err
+}
+
+func (n *Node) produce(observed bool) (more bool, d time.Duration, err error) {
+	start := n.startTimer(observed)
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("source %q: %w: %v", n.ID(), ErrPanicked, r)
 		}
+		d = since(start)
 	}()
 	p, ok := n.comp.(Producer)
 	if !ok {
-		return false, fmt.Errorf("%w: %q is not a producer", ErrNotProducer, n.ID())
+		return false, 0, fmt.Errorf("%w: %q is not a producer", ErrNotProducer, n.ID())
 	}
 	more, serr := p.Step(n.selfEmit)
 	if serr != nil {
-		return more, fmt.Errorf("source %q: %w", n.ID(), serr)
+		return more, 0, fmt.Errorf("source %q: %w", n.ID(), serr)
 	}
-	return more, nil
+	return more, 0, nil
+}
+
+// epoch anchors call timing on the monotonic clock: time.Since a
+// monotonic reading is one clock read, where time.Now is two.
+var epoch = time.Now()
+
+// startTimer counts one observed call and returns its start offset
+// when it is the sampled one, or -1.
+func (n *Node) startTimer(observed bool) time.Duration {
+	if !observed {
+		return -1
+	}
+	n.calls++
+	if n.calls%timedEvery != 1 {
+		return -1
+	}
+	return time.Since(epoch)
+}
+
+// since returns the time elapsed from a startTimer result (0 when the
+// call was not timed).
+func since(start time.Duration) time.Duration {
+	if start < 0 {
+		return 0
+	}
+	return time.Since(epoch) - start
+}
+
+// report hands one call's outcome to the observers and notes a failure
+// in the graph's error buffer.
+func (n *Node) report(hooks []Observer, d time.Duration, err error) {
+	for _, o := range hooks {
+		o.Done(n.id, d, err)
+	}
+	if err != nil {
+		n.graph.noteError(err)
+	}
 }
 
 // noteConsumed extends the pending span set with one consumed sample.
-func (n *Node) noteConsumed(s Sample) {
+func (n *Node) noteConsumed(s *Sample) {
 	if n.emitted {
 		// First consumption after an emission starts a new grouping
 		// window (Fig. 4: NMEA2's span starts after NMEA1's emission).
@@ -264,12 +351,12 @@ func (n *Node) currentSpans() []Span {
 	return spans
 }
 
-// emitFunc returns the Emit closure for this node. fromFeature is the
-// feature name for feature-emitted data, or "" for component output.
-func (n *Node) emitFunc(fromFeature string) Emit {
-	return func(s Sample) {
-		n.emit(s, fromFeature)
-	}
+// emitLocked emits one component output with the node lock held: a
+// source's emit closure, and Graph.Inject.
+func (n *Node) emitLocked(s Sample) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.emit(s, "")
 }
 
 // emit stamps and propagates one output sample.
@@ -319,11 +406,7 @@ func (n *Node) emit(s Sample, fromFeature string) {
 		} else if !in.accepts(s.Kind) {
 			continue
 		}
-		if d := n.graph.deliver; d != nil {
-			d(e.to, e.port, s)
-		} else if err := e.to.process(e.port, s); err != nil {
-			n.graph.noteError(err)
-		}
+		e.to.process(e.port, s)
 	}
 }
 
@@ -338,8 +421,8 @@ var _ ClockedHost = (*featureHost)(nil)
 func (h *featureHost) Component() Component { return h.node.comp }
 
 // Clock implements ClockedHost. Reading the bare field is safe in the
-// contexts features run in: hooks execute on the node's processing
-// goroutine, where the clock is stable.
+// contexts features run in: hooks execute under the node lock, where
+// the clock is stable.
 func (h *featureHost) Clock() LogicalTime { return h.node.clock }
 
 func (h *featureHost) EmitFeatureData(s Sample) {

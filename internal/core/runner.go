@@ -7,78 +7,23 @@ import (
 	"time"
 )
 
-// asyncDeliver is installed on a Graph by a running Runner; when set,
-// emissions are enqueued to per-node inboxes instead of propagated by
-// direct call.
-type asyncDeliver func(n *Node, port int, s Sample)
-
-// Runner executes a graph asynchronously: one goroutine per component
-// consuming a bounded inbox, and one goroutine per Producer source
-// stepping it until exhaustion. This is the engine used for live
-// pipelines; deterministic runs use Graph.Run instead.
+// Runner is the live engine, and only a scheduler: one goroutine per
+// Producer source — the set StepAll steps — stepping it with optional
+// pacing and restart-with-backoff. Emissions propagate by the same
+// direct call StepAll uses, so gating, outcome reporting and timing
+// happen in the node path both engines share. Deterministic runs use
+// Graph.Run instead.
 //
 // The graph structure is frozen while the runner is active.
 type Runner struct {
 	g        *Graph
 	interval time.Duration
-	inboxCap int
-	observer RunnerObserver
-	gate     DeliveryGate
-	timer    NodeTimer
 	restart  *RestartPolicy
 
 	mu      sync.Mutex
 	started bool
 	cancel  context.CancelFunc
-
-	inboxes  map[*Node]chan message
-	doneCh   chan struct{}  // closed by Stop to end node goroutines
-	inflight sync.WaitGroup // tracks queued but unprocessed messages
-	workers  sync.WaitGroup // node goroutines
-	sources  sync.WaitGroup // producer goroutines
-}
-
-type message struct {
-	port int
-	s    Sample
-}
-
-// RunnerObserver receives engine-level health signals from a running
-// Runner: the outcome of every component process/step and source
-// lifecycle transitions. Implementations must be safe for concurrent
-// use — callbacks run on node and source goroutines. A nil observer
-// costs nothing; this is the seam internal/health hangs its per-node
-// error/panic accounting on.
-type RunnerObserver interface {
-	// NodeResult reports the outcome of one process or step on the
-	// node: err is nil on success and wraps ErrPanicked when the
-	// component panicked.
-	NodeResult(nodeID string, err error)
-	// SourceExhausted reports that a producer's goroutine is exiting
-	// for good (clean end of data, or restarts exhausted).
-	SourceExhausted(nodeID string)
-	// SourceRestarted reports a successful Restart of a failed source
-	// (attempt counts consecutive restarts since the last success).
-	SourceRestarted(nodeID string, attempt int)
-}
-
-// DeliveryGate is an optional RunnerObserver extension: when the
-// observer implements it, the runner consults Allow before delivering
-// each queued sample, letting a circuit breaker quarantine a
-// persistently failing node. Gated-off samples are dropped (still
-// counted as handled, so backpressure keeps draining) — positioning
-// data is perishable, and a wedged component must not stall siblings.
-type DeliveryGate interface {
-	Allow(nodeID string) bool
-}
-
-// NodeTimer is an optional RunnerObserver extension: when the observer
-// implements it, the runner wall-clocks every component process and
-// source step and reports the duration alongside the outcome. The two
-// time.Now calls per message are only paid when a timer is installed;
-// a plain observer keeps the old cost.
-type NodeTimer interface {
-	NodeTimed(nodeID string, d time.Duration, err error)
+	sources sync.WaitGroup
 }
 
 // Restartable is implemented by source components that can recover
@@ -136,12 +81,6 @@ func (p RestartPolicy) delay(attempt int) time.Duration {
 // RunnerOption configures a Runner.
 type RunnerOption func(*Runner)
 
-// WithRunnerObserver installs a health observer (and, when it also
-// implements DeliveryGate, a delivery gate) on the runner.
-func WithRunnerObserver(o RunnerObserver) RunnerOption {
-	return func(r *Runner) { r.observer = o }
-}
-
 // WithSourceRestart enables restart-with-exponential-backoff for
 // Restartable sources that die with an error.
 func WithSourceRestart(p RestartPolicy) RunnerOption {
@@ -157,126 +96,34 @@ func WithSourceInterval(d time.Duration) RunnerOption {
 	return func(r *Runner) { r.interval = d }
 }
 
-// WithInboxCapacity sets each node's inbox depth (default 1). Depth 1
-// gives the tightest backpressure; deeper inboxes absorb fan-in bursts —
-// what a session runtime multiplexing many producers needs to keep
-// upstream components from stalling on a briefly-busy consumer.
-func WithInboxCapacity(n int) RunnerOption {
-	return func(r *Runner) {
-		if n > 0 {
-			r.inboxCap = n
-		}
-	}
-}
-
 // NewRunner returns a runner for g.
 func NewRunner(g *Graph, opts ...RunnerOption) *Runner {
-	r := &Runner{g: g, inboxCap: 1}
+	r := &Runner{g: g}
 	for _, opt := range opts {
 		opt(r)
 	}
 	return r
 }
 
-// Start freezes the graph and launches the node and source goroutines.
-// It returns once everything is running.
+// Start freezes the graph and launches one goroutine per source. It
+// returns once everything is running.
 func (r *Runner) Start(ctx context.Context) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.started {
 		return fmt.Errorf("runner: %w", ErrRunning)
 	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	r.cancel = cancel
-
-	nodes := r.g.Nodes()
-	r.inboxes = make(map[*Node]chan message, len(nodes))
-	for _, n := range nodes {
-		// Bounded inboxes: enqueue blocks when the consumer lags,
-		// giving natural backpressure along the (acyclic) tree.
-		r.inboxes[n] = make(chan message, r.inboxCap)
-	}
-
-	r.g.setAsync(func(n *Node, port int, s Sample) {
-		r.inflight.Add(1)
-		r.inboxes[n] <- message{port: port, s: s}
-	})
-
-	if r.observer != nil {
-		if g, ok := r.observer.(DeliveryGate); ok {
-			r.gate = g
-		}
-		if t, ok := r.observer.(NodeTimer); ok {
-			r.timer = t
-		}
-	}
-
-	done := make(chan struct{})
-	for _, n := range nodes {
-		n := n
-		inbox := r.inboxes[n]
-		r.workers.Add(1)
-		go func() {
-			defer r.workers.Done()
-			for {
-				select {
-				case m := <-inbox:
-					r.handle(n, m)
-					r.inflight.Done()
-				case <-done:
-					// Drain anything that raced with shutdown.
-					for {
-						select {
-						case m := <-inbox:
-							r.handle(n, m)
-							r.inflight.Done()
-						default:
-							return
-						}
-					}
-				}
-			}
-		}()
-	}
-	r.doneCh = done
-
-	for _, n := range nodes {
-		if _, ok := n.comp.(Producer); !ok {
-			continue
-		}
-		n := n
+	ctx, r.cancel = context.WithCancel(ctx)
+	r.g.running.Store(true)
+	for _, n := range r.g.producerList() {
 		r.sources.Add(1)
 		go func() {
 			defer r.sources.Done()
 			r.driveSource(ctx, n)
 		}()
 	}
-
 	r.started = true
 	return nil
-}
-
-// handle delivers one queued sample to a node, applying the delivery
-// gate and reporting the outcome to the observer.
-func (r *Runner) handle(n *Node, m message) {
-	if r.gate != nil && !r.gate.Allow(n.ID()) {
-		return
-	}
-	var start time.Time
-	if r.timer != nil {
-		start = time.Now()
-	}
-	err := n.process(m.port, m.s)
-	if r.timer != nil {
-		r.timer.NodeTimed(n.ID(), time.Since(start), err)
-	}
-	if err != nil {
-		r.g.noteError(err)
-	}
-	if r.observer != nil {
-		r.observer.NodeResult(n.ID(), err)
-	}
 }
 
 // driveSource steps one producer until exhaustion, restarting failed
@@ -305,34 +152,15 @@ func (r *Runner) driveSource(ctx context.Context, n *Node) {
 			return
 		default:
 		}
-		var start time.Time
-		if r.timer != nil {
-			start = time.Now()
-		}
 		more, err := n.step()
-		if r.timer != nil {
-			r.timer.NodeTimed(n.ID(), time.Since(start), err)
-		}
-		if err != nil {
-			r.g.noteError(err)
-		}
-		if r.observer != nil {
-			r.observer.NodeResult(n.ID(), err)
-		}
 		if !more {
 			rc, restartable := n.comp.(Restartable)
 			if err == nil || !restartable || r.restart == nil {
 				// Clean exhaustion, or nothing to restart: done.
-				if r.observer != nil {
-					r.observer.SourceExhausted(n.ID())
-				}
 				return
 			}
 			attempt++
 			if r.restart.MaxRestarts > 0 && attempt > r.restart.MaxRestarts {
-				if r.observer != nil {
-					r.observer.SourceExhausted(n.ID())
-				}
 				return
 			}
 			if backoff == nil {
@@ -349,15 +177,16 @@ func (r *Runner) driveSource(ctx context.Context, n *Node) {
 			}
 			if rerr := rc.Restart(); rerr != nil {
 				// Still down: keep backing off. The failure is reported
-				// to the observer but not accumulated in the graph's
+				// to the observers but not accumulated in the graph's
 				// error buffer — a long outage is state, not new news.
-				if r.observer != nil {
-					r.observer.NodeResult(n.ID(), fmt.Errorf("source %q: restart: %w", n.ID(), rerr))
+				err := fmt.Errorf("source %q: restart: %w", n.ID(), rerr)
+				for _, o := range r.g.hooks() {
+					o.Done(n.ID(), 0, err)
 				}
 				continue
 			}
-			if r.observer != nil {
-				r.observer.SourceRestarted(n.ID(), attempt)
+			for _, o := range r.g.hooks() {
+				o.Restarted(n.ID(), attempt)
 			}
 			attempt = 0
 			continue
@@ -373,9 +202,9 @@ func (r *Runner) driveSource(ctx context.Context, n *Node) {
 	}
 }
 
-// Stop halts the sources, waits for all in-flight samples to drain,
-// stops the node goroutines and unfreezes the graph. It returns any
-// errors collected during the run.
+// Stop halts the sources, waits for their goroutines to return (their
+// emissions have propagated by then) and unfreezes the graph. It
+// returns any errors collected during the run.
 func (r *Runner) Stop() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -384,18 +213,14 @@ func (r *Runner) Stop() error {
 	}
 	r.cancel()
 	r.sources.Wait()
-	r.inflight.Wait()
-	close(r.doneCh)
-	r.workers.Wait()
-	r.g.setAsync(nil)
+	r.g.running.Store(false)
 	r.started = false
 	return r.g.drainErrors()
 }
 
 // WaitSources blocks until every producer source is exhausted (or
-// stopped via context), then drains in-flight samples. The runner keeps
-// accepting injected samples until Stop is called.
+// stopped via context). The runner keeps accepting injected samples
+// until Stop is called.
 func (r *Runner) WaitSources() {
 	r.sources.Wait()
-	r.inflight.Wait()
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -257,54 +258,168 @@ func TestRunnerInjectWhileRunning(t *testing.T) {
 	}
 }
 
-func TestRunnerInboxCapacity(t *testing.T) {
-	// A consumer that blocks until released: with the default size-1
-	// inbox the producer stalls after a couple of emissions, but with a
-	// deeper inbox it can run ahead and finish all its steps while the
-	// consumer is still busy — the fan-in headroom the session runtime
-	// relies on.
+// mergeGraph wires sources a and b into the two input ports of merge,
+// and merge into a kindPos sink.
+func mergeGraph(t *testing.T, a, b, merge Component) (*Graph, *Sink) {
+	t.Helper()
 	g := New()
-	src := &countingSource{id: "src", total: 4}
-	mustAdd(t, g, src)
-	gate := make(chan struct{})
-	sink := &FuncComponent{
-		CompID: "app",
+	mustAdd(t, g, a)
+	mustAdd(t, g, b)
+	mustAdd(t, g, merge)
+	sink := NewSink("app", []Kind{kindPos})
+	mustAdd(t, g, sink)
+	for _, c := range []struct {
+		from, to string
+		port     int
+	}{{"a", "merge", 0}, {"b", "merge", 1}, {"merge", "app", 0}} {
+		if err := g.Connect(c.from, c.to, c.port); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g, sink
+}
+
+// mergeComponent forwards either input as kindPos, running fn first.
+func mergeComponent(fn func(port int)) *FuncComponent {
+	return &FuncComponent{
+		CompID: "merge",
 		CompSpec: Spec{
-			Inputs: []PortSpec{{Name: "in", Accepts: []Kind{kindRaw}}},
+			Inputs: []PortSpec{
+				{Name: "a", Accepts: []Kind{kindRaw}},
+				{Name: "b", Accepts: []Kind{kindRaw}},
+			},
+			Output: OutputSpec{Kind: kindPos},
 		},
-		Fn: func(int, Sample, Emit) error {
-			<-gate
+		Fn: func(port int, in Sample, emit Emit) error {
+			fn(port)
+			out := in
+			out.Kind = kindPos
+			emit(out)
 			return nil
 		},
 	}
-	mustAdd(t, g, sink)
-	if err := g.Connect("src", "app", 0); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	r := NewRunner(g, WithInboxCapacity(8))
+func TestRunnerMergeNeverRunsConcurrently(t *testing.T) {
+	const n = 300
+	var inflight, overlaps atomic.Int64
+	merge := mergeComponent(func(int) {
+		if inflight.Add(1) > 1 {
+			overlaps.Add(1)
+		}
+		runtime.Gosched()
+		inflight.Add(-1)
+	})
+	g, sink := mergeGraph(t, &countingSource{id: "a", total: n}, &countingSource{id: "b", total: n}, merge)
+	r := NewRunner(g)
 	if err := r.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for src.steps.Load() < 4 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	injected := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			if err := g.Inject("a", NewSample(kindRaw, -i, time.Time{})); err != nil {
+				injected <- err
+				return
+			}
+		}
+		injected <- nil
+	}()
+	if err := <-injected; err != nil {
+		t.Fatal(err)
 	}
-	if got := src.steps.Load(); got < 4 {
-		t.Errorf("source completed %d steps with blocked consumer, want 4 (inbox too shallow)", got)
-	}
-	close(gate)
 	r.WaitSources()
 	if err := r.Stop(); err != nil {
 		t.Fatal(err)
 	}
+	if got := overlaps.Load(); got != 0 {
+		t.Errorf("merge entered concurrently %d times, want 0", got)
+	}
+	if got := sink.Len(); got != 3*n {
+		t.Errorf("sink received %d, want %d", got, 3*n)
+	}
 }
 
-// countingSource emits `total` samples and counts its steps.
+func TestRunnerBlockedBranchDoesNotStallOthers(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	block := &FuncComponent{
+		CompID: "a",
+		CompSpec: Spec{
+			Inputs: []PortSpec{{Name: "in", Accepts: []Kind{kindRaw}}},
+			Output: OutputSpec{Kind: kindRaw},
+		},
+		Fn: func(_ int, in Sample, emit Emit) error {
+			select {
+			case entered <- struct{}{}:
+				<-release
+			default:
+			}
+			emit(in)
+			return nil
+		},
+	}
+	var fromB atomic.Int64
+	merge := mergeComponent(func(port int) {
+		if port == 1 {
+			fromB.Add(1)
+		}
+	})
+	// The blocking component sits on the first branch: src -> a -> merge.
+	g, _ := mergeGraph(t, block, &countingSource{id: "b", total: 50}, merge)
+	mustAdd(t, g, &infiniteSource{id: "src"})
+	if err := g.Connect("src", "a", 0); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(g)
+	if err := r.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	deadline := time.Now().Add(5 * time.Second)
+	for fromB.Load() < 50 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := r.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fromB.Load(); got != 50 {
+		t.Errorf("b's branch delivered %d while a's was blocked, want 50", got)
+	}
+}
+
+func TestRunnerStopWaitsForSources(t *testing.T) {
+	g := New()
+	a, b := &countingSource{id: "a", total: 1 << 30}, &countingSource{id: "b", total: 1 << 30}
+	mustAdd(t, g, a)
+	mustAdd(t, g, b)
+	r := NewRunner(g)
+	if err := r.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for a.steps.Load() < 10 || b.steps.Load() < 10 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := r.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if a.active.Load() != 0 || b.active.Load() != 0 {
+		t.Fatal("a source was still inside Step after Stop returned")
+	}
+	stepped := a.steps.Load() + b.steps.Load()
+	time.Sleep(5 * time.Millisecond)
+	if got := a.steps.Load() + b.steps.Load(); got != stepped {
+		t.Errorf("sources stepped %d more times after Stop returned", got-stepped)
+	}
+}
+
+// countingSource emits `total` samples and counts its steps, and the
+// steps in progress.
 type countingSource struct {
-	id    string
-	total int
-	steps atomic.Int64
+	id     string
+	total  int
+	steps  atomic.Int64
+	active atomic.Int64
 }
 
 var _ Producer = (*countingSource)(nil)
@@ -318,6 +433,8 @@ func (s *countingSource) Spec() Spec {
 func (s *countingSource) Process(int, Sample, Emit) error { return nil }
 
 func (s *countingSource) Step(emit Emit) (bool, error) {
+	s.active.Add(1)
+	defer s.active.Add(-1)
 	n := int(s.steps.Add(1))
 	emit(NewSample(kindRaw, n, time.Time{}))
 	return n < s.total, nil

@@ -1,10 +1,10 @@
 // Package health makes pipelines self-healing: per-node health
-// tracking (error/panic rates fed by the runner, a last-output
-// watchdog fed by graph taps), a circuit breaker that quarantines a
-// persistently failing node, and a Supervisor that reacts to breaker
-// transitions with the paper's own adaptation machinery — PSL graph
-// manipulation that degrades a fused pipeline to its surviving branch
-// and restores the full graph on recovery.
+// tracking (error/panic rates and a last-output watchdog, fed through
+// the graph's core.Observer seam on either engine), a circuit breaker
+// that quarantines a persistently failing node, and a Supervisor that
+// reacts to breaker transitions with the paper's own adaptation
+// machinery — PSL graph manipulation that degrades a fused pipeline to
+// its surviving branch and restores the full graph on recovery.
 //
 // The node state machine:
 //
@@ -16,17 +16,18 @@
 //	          RecoveryEmissions outputs observed
 //	          and the error streak broken
 //
-// While Down, the breaker quarantines the node (the runner's delivery
-// gate drops its inbox traffic) except for a half-open probe admitted
-// every ProbeInterval — the sample that lets a recovered component
-// prove itself. Sources are not gated; a dead source is restarted by
-// the runner with exponential backoff instead.
+// While Down, the breaker quarantines the node (Monitor.Allow drops its
+// deliveries, whichever engine drives the graph) except for a
+// half-open probe admitted every ProbeInterval — the sample that lets
+// a recovered component prove itself. Sources are not gated; a dead
+// source is restarted by the runner with exponential backoff instead.
 package health
 
 import (
 	"errors"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"perpos/internal/core"
@@ -125,7 +126,6 @@ type NodeHealth struct {
 	State             State
 	Errors            uint64
 	Panics            uint64
-	Successes         uint64
 	Restarts          uint64
 	ConsecutiveErrors int
 	LastOutput        time.Time
@@ -143,21 +143,22 @@ type nodeState struct {
 	watched       bool // held to a watchdog deadline
 }
 
-// Monitor tracks per-node health. It implements core.RunnerObserver
-// (error/panic accounting from the engine) and core.DeliveryGate (the
-// quarantine), and its Tap method is a core.TapFunc feeding the
-// last-output watchdog. All methods are safe for concurrent use.
+// Monitor tracks per-node health. It is a core.Observer: Done feeds
+// error/panic accounting, Allow is the quarantine, Tap feeds the
+// last-output watchdog. Records appear on a node's first emission or
+// error. All methods are safe for concurrent use.
 type Monitor struct {
 	mu     sync.Mutex
 	policy Policy
 	clock  func() time.Time
 	nodes  map[string]*nodeState
+	// down counts open breakers and streaks nodes with an error
+	// streak, so Allow and a successful Done take no lock while both
+	// are zero.
+	down, streaks atomic.Int32
 }
 
-var (
-	_ core.RunnerObserver = (*Monitor)(nil)
-	_ core.DeliveryGate   = (*Monitor)(nil)
-)
+var _ core.Observer = (*Monitor)(nil)
 
 // MonitorOption configures a Monitor.
 type MonitorOption func(*Monitor)
@@ -210,18 +211,26 @@ func (m *Monitor) nodeLocked(node string) *nodeState {
 	return st
 }
 
-// NodeResult implements core.RunnerObserver.
-func (m *Monitor) NodeResult(node string, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := m.nodeLocked(node)
-	if err == nil {
-		st.Successes++
-		st.ConsecutiveErrors = 0
-		st.lastErr = nil
+// Done implements core.Observer.
+func (m *Monitor) Done(node string, _ time.Duration, err error) {
+	if err == nil && m.streaks.Load() == 0 {
 		return
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err == nil {
+		if st, ok := m.nodes[node]; ok && st.ConsecutiveErrors > 0 {
+			st.ConsecutiveErrors = 0
+			st.lastErr = nil
+			m.streaks.Add(-1)
+		}
+		return
+	}
+	st := m.nodeLocked(node)
 	st.Errors++
+	if st.ConsecutiveErrors == 0 {
+		m.streaks.Add(1)
+	}
 	st.ConsecutiveErrors++
 	st.lastErr = err
 	if errors.Is(err, core.ErrPanicked) {
@@ -229,18 +238,16 @@ func (m *Monitor) NodeResult(node string, err error) {
 	}
 }
 
-// SourceExhausted implements core.RunnerObserver.
-func (m *Monitor) SourceExhausted(string) {}
-
-// SourceRestarted implements core.RunnerObserver.
-func (m *Monitor) SourceRestarted(node string, _ int) {
+// Restarted implements core.Observer.
+func (m *Monitor) Restarted(node string, _ int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.nodeLocked(node).Restarts++
 }
 
-// Tap is a core.TapFunc: every emission anywhere in the graph stamps
-// the emitting node's last-output time and counts toward recovery.
+// Tap implements core.Observer: every emission anywhere in the graph
+// stamps the emitting node's last-output time and counts toward
+// recovery.
 func (m *Monitor) Tap(node string, _ core.Sample) {
 	now := m.clock()
 	m.mu.Lock()
@@ -253,9 +260,12 @@ func (m *Monitor) Tap(node string, _ core.Sample) {
 	m.mu.Unlock()
 }
 
-// Allow implements core.DeliveryGate: quarantined nodes receive no
+// Allow implements core.Observer: quarantined nodes receive no
 // traffic except a half-open probe every ProbeInterval.
 func (m *Monitor) Allow(node string) bool {
+	if m.down.Load() == 0 {
+		return true
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st, ok := m.nodes[node]
@@ -291,6 +301,7 @@ func (m *Monitor) Advance(now time.Time) []Event {
 		case StateDown:
 			if st.emissionsDown >= m.policy.RecoveryEmissions && st.ConsecutiveErrors == 0 {
 				st.State = StateHealthy
+				m.down.Add(-1)
 				st.DownSince = time.Time{}
 				st.emissionsDown = 0
 				events = append(events, Event{Node: st.Node, Up: true, Reason: "recovered", At: now})
@@ -304,6 +315,7 @@ func (m *Monitor) Advance(now time.Time) []Event {
 // tripLocked opens a node's breaker. Called with m.mu held.
 func (m *Monitor) tripLocked(st *nodeState, now time.Time, reason string) Event {
 	st.State = StateDown
+	m.down.Add(1)
 	st.DownSince = now
 	st.emissionsDown = 0
 	st.lastProbe = now // first probe waits a full interval
@@ -335,13 +347,4 @@ func (m *Monitor) Snapshot() []NodeHealth {
 }
 
 // AnyDown reports whether any tracked node's breaker is open.
-func (m *Monitor) AnyDown() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, st := range m.nodes {
-		if st.State == StateDown {
-			return true
-		}
-	}
-	return false
-}
+func (m *Monitor) AnyDown() bool { return m.down.Load() > 0 }

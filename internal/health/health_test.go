@@ -13,12 +13,12 @@ var t0 = time.Date(2025, 6, 1, 12, 0, 0, 0, time.UTC)
 func TestBreakerTripsOnConsecutiveErrors(t *testing.T) {
 	m := NewMonitor(Policy{MaxConsecutiveErrors: 3})
 	boom := errors.New("boom")
-	m.NodeResult("wifi", boom)
-	m.NodeResult("wifi", boom)
+	m.Done("wifi", 0, boom)
+	m.Done("wifi", 0, boom)
 	if ev := m.Advance(t0); len(ev) != 0 {
 		t.Fatalf("tripped after 2 errors: %v", ev)
 	}
-	m.NodeResult("wifi", boom)
+	m.Done("wifi", 0, boom)
 	ev := m.Advance(t0)
 	if len(ev) != 1 || ev[0].Up || ev[0].Reason != "errors" {
 		t.Fatalf("events = %+v, want one down(errors)", ev)
@@ -35,9 +35,9 @@ func TestBreakerTripsOnConsecutiveErrors(t *testing.T) {
 func TestSuccessBreaksTheStreak(t *testing.T) {
 	m := NewMonitor(Policy{MaxConsecutiveErrors: 2})
 	boom := errors.New("boom")
-	m.NodeResult("wifi", boom)
-	m.NodeResult("wifi", nil)
-	m.NodeResult("wifi", boom)
+	m.Done("wifi", 0, boom)
+	m.Done("wifi", 0, nil)
+	m.Done("wifi", 0, boom)
 	if ev := m.Advance(t0); len(ev) != 0 {
 		t.Fatalf("tripped on a broken streak: %v", ev)
 	}
@@ -85,7 +85,7 @@ func TestPerNodeDeadlineOverride(t *testing.T) {
 
 func TestRecoveryNeedsEmissionsAndNoStreak(t *testing.T) {
 	m := NewMonitor(Policy{MaxConsecutiveErrors: 1, RecoveryEmissions: 2})
-	m.NodeResult("wifi", errors.New("boom"))
+	m.Done("wifi", 0, errors.New("boom"))
 	if ev := m.Advance(t0); len(ev) != 1 || ev[0].Up {
 		t.Fatalf("setup: want a down event, got %v", ev)
 	}
@@ -100,7 +100,7 @@ func TestRecoveryNeedsEmissionsAndNoStreak(t *testing.T) {
 	if ev := m.Advance(t0.Add(2 * time.Second)); len(ev) != 0 {
 		t.Fatalf("recovered with a standing error streak: %v", ev)
 	}
-	m.NodeResult("wifi", nil)
+	m.Done("wifi", 0, nil)
 	ev := m.Advance(t0.Add(3 * time.Second))
 	if len(ev) != 1 || !ev[0].Up || ev[0].Reason != "recovered" {
 		t.Fatalf("events = %+v, want one up(recovered)", ev)
@@ -119,7 +119,7 @@ func TestGateQuarantinesWithProbes(t *testing.T) {
 	if !m.Allow("wifi") {
 		t.Fatal("healthy node gated off")
 	}
-	m.NodeResult("wifi", errors.New("boom"))
+	m.Done("wifi", 0, errors.New("boom"))
 	m.Advance(now)
 	if m.Allow("wifi") {
 		t.Fatal("quarantined node admitted before the probe interval")
@@ -189,7 +189,7 @@ func TestSupervisorAppliesAndReversesReroute(t *testing.T) {
 		return false
 	}
 
-	m.NodeResult("wifi", errors.New("boom"))
+	m.Done("wifi", 0, errors.New("boom"))
 	sup.Sweep(t0)
 	if !sup.Degraded() {
 		t.Fatal("not degraded after the breaker opened")
@@ -198,7 +198,7 @@ func TestSupervisorAppliesAndReversesReroute(t *testing.T) {
 		t.Fatalf("degraded edges wrong: %v", g.Edges())
 	}
 
-	m.NodeResult("wifi", nil)
+	m.Done("wifi", 0, nil)
 	m.Tap("wifi", core.Sample{})
 	sup.Sweep(t0.Add(time.Second))
 	if sup.Degraded() {
@@ -280,8 +280,8 @@ func TestSupervisorPriorityOrderedFallback(t *testing.T) {
 	})
 
 	boom := errors.New("boom")
-	m.NodeResult("wifi", boom)
-	m.NodeResult("gps", boom)
+	m.Done("wifi", 0, boom)
+	m.Done("gps", 0, boom)
 	if ev := sup.Sweep(t0); len(ev) != 2 {
 		t.Fatalf("events = %+v, want both branches down", ev)
 	}
@@ -298,7 +298,7 @@ func TestSupervisorPriorityOrderedFallback(t *testing.T) {
 	// The preferred rule's watch recovers while gps stays down: the group
 	// must switch straight to the priority-1 rule in one edit, never
 	// touching the broken fused edge in between.
-	m.NodeResult("wifi", nil)
+	m.Done("wifi", 0, nil)
 	m.Tap("wifi", core.Sample{})
 	sup.Sweep(t0.Add(time.Second))
 	if !sup.Degraded() {
@@ -312,7 +312,7 @@ func TestSupervisorPriorityOrderedFallback(t *testing.T) {
 	}
 
 	// Full recovery restores the fused edge.
-	m.NodeResult("gps", nil)
+	m.Done("gps", 0, nil)
 	m.Tap("gps", core.Sample{})
 	sup.Sweep(t0.Add(2 * time.Second))
 	if sup.Degraded() {
@@ -340,8 +340,8 @@ func TestSupervisorTieBreakIsDeclarationOrder(t *testing.T) {
 			{Watch: "wifi", Break: fused, Make: core.Edge{From: "gps", To: "app", Port: 0}, Priority: 2},
 		})
 		boom := errors.New("boom")
-		m.NodeResult("gps", boom)
-		m.NodeResult("wifi", boom)
+		m.Done("gps", 0, boom)
+		m.Done("wifi", 0, boom)
 		sup.Sweep(t0)
 		if !hasEdge(g, "wifi", "app") || hasEdge(g, "gps", "app") || hasEdge(g, "fuse", "app") {
 			t.Fatalf("run %d: tie broke to the wrong rule: %v", run, g.Edges())
@@ -357,7 +357,7 @@ func TestSupervisorReportsFailedReroute(t *testing.T) {
 	sup := NewSupervisor(m, adapter, []Reroute{{Watch: "wifi"}})
 	var events []Event
 	sup.OnEvent(func(e Event) { events = append(events, e) })
-	m.NodeResult("wifi", errors.New("boom"))
+	m.Done("wifi", 0, errors.New("boom"))
 	sup.Sweep(t0)
 	if len(events) != 1 || events[0].Reason != "reroute-failed" {
 		t.Fatalf("events = %+v, want one reroute-failed", events)
@@ -369,8 +369,8 @@ func TestSupervisorReportsFailedReroute(t *testing.T) {
 
 func TestSnapshotSorted(t *testing.T) {
 	m := NewMonitor(Policy{})
-	m.NodeResult("b", nil)
-	m.NodeResult("a", nil)
+	m.Tap("b", core.Sample{})
+	m.Tap("a", core.Sample{})
 	snap := m.Snapshot()
 	if len(snap) != 2 || snap[0].Node != "a" || snap[1].Node != "b" {
 		t.Fatalf("snapshot = %+v, want sorted [a b]", snap)

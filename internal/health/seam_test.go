@@ -42,7 +42,7 @@ func TestSupervisorOnSweep(t *testing.T) {
 	// The hook sees the sweep's own reroute already applied.
 	var sawBypass bool
 	sup.OnSweep(func(time.Time) { sawBypass = hasEdge(g, "gps", "app") })
-	m.NodeResult("wifi", errors.New("boom"))
+	m.Done("wifi", 0, errors.New("boom"))
 	sup.Sweep(t0.Add(time.Second))
 	if !sawBypass {
 		t.Fatal("OnSweep hook ran before the supervisor reconciled its reroutes")
@@ -72,7 +72,7 @@ func TestSupervisorClaimedEdges(t *testing.T) {
 
 	// Watch down but the edit failing: the reroute is wanted, not
 	// engaged — the edges must be claimed anyway.
-	m.NodeResult("wifi", errors.New("boom"))
+	m.Done("wifi", 0, errors.New("boom"))
 	sup.Sweep(t0)
 	claimed := sup.ClaimedEdges(nil)
 	if !containsEdge(claimed, fused) || !containsEdge(claimed, bypass) {
@@ -91,7 +91,7 @@ func TestSupervisorClaimedEdges(t *testing.T) {
 	}
 
 	// Recovery releases the claim.
-	m.NodeResult("wifi", nil)
+	m.Done("wifi", 0, nil)
 	m.Tap("wifi", core.Sample{})
 	sup.Sweep(t0.Add(2 * time.Second))
 	if claimed = sup.ClaimedEdges(claimed[:0]); len(claimed) != 0 {
@@ -120,7 +120,7 @@ func TestSupervisorRetriesFailedRerouteWithoutTransition(t *testing.T) {
 		Make:  core.Edge{From: "gps", To: "app", Port: 0},
 	}})
 
-	m.NodeResult("wifi", errors.New("boom"))
+	m.Done("wifi", 0, errors.New("boom"))
 	sup.Sweep(t0)
 	if edits != 1 || sup.Degraded() {
 		t.Fatalf("edits=%d degraded=%v after failed engage", edits, sup.Degraded())

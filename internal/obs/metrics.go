@@ -51,14 +51,16 @@ const histBuckets = 36
 
 // Histogram is a lock-free log2-bucketed distribution of non-negative
 // int64 observations — latencies in nanoseconds, tree depths, byte
-// counts. Recording is two atomic adds plus one atomic increment; there
-// is no locking anywhere, so concurrent Observe calls may be seen by a
-// concurrent Snapshot in partially applied form. That skew is bounded
-// by one observation and is irrelevant for monitoring.
+// counts. Recording is one atomic add to the sum and one increment of a
+// bucket; the count is the buckets' total, which keeps a histogram
+// shared by every session's goroutines to two contended atomics per
+// observation. There is no locking anywhere, so concurrent Observe
+// calls may be seen by a concurrent Snapshot in partially applied form.
+// That skew is bounded by one observation and is irrelevant for
+// monitoring.
 //
 // The zero value is ready.
 type Histogram struct {
-	count   atomic.Uint64
 	sum     atomic.Int64
 	max     atomic.Int64
 	buckets [histBuckets]atomic.Uint64
@@ -83,7 +85,6 @@ func bucketOf(v int64) int {
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
-	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[bucketOf(v)].Add(1)
 	// Lock-free max: retry while someone else raced a smaller value in.
@@ -99,7 +100,7 @@ func (h *Histogram) Observe(v int64) {
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+func (h *Histogram) Count() uint64 { return h.State().Count }
 
 // HistogramSnapshot is the exported view of a Histogram. Quantiles are
 // upper-bound estimates from the log2 buckets (within 2x of the true

@@ -201,21 +201,22 @@ func TestMetricsSnapshotShape(t *testing.T) {
 	}
 }
 
-// gatedObserver is a RunnerObserver + DeliveryGate test double.
+// gatedObserver is a core.Observer test double that refuses one node.
 type gatedObserver struct {
 	mu      sync.Mutex
 	refused string
 	results []string
+	taps    int
 }
 
-func (g *gatedObserver) NodeResult(node string, err error) {
+func (g *gatedObserver) Tap(string, core.Sample) { g.taps++ }
+func (g *gatedObserver) Done(node string, _ time.Duration, err error) {
 	g.mu.Lock()
 	g.results = append(g.results, fmt.Sprintf("%s:%v", node, err != nil))
 	g.mu.Unlock()
 }
-func (g *gatedObserver) SourceExhausted(string)      {}
-func (g *gatedObserver) SourceRestarted(string, int) {}
-func (g *gatedObserver) Allow(node string) bool      { return node != g.refused }
+func (g *gatedObserver) Restarted(string, int)  {}
+func (g *gatedObserver) Allow(node string) bool { return node != g.refused }
 
 func TestGraphObserverSeams(t *testing.T) {
 	m := New()
@@ -235,9 +236,9 @@ func TestGraphObserverSeams(t *testing.T) {
 	}
 
 	// Results: errors and contained panics counted; inner still sees all.
-	o.NodeResult("fuse", nil)
-	o.NodeResult("fuse", errors.New("plain"))
-	o.NodeResult("fuse", fmt.Errorf("wrapped: %w", core.ErrPanicked))
+	o.Done("fuse", 0, nil)
+	o.Done("fuse", 0, errors.New("plain"))
+	o.Done("fuse", 0, fmt.Errorf("wrapped: %w", core.ErrPanicked))
 	if got := m.Node("fuse").Errors.Value(); got != 2 {
 		t.Errorf("fuse errors = %d, want 2", got)
 	}
@@ -248,22 +249,27 @@ func TestGraphObserverSeams(t *testing.T) {
 		t.Errorf("inner saw %d results, want 3", len(inner.results))
 	}
 
-	o.SourceRestarted("gps", 2)
+	o.Restarted("gps", 2)
 	if got := m.Node("gps").Restarts.Value(); got != 1 {
 		t.Errorf("gps restarts = %d, want 1", got)
 	}
 
-	o.NodeTimed("fuse", 2*time.Millisecond, nil)
+	// Only timed calls (d > 0) feed the latency histogram.
+	o.Done("fuse", 2*time.Millisecond, nil)
 	if got := m.Node("fuse").ProcessNs.Count(); got != 1 {
 		t.Errorf("fuse timings = %d, want 1", got)
 	}
 
-	// Tap counts emissions on any path.
+	// Tap counts emissions on any path, and forwards to the inner
+	// observer.
 	o.Tap("gps", core.Sample{})
 	o.Tap("gps", core.Sample{})
 	if m.SpansEmitted.Value() != 2 || m.Node("gps").Emissions.Value() != 2 {
 		t.Errorf("emissions global=%d node=%d, want 2/2",
 			m.SpansEmitted.Value(), m.Node("gps").Emissions.Value())
+	}
+	if inner.taps != 2 {
+		t.Errorf("inner saw %d taps, want 2", inner.taps)
 	}
 }
 
@@ -273,9 +279,9 @@ func TestGraphObserverNilInner(t *testing.T) {
 	if !o.Allow("any") {
 		t.Error("Allow without inner gate must be open")
 	}
-	o.NodeResult("n", errors.New("x")) // must not panic
-	o.SourceExhausted("n")
-	o.SourceRestarted("n", 1)
+	o.Done("n", 0, errors.New("x")) // must not panic
+	o.Restarted("n", 1)
+	o.Tap("n", core.Sample{})
 	if got := m.Node("n").Errors.Value(); got != 1 {
 		t.Errorf("errors = %d, want 1", got)
 	}

@@ -9,7 +9,7 @@
 // The design point is cost: every hot-path hook is a handful of atomic
 // operations (see Counter/Gauge/Histogram in metrics.go); nothing in
 // this package takes a lock on an emission path. Hooks ride the seams
-// the engine already has — graph taps, core.RunnerObserver,
+// the engine already has — the graph's core.Observer (GraphObserver),
 // channel.WithTreeObserver, checkpoint.Options.OnAppend — so a session
 // without a Metrics hub pays nothing at all.
 //
@@ -41,7 +41,8 @@ type NodeMetrics struct {
 	// Restarts counts successful source restarts.
 	Restarts Counter
 	// ProcessNs is the wall-clock process/step latency distribution in
-	// nanoseconds (async runner only: the sync Step path has no timer).
+	// nanoseconds, on either engine. It is sampled (one call in 16 per
+	// node is timed) and includes the synchronous hand-off downstream.
 	ProcessNs Histogram
 }
 

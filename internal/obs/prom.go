@@ -113,7 +113,7 @@ func WritePrometheus(w io.Writer, m *Metrics) {
 		writeLabeledCounter(w, "perpos_node_panics_total", "Contained panics.", label, nm.Panics.Value())
 		writeLabeledCounter(w, "perpos_node_drops_total", "Gate-refused deliveries.", label, nm.Drops.Value())
 		writeLabeledCounter(w, "perpos_node_restarts_total", "Source restarts.", label, nm.Restarts.Value())
-		writeHistogram(w, "perpos_node_process_ns", "Node process/step latency in nanoseconds.", label, &nm.ProcessNs)
+		writeHistogram(w, "perpos_node_process_ns", "Node process/step latency in nanoseconds (one call in 16 sampled).", label, &nm.ProcessNs)
 	}
 }
 

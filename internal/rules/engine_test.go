@@ -619,8 +619,8 @@ func TestEngineMonitorSignals(t *testing.T) {
 	now := time.Unix(0, 0)
 	e.Sweep(now) // node unknown → condition false, no panic
 	mon.Tap("parser", core.Sample{})
-	mon.NodeResult("parser", errors.New("e1"))
-	mon.NodeResult("parser", errors.New("e2"))
+	mon.Done("parser", 0, errors.New("e1"))
+	mon.Done("parser", 0, errors.New("e2"))
 	now = now.Add(2 * time.Millisecond)
 	e.Sweep(now)
 	now = now.Add(2 * time.Millisecond)

@@ -113,7 +113,7 @@ func TestSessionWithoutObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.metrics != nil || s.obsObserver != nil || s.obsTapCancel != nil {
+	if s.metrics != nil || s.observeCancel != nil {
 		t.Error("observability hooks installed without a hub")
 	}
 	if _, err := s.Step(); err != nil {

@@ -298,9 +298,7 @@ func TestPositioningIntegration(t *testing.T) {
 }
 
 func TestSessionAsyncStartStop(t *testing.T) {
-	cfg := gpsSessionConfig(t)
-	cfg.InboxCapacity = 8
-	m, err := NewManager(cfg)
+	m, err := NewManager(gpsSessionConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}

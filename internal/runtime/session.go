@@ -69,11 +69,8 @@ type SessionConfig struct {
 	// (0 keeps channel.NewLayer's default). Multi-tenant deployments
 	// want this small: history is the dominant per-session allocation.
 	History int
-	// InboxCapacity configures the async runner started by
-	// Session.Start (0 keeps the runner default of 1).
-	InboxCapacity int
 	// Health enables per-session supervision: a health.Monitor observes
-	// the session's runner and graph taps, and a health.Supervisor
+	// the session's graph on either engine, and a health.Supervisor
 	// sweeps its breakers, restarts failed sources with backoff, and
 	// drives the provider's JSR-179 availability state. Nil disables
 	// supervision (no overhead).
@@ -91,10 +88,11 @@ type SessionConfig struct {
 	// checkpoints still happen).
 	CheckpointEvery time.Duration
 	// Observability wires every session into a shared metrics hub:
-	// emission taps, per-node process latency (async runner), data-tree
-	// depths, provider availability transitions, supervisor reroute
-	// counts and session lifecycle counters. Nil disables instrumentation
-	// entirely — no hooks are installed and the hot path is untouched.
+	// emission taps, per-node errors and sampled process latency,
+	// data-tree depths, provider availability transitions, supervisor
+	// reroute counts and session lifecycle counters. Nil disables
+	// instrumentation entirely — no hooks are installed and the hot
+	// path is untouched.
 	Observability *obs.Metrics
 	// Rules enables declarative self-adaptation: each session gets a
 	// rules.Engine evaluating the rule set on the supervisor sweep and
@@ -120,7 +118,6 @@ type Session struct {
 	layer    *channel.Layer
 	provider *positioning.Provider
 	sinkID   string
-	inboxCap int
 	clock    func() time.Time
 
 	// instOpts rebuilds the per-session instantiate options (overrides
@@ -130,15 +127,15 @@ type Session struct {
 
 	monitor    *health.Monitor
 	supervisor *health.Supervisor
-	tapCancel  func()
+	// observeCancel unregisters the session's one graph observer: the
+	// metrics hub's GraphObserver wrapping the monitor, or either alone.
+	observeCancel func()
 
 	rules          *rules.Engine
 	rulesTapCancel func()
 
-	metrics      *obs.Metrics
-	obsObserver  *obs.GraphObserver
-	obsTapCancel func()
-	availCancel  func()
+	metrics     *obs.Metrics
+	availCancel func()
 
 	store     *checkpoint.Store
 	ckptEvery time.Duration
@@ -164,7 +161,6 @@ func newSession(id string, rev int, bp *core.Blueprint, cfg SessionConfig, clock
 		id:        id,
 		rev:       rev,
 		sinkID:    cfg.SinkID,
-		inboxCap:  cfg.InboxCapacity,
 		clock:     clock,
 		store:     cfg.Checkpoints,
 		ckptEvery: cfg.CheckpointEvery,
@@ -223,7 +219,6 @@ func newSession(id string, rev int, bp *core.Blueprint, cfg SessionConfig, clock
 		}
 		s.monitor = health.NewMonitor(pol)
 		s.supervisor = health.NewSupervisor(s.monitor, health.AdapterFunc(s.applyEdit), cfg.Reroutes)
-		s.tapCancel = g.Tap(s.monitor.Tap)
 		// Supervisor events drive the provider's JSR-179 state: any open
 		// breaker makes the provider temporarily unavailable; all clear
 		// makes it available again. Runs on the supervisor goroutine.
@@ -235,16 +230,13 @@ func newSession(id string, rev int, bp *core.Blueprint, cfg SessionConfig, clock
 			}
 		})
 	}
+	var observer core.Observer
+	if s.monitor != nil {
+		observer = s.monitor
+	}
 	if m := cfg.Observability; m != nil {
 		s.metrics = m
-		// The graph observer wraps the monitor (when present) so the
-		// single runner-observer slot serves supervision and metrics.
-		var inner core.RunnerObserver
-		if s.monitor != nil {
-			inner = s.monitor
-		}
-		s.obsObserver = obs.NewGraphObserver(m, inner)
-		s.obsTapCancel = g.Tap(s.obsObserver.Tap)
+		observer = obs.NewGraphObserver(m, observer)
 		s.availCancel = s.provider.NotifyAvailability(func(a positioning.Availability) {
 			m.ProviderTransition(a.String())
 		})
@@ -257,6 +249,9 @@ func newSession(id string, rev int, bp *core.Blueprint, cfg SessionConfig, clock
 				}
 			})
 		}
+	}
+	if observer != nil {
+		s.observeCancel = g.Observe(observer)
 	}
 	if len(cfg.Rules) > 0 {
 		eng, err := rules.New(rules.Config{
@@ -496,8 +491,7 @@ func (s *Session) StepN(n int) (bool, error) {
 	return more, nil
 }
 
-// Start launches the session's async runner (one goroutine per
-// component, bounded inboxes sized by SessionConfig.InboxCapacity).
+// Start launches the session's runner: one goroutine per source.
 func (s *Session) Start(ctx context.Context, opts ...core.RunnerOption) error {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
@@ -508,17 +502,6 @@ func (s *Session) Start(ctx context.Context, opts ...core.RunnerOption) error {
 	}
 	if s.runner != nil {
 		return ErrStarted
-	}
-	if s.inboxCap > 0 {
-		opts = append([]core.RunnerOption{core.WithInboxCapacity(s.inboxCap)}, opts...)
-	}
-	switch {
-	case s.obsObserver != nil:
-		// Wraps the monitor when supervision is on; with it off the
-		// observer still feeds error/latency metrics.
-		opts = append(opts, core.WithRunnerObserver(s.obsObserver))
-	case s.monitor != nil:
-		opts = append(opts, core.WithRunnerObserver(s.monitor))
 	}
 	if s.monitor != nil {
 		opts = append(opts, core.WithSourceRestart(s.monitor.Policy().Restart))
@@ -607,14 +590,11 @@ func (s *Session) close() {
 	if r != nil {
 		_ = r.Stop()
 	}
-	if s.tapCancel != nil {
-		s.tapCancel()
+	if s.observeCancel != nil {
+		s.observeCancel()
 	}
 	if s.rulesTapCancel != nil {
 		s.rulesTapCancel()
-	}
-	if s.obsTapCancel != nil {
-		s.obsTapCancel()
 	}
 	s.layer.Close()
 	s.provider.SetAvailability(positioning.OutOfService)
