@@ -124,32 +124,22 @@ func run(args []string) error {
 }
 
 // printTraces is the translucent-tracing view: every component gets a
-// Trace feature (span stamps on each emission), every channel a
-// ChannelTrace feature (retaining its last delivery's data tree), the
-// pipeline replays a few steps, and each channel's tree is printed as
-// an indented end-to-end trace — where each delivered datum spent its
-// wall-clock time, organised by the logical time the PSL already
-// maintains.
+// Trace feature (span stamps on each emission), the pipeline replays a
+// few steps, and each channel's last delivery (Channel.LastTree) is
+// printed as an indented end-to-end trace — where each delivered datum
+// spent its wall-clock time, organised by the logical time the PSL
+// already maintains.
 func printTraces(g *core.Graph, layer *channel.Layer) error {
 	if err := obs.InstrumentGraph(g); err != nil {
 		return err
-	}
-	channels := layer.Channels()
-	traces := make(map[string]*obs.ChannelTrace, len(channels))
-	for _, c := range channels {
-		ct := obs.NewChannelTrace()
-		if err := c.AttachFeature(ct); err != nil {
-			return err
-		}
-		traces[c.ID()] = ct
 	}
 	if _, err := g.Run(40); err != nil {
 		return err
 	}
 	fmt.Println("=== end-to-end traces (last delivery per channel) ===")
-	for _, c := range channels {
+	for _, c := range layer.Channels() {
 		fmt.Printf("channel %s\n", c.ID())
-		t, _ := traces[c.ID()].Last()
+		t, _ := c.LastTree()
 		for _, line := range strings.Split(strings.TrimRight(obs.FormatTrace(t), "\n"), "\n") {
 			fmt.Printf("  %s\n", line)
 		}

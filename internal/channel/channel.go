@@ -33,10 +33,11 @@ type Feature interface {
 	// processes the delivered sample, so the feature's state always
 	// corresponds to the sample the consumer is about to see.
 	//
-	// The tree is owned by the middleware and its nodes are recycled
-	// after the channel's next delivery: reading during Apply is safe,
-	// but an implementation that retains the tree (or samples reached
-	// through it) must call DataTree.Detach / Sample.Detach first.
+	// The tree is lent for this one delivery: the middleware recycles
+	// it and its nodes as soon as Apply (and the layer's tree observer)
+	// return. Reading during Apply is safe; an implementation that
+	// keeps the tree (or samples reached through it) must call
+	// DataTree.Detach / Sample.Detach first.
 	Apply(tree *DataTree)
 }
 
@@ -77,11 +78,9 @@ type Channel struct {
 
 	mu       sync.RWMutex
 	features []Feature
-	lastTree *DataTree
-	// lastRoot/hasRoot record the latest delivery when no tree was built
-	// eagerly (no features attached, no tree observer): LastTree
-	// reconstructs the tree from the layer's history on demand instead of
-	// paying for tree construction on every delivery.
+	// lastRoot/hasRoot record the latest delivery; LastTree rebuilds its
+	// tree from the layer's history on demand, since a delivered tree
+	// lives only for the delivery that built it.
 	lastRoot core.Sample
 	hasRoot  bool
 }
@@ -249,64 +248,41 @@ func (c *Channel) FeatureNames() []string {
 
 // LastTree returns the data tree of the most recent delivery, if any.
 // PSL-averse developers can use this for ad-hoc inspection; Channel
-// Features should rely on Apply instead. The returned tree is a
-// detached copy the caller owns — the channel's internal tree is pooled
-// and recycled on the next delivery.
-// If the channel had no eager tree consumers at delivery time the tree
-// is reconstructed from the layer's history; contributions the history
-// ring has since evicted are absent from the reconstruction.
+// Features should rely on Apply instead. The tree is always rebuilt
+// from the delivered root and the layer's per-component history, and
+// the caller owns it: contributions the history ring (WithHistory) has
+// since evicted are absent from the rebuild.
 func (c *Channel) LastTree() (*DataTree, bool) {
 	c.mu.RLock()
-	if c.lastTree != nil {
-		t := c.lastTree.Detach()
-		c.mu.RUnlock()
-		return t, true
-	}
-	if !c.hasRoot || c.layer == nil {
-		c.mu.RUnlock()
+	root, ok := c.lastRoot, c.hasRoot && c.layer != nil
+	c.mu.RUnlock()
+	if !ok {
 		return nil, false
 	}
-	root := c.lastRoot
-	c.mu.RUnlock()
 	// Build outside c.mu: the layer lock is ordered before the channel
 	// lock everywhere else (Tap -> deliver).
 	return c.layer.buildDetachedTree(c, root), true
 }
 
-// deliver is called by the Layer when the channel end point emits a
-// sample: it stores the tree and applies every Channel Feature. It
-// returns the previously held tree, whose ownership passes back to the
-// caller (the layer recycles it).
-func (c *Channel) deliver(tree *DataTree) *DataTree {
+// deliver is called by the Layer when the channel end point emits root:
+// it records the root for LastTree and, when the layer built the
+// delivery's tree, applies every Channel Feature to it.
+func (c *Channel) deliver(root core.Sample, tree *DataTree) {
 	c.mu.Lock()
-	prev := c.lastTree
-	c.lastTree = tree
-	c.hasRoot = false
-	c.lastRoot = core.Sample{}
+	c.lastRoot = root
+	c.hasRoot = true
 	features := c.features
 	c.mu.Unlock()
+	if tree == nil {
+		return
+	}
 	for _, f := range features {
 		f.Apply(tree)
 	}
-	return prev
-}
-
-// deliverRoot is the lazy counterpart of deliver, used when nothing
-// consumes the tree eagerly: it records only the delivered root sample
-// (LastTree reconstructs the tree from history when asked) and returns
-// any previously held tree for recycling.
-func (c *Channel) deliverRoot(root core.Sample) *DataTree {
-	c.mu.Lock()
-	prev := c.lastTree
-	c.lastTree = nil
-	c.lastRoot = root
-	c.hasRoot = true
-	c.mu.Unlock()
-	return prev
 }
 
 // hasFeatures reports whether any Channel Feature is attached — the
-// per-delivery check deciding eager versus lazy tree construction.
+// per-delivery check deciding whether the delivery builds a tree.
 func (c *Channel) hasFeatures() bool {
 	c.mu.RLock()
 	n := len(c.features)

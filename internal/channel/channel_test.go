@@ -429,8 +429,8 @@ type recordingFeature struct {
 
 func (f *recordingFeature) FeatureName() string { return f.name }
 
-// Apply detaches: delivered trees are pool-owned and recycled after the
-// next delivery, so retained ones must be deep-copied.
+// Apply detaches: delivered trees are pool-owned and recycled as soon
+// as the delivery is over, so retained ones must be deep-copied.
 func (f *recordingFeature) Apply(tree *DataTree) { f.trees = append(f.trees, tree.Detach()) }
 
 func (f *recordingFeature) Requires() Requirements { return f.reqs }
@@ -732,8 +732,9 @@ func TestFeatureMethodsInspection(t *testing.T) {
 }
 
 // TestAsyncEngineWithChannelLayer: the layer's taps and tree building
-// run on node goroutines under the async runner; this is the race test
-// for the PCL's locking.
+// run on the async runner's source goroutines, one per source, so the
+// gps and wifi branches tap the layer concurrently; this is the race
+// test for the PCL's locking.
 func TestAsyncEngineWithChannelLayer(t *testing.T) {
 	g, sink := buildFig2Graph(t, 50)
 	l := NewLayer(g)

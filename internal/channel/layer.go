@@ -46,7 +46,9 @@ func WithHistory(n int) LayerOption {
 // layer builds, right after the channel's own features received it.
 // The callback runs outside the layer lock on the emitting goroutine,
 // so it must be cheap and safe for concurrent use — the intended
-// client is metrics (tree-depth histograms), not feature logic.
+// client is metrics (tree-depth histograms), not feature logic. The
+// tree is lent for the call only: it is recycled as soon as fn
+// returns, so fn must Detach anything it keeps.
 func WithTreeObserver(fn func(c *Channel, t *DataTree)) LayerOption {
 	return func(l *Layer) {
 		l.onTree = fn
@@ -137,21 +139,14 @@ func (l *Layer) Refresh() {
 
 func (l *Layer) rebuild(old []*Channel) {
 	oldFeatures := make(map[string][]Feature, len(old))
-	oldTrees := make(map[string]*DataTree, len(old))
 	oldRoots := make(map[string]core.Sample, len(old))
 	for _, c := range old {
 		oldFeatures[c.id] = c.Features()
-		// Transfer lastTree ownership from the old channel object to its
-		// successor (trees are pooled; exactly one owner may recycle).
-		c.mu.Lock()
-		if c.lastTree != nil {
-			oldTrees[c.id] = c.lastTree
-			c.lastTree = nil
-		}
+		c.mu.RLock()
 		if c.hasRoot {
 			oldRoots[c.id] = c.lastRoot
 		}
-		c.mu.Unlock()
+		c.mu.RUnlock()
 	}
 
 	channels := derive(l.g)
@@ -160,7 +155,6 @@ func (l *Layer) rebuild(old []*Channel) {
 		c.layer = l
 		if fs, ok := oldFeatures[c.id]; ok {
 			c.features = fs
-			c.lastTree = oldTrees[c.id]
 			if root, ok := oldRoots[c.id]; ok {
 				c.lastRoot = root
 				c.hasRoot = true
@@ -197,16 +191,14 @@ func (l *Layer) Tap(componentID string, s core.Sample) {
 	deliveries := dbuf[:0]
 	if s.FromFeature == "" {
 		for _, c := range l.byEndpoint[componentID] {
-			// Trees are built eagerly only when something consumes them at
-			// delivery time (attached features, tree observer). Otherwise
-			// the delivery records just the root sample and LastTree
-			// reconstructs the tree from history on demand — saturated
-			// pipelines with no tree consumers skip construction entirely.
+			// A tree is built only when something consumes it at delivery
+			// time (attached features, tree observer); saturated pipelines
+			// with no tree consumers skip construction entirely.
+			d := delivery{c: c}
 			if l.onTree != nil || c.hasFeatures() {
-				deliveries = append(deliveries, delivery{c: c, tree: l.buildTreeLocked(c, s)})
-			} else {
-				deliveries = append(deliveries, delivery{c: c})
+				d.tree = l.buildTreeLocked(c, s)
 			}
+			deliveries = append(deliveries, d)
 		}
 	}
 	l.mu.Unlock()
@@ -214,21 +206,16 @@ func (l *Layer) Tap(componentID string, s core.Sample) {
 	// Apply features outside the layer lock: Apply implementations may
 	// call back into the layer or the graph.
 	for _, d := range deliveries {
+		d.c.deliver(s, d.tree)
 		if d.tree == nil {
-			if prev := d.c.deliverRoot(s); prev != nil {
-				releaseTree(prev)
-			}
 			continue
-		}
-		// Ownership handoff: the channel takes the new tree and returns
-		// the one it held, which nothing else may reference any more
-		// (LastTree hands out detached copies) — recycle it.
-		if prev := d.c.deliver(d.tree); prev != nil {
-			releaseTree(prev)
 		}
 		if l.onTree != nil {
 			l.onTree(d.c, d.tree)
 		}
+		// The features and the observer only borrowed the tree (anything
+		// kept past the call was detached): recycle it before Tap returns.
+		releaseTree(d.tree)
 	}
 }
 
@@ -240,16 +227,16 @@ type delivery struct {
 // buildTreeLocked builds the Fig. 4 data tree for one endpoint sample by
 // resolving consumption spans against recorded history, bounded to the
 // channel's own components. Trees and nodes come from the package pool;
-// the channel's previous tree is recycled when deliver replaces it.
+// the caller releases the tree once its one delivery is over.
 func (l *Layer) buildTreeLocked(c *Channel, root core.Sample) *DataTree {
 	t := newTree()
 	t.Root = l.buildNodeLocked(c, root)
 	return t
 }
 
-// buildDetachedTree reconstructs a delivery's data tree from history for
-// a channel that delivered lazily (no eager tree consumers). The result
-// is caller-owned; the pooled intermediate is recycled immediately.
+// buildDetachedTree rebuilds a past delivery's data tree from history.
+// The result is caller-owned; the pooled intermediate is recycled
+// immediately.
 func (l *Layer) buildDetachedTree(c *Channel, root core.Sample) *DataTree {
 	l.mu.Lock()
 	t := l.buildTreeLocked(c, root)

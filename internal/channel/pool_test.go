@@ -123,12 +123,26 @@ func TestRetainedTreesSurviveRecycling(t *testing.T) {
 	}
 }
 
-// TestLastTreeConcurrentWithDeliveries hammers LastTree (which detaches
-// eager trees or lazily rebuilds from history) from a reader goroutine
-// while the async engine delivers — run under -race this is the
-// regression test for pooled-tree recycling racing a reader.
-func TestLastTreeConcurrentWithDeliveries(t *testing.T) {
-	const n = 500
+// keepingFeature keeps the raw tree it was lent, without Detach — the
+// use-after-recycle bug the one-delivery lifetime makes visible.
+type keepingFeature struct {
+	tree    *DataTree
+	logical core.LogicalTime // the root's logical time, read during Apply
+}
+
+func (f *keepingFeature) FeatureName() string { return "keeper" }
+
+func (f *keepingFeature) Apply(tree *DataTree) {
+	f.tree = tree
+	f.logical = tree.Root.Sample.Logical
+}
+
+// TestFeatureTreeRecycledAfterDelivery pins the lifetime contract: a
+// tree lent to Apply is recycled before the delivery that built it
+// returns, not parked on the channel until its next delivery, so a
+// feature that kept it without Detach finds it emptied right away.
+func TestFeatureTreeRecycledAfterDelivery(t *testing.T) {
+	const n = 3
 	g := core.New()
 	mustAdd(t, g, rawSource("src", kindRaw, n))
 	mustAdd(t, g, passthrough("proc", kindRaw, kindNMEA))
@@ -136,52 +150,172 @@ func TestLastTreeConcurrentWithDeliveries(t *testing.T) {
 	mustConnect(t, g, "src", "proc", 0)
 	mustConnect(t, g, "proc", "app", 0)
 
-	l := NewLayer(g, WithHistory(8))
+	l := NewLayer(g)
 	defer l.Close()
 	c, ok := l.ChannelInto("app", 0)
 	if !ok {
 		t.Fatal("no channel into app")
 	}
+	f := &keepingFeature{}
+	if err := c.AttachFeature(f); err != nil {
+		t.Fatal(err)
+	}
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if tree, ok := c.LastTree(); ok {
-				// The detached copy must be internally consistent no
-				// matter when it was taken.
-				if tree.Root == nil || tree.Root.Sample.Source != "proc" {
-					t.Error("LastTree returned an inconsistent tree")
-					return
-				}
-				_ = tree.Depth()
-			}
+	for i := 1; i <= n; i++ {
+		f.tree = nil
+		if _, err := g.StepAll(); err != nil {
+			t.Fatal(err)
 		}
-	}()
+		if f.tree == nil {
+			t.Fatalf("step %d: feature was not applied", i)
+		}
+		if f.logical != core.LogicalTime(i) {
+			t.Errorf("step %d: Apply saw root logical %d, want %d", i, f.logical, i)
+		}
+		if f.tree.Root != nil {
+			t.Fatalf("step %d: lent tree still holds %s after its delivery — it outlived the delivery that built it",
+				i, f.tree.Root.Sample)
+		}
+	}
+}
 
-	r := core.NewRunner(g)
-	if err := r.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	r.WaitSources()
-	if err := r.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	close(stop)
-	wg.Wait()
+// TestLastTreeMatchesDeliveredTree checks that LastTree, which rebuilds
+// from history, returns the tree the channel's features were lent at
+// the latest delivery, on every channel after every step.
+func TestLastTreeMatchesDeliveredTree(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(t *testing.T) (*core.Graph, *core.Sink)
+	}{
+		{"fig4", buildFig4Graph},
+		{"fig2", func(t *testing.T) (*core.Graph, *core.Sink) { return buildFig2Graph(t, 5) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, _ := tc.build(t)
+			l := NewLayer(g)
+			defer l.Close()
+			features := make(map[*Channel]*recordingFeature)
+			for _, c := range l.Channels() {
+				f := &recordingFeature{name: "rec"}
+				if err := c.AttachFeature(f); err != nil {
+					t.Fatal(err)
+				}
+				features[c] = f
+			}
 
-	tree, ok := c.LastTree()
-	if !ok {
-		t.Fatal("no LastTree after the run")
+			for step := 1; ; step++ {
+				more, err := g.StepAll()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c, f := range features {
+					got, ok := c.LastTree()
+					if len(f.trees) == 0 {
+						if ok {
+							t.Fatalf("step %d: %s: LastTree before any delivery:\n%s", step, c.ID(), got)
+						}
+						continue
+					}
+					want := f.trees[len(f.trees)-1].String()
+					if !ok || got.String() != want {
+						t.Fatalf("step %d: %s: LastTree =\n%s\nwant the delivered tree\n%s", step, c.ID(), got, want)
+					}
+				}
+				if !more {
+					break
+				}
+			}
+			deliveries := 0
+			for _, f := range features {
+				deliveries += len(f.trees)
+			}
+			if deliveries == 0 {
+				t.Fatal("no channel delivered")
+			}
+		})
 	}
-	if tree.Root.Sample.Logical != n {
-		t.Errorf("final tree logical = %d, want %d", tree.Root.Sample.Logical, n)
+}
+
+// TestLastTreeConcurrentWithDeliveries hammers LastTree (which rebuilds
+// the tree from history) from a reader goroutine while the async engine
+// delivers. Run under -race, the "with feature" row makes every
+// delivery build, lend and release a pooled tree while the reader
+// rebuilds: the regression test for pooled-tree recycling racing a
+// reader.
+func TestLastTreeConcurrentWithDeliveries(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		feature bool
+	}{
+		{"bare", false},
+		{"with feature", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 500
+			g := core.New()
+			mustAdd(t, g, rawSource("src", kindRaw, n))
+			mustAdd(t, g, passthrough("proc", kindRaw, kindNMEA))
+			mustAdd(t, g, core.NewSink("app", []core.Kind{kindNMEA}))
+			mustConnect(t, g, "src", "proc", 0)
+			mustConnect(t, g, "proc", "app", 0)
+
+			l := NewLayer(g, WithHistory(8))
+			defer l.Close()
+			c, ok := l.ChannelInto("app", 0)
+			if !ok {
+				t.Fatal("no channel into app")
+			}
+			f := &retainingFeature{}
+			if tc.feature {
+				if err := c.AttachFeature(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if tree, ok := c.LastTree(); ok {
+						// The rebuilt tree must be internally consistent
+						// no matter when it was taken.
+						if tree.Root == nil || tree.Root.Sample.Source != "proc" {
+							t.Error("LastTree returned an inconsistent tree")
+							return
+						}
+						_ = tree.Depth()
+					}
+				}
+			}()
+
+			r := core.NewRunner(g)
+			if err := r.Start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			r.WaitSources()
+			if err := r.Stop(); err != nil {
+				t.Fatal(err)
+			}
+			close(stop)
+			wg.Wait()
+
+			tree, ok := c.LastTree()
+			if !ok {
+				t.Fatal("no LastTree after the run")
+			}
+			if tree.Root.Sample.Logical != n {
+				t.Errorf("final tree logical = %d, want %d", tree.Root.Sample.Logical, n)
+			}
+			if tc.feature && len(f.trees) != n {
+				t.Errorf("feature applied %d times, want %d", len(f.trees), n)
+			}
+		})
 	}
 }

@@ -32,18 +32,19 @@ type TreeNode struct {
 // element that contributed to one Channel output (Fig. 4). The root is
 // the sample delivered by the Channel end point; leaves are sensor data.
 //
-// Ownership: trees handed to Channel Features via Apply (and to the
-// layer's tree observer) are owned by the middleware and recycled after
-// the channel's NEXT delivery. Reading during Apply is free; retaining
-// the tree (or any node reached through it) past Apply requires Detach.
+// Lifetime: a tree lives for the one delivery that built it. Trees
+// handed to Channel Features via Apply (and to the layer's tree
+// observer) are owned by the middleware and recycled as soon as those
+// calls return. Reading during the call is free; retaining the tree (or
+// any node reached through it) past the call requires Detach.
 type DataTree struct {
 	Root *TreeNode
 }
 
-// Trees are built for every endpoint emission, so their nodes are the
-// highest-volume heap objects in the PCL. They are pooled: the layer
-// allocates from the pool at build time and recycles a channel's
-// previous tree when the next delivery replaces it.
+// Trees are built for every endpoint emission that has a consumer, so
+// their nodes are the highest-volume heap objects in the PCL. They are
+// pooled: the layer allocates from the pool at build time and recycles
+// the tree when its delivery is over.
 var (
 	nodePool = sync.Pool{New: func() any { return new(TreeNode) }}
 	treePool = sync.Pool{New: func() any { return new(DataTree) }}

@@ -3,8 +3,9 @@
 // single output ports and declared requirements/capabilities, Component
 // Features that augment components (paper §2.1), logical-time stamping
 // of every emission (the substrate for the Process Channel Layer's data
-// trees, Fig. 4), and both a deterministic synchronous engine and an
-// asynchronous goroutine-per-component engine.
+// trees, Fig. 4), and two engines over one node path: the deterministic
+// synchronous StepAll/Run, and the Runner, which gives each source its
+// own goroutine and propagates emissions by the same direct call.
 package core
 
 import (

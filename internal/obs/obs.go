@@ -134,13 +134,6 @@ type Metrics struct {
 	// TreeDepth is the distribution of channel data-tree depths (PCL).
 	TreeDepth Histogram
 
-	// E2ELatencyNs is the end-to-end pipeline latency distribution in
-	// nanoseconds, derived from trace spans: for each delivery at a
-	// sink, root span exit minus the earliest span enter in the
-	// sample's derivation tree. Populated only for sessions running
-	// with tracing instrumentation.
-	E2ELatencyNs Histogram
-
 	// shardLive is one live-session gauge per manager shard, sized by
 	// InitShards. The slice itself is written once before traffic.
 	shardMu   sync.Mutex
@@ -397,9 +390,8 @@ func (m *Metrics) Snapshot() map[string]any {
 			"rolled_back": m.RulesRolledBack.Value(),
 			"deferred":    m.RulesDeferred.Value(),
 		},
-		"tree_depth":     m.TreeDepth.Snapshot(),
-		"e2e_latency_ns": m.E2ELatencyNs.Snapshot(),
-		"nodes":          nodes,
+		"tree_depth": m.TreeDepth.Snapshot(),
+		"nodes":      nodes,
 	}
 }
 

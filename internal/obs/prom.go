@@ -102,7 +102,6 @@ func WritePrometheus(w io.Writer, m *Metrics) {
 
 	writeHistogram(w, "perpos_checkpoint_write_ns", "Checkpoint append latency in nanoseconds.", nil, &m.CheckpointNs)
 	writeHistogram(w, "perpos_tree_depth", "Channel data-tree depth distribution.", nil, &m.TreeDepth)
-	writeHistogram(w, "perpos_e2e_latency_ns", "End-to-end pipeline latency in nanoseconds, from trace spans.", nil, &m.E2ELatencyNs)
 
 	// Per-node metrics, sorted for a stable exposition.
 	for _, id := range m.NodeIDs() {

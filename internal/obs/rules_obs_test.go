@@ -4,10 +4,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
-
-	"perpos/internal/channel"
-	"perpos/internal/core"
 )
 
 // Label values must be escaped per the Prometheus exposition format:
@@ -55,7 +51,6 @@ func TestRulesCountersExposed(t *testing.T) {
 	m.RulesQuarantined.Inc()
 	m.RulesRolledBack.Inc()
 	m.RulesDeferred.Add(5)
-	m.E2ELatencyNs.ObserveDuration(3 * time.Millisecond)
 
 	var b strings.Builder
 	WritePrometheus(&b, m)
@@ -66,8 +61,6 @@ func TestRulesCountersExposed(t *testing.T) {
 		"perpos_rules_quarantined_total 1",
 		"perpos_rules_rolled_back_total 1",
 		"perpos_rules_deferred_total 5",
-		"# TYPE perpos_e2e_latency_ns histogram",
-		"perpos_e2e_latency_ns_count 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q", want)
@@ -89,67 +82,5 @@ func TestRulesCountersExposed(t *testing.T) {
 	}
 	if rules["engaged"].(float64) != 3 || rules["deferred"].(float64) != 5 {
 		t.Fatalf("rules snapshot wrong: %v", rules)
-	}
-	if _, ok := snap["e2e_latency_ns"]; !ok {
-		t.Fatalf("snapshot has no e2e_latency_ns: %v", snap)
-	}
-}
-
-// span wraps a sample with a stamped SpanRecord.
-func span(node string, enter, exit time.Time) core.Sample {
-	s := core.NewSample("k", nil, exit)
-	return s.WithAttr(TraceAttr, SpanRecord{Node: node, Enter: enter, Exit: exit})
-}
-
-func TestTreeLatency(t *testing.T) {
-	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-
-	// Root exit at +10ms, earliest enter at -5ms two levels down.
-	tree := &channel.DataTree{Root: &channel.TreeNode{
-		Sample: span("sink", base, base.Add(10*time.Millisecond)),
-		Children: []*channel.TreeNode{
-			{Sample: span("mid", base.Add(-2*time.Millisecond), base.Add(2*time.Millisecond)),
-				Children: []*channel.TreeNode{
-					{Sample: span("src", base.Add(-5*time.Millisecond), base)},
-				}},
-		},
-	}}
-	d, ok := TreeLatency(tree)
-	if !ok || d != 15*time.Millisecond {
-		t.Fatalf("TreeLatency = %v,%v, want 15ms", d, ok)
-	}
-
-	// Untraced root: cheap early exit.
-	if _, ok := TreeLatency(&channel.DataTree{Root: &channel.TreeNode{Sample: core.NewSample("k", nil, base)}}); ok {
-		t.Fatal("TreeLatency reported a latency for an untraced tree")
-	}
-	if _, ok := TreeLatency(nil); ok {
-		t.Fatal("TreeLatency(nil) reported ok")
-	}
-	if _, ok := TreeLatency(&channel.DataTree{}); ok {
-		t.Fatal("TreeLatency(empty) reported ok")
-	}
-
-	// Clock skew (root exit before earliest enter) is rejected rather
-	// than reported as a negative duration.
-	skew := &channel.DataTree{Root: &channel.TreeNode{
-		Sample: span("sink", base, base),
-		Children: []*channel.TreeNode{
-			{Sample: span("src", base.Add(time.Hour), base.Add(time.Hour))},
-		},
-	}}
-	if d, ok := TreeLatency(skew); ok && d < 0 {
-		t.Fatalf("negative latency %v reported", d)
-	}
-
-	// Untraced children don't disturb the computation.
-	mixed := &channel.DataTree{Root: &channel.TreeNode{
-		Sample: span("sink", base, base.Add(time.Millisecond)),
-		Children: []*channel.TreeNode{
-			{Sample: core.NewSample("k", nil, base)},
-		},
-	}}
-	if d, ok := TreeLatency(mixed); !ok || d != time.Millisecond {
-		t.Fatalf("mixed tree latency = %v,%v, want 1ms", d, ok)
 	}
 }

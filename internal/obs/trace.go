@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"perpos/internal/channel"
@@ -141,73 +140,6 @@ func InstrumentGraph(g *core.Graph, opts ...TraceOption) error {
 		}
 	}
 	return nil
-}
-
-// ChannelTrace is the Trace Channel Feature: it retains the data tree
-// of the channel's most recent delivery so inspection tooling can
-// format the end-to-end trace after a replay. Delivered trees are
-// pooled by the layer, so Apply detaches its copy — tracing trades one
-// deep copy per delivery for post-hoc inspectability, which is the
-// documented cost of enabling it.
-type ChannelTrace struct {
-	mu   sync.Mutex
-	last *channel.DataTree
-}
-
-// NewChannelTrace returns an empty channel trace feature.
-func NewChannelTrace() *ChannelTrace { return &ChannelTrace{} }
-
-var _ channel.Feature = (*ChannelTrace)(nil)
-
-// FeatureName implements channel.Feature.
-func (c *ChannelTrace) FeatureName() string { return TraceFeatureName }
-
-// Apply implements channel.Feature.
-func (c *ChannelTrace) Apply(tree *channel.DataTree) {
-	detached := tree.Detach()
-	c.mu.Lock()
-	c.last = detached
-	c.mu.Unlock()
-}
-
-// Last returns the most recent delivery's tree.
-func (c *ChannelTrace) Last() (*channel.DataTree, bool) {
-	c.mu.Lock()
-	t := c.last
-	c.mu.Unlock()
-	return t, t != nil
-}
-
-// TreeLatency computes the end-to-end latency of one delivery from its
-// data tree: the root span's exit minus the earliest span enter found
-// anywhere in the tree — the same total FormatTrace prints, without the
-// formatting. It returns false when the root sample carries no span
-// (graph not instrumented), making the un-traced case a cheap early
-// exit, or when clocks produced a negative total.
-func TreeLatency(t *channel.DataTree) (time.Duration, bool) {
-	if t == nil || t.Root == nil {
-		return 0, false
-	}
-	root, ok := TraceOf(t.Root.Sample)
-	if !ok {
-		return 0, false
-	}
-	earliest := treeEarliestEnter(t.Root, root.Enter)
-	if root.Exit.Before(earliest) {
-		return 0, false
-	}
-	return root.Exit.Sub(earliest), true
-}
-
-// treeEarliestEnter walks the tree for the earliest stamped span enter.
-func treeEarliestEnter(n *channel.TreeNode, earliest time.Time) time.Time {
-	for _, c := range n.Children {
-		if r, ok := TraceOf(c.Sample); ok && r.Enter.Before(earliest) {
-			earliest = r.Enter
-		}
-		earliest = treeEarliestEnter(c, earliest)
-	}
-	return earliest
 }
 
 // FormatTrace renders a data tree as an indented end-to-end trace, one

@@ -102,7 +102,10 @@ func TestInstrumentGraphIdempotent(t *testing.T) {
 	}
 }
 
-func TestChannelTraceAndFormat(t *testing.T) {
+// TestLastTreeFormatsAsTrace is the perpos-inspect -trace path: the
+// last delivery of a channel through an instrumented graph, rebuilt by
+// Channel.LastTree, formats as an end-to-end trace.
+func TestLastTreeFormatsAsTrace(t *testing.T) {
 	g, _ := buildTraced(t)
 	layer := channel.NewLayer(g)
 	defer layer.Close()
@@ -111,20 +114,16 @@ func TestChannelTraceAndFormat(t *testing.T) {
 	if !ok {
 		t.Fatal("no channel into sink")
 	}
-	ct := NewChannelTrace()
-	if err := ch.AttachFeature(ct); err != nil {
-		t.Fatalf("attach channel trace: %v", err)
-	}
-	if _, gotIt := ct.Last(); gotIt {
-		t.Fatal("Last before any delivery should report false")
+	if _, gotIt := ch.LastTree(); gotIt {
+		t.Fatal("LastTree before any delivery should report false")
 	}
 	if _, err := g.Run(20); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 
-	tree, ok := ct.Last()
+	tree, ok := ch.LastTree()
 	if !ok {
-		t.Fatal("no delivery recorded by channel trace")
+		t.Fatal("no delivery recorded by the channel")
 	}
 	out := FormatTrace(tree)
 	for _, want := range []string{"parser", "src", "logical=", "process=", "end-to-end:"} {

@@ -30,6 +30,11 @@ import (
 // MaxFrame is the largest accepted wire frame in bytes.
 const MaxFrame = 1 << 20
 
+// readChunk bounds how far ReadFrame allocates ahead of the body bytes
+// that have arrived: a length prefix is the peer's claim, so a hostile
+// one must not cost a MaxFrame allocation before any body byte does.
+const readChunk = 64 << 10
+
 // ProtocolVersion is the wire protocol revision this build speaks.
 // Bump it when the frame body schema changes incompatibly; peers
 // reject mismatched versions with a *VersionError rather than
@@ -236,13 +241,25 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 	if hdr[2] != ProtocolVersion {
 		return 0, nil, &VersionError{Got: hdr[2], Want: ProtocolVersion}
 	}
-	n := binary.BigEndian.Uint32(hdr[4:8])
+	n := int(binary.BigEndian.Uint32(hdr[4:8]))
 	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, fmt.Errorf("read frame body: %w", err)
+	// Frames up to readChunk take one allocation of their length; a
+	// longer body grows by at most what has already arrived.
+	body := make([]byte, min(n, readChunk))
+	for got := 0; ; {
+		k, err := io.ReadFull(r, body[got:])
+		got += k
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the header promised a body
+			}
+			return 0, nil, fmt.Errorf("read frame body: %w", err)
+		}
+		if got == n {
+			return FrameType(hdr[3]), body, nil
+		}
+		body = append(body, make([]byte, min(n-got, got))...)
 	}
-	return FrameType(hdr[3]), body, nil
 }

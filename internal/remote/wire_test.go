@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -39,6 +41,57 @@ func TestOldFrameRejected(t *testing.T) {
 
 	if _, _, err := ReadFrame(&buf); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("v1 frame error = %v, want ErrBadMagic", err)
+	}
+}
+
+// TestReadFrameBoundsHostileLength: a header declaring MaxFrame but
+// followed by only 16 body bytes must fail as a short body, having
+// allocated about readChunk per read rather than the declared length.
+func TestReadFrameBoundsHostileLength(t *testing.T) {
+	hostile := []byte{magic0, magic1, ProtocolVersion, byte(FrameSample), 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(hostile[4:], MaxFrame)
+	hostile = append(hostile, make([]byte, 16)...)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10; i++ {
+		if _, _, err := ReadFrame(bytes.NewReader(hostile)); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("short body error = %v, want io.ErrUnexpectedEOF", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1280<<10 {
+		t.Errorf("10 hostile reads allocated %d bytes, want under 1.25 MiB", got)
+	}
+}
+
+// TestReadFrameGrowsPastChunk reads bodies on both sides of readChunk:
+// each round-trips intact, one cut short fails as a short body, and a
+// body up to readChunk is one allocation of exactly its length.
+func TestReadFrameGrowsPastChunk(t *testing.T) {
+	for _, size := range []int{0, 1, readChunk, readChunk + 1, 5*readChunk + 3, MaxFrame} {
+		body := make([]byte, size)
+		for i := range body {
+			body[i] = byte(i * 7)
+		}
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, FrameSample, body); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		_, got, err := ReadFrame(bytes.NewReader(raw))
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("size %d: round trip = %d bytes, %v", size, len(got), err)
+		}
+		if size <= readChunk && cap(got) != size {
+			t.Errorf("size %d: body capacity %d, want exactly its length", size, cap(got))
+		}
+		if size == 0 {
+			continue
+		}
+		if _, _, err := ReadFrame(bytes.NewReader(raw[:len(raw)-1])); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("size %d cut by one byte: error = %v, want io.ErrUnexpectedEOF", size, err)
+		}
 	}
 }
 

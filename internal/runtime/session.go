@@ -68,6 +68,8 @@ type SessionConfig struct {
 	// History bounds the channel layer's per-component sample history
 	// (0 keeps channel.NewLayer's default). Multi-tenant deployments
 	// want this small: history is the dominant per-session allocation.
+	// Channel.LastTree rebuilds a delivery's data tree from this
+	// history, so contributions it has evicted are missing there.
 	History int
 	// Health enables per-session supervision: a health.Monitor observes
 	// the session's graph on either engine, and a health.Supervisor
@@ -101,12 +103,6 @@ type SessionConfig struct {
 	// monitor and supervisor (with the default health.Policy when
 	// Health is nil) so the sweep exists to piggyback on.
 	Rules []rules.Rule
-	// Trace instruments every session graph with span tracing
-	// (obs.InstrumentGraph). With Observability set, each sink delivery
-	// then feeds the end-to-end latency histogram derived from the
-	// delivery's data tree. Off by default: tracing stamps an attribute
-	// per emission, which the saturated hot path doesn't want.
-	Trace bool
 }
 
 // Session is one target's live pipeline: a private graph instantiated
@@ -186,24 +182,13 @@ func newSession(id string, rev int, bp *core.Blueprint, cfg SessionConfig, clock
 	if err != nil {
 		return nil, fmt.Errorf("runtime: session %q: %w", id, err)
 	}
-	if cfg.Trace {
-		if err := obs.InstrumentGraph(g); err != nil {
-			return nil, fmt.Errorf("runtime: session %q: instrument: %w", id, err)
-		}
-	}
 	var layerOpts []channel.LayerOption
 	if cfg.History > 0 {
 		layerOpts = append(layerOpts, channel.WithHistory(cfg.History))
 	}
 	if m := cfg.Observability; m != nil {
-		traced := cfg.Trace
 		layerOpts = append(layerOpts, channel.WithTreeObserver(func(_ *channel.Channel, t *channel.DataTree) {
 			m.ObserveTreeDepth(t.Depth())
-			if traced {
-				if d, ok := obs.TreeLatency(t); ok {
-					m.E2ELatencyNs.ObserveDuration(d)
-				}
-			}
 		}))
 	}
 	s.graph = g
