@@ -75,6 +75,9 @@ type Channel struct {
 	port     int // consumer input port the channel feeds
 
 	layer *Layer // owning layer; set at derive time, used for lazy trees
+	// deliveries counts the channel's deliveries, for the tree
+	// observer's sampling. Guarded by the layer's lock.
+	deliveries uint64
 
 	mu       sync.RWMutex
 	features []Feature

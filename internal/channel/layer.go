@@ -10,7 +10,9 @@ import (
 // Layer is the Process Channel Layer view of a graph: it derives the
 // Channels from the PSL structure (so the causal connection survives
 // graph edits — call Refresh after structural changes), records every
-// emission, and builds the Fig. 4 data tree for each channel delivery.
+// emission, and builds the Fig. 4 data tree of a channel delivery for
+// the channel's features (every delivery) and the tree observer (one
+// delivery in treeEvery).
 type Layer struct {
 	g *core.Graph
 
@@ -22,8 +24,9 @@ type Layer struct {
 	// history holds recent samples per component for tree construction.
 	history map[string]*ring
 	keep    int
-	// onTree, when set, is invoked for every built data tree (after the
-	// layer lock is released, alongside feature delivery).
+	// onTree, when set, is invoked with the data tree of one delivery
+	// in treeEvery per channel (after the layer lock is released,
+	// alongside feature delivery).
 	onTree func(c *Channel, t *DataTree)
 
 	cancelTap func()
@@ -42,13 +45,21 @@ func WithHistory(n int) LayerOption {
 	}
 }
 
-// WithTreeObserver registers fn to be called with every data tree the
-// layer builds, right after the channel's own features received it.
-// The callback runs outside the layer lock on the emitting goroutine,
-// so it must be cheap and safe for concurrent use — the intended
-// client is metrics (tree-depth histograms), not feature logic. The
-// tree is lent for the call only: it is recycled as soon as fn
-// returns, so fn must Detach anything it keeps.
+// treeEvery is the tree observer's sampling period: it sees the data
+// tree of the first delivery in every treeEvery per channel, so a
+// channel without features builds a tree one delivery in treeEvery
+// (the period core uses to time node calls).
+const treeEvery = 16
+
+// WithTreeObserver registers fn to be called with the data tree of the
+// first delivery in every treeEvery per channel (deliveries 1, 17, 33,
+// ...), right after the channel's own features received it. Features
+// still get a tree at every delivery; the observer is a sample. The
+// callback runs outside the layer lock on the emitting goroutine, so
+// it must be cheap and safe for concurrent use — the intended client
+// is metrics (tree-depth histograms), not feature logic. The tree is
+// lent for the call only: it is recycled as soon as fn returns, so fn
+// must Detach anything it keeps.
 func WithTreeObserver(fn func(c *Channel, t *DataTree)) LayerOption {
 	return func(l *Layer) {
 		l.onTree = fn
@@ -174,8 +185,8 @@ func (l *Layer) rebuild(old []*Channel) {
 }
 
 // Tap is the layer's graph tap (a core.TapFunc): record the sample, and
-// when the emitting component is a channel end point, build and deliver
-// the data tree.
+// when the emitting component is a channel end point, deliver it on the
+// endpoint's channels, with the data tree when a consumer needs one.
 func (l *Layer) Tap(componentID string, s core.Sample) {
 	l.mu.Lock()
 	r, ok := l.history[componentID]
@@ -192,10 +203,11 @@ func (l *Layer) Tap(componentID string, s core.Sample) {
 	if s.FromFeature == "" {
 		for _, c := range l.byEndpoint[componentID] {
 			// A tree is built only when something consumes it at delivery
-			// time (attached features, tree observer); saturated pipelines
-			// with no tree consumers skip construction entirely.
-			d := delivery{c: c}
-			if l.onTree != nil || c.hasFeatures() {
+			// time: attached features, or the tree observer on its sampled
+			// delivery. Saturated pipelines with neither skip construction.
+			d := delivery{c: c, observe: l.onTree != nil && c.deliveries%treeEvery == 0}
+			c.deliveries++
+			if d.observe || c.hasFeatures() {
 				d.tree = l.buildTreeLocked(c, s)
 			}
 			deliveries = append(deliveries, d)
@@ -210,7 +222,7 @@ func (l *Layer) Tap(componentID string, s core.Sample) {
 		if d.tree == nil {
 			continue
 		}
-		if l.onTree != nil {
+		if d.observe {
 			l.onTree(d.c, d.tree)
 		}
 		// The features and the observer only borrowed the tree (anything
@@ -220,8 +232,9 @@ func (l *Layer) Tap(componentID string, s core.Sample) {
 }
 
 type delivery struct {
-	c    *Channel
-	tree *DataTree
+	c       *Channel
+	tree    *DataTree
+	observe bool // the tree observer samples this delivery
 }
 
 // buildTreeLocked builds the Fig. 4 data tree for one endpoint sample by

@@ -128,25 +128,49 @@ type NodeHealth struct {
 	Panics            uint64
 	Restarts          uint64
 	ConsecutiveErrors int
-	LastOutput        time.Time
-	DownSince         time.Time
-	Trips             uint64
+	// LastOutput is when the monitor last found new outputs of the
+	// node: the time of the sweep (Advance) or read (Health, Snapshot)
+	// that first counted them, so it trails the emission itself by at
+	// most one sweep period.
+	LastOutput time.Time
+	DownSince  time.Time
+	Trips      uint64
 }
 
 // nodeState is the monitor's mutable per-node record.
 type nodeState struct {
 	NodeHealth
 	hasOutput     bool
+	emitted       int       // outputs tapped since the last fold
 	emissionsDown int       // outputs observed since the breaker opened
 	lastProbe     time.Time // last half-open probe admitted while Down
 	lastErr       error
 	watched       bool // held to a watchdog deadline
 }
 
+// fold moves the outputs tapped since the last fold into the record:
+// LastOutput takes the fold's time, and outputs tapped while the
+// breaker was open count toward recovery. The breaker changes state
+// only in Advance, which folds first, so every output of one fold was
+// tapped under the state the record holds now. Called with the
+// monitor's lock held.
+func (st *nodeState) fold(now time.Time) {
+	if st.emitted == 0 {
+		return
+	}
+	if st.State == StateDown {
+		st.emissionsDown += st.emitted
+	}
+	st.emitted = 0
+	st.LastOutput = now
+	st.hasOutput = true
+}
+
 // Monitor tracks per-node health. It is a core.Observer: Done feeds
-// error/panic accounting, Allow is the quarantine, Tap feeds the
-// last-output watchdog. Records appear on a node's first emission or
-// error. All methods are safe for concurrent use.
+// error/panic accounting, Allow is the quarantine, Tap counts outputs
+// for the last-output watchdog and recovery. Records appear on a
+// node's first emission or error. All methods are safe for concurrent
+// use.
 type Monitor struct {
 	mu     sync.Mutex
 	policy Policy
@@ -246,17 +270,12 @@ func (m *Monitor) Restarted(node string, _ int) {
 }
 
 // Tap implements core.Observer: every emission anywhere in the graph
-// stamps the emitting node's last-output time and counts toward
-// recovery.
+// counts one output of the emitting node. It reads no clock: the next
+// Advance, Health or Snapshot folds the count into LastOutput and the
+// recovery count, so silence is still judged once per sweep.
 func (m *Monitor) Tap(node string, _ core.Sample) {
-	now := m.clock()
 	m.mu.Lock()
-	st := m.nodeLocked(node)
-	st.LastOutput = now
-	st.hasOutput = true
-	if st.State == StateDown {
-		st.emissionsDown++
-	}
+	m.nodeLocked(node).emitted++
 	m.mu.Unlock()
 }
 
@@ -288,6 +307,7 @@ func (m *Monitor) Advance(now time.Time) []Event {
 	defer m.mu.Unlock()
 	var events []Event
 	for _, st := range m.nodes {
+		st.fold(now)
 		switch st.State {
 		case StateHealthy:
 			if st.ConsecutiveErrors >= m.policy.MaxConsecutiveErrors {
@@ -331,6 +351,9 @@ func (m *Monitor) Health(node string) (NodeHealth, bool) {
 	if !ok {
 		return NodeHealth{}, false
 	}
+	if st.emitted > 0 {
+		st.fold(m.clock())
+	}
 	return st.NodeHealth, true
 }
 
@@ -338,8 +361,10 @@ func (m *Monitor) Health(node string) (NodeHealth, bool) {
 func (m *Monitor) Snapshot() []NodeHealth {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	now := m.clock()
 	out := make([]NodeHealth, 0, len(m.nodes))
 	for _, st := range m.nodes {
+		st.fold(now)
 		out = append(out, st.NodeHealth)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })

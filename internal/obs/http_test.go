@@ -10,8 +10,7 @@ import (
 
 func TestHandlerMetricsEndpoint(t *testing.T) {
 	m := New()
-	m.SpansEmitted.Add(7)
-	m.Node("gps").Emissions.Add(7)
+	tapN(NewGraphObserver(m, nil), "gps", 7)
 	srv := httptest.NewServer(Handler(m))
 	defer srv.Close()
 

@@ -170,8 +170,7 @@ func TestMetricsShardGauges(t *testing.T) {
 func TestMetricsSnapshotShape(t *testing.T) {
 	m := New()
 	m.InitShards(2)
-	m.SpansEmitted.Add(3)
-	m.Node("gps").Emissions.Inc()
+	tapN(NewGraphObserver(m, nil), "gps", 3)
 	m.ProviderTransition("AVAILABLE")
 	m.ObserveTreeDepth(3)
 	m.CheckpointAppend("s", 128, time.Millisecond, nil)
@@ -264,9 +263,9 @@ func TestGraphObserverSeams(t *testing.T) {
 	// observer.
 	o.Tap("gps", core.Sample{})
 	o.Tap("gps", core.Sample{})
-	if m.SpansEmitted.Value() != 2 || m.Node("gps").Emissions.Value() != 2 {
+	if m.SpansEmitted() != 2 || m.Emissions("gps") != 2 {
 		t.Errorf("emissions global=%d node=%d, want 2/2",
-			m.SpansEmitted.Value(), m.Node("gps").Emissions.Value())
+			m.SpansEmitted(), m.Emissions("gps"))
 	}
 	if inner.taps != 2 {
 		t.Errorf("inner saw %d taps, want 2", inner.taps)

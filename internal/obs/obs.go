@@ -8,13 +8,17 @@
 //
 // The design point is cost: every hot-path hook is a handful of atomic
 // operations (see Counter/Gauge/Histogram in metrics.go); nothing in
-// this package takes a lock on an emission path. Hooks ride the seams
-// the engine already has — the graph's core.Observer (GraphObserver),
+// this package takes a lock on an emission path. The per-emission
+// count goes into the session's own GraphObserver cells rather than a
+// counter every session shares, and the tree-depth histogram is fed
+// one channel delivery in 16. Hooks ride the seams the engine already
+// has — the graph's core.Observer (GraphObserver),
 // channel.WithTreeObserver, checkpoint.Options.OnAppend — so a session
 // without a Metrics hub pays nothing at all.
 //
 // Export is pull-based: Metrics.Snapshot marshals to the expvar-style
-// JSON served by Handler (http.go) next to net/http/pprof.
+// JSON served by Handler (http.go) next to net/http/pprof, summing the
+// live sessions' emission cells at read time.
 package obs
 
 import (
@@ -27,10 +31,12 @@ import (
 // NodeMetrics aggregates one graph node's counters. Per-session graphs
 // share the hub, so a node ID like "gps" accumulates across every
 // session instantiated from the blueprint — the per-component view of
-// the whole process, not of one target.
+// the whole process, not of one target. The node's emission count is
+// not here: it lives in each session's GraphObserver cells until the
+// session closes (see Metrics.Emissions).
 type NodeMetrics struct {
-	// Emissions counts samples the node emitted (graph tap).
-	Emissions Counter
+	// emissions holds the counts closed GraphObservers folded in.
+	emissions Counter
 	// Errors counts failed process/step outcomes; Panics the subset
 	// that were contained panics.
 	Errors Counter
@@ -61,10 +67,8 @@ type nodeSnapshot struct {
 // methods are safe for concurrent use. The zero value is NOT ready —
 // use New.
 type Metrics struct {
-	// SpansEmitted counts every stamped emission anywhere in the
-	// instrumented graphs (the tap); SpansDropped counts gate-refused
-	// deliveries.
-	SpansEmitted Counter
+	// SpansDropped counts gate-refused deliveries. Emissions are
+	// counted per node, per session (see SpansEmitted).
 	SpansDropped Counter
 
 	// Session-manager lifecycle.
@@ -131,7 +135,9 @@ type Metrics struct {
 	// (pause → checkpoint → ship → resume → route flip) in nanoseconds.
 	ClusterHandoffNs Histogram
 
-	// TreeDepth is the distribution of channel data-tree depths (PCL).
+	// TreeDepth is the distribution of channel data-tree depths (PCL),
+	// sampled by the channel layer's tree observer: the first of every
+	// 16 deliveries per channel.
 	TreeDepth Histogram
 
 	// shardLive is one live-session gauge per manager shard, sized by
@@ -141,6 +147,12 @@ type Metrics struct {
 
 	// nodes maps node ID -> *NodeMetrics, populated on first touch.
 	nodes sync.Map
+
+	// observers holds the GraphObservers not yet closed; reads sum
+	// their emission cells. obsMu also orders a Close's fold into
+	// nodes against those reads, so no count is seen twice or missed.
+	obsMu     sync.Mutex
+	observers map[*GraphObserver]struct{}
 
 	// providerTransitions maps availability-state name -> *Counter of
 	// transitions INTO that state.
@@ -165,7 +177,7 @@ type Metrics struct {
 }
 
 // New returns an empty hub.
-func New() *Metrics { return &Metrics{} }
+func New() *Metrics { return &Metrics{observers: make(map[*GraphObserver]struct{})} }
 
 // Node returns (creating on first use) the named node's metrics.
 func (m *Metrics) Node(id string) *NodeMetrics {
@@ -174,6 +186,56 @@ func (m *Metrics) Node(id string) *NodeMetrics {
 	}
 	v, _ := m.nodes.LoadOrStore(id, &NodeMetrics{})
 	return v.(*NodeMetrics)
+}
+
+// emissionTotals returns every node's emission count, what closed
+// observers folded in plus what the live observers' cells hold now,
+// and their sum.
+func (m *Metrics) emissionTotals() (map[string]uint64, uint64) {
+	out := make(map[string]uint64)
+	var sum uint64
+	m.obsMu.Lock()
+	defer m.obsMu.Unlock()
+	m.nodes.Range(func(k, v any) bool {
+		n := v.(*NodeMetrics).emissions.Value()
+		out[k.(string)] = n
+		sum += n
+		return true
+	})
+	for o := range m.observers {
+		for _, c := range o.loadCells() {
+			n := c.n.Value()
+			out[c.id] += n
+			sum += n
+		}
+	}
+	return out, sum
+}
+
+// Emissions returns how many samples the named node emitted, summed
+// over every session observed into the hub, live or closed.
+func (m *Metrics) Emissions(node string) uint64 {
+	byNode, _ := m.emissionTotals()
+	return byNode[node]
+}
+
+// SpansEmitted returns the emissions counted anywhere in the
+// instrumented graphs: the sum of every node's Emissions.
+func (m *Metrics) SpansEmitted() uint64 {
+	_, sum := m.emissionTotals()
+	return sum
+}
+
+// LiveCells returns how many emission cells the hub still sums from
+// observers that have not been closed (inspection and tests).
+func (m *Metrics) LiveCells() int {
+	m.obsMu.Lock()
+	defer m.obsMu.Unlock()
+	n := 0
+	for o := range m.observers {
+		n += len(o.loadCells())
+	}
+	return n
 }
 
 // InitShards sizes the per-shard live-session gauges. Idempotent per
@@ -289,11 +351,12 @@ func (m *Metrics) CheckpointAppend(_ string, bytes int, d time.Duration, err err
 // are individually atomic but not mutually consistent, which is the
 // usual (and sufficient) monitoring contract.
 func (m *Metrics) Snapshot() map[string]any {
+	emissions, spans := m.emissionTotals()
 	nodes := make(map[string]nodeSnapshot)
 	m.nodes.Range(func(k, v any) bool {
 		nm := v.(*NodeMetrics)
 		nodes[k.(string)] = nodeSnapshot{
-			Emissions: nm.Emissions.Value(),
+			Emissions: emissions[k.(string)],
 			Errors:    nm.Errors.Value(),
 			Panics:    nm.Panics.Value(),
 			Drops:     nm.Drops.Value(),
@@ -341,7 +404,7 @@ func (m *Metrics) Snapshot() map[string]any {
 	})
 
 	return map[string]any{
-		"spans_emitted":         m.SpansEmitted.Value(),
+		"spans_emitted":         spans,
 		"spans_dropped":         m.SpansDropped.Value(),
 		"sessions_created":      m.SessionsCreated.Value(),
 		"sessions_evicted":      m.SessionsEvicted.Value(),

@@ -39,7 +39,8 @@ func WritePrometheus(w io.Writer, m *Metrics) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
 
-	counter("perpos_spans_emitted_total", "Samples emitted across all instrumented graphs.", m.SpansEmitted.Value())
+	emissions, spans := m.emissionTotals()
+	counter("perpos_spans_emitted_total", "Samples emitted across all instrumented graphs.", spans)
 	counter("perpos_spans_dropped_total", "Gate-refused deliveries.", m.SpansDropped.Value())
 	counter("perpos_sessions_created_total", "Sessions instantiated from the blueprint.", m.SessionsCreated.Value())
 	counter("perpos_sessions_evicted_total", "Sessions evicted or closed.", m.SessionsEvicted.Value())
@@ -101,13 +102,13 @@ func WritePrometheus(w io.Writer, m *Metrics) {
 	counter("perpos_rules_deferred_total", "Rule engagements blocked by arbitration.", m.RulesDeferred.Value())
 
 	writeHistogram(w, "perpos_checkpoint_write_ns", "Checkpoint append latency in nanoseconds.", nil, &m.CheckpointNs)
-	writeHistogram(w, "perpos_tree_depth", "Channel data-tree depth distribution.", nil, &m.TreeDepth)
+	writeHistogram(w, "perpos_tree_depth", "Channel data-tree depth distribution (one delivery in 16 sampled).", nil, &m.TreeDepth)
 
 	// Per-node metrics, sorted for a stable exposition.
 	for _, id := range m.NodeIDs() {
 		nm := m.Node(id)
 		label := map[string]string{"node": id}
-		writeLabeledCounter(w, "perpos_node_emissions_total", "Samples emitted by the node.", label, nm.Emissions.Value())
+		writeLabeledCounter(w, "perpos_node_emissions_total", "Samples emitted by the node.", label, emissions[id])
 		writeLabeledCounter(w, "perpos_node_errors_total", "Failed process/step outcomes.", label, nm.Errors.Value())
 		writeLabeledCounter(w, "perpos_node_panics_total", "Contained panics.", label, nm.Panics.Value())
 		writeLabeledCounter(w, "perpos_node_drops_total", "Gate-refused deliveries.", label, nm.Drops.Value())

@@ -10,7 +10,6 @@ import (
 
 func TestWritePrometheusCoversMetricFamilies(t *testing.T) {
 	m := New()
-	m.SpansEmitted.Add(42)
 	m.SessionsCreated.Add(3)
 	m.InitShards(2)
 	m.ShardLive(0).Inc()
@@ -19,7 +18,7 @@ func TestWritePrometheusCoversMetricFamilies(t *testing.T) {
 	m.RolloutsStarted.Inc()
 	m.RolloutUpgraded.Add(7)
 	m.ProviderTransition("AVAILABLE")
-	m.Node("gps").Emissions.Add(10)
+	tapN(NewGraphObserver(m, nil), "gps", 10)
 	m.Node("gps").ProcessNs.ObserveDuration(3 * time.Microsecond)
 	m.CheckpointAppend("s", 128, 2*time.Millisecond, nil)
 	m.ObserveTreeDepth(4)
@@ -31,7 +30,7 @@ func TestWritePrometheusCoversMetricFamilies(t *testing.T) {
 
 	for _, want := range []string{
 		"# TYPE perpos_spans_emitted_total counter",
-		"perpos_spans_emitted_total 42",
+		"perpos_spans_emitted_total 10",
 		"perpos_sessions_created_total 3",
 		"perpos_sessions_live 1",
 		`perpos_shard_sessions_live{shard="0"} 1`,
@@ -86,7 +85,7 @@ func TestPrometheusHistogramCumulative(t *testing.T) {
 
 func TestPrometheusEndpoints(t *testing.T) {
 	m := New()
-	m.SpansEmitted.Add(9)
+	tapN(NewGraphObserver(m, nil), "gps", 9)
 	srv, err := Serve("127.0.0.1:0", m)
 	if err != nil {
 		t.Fatal(err)

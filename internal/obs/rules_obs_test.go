@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"perpos/internal/core"
 )
 
 // Label values must be escaped per the Prometheus exposition format:
@@ -13,7 +15,7 @@ import (
 func TestPrometheusLabelEscaping(t *testing.T) {
 	m := New()
 	hostile := "node\"with\\every\nhostile\tbyte\x01é"
-	m.Node(hostile).Emissions.Add(1)
+	NewGraphObserver(m, nil).Tap(hostile, core.Sample{})
 	m.ProviderTransition("state\"q\\b\nnl")
 
 	var b strings.Builder

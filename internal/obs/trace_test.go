@@ -173,14 +173,14 @@ func TestGraphObserverCountsAsyncRun(t *testing.T) {
 	if sink.Len() != 3 {
 		t.Fatalf("sink received %d, want 3", sink.Len())
 	}
-	if got := m.Node("parser").Emissions.Value(); got != 3 {
+	if got := m.Emissions("parser"); got != 3 {
 		t.Errorf("parser emissions = %d, want 3", got)
 	}
-	if got := m.Node("src").Emissions.Value(); got != 3 {
+	if got := m.Emissions("src"); got != 3 {
 		t.Errorf("src emissions = %d, want 3", got)
 	}
-	if m.SpansEmitted.Value() != 6 {
-		t.Errorf("spans emitted = %d, want 6", m.SpansEmitted.Value())
+	if got := m.SpansEmitted(); got != 6 {
+		t.Errorf("spans emitted = %d, want 6", got)
 	}
 	// A node times one call in 16, starting with its first.
 	if got := m.Node("parser").ProcessNs.Count(); got != 1 {

@@ -75,7 +75,9 @@ const (
 //	consecutive_errors:<node>
 //	restarts:<node>     restart count
 //	trips:<node>        breaker trips
-//	silence_ms:<node>   milliseconds since the node last emitted
+//	silence_ms:<node>   milliseconds since the node last emitted, as
+//	                    the monitor's LastOutput sees it (to within
+//	                    one sweep period)
 //	availability        provider availability ordinal (0 = Available,
 //	                    1 = TemporarilyUnavailable, 2 = OutOfService)
 //

@@ -44,10 +44,10 @@ func TestSessionObservability(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if hub.SpansEmitted.Value() == 0 {
+	if hub.SpansEmitted() == 0 {
 		t.Error("no spans counted after stepping the session")
 	}
-	if got := hub.Node("gps").Emissions.Value(); got == 0 {
+	if got := hub.Emissions("gps"); got == 0 {
 		t.Error("gps node emissions = 0 after stepping")
 	}
 	if hub.TreeDepth.Count() == 0 {

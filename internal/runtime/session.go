@@ -126,6 +126,9 @@ type Session struct {
 	// observeCancel unregisters the session's one graph observer: the
 	// metrics hub's GraphObserver wrapping the monitor, or either alone.
 	observeCancel func()
+	// hubObserver is that GraphObserver when a hub is wired; close
+	// folds its emission counts into the hub.
+	hubObserver *obs.GraphObserver
 
 	rules          *rules.Engine
 	rulesTapCancel func()
@@ -137,7 +140,8 @@ type Session struct {
 	ckptEvery time.Duration
 
 	// runMu serialises propagation (Run/Step/async runner lifecycle)
-	// against supervisor-applied graph edits. Lock order: runMu → mu.
+	// against supervisor-applied graph edits and close. Lock order:
+	// runMu → mu.
 	runMu      sync.Mutex
 	runCtx     context.Context
 	runnerOpts []core.RunnerOption
@@ -215,13 +219,31 @@ func newSession(id string, rev int, bp *core.Blueprint, cfg SessionConfig, clock
 			}
 		})
 	}
+	if len(cfg.Rules) > 0 {
+		// Built before anything registers with the hub, so an invalid
+		// rule set leaves no observer behind.
+		eng, err := rules.New(rules.Config{
+			Rules:   cfg.Rules,
+			Adapter: health.AdapterFunc(s.applyEdit),
+			Monitor: s.monitor,
+			Claimer: s.supervisor,
+			Availability: func() float64 {
+				return float64(s.provider.Availability())
+			},
+		})
+		if err != nil {
+			return nil, fmt.Errorf("runtime: session %q: %w", id, err)
+		}
+		s.rules = eng
+	}
 	var observer core.Observer
 	if s.monitor != nil {
 		observer = s.monitor
 	}
 	if m := cfg.Observability; m != nil {
 		s.metrics = m
-		observer = obs.NewGraphObserver(m, observer)
+		s.hubObserver = obs.NewGraphObserver(m, observer)
+		observer = s.hubObserver
 		s.availCancel = s.provider.NotifyAvailability(func(a positioning.Availability) {
 			m.ProviderTransition(a.String())
 		})
@@ -238,20 +260,7 @@ func newSession(id string, rev int, bp *core.Blueprint, cfg SessionConfig, clock
 	if observer != nil {
 		s.observeCancel = g.Observe(observer)
 	}
-	if len(cfg.Rules) > 0 {
-		eng, err := rules.New(rules.Config{
-			Rules:   cfg.Rules,
-			Adapter: health.AdapterFunc(s.applyEdit),
-			Monitor: s.monitor,
-			Claimer: s.supervisor,
-			Availability: func() float64 {
-				return float64(s.provider.Availability())
-			},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("runtime: session %q: %w", id, err)
-		}
-		s.rules = eng
+	if eng := s.rules; eng != nil {
 		if eng.NeedsTap() {
 			s.rulesTapCancel = g.Tap(eng.Tap)
 		}
@@ -555,16 +564,21 @@ func (s *Session) touch() {
 
 // close tears the session down: the supervisor and runner are stopped,
 // the channel layer detached, and the provider retired to OutOfService.
-// Idempotent.
+// It waits for an in-flight Run or StepN to finish, so nothing is
+// delivered once it returns and later calls get ErrClosed. Idempotent.
 func (s *Session) close() {
 	// Stop the supervisor before taking locks: its sweep goroutine may
 	// be inside applyEdit, which needs both session locks to finish.
 	if s.supervisor != nil {
 		s.supervisor.Stop()
 	}
+	// The run lock waits out an in-flight Run or StepN; once closed is
+	// set, none can start.
+	s.runMu.Lock()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		s.runMu.Unlock()
 		return
 	}
 	s.closed = true
@@ -572,11 +586,16 @@ func (s *Session) close() {
 	s.runner = nil
 	s.stopCheckpointLoopLocked()
 	s.mu.Unlock()
+	s.runMu.Unlock()
 	if r != nil {
 		_ = r.Stop()
 	}
 	if s.observeCancel != nil {
 		s.observeCancel()
+	}
+	if s.hubObserver != nil {
+		// The graph has emitted for the last time.
+		s.hubObserver.Close()
 	}
 	if s.rulesTapCancel != nil {
 		s.rulesTapCancel()
