@@ -370,7 +370,7 @@ func (n *Node) handle(req request) response {
 		return resp
 
 	case opExport:
-		// Pause → final checkpoint → close is exactly Manager.Evict;
+		// Stop → final checkpoint → close is exactly Manager.Evict;
 		// the freshest state is then the newest durable record. Detach
 		// afterwards releases the journal handle but keeps the files as
 		// a rollback backstop until the router's purge acknowledgment.

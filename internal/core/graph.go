@@ -70,7 +70,7 @@ type Edge struct {
 //
 // Concurrency contract: structural mutation (Add/Connect/Remove/attach)
 // must not run concurrently with propagation (Inject/Step*). The Runner
-// freezes the structure while running.
+// freezes the structure while running, except inside Runner.Pause.
 type Graph struct {
 	mu    sync.RWMutex
 	nodes map[string]*Node
@@ -94,7 +94,7 @@ type Graph struct {
 	errs       []error
 	errDropped int
 
-	// running freezes the structure while a Runner is active.
+	// running freezes the structure while a Runner runs, outside Pause.
 	running atomic.Bool
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -14,16 +15,27 @@ import (
 // happen in the node path both engines share. Deterministic runs use
 // Graph.Run instead.
 //
-// The graph structure is frozen while the runner is active.
+// The graph structure is frozen while the runner is active (Pause lifts it).
 type Runner struct {
 	g        *Graph
 	interval time.Duration
 	restart  *RestartPolicy
 
-	mu      sync.Mutex
-	started bool
-	cancel  context.CancelFunc
-	sources sync.WaitGroup
+	// gate is held shared by every source step and Restart, and
+	// exclusively by Pause.
+	gate sync.RWMutex
+
+	mu  sync.Mutex
+	ctx context.Context
+	// cancel stops every source; it is nil while the runner is stopped.
+	cancel context.CancelFunc
+	// drivers lists the sources given a goroutine. An exhausted source
+	// stays listed, so a Pause does not start it again.
+	drivers []*Node
+	// live counts the source goroutines not yet returned; idle, on mu,
+	// is broadcast as each returns.
+	live int
+	idle sync.Cond
 }
 
 // Restartable is implemented by source components that can recover
@@ -99,6 +111,7 @@ func WithSourceInterval(d time.Duration) RunnerOption {
 // NewRunner returns a runner for g.
 func NewRunner(g *Graph, opts ...RunnerOption) *Runner {
 	r := &Runner{g: g}
+	r.idle.L = &r.mu
 	for _, opt := range opts {
 		opt(r)
 	}
@@ -110,25 +123,60 @@ func NewRunner(g *Graph, opts ...RunnerOption) *Runner {
 func (r *Runner) Start(ctx context.Context) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.started {
+	if r.cancel != nil {
 		return fmt.Errorf("runner: %w", ErrRunning)
 	}
-	ctx, r.cancel = context.WithCancel(ctx)
+	r.ctx, r.cancel = context.WithCancel(ctx)
 	r.g.running.Store(true)
-	for _, n := range r.g.producerList() {
-		r.sources.Add(1)
-		go func() {
-			defer r.sources.Done()
-			r.driveSource(ctx, n)
-		}()
-	}
-	r.started = true
+	r.follow()
 	return nil
+}
+
+// Pause runs fn between source steps: it waits out the steps and
+// restarts in flight, holds every source before its next one, and
+// lifts the structure freeze while fn runs. Then it follows the
+// producer list: sources that are gone or replaced never step again,
+// new ones start, and the rest keep their goroutine and pacing, so a
+// pause adds no step. On a runner that is not started fn just runs.
+//
+// Pause waits for the steps in flight, so it must not be called from
+// a source step, an observer or anything they call; fn must not call
+// the runner.
+func (r *Runner) Pause(fn func() error) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.cancel == nil {
+		return fn()
+	}
+	r.gate.Lock()
+	defer r.gate.Unlock()
+	r.g.running.Store(false)
+	err := fn()
+	r.g.running.Store(true)
+	r.follow()
+	return err
+}
+
+// follow matches the drivers to the producer list: a source that left
+// it is dropped, and a listed one without a goroutine gets one. Caller
+// holds r.mu.
+func (r *Runner) follow() {
+	ps := r.g.producerList()
+	r.drivers = slices.DeleteFunc(r.drivers, func(n *Node) bool { return !slices.Contains(ps, n) })
+	for _, n := range ps {
+		if slices.Contains(r.drivers, n) {
+			continue
+		}
+		r.drivers = append(r.drivers, n)
+		r.live++
+		go r.driveSource(r.ctx, n)
+	}
 }
 
 // driveSource steps one producer until exhaustion, restarting failed
 // Restartable sources with exponential backoff when a restart policy
-// is installed.
+// is installed. Each step, with the restart a backoff may put before
+// it, holds the gate shared.
 func (r *Runner) driveSource(ctx context.Context, n *Node) {
 	var ticker *time.Ticker
 	if r.interval > 0 {
@@ -144,38 +192,22 @@ func (r *Runner) driveSource(ctx context.Context, n *Node) {
 		if backoff != nil {
 			backoff.Stop()
 		}
+		r.mu.Lock()
+		r.live--
+		r.idle.Broadcast()
+		r.mu.Unlock()
 	}()
 	attempt := 0
 	for {
-		select {
-		case <-ctx.Done():
+		r.gate.RLock()
+		if ctx.Err() != nil || !slices.Contains(r.g.producerList(), n) {
+			// Stopped, or removed or replaced by a Pause.
+			r.gate.RUnlock()
 			return
-		default:
 		}
-		more, err := n.step()
-		if !more {
-			rc, restartable := n.comp.(Restartable)
-			if err == nil || !restartable || r.restart == nil {
-				// Clean exhaustion, or nothing to restart: done.
-				return
-			}
-			attempt++
-			if r.restart.MaxRestarts > 0 && attempt > r.restart.MaxRestarts {
-				return
-			}
-			if backoff == nil {
-				backoff = time.NewTimer(r.restart.delay(attempt))
-			} else {
-				// The timer is always drained here or stopped by the
-				// deferred Stop, so Reset is safe without a racy drain.
-				backoff.Reset(r.restart.delay(attempt))
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-backoff.C:
-			}
-			if rerr := rc.Restart(); rerr != nil {
+		if attempt > 0 {
+			// The backoff has elapsed: restart, then step again.
+			if rerr := n.comp.(Restartable).Restart(); rerr != nil {
 				// Still down: keep backing off. The failure is reported
 				// to the observers but not accumulated in the graph's
 				// error buffer — a long outage is state, not new news.
@@ -183,21 +215,45 @@ func (r *Runner) driveSource(ctx context.Context, n *Node) {
 				for _, o := range r.g.hooks() {
 					o.Done(n.ID(), 0, err)
 				}
-				continue
+			} else {
+				for _, o := range r.g.hooks() {
+					o.Restarted(n.ID(), attempt)
+				}
+				attempt = 0
 			}
-			for _, o := range r.g.hooks() {
-				o.Restarted(n.ID(), attempt)
-			}
+		}
+		more, err := n.step()
+		r.gate.RUnlock()
+		if more {
 			attempt = 0
+			if ticker != nil {
+				select {
+				case <-ctx.Done():
+					return
+				case <-ticker.C:
+				}
+			}
 			continue
 		}
-		attempt = 0
-		if ticker != nil {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-			}
+		if _, ok := n.comp.(Restartable); err == nil || !ok || r.restart == nil {
+			// Clean exhaustion, or nothing to restart: done.
+			return
+		}
+		attempt++
+		if r.restart.MaxRestarts > 0 && attempt > r.restart.MaxRestarts {
+			return
+		}
+		if backoff == nil {
+			backoff = time.NewTimer(r.restart.delay(attempt))
+		} else {
+			// The timer is always drained here or stopped by the
+			// deferred Stop, so Reset is safe without a racy drain.
+			backoff.Reset(r.restart.delay(attempt))
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-backoff.C:
 		}
 	}
 }
@@ -208,13 +264,15 @@ func (r *Runner) driveSource(ctx context.Context, n *Node) {
 func (r *Runner) Stop() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.started {
+	if r.cancel == nil {
 		return nil
 	}
 	r.cancel()
-	r.sources.Wait()
+	for r.live > 0 {
+		r.idle.Wait()
+	}
 	r.g.running.Store(false)
-	r.started = false
+	r.cancel, r.drivers = nil, nil
 	return r.g.drainErrors()
 }
 
@@ -222,5 +280,9 @@ func (r *Runner) Stop() error {
 // stopped via context). The runner keeps accepting injected samples
 // until Stop is called.
 func (r *Runner) WaitSources() {
-	r.sources.Wait()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for r.live > 0 {
+		r.idle.Wait()
+	}
 }

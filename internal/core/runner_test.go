@@ -460,3 +460,226 @@ func (s *infiniteSource) Step(emit Emit) (bool, error) {
 	emit(NewSample(kindRaw, int(s.n.Add(1)), time.Time{}))
 	return true, nil
 }
+
+// waitSteps waits until src has stepped at least n times.
+func waitSteps(t *testing.T, src *countingSource, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for src.steps.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("source %q stepped %d times, want >= %d", src.id, src.steps.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRunnerPauseFollowsSourceEdits: fn runs with the structure
+// unfrozen and no source stepping, and afterwards the runner drives
+// exactly the producers fn left, each on its own pacing.
+func TestRunnerPauseFollowsSourceEdits(t *testing.T) {
+	live := func(id string) *countingSource { return &countingSource{id: id, total: 1 << 30} }
+	start := func(t *testing.T, g *Graph, opts ...RunnerOption) *Runner {
+		t.Helper()
+		r := NewRunner(g, opts...)
+		if err := r.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = r.Stop() })
+		return r
+	}
+
+	t.Run("remove", func(t *testing.T) {
+		g := New()
+		a, b := live("a"), live("b")
+		mustAdd(t, g, a)
+		mustAdd(t, g, b)
+		r := start(t, g, WithSourceInterval(time.Millisecond))
+		waitSteps(t, a, 3)
+		if err := r.Pause(func() error { return g.Remove("a") }); err != nil {
+			t.Fatal(err)
+		}
+		stepped := a.steps.Load()
+		waitSteps(t, b, b.steps.Load()+5)
+		if got := a.steps.Load(); got != stepped {
+			t.Errorf("removed source stepped %d more times", got-stepped)
+		}
+	})
+
+	t.Run("add", func(t *testing.T) {
+		g := New()
+		a, c := live("a"), live("c")
+		mustAdd(t, g, a)
+		r := start(t, g, WithSourceInterval(time.Millisecond))
+		waitSteps(t, a, 3)
+		err := r.Pause(func() error {
+			_, err := g.Add(c)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("Add inside Pause = %v, want nil", err)
+		}
+		if _, err := g.Add(live("late")); !errors.Is(err, ErrRunning) {
+			t.Errorf("Add after Pause = %v, want ErrRunning", err)
+		}
+		waitSteps(t, c, 5)
+	})
+
+	t.Run("replace", func(t *testing.T) {
+		g := New()
+		old, repl := live("a"), live("a")
+		mustAdd(t, g, old)
+		r := start(t, g, WithSourceInterval(time.Millisecond))
+		waitSteps(t, old, 3)
+		err := r.Pause(func() error {
+			if err := g.Remove("a"); err != nil {
+				return err
+			}
+			_, err := g.Add(repl)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stepped := old.steps.Load()
+		waitSteps(t, repl, 5)
+		if got := old.steps.Load(); got != stepped {
+			t.Errorf("replaced node stepped %d more times", got-stepped)
+		}
+	})
+
+	t.Run("exhausted", func(t *testing.T) {
+		g := New()
+		once, b := &countingSource{id: "once", total: 1}, live("b")
+		mustAdd(t, g, once)
+		mustAdd(t, g, b)
+		r := start(t, g, WithSourceInterval(time.Millisecond))
+		waitSteps(t, once, 1)
+		for i := 0; i < 5; i++ {
+			if err := r.Pause(func() error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitSteps(t, b, b.steps.Load()+5)
+		if got := once.steps.Load(); got != 1 {
+			t.Errorf("exhausted source stepped %d times, want 1", got)
+		}
+	})
+
+	t.Run("keeps pacing", func(t *testing.T) {
+		// A period that never elapses: every step after the first would
+		// be one a pause added.
+		g := New()
+		a := live("a")
+		mustAdd(t, g, a)
+		r := start(t, g, WithSourceInterval(time.Hour))
+		waitSteps(t, a, 1)
+		for i := 0; i < 5; i++ {
+			if err := r.Pause(func() error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+		if got := a.steps.Load(); got != 1 {
+			t.Errorf("source stepped %d times across 5 pauses, want 1", got)
+		}
+	})
+
+	t.Run("backoff", func(t *testing.T) {
+		g := New()
+		d := &dyingSource{id: "d", failures: 1 << 30}
+		mustAdd(t, g, d)
+		r := start(t, g, WithSourceRestart(RestartPolicy{Base: time.Millisecond, Max: time.Millisecond}))
+		counts := func() (int, int) {
+			d.mu.Lock()
+			defer d.mu.Unlock()
+			return d.fails, d.restarts
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for _, restarts := counts(); restarts < 3; _, restarts = counts() {
+			if time.Now().After(deadline) {
+				t.Fatal("source never restarted")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		var before, after [2]int
+		err := r.Pause(func() error {
+			before[0], before[1] = counts()
+			time.Sleep(20 * time.Millisecond)
+			after[0], after[1] = counts()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if before != after {
+			t.Errorf("steps/restarts moved from %v to %v while paused", before, after)
+		}
+		for _, restarts := counts(); restarts <= after[1]; _, restarts = counts() {
+			if time.Now().After(deadline) {
+				t.Fatal("source never restarted after the pause")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+
+	t.Run("wait sources", func(t *testing.T) {
+		// A source a Pause starts after the first one was exhausted is
+		// waited for too, also by a WaitSources already waiting.
+		g := New()
+		a, b := &countingSource{id: "a", total: 3}, &countingSource{id: "b", total: 3}
+		mustAdd(t, g, a)
+		r := start(t, g, WithSourceInterval(time.Millisecond))
+		waited := make(chan struct{})
+		go func() {
+			r.WaitSources()
+			close(waited)
+		}()
+		waitSteps(t, a, 3)
+		err := r.Pause(func() error {
+			_, err := g.Add(b)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.WaitSources()
+		if got := b.steps.Load(); got != 3 {
+			t.Errorf("WaitSources returned after %d of the added source's 3 steps", got)
+		}
+		<-waited
+	})
+
+	t.Run("racing stop", func(t *testing.T) {
+		for i := 0; i < 20; i++ {
+			g := New()
+			a := live("a")
+			mustAdd(t, g, a)
+			r := NewRunner(g)
+			if err := r.Start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			added := live("c")
+			done := make(chan error, 1)
+			go func() {
+				done <- r.Pause(func() error {
+					_, err := g.Add(added)
+					return err
+				})
+			}()
+			if err := r.Stop(); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if _, err := g.Add(live("after")); err != nil {
+				t.Fatalf("Add after Pause and Stop = %v, want nil (graph unfrozen)", err)
+			}
+			stepped := a.steps.Load() + added.steps.Load()
+			time.Sleep(2 * time.Millisecond)
+			if got := a.steps.Load() + added.steps.Load(); got != stepped {
+				t.Fatalf("sources stepped %d more times after Pause and Stop returned", got-stepped)
+			}
+		}
+	})
+}

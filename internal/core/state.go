@@ -170,8 +170,8 @@ func (n *Node) restoreStateLocked(st NodeState) error {
 // logical clocks, span bookkeeping and the serialized state of every
 // stateful component (via its "state" feature or its own StateAccess).
 // The graph must be quiescent — it fails with ErrRunning while an async
-// Runner is active; the caller (runtime.Session.Checkpoint) pauses the
-// runner first.
+// Runner is active outside Runner.Pause, the seam runtime.Session's
+// Checkpoint captures through.
 func (g *Graph) SnapshotState() (GraphState, error) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()

@@ -11,8 +11,8 @@ import (
 
 // Adapter applies a structural edit to a pipeline's graph. The graph is
 // frozen while its async runner is active, so the owner (in practice
-// runtime.Session) must pause propagation, apply the edit, refresh the
-// positioning layer and resume — ApplyEdit encapsulates that dance.
+// runtime.Session) applies the edit inside the runner's Pause, between
+// source steps, and refreshes the channel layer.
 type Adapter interface {
 	ApplyEdit(edit func(*core.Graph) error) error
 }
@@ -58,7 +58,8 @@ type Reroute struct {
 // the configured degradation reroutes through the Adapter, and notifies
 // listeners of every transition. Listener callbacks and reroute edits
 // run on the supervisor's own goroutine — never on engine goroutines —
-// so an edit can safely stop and restart the runner.
+// because an edit pauses the runner, and a pause waits out the source
+// steps in flight: called from one, it would wait for itself.
 type Supervisor struct {
 	mon      *Monitor
 	adapter  Adapter

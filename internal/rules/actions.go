@@ -8,7 +8,7 @@ import (
 )
 
 // Action is a reversible structural edit. Apply and Revert run inside
-// the runtime's pause-edit-resume seam (the graph is stopped), on the
+// the runtime's pause seam (no source steps meanwhile), on the
 // supervisor goroutine. Edges declares the action's structural
 // footprint so the engine can keep rules off edges the health
 // supervisor has claimed for degradation routing.

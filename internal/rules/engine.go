@@ -124,8 +124,8 @@ type Config struct {
 	// Rules is the declarative rule set, evaluated in declaration
 	// order.
 	Rules []Rule
-	// Adapter applies graph edits (runtime.Session's pause-edit-resume
-	// seam). Required when Rules is non-empty.
+	// Adapter applies graph edits (runtime.Session's pause seam, which
+	// edits between source steps). Required when Rules is non-empty.
 	Adapter health.Adapter
 	// Monitor supplies per-node health signals (errors:, restarts:,
 	// silence_ms:, …). Optional; without it those signals read as

@@ -20,10 +20,10 @@ import (
 
 // Checkpoint captures the session's state and appends it durably,
 // returning the record's sequence number. Snapshots need a quiescent
-// graph, so an active async runner is paused around the capture and
-// restarted — the same pause the supervisor uses for graph edits; a
-// Step/Run-driven session just holds the run lock. Fails with
-// ErrNoCheckpoints when the manager has no store.
+// graph, so the capture runs through the pause seam edits use: inside
+// the runner's Pause on a started session, under the run lock on a
+// Step/Run-driven one. Fails with ErrNoCheckpoints when the manager
+// has no store.
 func (s *Session) Checkpoint() (uint64, error) {
 	if s.store == nil {
 		return 0, ErrNoCheckpoints
@@ -37,39 +37,15 @@ func (s *Session) Checkpoint() (uint64, error) {
 	return seq, err
 }
 
-// checkpointFinal is the evict-time variant: it stops the runner for
-// good (the session is about to close) and captures the state the
-// session dies with. The supervisor is stopped first so no graph edit
-// interleaves with the teardown.
-func (s *Session) checkpointFinal() (uint64, error) {
-	if s.store == nil {
-		return 0, ErrNoCheckpoints
-	}
-	if s.supervisor != nil {
-		s.supervisor.Stop()
-	}
-	s.runMu.Lock()
-	defer s.runMu.Unlock()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return 0, ErrClosed
-	}
-	r := s.runner
-	s.runner = nil
-	s.stopCheckpointLoopLocked()
-	s.mu.Unlock()
-	if r != nil {
-		_ = r.Stop()
-	}
-	return s.appendSnapshot()
-}
-
 // appendSnapshot captures the quiescent graph and appends one record.
-// Caller holds runMu with no runner active.
+// A capture failure is counted on the hub here; the store's OnAppend
+// counts its own failures.
 func (s *Session) appendSnapshot() (uint64, error) {
 	gs, err := s.graph.SnapshotState()
 	if err != nil {
+		if s.metrics != nil {
+			s.metrics.CheckpointErrors.Inc()
+		}
 		return 0, fmt.Errorf("runtime: checkpoint session %q: %w", s.id, err)
 	}
 	return s.store.Append(checkpoint.SessionState{
@@ -82,7 +58,7 @@ func (s *Session) appendSnapshot() (uint64, error) {
 }
 
 // checkpointLoop periodically checkpoints a running session until its
-// stop channel closes. Errors are deliberately dropped: a failed
+// stop channel closes. Errors are counted, not returned: a failed
 // periodic checkpoint leaves the previous record in place, and the
 // evict-time checkpoint still runs.
 func (s *Session) checkpointLoop(stop <-chan struct{}) {
@@ -95,14 +71,6 @@ func (s *Session) checkpointLoop(stop <-chan struct{}) {
 		case <-t.C:
 			_, _ = s.Checkpoint()
 		}
-	}
-}
-
-// stopCheckpointLoopLocked halts the periodic ticker. Caller holds s.mu.
-func (s *Session) stopCheckpointLoopLocked() {
-	if s.ckptStop != nil {
-		close(s.ckptStop)
-		s.ckptStop = nil
 	}
 }
 
@@ -147,7 +115,7 @@ func (m *Manager) ResumeSession(id string) (*Session, error) {
 		return nil, err
 	}
 	if err := s.graph.RestoreState(state.Graph); err != nil {
-		s.close()
+		s.close(false)
 		return nil, fmt.Errorf("runtime: resume session %q: %w", id, err)
 	}
 	s.provider.SetAvailability(positioning.Availability(state.Availability))

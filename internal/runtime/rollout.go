@@ -16,7 +16,7 @@ import (
 // manager's BlueprintSet through a canary → gate → ramp state machine,
 // rolling the canaries back when the observability gate trips. Each
 // individual session migration goes through Session.migrate — the
-// pause→Adapt→resume seam — so sessions keep serving throughout and a
+// pause seam Adapt uses — so sessions keep serving throughout and a
 // failed per-session migration leaves that session on its old revision
 // with state restored.
 

@@ -245,15 +245,10 @@ func (m *Manager) Evict(id string) bool {
 	return true
 }
 
-// retire checkpoints (best effort) and closes an already-deregistered
-// session, then fires onEvict. Runs outside all manager locks.
+// retire closes an already-deregistered session with a final
+// checkpoint, then fires onEvict. Runs outside all manager locks.
 func (m *Manager) retire(s *Session) {
-	if m.cfg.Checkpoints != nil {
-		// Best effort: a failed final checkpoint must not block eviction,
-		// and the previous periodic record (if any) remains recoverable.
-		_, _ = s.checkpointFinal()
-	}
-	s.close()
+	s.close(true)
 	m.noteRetired(s.id, s.Revision())
 	if m.onEvict != nil {
 		m.onEvict(s)

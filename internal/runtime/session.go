@@ -98,8 +98,8 @@ type SessionConfig struct {
 	Observability *obs.Metrics
 	// Rules enables declarative self-adaptation: each session gets a
 	// rules.Engine evaluating the rule set on the supervisor sweep and
-	// applying reversible graph edits through the session's own
-	// pause-edit-resume seam. A session with rules always runs a
+	// applying reversible graph edits between source steps through the
+	// session's own pause seam. A session with rules always runs a
 	// monitor and supervisor (with the default health.Policy when
 	// Health is nil) so the sweep exists to piggyback on.
 	Rules []rules.Rule
@@ -142,9 +142,7 @@ type Session struct {
 	// runMu serialises propagation (Run/Step/async runner lifecycle)
 	// against supervisor-applied graph edits and close. Lock order:
 	// runMu → mu.
-	runMu      sync.Mutex
-	runCtx     context.Context
-	runnerOpts []core.RunnerOption
+	runMu sync.Mutex
 
 	mu       sync.Mutex
 	runner   *core.Runner
@@ -318,23 +316,17 @@ func (s *Session) feature(name string) (any, bool) {
 }
 
 // Adapt applies a structural or feature change to this session only —
-// the per-target PSL seam. The channel layer is refreshed afterwards so
-// Channel Features survive the edit. Fails with core.ErrRunning while
-// the session's async runner is active.
+// the per-target PSL seam. On a started session fn runs inside the
+// runner's Pause, between source steps. The channel layer is refreshed
+// afterwards so Channel Features survive the edit. Like Checkpoint, it
+// must not be called from a provider subscriber or anything else a
+// source step runs.
 func (s *Session) Adapt(fn func(g *core.Graph, l *channel.Layer) error) error {
-	s.runMu.Lock()
-	defer s.runMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	err := s.applyEdit(func(g *core.Graph) error { return fn(g, s.layer) })
+	if err == nil {
+		s.touch()
 	}
-	if err := fn(s.graph, s.layer); err != nil {
-		return err
-	}
-	s.layer.Refresh()
-	s.lastUsed = s.clock()
-	return nil
+	return err
 }
 
 // Monitor returns the session's health monitor (nil when supervision
@@ -349,51 +341,28 @@ func (s *Session) Supervisor() *health.Supervisor { return s.supervisor }
 // rules are configured).
 func (s *Session) Rules() *rules.Engine { return s.rules }
 
-// pauseAndRun is the shared pause→edit→resume seam: the graph is
-// frozen while the async runner is active, so the runner (if any) is
-// stopped, fn runs against the quiescent graph, and a fresh runner is
-// started with the saved context and options. Supervisor edits, manual
-// checkpoints and revision migrations all go through here. fn's error
-// does not abort the resume; a restart failure is joined onto it.
+// pauseAndRun is the one seam for edits, checkpoints and migrations:
+// under the run lock, so no Run or StepN batch interleaves, fn runs
+// inside the runner's Pause on a started session and directly
+// otherwise.
 func (s *Session) pauseAndRun(fn func() error) error {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	closed, r := s.closed, s.runner
+	s.mu.Unlock()
+	if closed {
 		return ErrClosed
 	}
-	r := s.runner
-	ctx, opts := s.runCtx, s.runnerOpts
-	s.mu.Unlock()
-	if r != nil {
-		// Drained run errors were already reported to the observer; a
-		// pause for adaptation is not a failure of the edit.
-		_ = r.Stop()
+	if r == nil {
+		return fn()
 	}
-	err := fn()
-	if r != nil {
-		s.mu.Lock()
-		if s.closed || s.runner != r {
-			// Closed or stopped while paused: don't resurrect the runner.
-			s.mu.Unlock()
-			return err
-		}
-		nr := core.NewRunner(s.graph, opts...)
-		if serr := nr.Start(ctx); serr != nil {
-			s.runner = nil
-			s.mu.Unlock()
-			return errors.Join(err, serr)
-		}
-		s.runner = nr
-		s.mu.Unlock()
-	}
-	return err
+	return r.Pause(fn)
 }
 
-// applyEdit is the supervisor's Adapter: pause, apply the edit, refresh
-// the channel layer, resume. Runs on the supervisor goroutine, never on
-// engine goroutines.
+// applyEdit is the edit path of Adapt and the supervisor's Adapter:
+// apply the edit through the pause seam and refresh the channel layer.
+// The supervisor calls it from its own goroutine, never from a step.
 func (s *Session) applyEdit(edit func(*core.Graph) error) error {
 	return s.pauseAndRun(func() error {
 		err := edit(s.graph)
@@ -410,13 +379,13 @@ func (s *Session) Revision() int {
 }
 
 // migrate maps the session's live graph onto revision `to` of the set
-// through the pause seam: the runner is paused, the cached migration
-// plan applied in place (unchanged nodes keep their instances and
-// state; changed subgraphs are re-instantiated with the session's own
-// overrides), the channel layer refreshed, and the runner resumed. On
-// a failed plan application the graph has already been rolled back to
-// the old revision with state restored (core.MigrationPlan.Apply), so
-// the session keeps serving either way.
+// through the pause seam: the cached migration plan is applied in
+// place (unchanged nodes keep their instances and state; changed
+// subgraphs are re-instantiated with the session's own overrides), the
+// channel layer refreshed, and the runner then drives the revision's
+// sources. On a failed plan application the graph has already been
+// rolled back to the old revision with state restored
+// (core.MigrationPlan.Apply), so the session keeps serving either way.
 func (s *Session) migrate(set *core.BlueprintSet, to int) error {
 	return s.pauseAndRun(func() error {
 		s.mu.Lock()
@@ -505,16 +474,13 @@ func (s *Session) Start(ctx context.Context, opts ...core.RunnerOption) error {
 		return err
 	}
 	s.runner = r
-	s.runCtx = ctx
-	s.runnerOpts = opts
 	s.lastUsed = s.clock()
 	if s.supervisor != nil {
 		s.supervisor.Start(ctx)
 	}
 	if s.store != nil && s.ckptEvery > 0 {
-		stop := make(chan struct{})
-		s.ckptStop = stop
-		go s.checkpointLoop(stop)
+		s.ckptStop = make(chan struct{})
+		go s.checkpointLoop(s.ckptStop)
 	}
 	return nil
 }
@@ -531,20 +497,40 @@ func (s *Session) WaitSources() {
 }
 
 // Stop halts the session's supervisor, checkpoint ticker and async
-// runner.
+// runner, returning the errors the runner collected.
 func (s *Session) Stop() error {
+	_, err := s.halt(false)
+	return err
+}
+
+// halt is the one stop sequence. The supervisor stops first: a sweep
+// may be inside a pause, which needs the run lock. Then, holding the
+// run lock so no Run, StepN or pause is in flight, it stops the
+// checkpoint ticker and the runner, and marks the session closed when
+// closing. It reports false when the session was already closed.
+func (s *Session) halt(closing bool) (bool, error) {
 	if s.supervisor != nil {
 		s.supervisor.Stop()
 	}
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return false, nil
+	}
+	s.closed = closing
 	r := s.runner
 	s.runner = nil
-	s.stopCheckpointLoopLocked()
+	if s.ckptStop != nil {
+		close(s.ckptStop)
+		s.ckptStop = nil
+	}
 	s.mu.Unlock()
 	if r == nil {
-		return nil
+		return true, nil
 	}
-	return r.Stop()
+	return true, r.Stop()
 }
 
 // LastUsed reports when the session last served a call — the idle
@@ -563,32 +549,19 @@ func (s *Session) touch() {
 }
 
 // close tears the session down: the supervisor and runner are stopped,
-// the channel layer detached, and the provider retired to OutOfService.
-// It waits for an in-flight Run or StepN to finish, so nothing is
-// delivered once it returns and later calls get ErrClosed. Idempotent.
-func (s *Session) close() {
-	// Stop the supervisor before taking locks: its sweep goroutine may
-	// be inside applyEdit, which needs both session locks to finish.
-	if s.supervisor != nil {
-		s.supervisor.Stop()
-	}
-	// The run lock waits out an in-flight Run or StepN; once closed is
-	// set, none can start.
-	s.runMu.Lock()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.runMu.Unlock()
+// the state the session dies with is checkpointed when final is set and
+// a store is configured, the channel layer is detached, and the
+// provider retired to OutOfService. It waits for an in-flight Run,
+// StepN or pause to finish, so nothing is delivered once it returns and
+// later calls get ErrClosed. Idempotent.
+func (s *Session) close(final bool) {
+	if ok, _ := s.halt(true); !ok {
 		return
 	}
-	s.closed = true
-	r := s.runner
-	s.runner = nil
-	s.stopCheckpointLoopLocked()
-	s.mu.Unlock()
-	s.runMu.Unlock()
-	if r != nil {
-		_ = r.Stop()
+	if final && s.store != nil {
+		// Best effort: appendSnapshot counts a failure, and the previous
+		// periodic record (if any) stays recoverable.
+		_, _ = s.appendSnapshot()
 	}
 	if s.observeCancel != nil {
 		s.observeCancel()
