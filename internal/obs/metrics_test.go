@@ -146,30 +146,8 @@ func TestHistogramEdgeValues(t *testing.T) {
 	}
 }
 
-func TestMetricsShardGauges(t *testing.T) {
-	m := New()
-	m.InitShards(4)
-	if g := m.ShardLive(2); g == nil {
-		t.Fatal("ShardLive(2) = nil inside range")
-	} else {
-		g.Inc()
-		g.Inc()
-	}
-	if g := m.ShardLive(7); g != nil {
-		t.Error("ShardLive(7) non-nil outside range")
-	}
-	if got := m.SessionsLive(); got != 2 {
-		t.Errorf("SessionsLive = %d, want 2", got)
-	}
-	m.InitShards(4) // idempotent: gauges must survive
-	if got := m.SessionsLive(); got != 2 {
-		t.Errorf("SessionsLive after re-init = %d, want 2", got)
-	}
-}
-
 func TestMetricsSnapshotShape(t *testing.T) {
 	m := New()
-	m.InitShards(2)
 	tapN(NewGraphObserver(m, nil), "gps", 3)
 	m.ProviderTransition("AVAILABLE")
 	m.ObserveTreeDepth(3)
@@ -183,7 +161,7 @@ func TestMetricsSnapshotShape(t *testing.T) {
 		t.Fatalf("snapshot not marshalable: %v", err)
 	}
 	for _, key := range []string{
-		`"spans_emitted":3`, `"sessions_live":0`, `"shard_live":[0,0]`,
+		`"spans_emitted":3`, `"sessions_live":0`,
 		`"provider_transitions":{"AVAILABLE":1}`, `"tree_depth"`, `"nodes"`,
 		`"pump_errors":1`,
 	} {

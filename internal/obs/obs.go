@@ -17,13 +17,16 @@
 // without a Metrics hub pays nothing at all.
 //
 // Export is pull-based: Metrics.Snapshot marshals to the expvar-style
-// JSON served by Handler (http.go) next to net/http/pprof, summing the
-// live sessions' emission cells at read time.
+// JSON and WritePrometheus to the Prometheus text served by Handler
+// (http.go) next to net/http/pprof. Both render the hub's one metric
+// table, summing the live sessions' emission cells at read time.
 package obs
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -63,7 +66,7 @@ type nodeSnapshot struct {
 }
 
 // Metrics is the hub: one per process (or per manager under test),
-// shared by every session, shard and store that reports into it. All
+// shared by every session and store that reports into it. All
 // methods are safe for concurrent use. The zero value is NOT ready —
 // use New.
 type Metrics struct {
@@ -71,10 +74,12 @@ type Metrics struct {
 	// counted per node, per session (see SpansEmitted).
 	SpansDropped Counter
 
-	// Session-manager lifecycle.
+	// Session-manager lifecycle; SessionsLive is the number of sessions
+	// the manager holds.
 	SessionsCreated Counter
 	SessionsEvicted Counter
 	SessionsResumed Counter
+	SessionsLive    Gauge
 
 	// Supervisor reroute churn: engage covers both fresh engagements
 	// and rule switches; disengage is a full restore.
@@ -140,13 +145,8 @@ type Metrics struct {
 	// 16 deliveries per channel.
 	TreeDepth Histogram
 
-	// shardLive is one live-session gauge per manager shard, sized by
-	// InitShards. The slice itself is written once before traffic.
-	shardMu   sync.Mutex
-	shardLive []*Gauge
-
-	// nodes maps node ID -> *NodeMetrics, populated on first touch.
-	nodes sync.Map
+	// nodes holds each node ID's metrics, created on first touch.
+	nodes family[NodeMetrics]
 
 	// observers holds the GraphObservers not yet closed; reads sum
 	// their emission cells. obsMu also orders a Close's fold into
@@ -154,39 +154,68 @@ type Metrics struct {
 	obsMu     sync.Mutex
 	observers map[*GraphObserver]struct{}
 
-	// providerTransitions maps availability-state name -> *Counter of
-	// transitions INTO that state.
-	providerTransitions sync.Map
+	// providerTransitions counts transitions INTO each availability
+	// state, by state name.
+	providerTransitions family[Counter]
 
-	// revisionLive maps blueprint revision number -> *Gauge of sessions
-	// currently running that revision — the fleet's upgrade progress at
-	// a glance.
-	revisionLive sync.Map
+	// revisionLive gauges the sessions currently running each blueprint
+	// revision — the fleet's upgrade progress at a glance.
+	revisionLive family[Gauge]
 
-	// remoteBackoff maps uplink ID -> *Gauge holding the current redial
-	// backoff in nanoseconds (0 only before first use; the base backoff
-	// once connected).
-	remoteBackoff sync.Map
+	// remoteBackoff holds each uplink's current redial backoff in
+	// nanoseconds (0 only before first use; the base backoff once
+	// connected).
+	remoteBackoff family[Gauge]
 
-	// clusterNodeSessions maps cluster-node ID -> *Gauge of sessions the
-	// router currently routes to that node; clusterNodeUp maps node ID
-	// -> *Gauge that is 1 while the node's breaker is closed, 0 while
-	// quarantined or dead.
-	clusterNodeSessions sync.Map
-	clusterNodeUp       sync.Map
+	// clusterNodeSessions gauges the sessions the router currently
+	// routes to each cluster node; clusterNodeUp is 1 while a node's
+	// breaker is closed, 0 while quarantined or dead.
+	clusterNodeSessions family[Gauge]
+	clusterNodeUp       family[Gauge]
+}
+
+// family is a labeled metric family: one metric per label value,
+// created on first use. label is the Prometheus label the value goes
+// in; Snapshot keys the family's JSON object by the value itself.
+type family[V any] struct {
+	label string
+	m     sync.Map // label value -> *V
+}
+
+// get returns (creating on first use) the metric for one label value.
+func (f *family[V]) get(key string) *V {
+	if v, ok := f.m.Load(key); ok {
+		return v.(*V)
+	}
+	v, _ := f.m.LoadOrStore(key, new(V))
+	return v.(*V)
+}
+
+// keys returns the family's label values, sorted.
+func (f *family[V]) keys() []string {
+	var out []string
+	f.m.Range(func(k, _ any) bool {
+		out = append(out, k.(string))
+		return true
+	})
+	sort.Strings(out)
+	return out
 }
 
 // New returns an empty hub.
-func New() *Metrics { return &Metrics{observers: make(map[*GraphObserver]struct{})} }
+func New() *Metrics {
+	m := &Metrics{observers: make(map[*GraphObserver]struct{})}
+	m.nodes.label = "node"
+	m.providerTransitions.label = "state"
+	m.revisionLive.label = "revision"
+	m.remoteBackoff.label = "uplink"
+	m.clusterNodeSessions.label = "node"
+	m.clusterNodeUp.label = "node"
+	return m
+}
 
 // Node returns (creating on first use) the named node's metrics.
-func (m *Metrics) Node(id string) *NodeMetrics {
-	if v, ok := m.nodes.Load(id); ok {
-		return v.(*NodeMetrics)
-	}
-	v, _ := m.nodes.LoadOrStore(id, &NodeMetrics{})
-	return v.(*NodeMetrics)
-}
+func (m *Metrics) Node(id string) *NodeMetrics { return m.nodes.get(id) }
 
 // emissionTotals returns every node's emission count, what closed
 // observers folded in plus what the live observers' cells hold now,
@@ -196,7 +225,7 @@ func (m *Metrics) emissionTotals() (map[string]uint64, uint64) {
 	var sum uint64
 	m.obsMu.Lock()
 	defer m.obsMu.Unlock()
-	m.nodes.Range(func(k, v any) bool {
+	m.nodes.m.Range(func(k, v any) bool {
 		n := v.(*NodeMetrics).emissions.Value()
 		out[k.(string)] = n
 		sum += n
@@ -238,94 +267,26 @@ func (m *Metrics) LiveCells() int {
 	return n
 }
 
-// InitShards sizes the per-shard live-session gauges. Idempotent per
-// size; the manager calls it once at construction, before traffic.
-func (m *Metrics) InitShards(n int) {
-	m.shardMu.Lock()
-	defer m.shardMu.Unlock()
-	if len(m.shardLive) == n {
-		return
-	}
-	gauges := make([]*Gauge, n)
-	for i := range gauges {
-		gauges[i] = &Gauge{}
-	}
-	m.shardLive = gauges
-}
-
-// ShardLive returns shard i's live-session gauge, or nil when i is out
-// of the InitShards range.
-func (m *Metrics) ShardLive(i int) *Gauge {
-	m.shardMu.Lock()
-	defer m.shardMu.Unlock()
-	if i < 0 || i >= len(m.shardLive) {
-		return nil
-	}
-	return m.shardLive[i]
-}
-
-// SessionsLive sums the shard gauges.
-func (m *Metrics) SessionsLive() int64 {
-	m.shardMu.Lock()
-	defer m.shardMu.Unlock()
-	var n int64
-	for _, g := range m.shardLive {
-		n += g.Value()
-	}
-	return n
-}
-
 // ProviderTransition counts one availability transition into the named
 // JSR-179 state ("AVAILABLE", "TEMPORARILY_UNAVAILABLE", ...).
-func (m *Metrics) ProviderTransition(state string) {
-	if v, ok := m.providerTransitions.Load(state); ok {
-		v.(*Counter).Inc()
-		return
-	}
-	v, _ := m.providerTransitions.LoadOrStore(state, &Counter{})
-	v.(*Counter).Inc()
-}
+func (m *Metrics) ProviderTransition(state string) { m.providerTransitions.get(state).Inc() }
 
 // RevisionLive returns (creating on first use) the live-session gauge
 // for one blueprint revision. The manager moves sessions between
 // revision gauges as they are created, migrated, resumed and retired.
-func (m *Metrics) RevisionLive(rev int) *Gauge {
-	if v, ok := m.revisionLive.Load(rev); ok {
-		return v.(*Gauge)
-	}
-	v, _ := m.revisionLive.LoadOrStore(rev, &Gauge{})
-	return v.(*Gauge)
-}
+func (m *Metrics) RevisionLive(rev int) *Gauge { return m.revisionLive.get(strconv.Itoa(rev)) }
 
 // RemoteBackoff returns (creating on first use) the named uplink's
 // current-backoff gauge, in nanoseconds.
-func (m *Metrics) RemoteBackoff(uplink string) *Gauge {
-	if v, ok := m.remoteBackoff.Load(uplink); ok {
-		return v.(*Gauge)
-	}
-	v, _ := m.remoteBackoff.LoadOrStore(uplink, &Gauge{})
-	return v.(*Gauge)
-}
+func (m *Metrics) RemoteBackoff(uplink string) *Gauge { return m.remoteBackoff.get(uplink) }
 
 // ClusterNodeSessions returns (creating on first use) the gauge of
 // sessions routed to one cluster node.
-func (m *Metrics) ClusterNodeSessions(node string) *Gauge {
-	if v, ok := m.clusterNodeSessions.Load(node); ok {
-		return v.(*Gauge)
-	}
-	v, _ := m.clusterNodeSessions.LoadOrStore(node, &Gauge{})
-	return v.(*Gauge)
-}
+func (m *Metrics) ClusterNodeSessions(node string) *Gauge { return m.clusterNodeSessions.get(node) }
 
 // ClusterNodeUp returns (creating on first use) the up/down gauge for
 // one cluster node: 1 healthy, 0 quarantined or dead.
-func (m *Metrics) ClusterNodeUp(node string) *Gauge {
-	if v, ok := m.clusterNodeUp.Load(node); ok {
-		return v.(*Gauge)
-	}
-	v, _ := m.clusterNodeUp.LoadOrStore(node, &Gauge{})
-	return v.(*Gauge)
-}
+func (m *Metrics) ClusterNodeUp(node string) *Gauge { return m.clusterNodeUp.get(node) }
 
 // ObserveTreeDepth records one channel data-tree depth.
 func (m *Metrics) ObserveTreeDepth(depth int) {
@@ -346,6 +307,62 @@ func (m *Metrics) CheckpointAppend(_ string, bytes int, d time.Duration, err err
 	m.CheckpointNs.ObserveDuration(d)
 }
 
+// metric is one row of the hub's metric table, the one list both
+// exporters render: the JSON key ("group.key" nests it under group),
+// the Prometheus family name and help text, and the metric itself — a
+// *Counter, *Gauge, *Histogram, *family[Counter] or *family[Gauge].
+type metric struct {
+	key, name, help string
+	v               any
+}
+
+// table lists the hub's metrics in exposition order. spans_emitted
+// and the per-node metrics are not in it: both derive from one read of
+// the emission cells (emissionTotals), so each exporter renders them
+// around the table.
+func (m *Metrics) table() []metric {
+	return []metric{
+		{"spans_dropped", "perpos_spans_dropped_total", "Gate-refused deliveries.", &m.SpansDropped},
+		{"sessions_created", "perpos_sessions_created_total", "Sessions instantiated from the blueprint.", &m.SessionsCreated},
+		{"sessions_evicted", "perpos_sessions_evicted_total", "Sessions evicted or closed.", &m.SessionsEvicted},
+		{"sessions_resumed", "perpos_sessions_resumed_total", "Sessions rehydrated from checkpoints.", &m.SessionsResumed},
+		{"supervisor_engaged", "perpos_supervisor_engaged_total", "Supervisor reroute engagements and switches.", &m.SupervisorEngaged},
+		{"supervisor_disengaged", "perpos_supervisor_disengaged_total", "Supervisor full restores.", &m.SupervisorDisengaged},
+		{"checkpoint.writes", "perpos_checkpoint_writes_total", "Durable checkpoint appends.", &m.CheckpointWrites},
+		{"checkpoint.errors", "perpos_checkpoint_errors_total", "Failed checkpoint appends.", &m.CheckpointErrors},
+		{"checkpoint.bytes", "perpos_checkpoint_bytes_total", "Bytes appended to checkpoint journals.", &m.CheckpointBytes},
+		{"rollout.started", "perpos_rollouts_started_total", "Rolling upgrades started.", &m.RolloutsStarted},
+		{"rollout.completed", "perpos_rollouts_completed_total", "Rolling upgrades completed.", &m.RolloutsCompleted},
+		{"rollout.rolled_back", "perpos_rollouts_rolled_back_total", "Rolling upgrades rolled back by the canary gate.", &m.RolloutsRolledBack},
+		{"rollout.upgraded", "perpos_rollout_sessions_upgraded_total", "Sessions migrated to a new revision.", &m.RolloutUpgraded},
+		{"rollout.reverted", "perpos_rollout_sessions_reverted_total", "Canary sessions migrated back after a gate failure.", &m.RolloutReverted},
+		{"rollout.failed", "perpos_rollout_sessions_failed_total", "Session migrations that errored.", &m.RolloutFailed},
+		{"sessions_live", "perpos_sessions_live", "Live sessions.", &m.SessionsLive},
+		{"revision_live", "perpos_revision_sessions_live", "Live sessions per blueprint revision.", &m.revisionLive},
+		{"provider_transitions", "perpos_provider_transitions_total", "Provider availability transitions into each state.", &m.providerTransitions},
+		{"remote.sent", "perpos_remote_sent_total", "Samples shipped over remote uplinks.", &m.RemoteSent},
+		{"remote.dropped", "perpos_remote_dropped_total", "Samples shed because the uplink peer was unreachable.", &m.RemoteDropped},
+		{"remote.backoff_ns", "perpos_remote_backoff_ns", "Current uplink redial backoff in nanoseconds.", &m.remoteBackoff},
+		{"cluster.handoffs", "perpos_cluster_handoffs_total", "Completed cluster session handoffs.", &m.ClusterHandoffs},
+		{"cluster.handoff_failed", "perpos_cluster_handoff_failed_total", "Cluster session handoffs that failed and rolled back.", &m.ClusterHandoffFailed},
+		{"cluster.failovers", "perpos_cluster_failovers_total", "Node-death failovers executed by the router.", &m.ClusterFailovers},
+		{"cluster.resurrected", "perpos_cluster_sessions_resurrected_total", "Sessions resurrected on survivors after a node death.", &m.ClusterResurrected},
+		{"cluster.rebalanced", "perpos_cluster_sessions_rebalanced_total", "Sessions moved by join/leave rebalancing.", &m.ClusterRebalanced},
+		{"cluster.stale_served", "perpos_cluster_stale_served_total", "Position queries served from the router's last-known cache.", &m.ClusterStaleServed},
+		{"cluster.pump_errors", "perpos_cluster_pump_errors_total", "Session steps and checkpoints that failed in a node's traffic pump.", &m.ClusterPumpErrors},
+		{"cluster.node_sessions", "perpos_cluster_node_sessions", "Sessions routed to each cluster node.", &m.clusterNodeSessions},
+		{"cluster.node_up", "perpos_cluster_node_up", "Cluster node breaker state: 1 healthy, 0 quarantined or dead.", &m.clusterNodeUp},
+		{"cluster.handoff_ns", "perpos_cluster_handoff_ns", "End-to-end session handoff latency in nanoseconds.", &m.ClusterHandoffNs},
+		{"rules.engaged", "perpos_rules_engaged_total", "Rule-engine action engagements.", &m.RulesEngaged},
+		{"rules.disengaged", "perpos_rules_disengaged_total", "Rule-engine action reverts.", &m.RulesDisengaged},
+		{"rules.quarantined", "perpos_rules_quarantined_total", "Rules benched by flap damping or guard rollback.", &m.RulesQuarantined},
+		{"rules.rolled_back", "perpos_rules_rolled_back_total", "Rule actions reverted by the probation guard.", &m.RulesRolledBack},
+		{"rules.deferred", "perpos_rules_deferred_total", "Rule engagements blocked by arbitration.", &m.RulesDeferred},
+		{"checkpoint.write_ns", "perpos_checkpoint_write_ns", "Checkpoint append latency in nanoseconds.", &m.CheckpointNs},
+		{"tree_depth", "perpos_tree_depth", "Channel data-tree depth distribution (one delivery in 16 sampled).", &m.TreeDepth},
+	}
+}
+
 // Snapshot renders the hub as a JSON-marshalable tree — the /metrics
 // payload. It is a point-in-time read under concurrent traffic: values
 // are individually atomic but not mutually consistent, which is the
@@ -353,119 +370,58 @@ func (m *Metrics) CheckpointAppend(_ string, bytes int, d time.Duration, err err
 func (m *Metrics) Snapshot() map[string]any {
 	emissions, spans := m.emissionTotals()
 	nodes := make(map[string]nodeSnapshot)
-	m.nodes.Range(func(k, v any) bool {
-		nm := v.(*NodeMetrics)
-		nodes[k.(string)] = nodeSnapshot{
-			Emissions: emissions[k.(string)],
+	for _, id := range m.nodes.keys() {
+		nm := m.Node(id)
+		nodes[id] = nodeSnapshot{
+			Emissions: emissions[id],
 			Errors:    nm.Errors.Value(),
 			Panics:    nm.Panics.Value(),
 			Drops:     nm.Drops.Value(),
 			Restarts:  nm.Restarts.Value(),
 			ProcessNs: nm.ProcessNs.Snapshot(),
 		}
-		return true
-	})
-
-	transitions := make(map[string]uint64)
-	m.providerTransitions.Range(func(k, v any) bool {
-		transitions[k.(string)] = v.(*Counter).Value()
-		return true
-	})
-
-	revisions := make(map[string]int64)
-	m.revisionLive.Range(func(k, v any) bool {
-		revisions[strconv.Itoa(k.(int))] = v.(*Gauge).Value()
-		return true
-	})
-
-	m.shardMu.Lock()
-	shardLive := make([]int64, len(m.shardLive))
-	var live int64
-	for i, g := range m.shardLive {
-		shardLive[i] = g.Value()
-		live += g.Value()
 	}
-	m.shardMu.Unlock()
-
-	backoffs := make(map[string]int64)
-	m.remoteBackoff.Range(func(k, v any) bool {
-		backoffs[k.(string)] = v.(*Gauge).Value()
-		return true
-	})
-	nodeSessions := make(map[string]int64)
-	m.clusterNodeSessions.Range(func(k, v any) bool {
-		nodeSessions[k.(string)] = v.(*Gauge).Value()
-		return true
-	})
-	nodeUp := make(map[string]int64)
-	m.clusterNodeUp.Range(func(k, v any) bool {
-		nodeUp[k.(string)] = v.(*Gauge).Value()
-		return true
-	})
-
-	return map[string]any{
-		"spans_emitted":         spans,
-		"spans_dropped":         m.SpansDropped.Value(),
-		"sessions_created":      m.SessionsCreated.Value(),
-		"sessions_evicted":      m.SessionsEvicted.Value(),
-		"sessions_resumed":      m.SessionsResumed.Value(),
-		"sessions_live":         live,
-		"shard_live":            shardLive,
-		"supervisor_engaged":    m.SupervisorEngaged.Value(),
-		"supervisor_disengaged": m.SupervisorDisengaged.Value(),
-		"provider_transitions":  transitions,
-		"revision_live":         revisions,
-		"rollout": map[string]any{
-			"started":     m.RolloutsStarted.Value(),
-			"completed":   m.RolloutsCompleted.Value(),
-			"rolled_back": m.RolloutsRolledBack.Value(),
-			"upgraded":    m.RolloutUpgraded.Value(),
-			"reverted":    m.RolloutReverted.Value(),
-			"failed":      m.RolloutFailed.Value(),
-		},
-		"checkpoint": map[string]any{
-			"writes":   m.CheckpointWrites.Value(),
-			"errors":   m.CheckpointErrors.Value(),
-			"bytes":    m.CheckpointBytes.Value(),
-			"write_ns": m.CheckpointNs.Snapshot(),
-		},
-		"remote": map[string]any{
-			"sent":       m.RemoteSent.Value(),
-			"dropped":    m.RemoteDropped.Value(),
-			"backoff_ns": backoffs,
-		},
-		"cluster": map[string]any{
-			"handoffs":       m.ClusterHandoffs.Value(),
-			"handoff_failed": m.ClusterHandoffFailed.Value(),
-			"failovers":      m.ClusterFailovers.Value(),
-			"resurrected":    m.ClusterResurrected.Value(),
-			"rebalanced":     m.ClusterRebalanced.Value(),
-			"stale_served":   m.ClusterStaleServed.Value(),
-			"pump_errors":    m.ClusterPumpErrors.Value(),
-			"handoff_ns":     m.ClusterHandoffNs.Snapshot(),
-			"node_sessions":  nodeSessions,
-			"node_up":        nodeUp,
-		},
-		"rules": map[string]any{
-			"engaged":     m.RulesEngaged.Value(),
-			"disengaged":  m.RulesDisengaged.Value(),
-			"quarantined": m.RulesQuarantined.Value(),
-			"rolled_back": m.RulesRolledBack.Value(),
-			"deferred":    m.RulesDeferred.Value(),
-		},
-		"tree_depth": m.TreeDepth.Snapshot(),
-		"nodes":      nodes,
+	out := map[string]any{"spans_emitted": spans, "nodes": nodes}
+	for _, r := range m.table() {
+		dst, key := out, r.key
+		if group, k, ok := strings.Cut(r.key, "."); ok {
+			sub, _ := out[group].(map[string]any)
+			if sub == nil {
+				sub = make(map[string]any)
+				out[group] = sub
+			}
+			dst, key = sub, k
+		}
+		dst[key] = jsonValue(r.v)
 	}
+	return out
+}
+
+// jsonValue reads one table metric for Snapshot.
+func jsonValue(v any) any {
+	switch v := v.(type) {
+	case *Counter:
+		return v.Value()
+	case *Gauge:
+		return v.Value()
+	case *Histogram:
+		return v.Snapshot()
+	case *family[Counter]:
+		out := make(map[string]uint64)
+		for _, k := range v.keys() {
+			out[k] = v.get(k).Value()
+		}
+		return out
+	case *family[Gauge]:
+		out := make(map[string]int64)
+		for _, k := range v.keys() {
+			out[k] = v.get(k).Value()
+		}
+		return out
+	}
+	panic(fmt.Sprintf("obs: no JSON form for %T", v))
 }
 
 // NodeIDs returns the IDs with per-node metrics, sorted (inspection
 // and tests).
-func (m *Metrics) NodeIDs() []string {
-	var out []string
-	m.nodes.Range(func(k, _ any) bool {
-		out = append(out, k.(string))
-		return true
-	})
-	sort.Strings(out)
-	return out
-}
+func (m *Metrics) NodeIDs() []string { return m.nodes.keys() }

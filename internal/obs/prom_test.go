@@ -11,8 +11,7 @@ import (
 func TestWritePrometheusCoversMetricFamilies(t *testing.T) {
 	m := New()
 	m.SessionsCreated.Add(3)
-	m.InitShards(2)
-	m.ShardLive(0).Inc()
+	m.SessionsLive.Inc()
 	m.RevisionLive(1).Add(5)
 	m.RevisionLive(2).Add(2)
 	m.RolloutsStarted.Inc()
@@ -33,7 +32,6 @@ func TestWritePrometheusCoversMetricFamilies(t *testing.T) {
 		"perpos_spans_emitted_total 10",
 		"perpos_sessions_created_total 3",
 		"perpos_sessions_live 1",
-		`perpos_shard_sessions_live{shard="0"} 1`,
 		"# TYPE perpos_revision_sessions_live gauge",
 		`perpos_revision_sessions_live{revision="1"} 5`,
 		`perpos_revision_sessions_live{revision="2"} 2`,

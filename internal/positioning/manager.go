@@ -1,7 +1,6 @@
 package positioning
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"sort"
@@ -293,41 +292,19 @@ type Neighbor struct {
 
 // KNearest returns the k tracked targets nearest to the given point,
 // by last known position (§2.3 "the k-nearest targets"). k <= 0 returns
-// all positioned targets. Selection keeps a bounded max-heap of the k
-// best candidates — O(n log k) instead of sorting the full target set,
-// which matters once the runtime tracks thousands of sessions.
+// all positioned targets.
 func (m *Manager) KNearest(from geo.Point, k int) []Neighbor {
-	targets := m.Targets()
-	if k <= 0 || k > len(targets) {
-		k = len(targets)
-	}
-	if k == 0 {
-		return nil
-	}
-	h := make(neighborHeap, 0, k)
-	for _, t := range targets {
-		pos, ok := t.Last()
-		if !ok {
-			continue
-		}
-		nb := Neighbor{
-			Target:   t,
-			Position: pos,
-			Distance: from.DistanceTo(pos.Global),
-		}
-		switch {
-		case len(h) < k:
-			heap.Push(&h, nb)
-		case neighborLess(nb, h[0]):
-			h[0] = nb
-			heap.Fix(&h, 0)
+	var out []Neighbor
+	for _, t := range m.Targets() {
+		if pos, ok := t.Last(); ok {
+			out = append(out, Neighbor{Target: t, Position: pos, Distance: from.DistanceTo(pos.Global)})
 		}
 	}
-	if len(h) == 0 {
-		return nil
+	sort.Slice(out, func(i, j int) bool { return neighborLess(out[i], out[j]) })
+	if k > 0 && k < len(out) {
+		out = out[:k]
 	}
-	sort.Slice(h, func(i, j int) bool { return neighborLess(h[i], h[j]) })
-	return h
+	return out
 }
 
 // neighborLess orders neighbors by distance, tie-broken by target ID
@@ -337,20 +314,4 @@ func neighborLess(a, b Neighbor) bool {
 		return a.Distance < b.Distance
 	}
 	return a.Target.ID() < b.Target.ID()
-}
-
-// neighborHeap is a max-heap on neighborLess: the root is the worst of
-// the k best seen so far, evicted when a closer candidate arrives.
-type neighborHeap []Neighbor
-
-func (h neighborHeap) Len() int           { return len(h) }
-func (h neighborHeap) Less(i, j int) bool { return neighborLess(h[j], h[i]) }
-func (h neighborHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *neighborHeap) Push(x any)        { *h = append(*h, x.(Neighbor)) }
-func (h *neighborHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

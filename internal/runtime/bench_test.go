@@ -29,8 +29,8 @@ import (
 // pace interval). The reported samples/s is the aggregate position
 // delivery rate across all sessions over the measurement window — on
 // an unsaturated machine it scales linearly with the session count,
-// so the per-session runtime overhead (shard lookups, source
-// goroutines, layer taps, provider delivery) is what bounds the curve.
+// so the per-session runtime overhead (source goroutines, layer taps,
+// provider delivery) is what bounds the curve.
 //
 // Paced, not free-running: positioning workloads are c10k-shaped (many
 // mostly-idle targets), so the interesting quantity is how many live

@@ -95,10 +95,9 @@ func (m *Manager) ResumeSession(id string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if s, ok := sh.sessions[id]; ok {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if s, ok := m.sessions[id]; ok {
 		s.touch()
 		return s, nil
 	}
@@ -119,10 +118,7 @@ func (m *Manager) ResumeSession(id string) (*Session, error) {
 		return nil, fmt.Errorf("runtime: resume session %q: %w", id, err)
 	}
 	s.provider.SetAvailability(positioning.Availability(state.Availability))
-	if sh.sessions == nil {
-		sh.sessions = make(map[string]*Session)
-	}
-	sh.sessions[id] = s
-	m.noteCreated(id, rev, true)
+	m.sessions[id] = s
+	m.noteCreated(rev, true)
 	return s, nil
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // TestSessionObservability exercises the full metrics wiring through
-// the session layer: lifecycle counters and shard gauges, emission
+// the session layer: lifecycle counters and the live gauge, emission
 // taps, data-tree depth observation, provider availability transitions,
 // checkpoint accounting, and resume counting.
 func TestSessionObservability(t *testing.T) {
@@ -33,7 +33,7 @@ func TestSessionObservability(t *testing.T) {
 	if got := hub.SessionsCreated.Value(); got != 1 {
 		t.Errorf("sessions created = %d, want 1", got)
 	}
-	if got := hub.SessionsLive(); got != 1 {
+	if got := hub.SessionsLive.Value(); got != 1 {
 		t.Errorf("sessions live = %d, want 1", got)
 	}
 
@@ -70,7 +70,7 @@ func TestSessionObservability(t *testing.T) {
 	if got := hub.SessionsEvicted.Value(); got != 1 {
 		t.Errorf("sessions evicted = %d, want 1", got)
 	}
-	if got := hub.SessionsLive(); got != 0 {
+	if got := hub.SessionsLive.Value(); got != 0 {
 		t.Errorf("sessions live after evict = %d, want 0", got)
 	}
 	// Eviction retires the provider, which is an availability
@@ -92,11 +92,11 @@ func TestSessionObservability(t *testing.T) {
 	if got := hub.SessionsCreated.Value(); got != 1 {
 		t.Errorf("sessions created after resume = %d, want still 1", got)
 	}
-	if got := hub.SessionsLive(); got != 1 {
+	if got := hub.SessionsLive.Value(); got != 1 {
 		t.Errorf("sessions live after resume = %d, want 1", got)
 	}
 	m.Close()
-	if got := hub.SessionsLive(); got != 0 {
+	if got := hub.SessionsLive.Value(); got != 0 {
 		t.Errorf("sessions live after close = %d, want 0", got)
 	}
 }

@@ -137,6 +137,36 @@ func TestAdaptWhileRunning(t *testing.T) {
 	}
 }
 
+// TestStepRefusedWhileStarted: a started session's runner steps its
+// sources, so Step, StepN and Run fail with ErrStarted until Stop
+// instead of stepping the sources alongside the runner; after Stop
+// they drive the session again.
+func TestStepRefusedWhileStarted(t *testing.T) {
+	s, delivered := startCounted(t, longGPSSessionConfig(t), "started", 10*time.Millisecond)
+	waitFor(t, 5*time.Second, "positions from the runner", func() bool { return delivered.Load() > 0 })
+	for i := 0; i < 4; i++ {
+		if _, err := s.StepN(4); !errors.Is(err, ErrStarted) {
+			t.Fatalf("StepN on a started session: err = %v, want ErrStarted", err)
+		}
+		if _, err := s.Step(); !errors.Is(err, ErrStarted) {
+			t.Fatalf("Step on a started session: err = %v, want ErrStarted", err)
+		}
+		if _, err := s.Run(1); !errors.Is(err, ErrStarted) {
+			t.Fatalf("Run on a started session: err = %v, want ErrStarted", err)
+		}
+	}
+	if err := s.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	before := delivered.Load()
+	if _, err := s.StepN(4); err != nil {
+		t.Fatalf("StepN after Stop: %v", err)
+	}
+	if delivered.Load() == before {
+		t.Error("StepN after Stop delivered no position")
+	}
+}
+
 // failingState is a "state" feature whose capture always fails.
 type failingState struct{}
 

@@ -364,16 +364,13 @@ func (m *Manager) revertCanaries(ids []string, from, concurrency int) int {
 // on the given revision.
 func (m *Manager) sessionsOnRevision(rev int) []string {
 	var out []string
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		for id, s := range sh.sessions {
-			if s.Revision() == rev {
-				out = append(out, id)
-			}
+	m.mu.RLock()
+	for id, s := range m.sessions {
+		if s.Revision() == rev {
+			out = append(out, id)
 		}
-		sh.mu.RUnlock()
 	}
+	m.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }

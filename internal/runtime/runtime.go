@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -10,21 +9,27 @@ import (
 	"perpos/internal/core"
 )
 
-// Manager is the sharded session registry: one Session per tracked
-// target, all instantiated from the shared blueprint in its
-// SessionConfig. It implements positioning.ReleasingSource, so binding
-// it to a positioning.Manager (BindSource) makes Track spin up a
-// pipeline instance and Untrack reclaim it.
+// Manager is the session registry: one Session per tracked target,
+// all instantiated from the shared blueprint in its SessionConfig, in
+// one map under one lock. It implements positioning.ReleasingSource,
+// so binding it to a positioning.Manager (BindSource) makes Track spin
+// up a pipeline instance and Untrack reclaim it.
 //
-// Lock order: shard locks are leaves — no session method and no
-// callback (onEvict) runs under a shard lock, so sources bound to a
-// positioning.Manager cannot deadlock against it.
+// Lock order: the registry lock comes before a session's own locks,
+// and no step, close or callback (onEvict) of a registered session
+// runs under it, so sources bound to a positioning.Manager cannot
+// deadlock against it. Creation (GetOrCreate, ResumeSession) is the
+// one long hold: a new session is built, and on resume rehydrated,
+// under the write lock.
 type Manager struct {
 	cfg     SessionConfig
 	set     *core.BlueprintSet
-	shards  []shard
 	clock   func() time.Time
 	onEvict func(s *Session)
+
+	// mu guards sessions: the live session of each tracked target.
+	mu       sync.RWMutex
+	sessions map[string]*Session
 
 	// activeRev is the revision new sessions instantiate. Rollout moves
 	// it when the ramp begins (forward) or the canary gate trips (back).
@@ -35,23 +40,8 @@ type Manager struct {
 	rolloutMu sync.Mutex
 }
 
-type shard struct {
-	mu       sync.RWMutex
-	sessions map[string]*Session
-}
-
 // Option configures a Manager.
 type Option func(*Manager)
-
-// WithShards sets the shard count (default 16). More shards cut lock
-// contention between unrelated targets; one shard serializes everything.
-func WithShards(n int) Option {
-	return func(m *Manager) {
-		if n > 0 {
-			m.shards = make([]shard, n)
-		}
-	}
-}
 
 // WithClock substitutes the idle-eviction clock (tests).
 func WithClock(now func() time.Time) Option {
@@ -88,10 +78,10 @@ func NewManager(cfg SessionConfig, opts ...Option) (*Manager, error) {
 		return nil, ErrNoBlueprint
 	}
 	m := &Manager{
-		cfg:    cfg,
-		set:    set,
-		shards: make([]shard, 16),
-		clock:  time.Now,
+		cfg:      cfg,
+		set:      set,
+		clock:    time.Now,
+		sessions: make(map[string]*Session),
 	}
 	initial := cfg.InitialRevision
 	if initial == 0 {
@@ -103,9 +93,6 @@ func NewManager(cfg SessionConfig, opts ...Option) (*Manager, error) {
 	m.activeRev.Store(int64(initial))
 	for _, opt := range opts {
 		opt(m)
-	}
-	if m.cfg.Observability != nil {
-		m.cfg.Observability.InitShards(len(m.shards))
 	}
 	return m, nil
 }
@@ -138,20 +125,10 @@ func (m *Manager) activeBlueprint() (int, *core.Blueprint, error) {
 	return rev, bp, nil
 }
 
-func (m *Manager) shardIndex(id string) int {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return int(h.Sum32() % uint32(len(m.shards)))
-}
-
-func (m *Manager) shardFor(id string) *shard {
-	return &m.shards[m.shardIndex(id)]
-}
-
 // noteCreated / noteRetired keep the hub's lifecycle counters, the
-// per-shard live gauges and the per-revision gauges in step with the
+// live-session gauge and the per-revision gauges in step with the
 // registry.
-func (m *Manager) noteCreated(id string, rev int, resumed bool) {
+func (m *Manager) noteCreated(rev int, resumed bool) {
 	hub := m.cfg.Observability
 	if hub == nil {
 		return
@@ -161,51 +138,42 @@ func (m *Manager) noteCreated(id string, rev int, resumed bool) {
 	} else {
 		hub.SessionsCreated.Inc()
 	}
-	if g := hub.ShardLive(m.shardIndex(id)); g != nil {
-		g.Inc()
-	}
+	hub.SessionsLive.Inc()
 	hub.RevisionLive(rev).Inc()
 }
 
-func (m *Manager) noteRetired(id string, rev int) {
+func (m *Manager) noteRetired(rev int) {
 	hub := m.cfg.Observability
 	if hub == nil {
 		return
 	}
 	hub.SessionsEvicted.Inc()
-	if g := hub.ShardLive(m.shardIndex(id)); g != nil {
-		g.Dec()
-	}
+	hub.SessionsLive.Dec()
 	hub.RevisionLive(rev).Dec()
 }
 
 // Get returns the live session for the target, if any.
 func (m *Manager) Get(id string) (*Session, bool) {
-	sh := m.shardFor(id)
-	sh.mu.RLock()
-	s, ok := sh.sessions[id]
-	sh.mu.RUnlock()
+	m.mu.RLock()
+	s, ok := m.sessions[id]
+	m.mu.RUnlock()
 	return s, ok
 }
 
 // GetOrCreate returns the target's session, instantiating the shared
 // blueprint into a new one when the target is untracked. Creation runs
-// under the target's shard lock, so concurrent callers for the same ID
-// get the same session and the blueprint is instantiated exactly once
-// per target; other shards proceed in parallel.
+// under the registry's write lock, so concurrent callers for the same
+// ID get the same session and the blueprint is instantiated exactly
+// once per target.
 func (m *Manager) GetOrCreate(id string) (*Session, error) {
-	sh := m.shardFor(id)
-	sh.mu.RLock()
-	s, ok := sh.sessions[id]
-	sh.mu.RUnlock()
-	if ok {
+	if s, ok := m.Get(id); ok {
 		s.touch()
 		return s, nil
 	}
 
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if s, ok := sh.sessions[id]; ok {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if s, ok := m.sessions[id]; ok {
 		s.touch()
 		return s, nil
 	}
@@ -217,27 +185,23 @@ func (m *Manager) GetOrCreate(id string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sh.sessions == nil {
-		sh.sessions = make(map[string]*Session)
-	}
-	sh.sessions[id] = ns
-	m.noteCreated(id, rev, false)
+	m.sessions[id] = ns
+	m.noteCreated(rev, false)
 	return ns, nil
 }
 
 // Evict removes and closes the target's session, checkpointing its
 // final state first when a checkpoint store is configured (so the
 // target is resumable later via ResumeSession). The checkpoint, the
-// close and the onEvict callback run outside the shard lock. It reports
-// whether a session existed.
+// close and the onEvict callback run outside the registry lock. It
+// reports whether a session existed.
 func (m *Manager) Evict(id string) bool {
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
+	m.mu.Lock()
+	s, ok := m.sessions[id]
 	if ok {
-		delete(sh.sessions, id)
+		delete(m.sessions, id)
 	}
-	sh.mu.Unlock()
+	m.mu.Unlock()
 	if !ok {
 		return false
 	}
@@ -249,7 +213,7 @@ func (m *Manager) Evict(id string) bool {
 // checkpoint, then fires onEvict. Runs outside all manager locks.
 func (m *Manager) retire(s *Session) {
 	s.close(true)
-	m.noteRetired(s.id, s.Revision())
+	m.noteRetired(s.Revision())
 	if m.onEvict != nil {
 		m.onEvict(s)
 	}
@@ -260,17 +224,14 @@ func (m *Manager) retire(s *Session) {
 func (m *Manager) EvictIdle(olderThan time.Duration) int {
 	cutoff := m.clock().Add(-olderThan)
 	var victims []*Session
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for id, s := range sh.sessions {
-			if !s.LastUsed().After(cutoff) {
-				delete(sh.sessions, id)
-				victims = append(victims, s)
-			}
+	m.mu.Lock()
+	for id, s := range m.sessions {
+		if !s.LastUsed().After(cutoff) {
+			delete(m.sessions, id)
+			victims = append(victims, s)
 		}
-		sh.mu.Unlock()
 	}
+	m.mu.Unlock()
 	for _, s := range victims {
 		m.retire(s)
 	}
@@ -279,27 +240,19 @@ func (m *Manager) EvictIdle(olderThan time.Duration) int {
 
 // Len returns the number of live sessions.
 func (m *Manager) Len() int {
-	n := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		n += len(sh.sessions)
-		sh.mu.RUnlock()
-	}
-	return n
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return len(m.sessions)
 }
 
 // IDs returns the live session IDs, sorted.
 func (m *Manager) IDs() []string {
-	var out []string
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		for id := range sh.sessions {
-			out = append(out, id)
-		}
-		sh.mu.RUnlock()
+	m.mu.RLock()
+	out := make([]string, 0, len(m.sessions))
+	for id := range m.sessions {
+		out = append(out, id)
 	}
+	m.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }

@@ -150,7 +150,7 @@ func (markFeature) FeatureName() string     { return "mark" }
 func (markFeature) Apply(*channel.DataTree) {}
 
 func TestGetOrCreateConcurrent(t *testing.T) {
-	m, err := NewManager(gpsSessionConfig(t), WithShards(4))
+	m, err := NewManager(gpsSessionConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}

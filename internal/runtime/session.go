@@ -28,7 +28,8 @@ import (
 var (
 	// ErrClosed indicates use of an evicted session.
 	ErrClosed = errors.New("runtime: session closed")
-	// ErrStarted indicates Start on an already-running session.
+	// ErrStarted indicates Start on an already-running session, or a
+	// Run, Step or StepN the session's runner would race.
 	ErrStarted = errors.New("runtime: session already started")
 	// ErrNoBlueprint indicates a manager configured without a blueprint.
 	ErrNoBlueprint = errors.New("runtime: config needs a blueprint")
@@ -409,18 +410,33 @@ func (s *Session) migrate(set *core.BlueprintSet, to int) error {
 
 // Run drives the session synchronously until its sources are exhausted
 // (or maxTicks), returning the number of source steps taken. Propagation
-// holds the run lock, so supervisor edits never interleave a tick.
+// holds the run lock, so supervisor edits never interleave a tick. A
+// started session's runner steps its sources, so Run fails with
+// ErrStarted until Stop.
 func (s *Session) Run(maxTicks int) (int, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
+	if err := s.stepGuard(); err != nil {
+		return 0, err
+	}
+	return s.graph.Run(maxTicks)
+}
+
+// stepGuard admits a Run or StepN that steps the sources itself and
+// touches the idle clock. It fails with ErrClosed on a closed session
+// and with ErrStarted while a runner drives it. The caller holds the
+// run lock, which Start and Stop take too.
+func (s *Session) stepGuard() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
-		return 0, ErrClosed
+		return ErrClosed
+	}
+	if s.runner != nil {
+		return ErrStarted
 	}
 	s.lastUsed = s.clock()
-	s.mu.Unlock()
-	return s.graph.Run(maxTicks)
+	return nil
 }
 
 // Step advances every source in the session by one sample.
@@ -432,17 +448,14 @@ func (s *Session) Step() (bool, error) {
 // lock acquisition, amortizing the per-step run-lock and idle-clock
 // cost — the batched drive loop for saturated (unpaced) workloads. It
 // stops early once the sources are exhausted. Supervisor edits never
-// interleave a batch: like Run, propagation holds the run lock.
+// interleave a batch: like Run, propagation holds the run lock. Like
+// Run, it fails with ErrStarted on a started session until Stop.
 func (s *Session) StepN(n int) (bool, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return false, ErrClosed
+	if err := s.stepGuard(); err != nil {
+		return false, err
 	}
-	s.lastUsed = s.clock()
-	s.mu.Unlock()
 	more := true
 	for i := 0; i < n && more; i++ {
 		var err error
