@@ -11,23 +11,22 @@
 //	perpos-bench -list
 //	perpos-bench -json bench.json   # also write per-experiment timings
 //
-// It is also the CI regression gate over those timing files:
+// It is also CI's benchmark gate over `go test -bench` output (see
+// gate.go for the checks a gate file holds):
 //
-//	perpos-bench -gobench bench.txt -json new.json
-//	                        # convert `go test -bench` output to timings
-//	perpos-bench -compare old.json new.json -tol 10%
-//	                        # fail (exit 1) when any timing in old.json
-//	                        # regressed beyond the tolerance in new.json
+//	perpos-bench -gate BENCH.json bench.txt
+//	                        # fail (exit 1) when any check in BENCH.json
+//	                        # misses its bound in bench.txt
+//	perpos-bench -gate BENCH.json bench.txt -json BENCH.json
+//	                        # also rewrite each check's median and the
+//	                        # machine it was measured on
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -46,20 +45,14 @@ func run(args []string) error {
 	exp := fs.String("e", "", "experiment ID to run (default: all)")
 	list := fs.Bool("list", false, "list experiment IDs and exit")
 	series := fs.Bool("series", false, "emit plot series where supported (E5)")
-	jsonPath := fs.String("json", "", "write per-experiment timings (ns/op, samples/s, allocs/op, B/op) to this file")
-	compare := fs.Bool("compare", false, "compare two timing JSON files (old new) and fail on regressions beyond -tol")
-	ratio := fs.String("ratio", "", "timing JSON file for a within-run overhead gate: every -against entry must be within -tol of the matching -base entry")
-	base := fs.String("base", "", "benchmark ID prefix of the baseline family for -ratio")
-	against := fs.String("against", "", "benchmark ID prefix of the measured family for -ratio")
-	tol := fs.String("tol", "10%", "allowed regression for -compare/-ratio, as a percentage (10%) or fraction (0.1)")
-	gobench := fs.String("gobench", "", "convert `go test -bench` output (a file, or - for stdin) to timing JSON instead of running experiments")
-	keepProcs := fs.Bool("keep-procs", false, "with -gobench, keep the -<GOMAXPROCS> benchmark name suffix so widths stay distinct timing IDs")
+	jsonPath := fs.String("json", "", "write per-experiment timings (ns/op, samples/s) to this file; with -gate, rewrite the gate file's medians into it")
+	gate := fs.String("gate", "", "gate file (BENCH.json) to check the go test -bench output operand against, instead of running experiments")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// The flag package stops at the first positional, but -compare takes
-	// two file operands followed (possibly) by -tol: keep re-parsing the
-	// remainder so flags and operands interleave freely.
+	// The flag package stops at the first positional, but -gate takes a
+	// bench output operand followed (possibly) by -json: keep re-parsing
+	// the remainder so flags and operands interleave freely.
 	var operands []string
 	for rest := fs.Args(); len(rest) > 0; {
 		if strings.HasPrefix(rest[0], "-") {
@@ -73,20 +66,11 @@ func run(args []string) error {
 		rest = rest[1:]
 	}
 
-	if *compare {
-		if len(operands) != 2 {
-			return fmt.Errorf("-compare needs exactly two timing files (old new), got %d", len(operands))
+	if *gate != "" {
+		if len(operands) != 1 {
+			return fmt.Errorf("-gate needs one go test -bench output file, got %d", len(operands))
 		}
-		return compareTimings(operands[0], operands[1], *tol)
-	}
-	if *ratio != "" {
-		if *base == "" || *against == "" {
-			return fmt.Errorf("-ratio needs -base and -against benchmark ID prefixes")
-		}
-		return ratioGate(*ratio, *base, *against, *tol)
-	}
-	if *gobench != "" {
-		return convertGoBench(*gobench, *jsonPath, *keepProcs)
+		return runGate(*gate, operands[0], *jsonPath)
 	}
 
 	if *list {
@@ -142,291 +126,10 @@ func run(args []string) error {
 }
 
 // timing is one experiment's wall-clock record for -json output.
-// AllocsOp and BytesOp are only populated from -gobench input (the
-// experiment runner does not meter its own allocations).
 type timing struct {
 	ID            string  `json:"id"`
 	Title         string  `json:"title"`
 	NsOp          int64   `json:"ns_op"`
 	Samples       int     `json:"samples,omitempty"`
 	SamplesPerSec float64 `json:"samples_per_sec,omitempty"`
-	AllocsOp      int64   `json:"allocs_op,omitempty"`
-	BytesOp       int64   `json:"bytes_op,omitempty"`
-}
-
-// convertGoBench parses `go test -bench` output into the same timing
-// JSON the experiment runner emits, so one -compare gate covers both.
-func convertGoBench(path, jsonPath string, keepProcs bool) error {
-	r := os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		r = f
-	}
-	timings, err := parseGoBench(r, keepProcs)
-	if err != nil {
-		return err
-	}
-	if len(timings) == 0 {
-		return fmt.Errorf("no Benchmark lines in %s", path)
-	}
-	data, err := json.MarshalIndent(timings, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if jsonPath == "" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %d timings to %s\n", len(timings), jsonPath)
-	return nil
-}
-
-// parseGoBench reads benchmark result lines ("BenchmarkX-8  1  42 ns/op
-// 120 B/op  3 allocs/op  10.5 samples/s ..."), keeping ns/op, B/op,
-// allocs/op and the samples/s custom metric. By default the
-// -<GOMAXPROCS> suffix is stripped so IDs are machine-independent;
-// keepProcs retains it for multi-width runs (`go test -cpu 1,4`),
-// where the width is a deliberate configuration dimension and each
-// width gates against its own baseline row.
-func parseGoBench(r io.Reader, keepProcs bool) ([]timing, error) {
-	var out []timing
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-			continue
-		}
-		id := fields[0]
-		if !keepProcs {
-			id = stripProcSuffix(id)
-		}
-		t := timing{ID: id, Title: "go test -bench"}
-		for i := 2; i+1 < len(fields); i += 2 {
-			val, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				continue
-			}
-			switch fields[i+1] {
-			case "ns/op":
-				t.NsOp = int64(val)
-			case "samples/s":
-				t.SamplesPerSec = val
-			case "allocs/op":
-				t.AllocsOp = int64(val)
-			case "B/op":
-				t.BytesOp = int64(val)
-			}
-		}
-		if t.NsOp == 0 && t.SamplesPerSec == 0 {
-			continue
-		}
-		out = append(out, t)
-	}
-	return out, sc.Err()
-}
-
-// stripProcSuffix removes go test's trailing -<GOMAXPROCS> from a
-// benchmark name.
-func stripProcSuffix(name string) string {
-	i := strings.LastIndex(name, "-")
-	if i < 0 {
-		return name
-	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
-	}
-	return name[:i]
-}
-
-// compareTimings is the regression gate: every timing in the old
-// (baseline) file must still be present in the new file and must not
-// have regressed beyond the tolerance on any shared metric. For time,
-// throughput entries (samples/s, higher is better) are preferred over
-// wall-clock (ns/op, lower is better) when both files carry them;
-// allocs/op and B/op (lower is better) are additionally checked
-// whenever the baseline records them, so an allocation regression
-// fails the gate even if throughput holds up. Extra entries in the new
-// file — freshly added benchmarks — are ignored.
-func compareTimings(oldPath, newPath, tolSpec string) error {
-	tolerance, err := parseTolerance(tolSpec)
-	if err != nil {
-		return err
-	}
-	baseline, err := readTimings(oldPath)
-	if err != nil {
-		return err
-	}
-	current, err := readTimings(newPath)
-	if err != nil {
-		return err
-	}
-	byID := make(map[string]timing, len(current))
-	for _, t := range current {
-		byID[t.ID] = t
-	}
-
-	var regressions []string
-	for _, o := range baseline {
-		n, ok := byID[o.ID]
-		if !ok {
-			regressions = append(regressions, fmt.Sprintf("%s: missing from %s", o.ID, newPath))
-			fmt.Printf("%-52s MISSING\n", o.ID)
-			continue
-		}
-		metrics := pickMetrics(o, n)
-		if len(metrics) == 0 {
-			regressions = append(regressions, fmt.Sprintf("%s: no comparable metric", o.ID))
-			fmt.Printf("%-52s NO METRIC\n", o.ID)
-			continue
-		}
-		for _, m := range metrics {
-			delta := (m.newV - m.oldV) / m.oldV
-			bad := (m.higherBetter && delta < -tolerance) || (!m.higherBetter && delta > tolerance)
-			status := "ok"
-			if bad {
-				status = "REGRESSED"
-				regressions = append(regressions, fmt.Sprintf("%s: %s %.4g -> %.4g (%+.1f%%, tolerance %.0f%%)",
-					o.ID, m.name, m.oldV, m.newV, delta*100, tolerance*100))
-			}
-			fmt.Printf("%-52s %-12s old=%-12.4g new=%-12.4g %+6.1f%%  %s\n",
-				o.ID, m.name, m.oldV, m.newV, delta*100, status)
-		}
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("%d regression(s):\n  %s", len(regressions), strings.Join(regressions, "\n  "))
-	}
-	fmt.Printf("all %d timings within %.0f%% of %s\n", len(baseline), tolerance*100, oldPath)
-	return nil
-}
-
-// ratioGate is the within-run overhead gate: for every timing in one
-// file whose ID starts with basePrefix, the entry with the same suffix
-// under againstPrefix must exist and must not be worse by more than the
-// tolerance. Because both families come from the same run on the same
-// machine, the tolerance can be far tighter than the cross-run
-// -compare gate — it bounds a feature's overhead, not hardware jitter.
-func ratioGate(path, basePrefix, againstPrefix, tolSpec string) error {
-	tolerance, err := parseTolerance(tolSpec)
-	if err != nil {
-		return err
-	}
-	timings, err := readTimings(path)
-	if err != nil {
-		return err
-	}
-	byID := make(map[string]timing, len(timings))
-	for _, t := range timings {
-		byID[t.ID] = t
-	}
-
-	checked := 0
-	var regressions []string
-	for _, b := range timings {
-		if b.ID != basePrefix && !strings.HasPrefix(b.ID, basePrefix+"/") {
-			continue
-		}
-		id := againstPrefix + strings.TrimPrefix(b.ID, basePrefix)
-		n, ok := byID[id]
-		if !ok {
-			regressions = append(regressions, fmt.Sprintf("%s: no matching %s entry", b.ID, id))
-			fmt.Printf("%-52s MISSING %s\n", b.ID, id)
-			continue
-		}
-		metrics := pickMetrics(b, n)
-		if len(metrics) == 0 {
-			regressions = append(regressions, fmt.Sprintf("%s vs %s: no comparable metric", b.ID, id))
-			continue
-		}
-		checked++
-		for _, m := range metrics {
-			delta := (m.newV - m.oldV) / m.oldV
-			bad := (m.higherBetter && delta < -tolerance) || (!m.higherBetter && delta > tolerance)
-			status := "ok"
-			if bad {
-				status = "REGRESSED"
-				regressions = append(regressions, fmt.Sprintf("%s vs %s: %s %.4g -> %.4g (%+.1f%%, tolerance %.0f%%)",
-					b.ID, id, m.name, m.oldV, m.newV, delta*100, tolerance*100))
-			}
-			fmt.Printf("%-52s %-12s base=%-12.4g new=%-12.4g %+6.1f%%  %s\n",
-				id, m.name, m.oldV, m.newV, delta*100, status)
-		}
-	}
-	if checked == 0 && len(regressions) == 0 {
-		return fmt.Errorf("no %s entries in %s", basePrefix, path)
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("%d overhead violation(s):\n  %s", len(regressions), strings.Join(regressions, "\n  "))
-	}
-	fmt.Printf("all %d %s timings within %.0f%% of %s\n", checked, againstPrefix, tolerance*100, basePrefix)
-	return nil
-}
-
-// metricPair is one comparable metric shared by a baseline/current
-// timing pair.
-type metricPair struct {
-	name         string
-	oldV, newV   float64
-	higherBetter bool
-}
-
-// pickMetrics lists every metric to gate for a baseline/current pair:
-// one time metric (samples/s preferred over ns/op) plus allocs/op and
-// B/op when the baseline pins them. A memory metric the baseline
-// records but the new run lacks compares as 0 on the new side, which
-// can only pass the gate if the baseline was already 0 — dropping
-// -benchmem from the CI run cannot silently disable the check.
-func pickMetrics(o, n timing) []metricPair {
-	var out []metricPair
-	if o.SamplesPerSec > 0 && n.SamplesPerSec > 0 {
-		out = append(out, metricPair{"samples/s", o.SamplesPerSec, n.SamplesPerSec, true})
-	} else if o.NsOp > 0 && n.NsOp > 0 {
-		out = append(out, metricPair{"ns/op", float64(o.NsOp), float64(n.NsOp), false})
-	}
-	if o.AllocsOp > 0 {
-		out = append(out, metricPair{"allocs/op", float64(o.AllocsOp), float64(n.AllocsOp), false})
-	}
-	if o.BytesOp > 0 {
-		out = append(out, metricPair{"B/op", float64(o.BytesOp), float64(n.BytesOp), false})
-	}
-	return out
-}
-
-// parseTolerance accepts "10%" or "0.1".
-func parseTolerance(spec string) (float64, error) {
-	s := strings.TrimSuffix(spec, "%")
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad tolerance %q: %w", spec, err)
-	}
-	if s != spec {
-		v /= 100
-	}
-	if v < 0 || v >= 1 {
-		return 0, fmt.Errorf("tolerance %q out of range [0%%, 100%%)", spec)
-	}
-	return v, nil
-}
-
-// readTimings loads a timing JSON file written by -json or -gobench.
-func readTimings(path string) ([]timing, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var out []timing
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%s: no timings", path)
-	}
-	return out, nil
 }

@@ -8,79 +8,51 @@ import (
 const benchOutput = `goos: linux
 goarch: amd64
 pkg: perpos/internal/runtime
-BenchmarkRuntimeSaturated/sessions_100-1         	  428204	      5969 ns/op	    167480 samples/s	    1746 B/op	       5 allocs/op
-BenchmarkRuntimeSaturated/sessions_100-4         	  512000	      2301 ns/op	    434500 samples/s	    1702 B/op	       5 allocs/op
-BenchmarkRuntimeSessions/paced-4                 	     100	 10000000 ns/op	       800.0 samples/s
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkRuntimeSaturated/sessions_100-2         	  428204	      5969 ns/op	    167480 samples/s	    1746 B/op	       5 allocs/op
+BenchmarkRuntimeSaturated/sessions_100-2         	  512000	      5301 ns/op	    184500 samples/s	    1702 B/op	       5 allocs/op
+BenchmarkRuntimeSessions/paced-4                 	     100	 10000000 ns/op	        15.00 ceiling/session	        14.00 samples/session
 PASS
 `
 
 func TestParseGoBenchStripsProcSuffix(t *testing.T) {
-	timings, err := parseGoBench(strings.NewReader(benchOutput), false)
+	run, err := parseGoBench(strings.NewReader(benchOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(timings) != 3 {
-		t.Fatalf("got %d timings, want 3", len(timings))
+	if len(run.rows) != 2 {
+		t.Fatalf("got %d rows, want 2: %v", len(run.rows), run.rows)
 	}
-	// Both widths collapse to the same ID: the later line wins lookups
-	// in compare maps, which is why multi-width runs need -keep-procs.
-	if got := timings[0].ID; got != "BenchmarkRuntimeSaturated/sessions_100" {
-		t.Errorf("ID[0] = %q, want suffix stripped", got)
+	// Both -count runs of a row land under one machine-independent name.
+	if got := len(run.rows["BenchmarkRuntimeSaturated/sessions_100"]["ns/op"]); got != 2 {
+		t.Errorf("saturated ns/op values = %d, want 2", got)
 	}
-	if got := timings[1].ID; got != "BenchmarkRuntimeSaturated/sessions_100" {
-		t.Errorf("ID[1] = %q, want suffix stripped", got)
+	if _, ok := run.rows["BenchmarkRuntimeSessions/paced"]; !ok {
+		t.Errorf("paced row not stripped of its -4 suffix: %v", run.rows)
 	}
-	if got := timings[2].ID; got != "BenchmarkRuntimeSessions/paced" {
-		t.Errorf("ID[2] = %q, want suffix stripped", got)
-	}
-}
-
-func TestParseGoBenchKeepProcs(t *testing.T) {
-	timings, err := parseGoBench(strings.NewReader(benchOutput), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(timings) != 3 {
-		t.Fatalf("got %d timings, want 3", len(timings))
-	}
-	want := []string{
-		"BenchmarkRuntimeSaturated/sessions_100-1",
-		"BenchmarkRuntimeSaturated/sessions_100-4",
-		"BenchmarkRuntimeSessions/paced-4",
-	}
-	for i, w := range want {
-		if timings[i].ID != w {
-			t.Errorf("ID[%d] = %q, want %q", i, timings[i].ID, w)
-		}
-	}
-	// Widths stay distinct, so per-width metrics survive side by side.
-	if timings[0].SamplesPerSec == timings[1].SamplesPerSec {
-		t.Error("expected distinct samples/s per width")
+	if run.cpu != "Intel(R) Xeon(R) Processor" {
+		t.Errorf("cpu = %q, want the header's model", run.cpu)
 	}
 }
 
 func TestParseGoBenchMetrics(t *testing.T) {
-	timings, err := parseGoBench(strings.NewReader(benchOutput), true)
+	run, err := parseGoBench(strings.NewReader(benchOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := timings[0]
-	if got.NsOp != 5969 {
-		t.Errorf("NsOp = %d, want 5969", got.NsOp)
+	sat := run.rows["BenchmarkRuntimeSaturated/sessions_100"]
+	for unit, want := range map[string]float64{"ns/op": 5969, "samples/s": 167480, "B/op": 1746, "allocs/op": 5} {
+		if got := sat[unit]; len(got) == 0 || got[0] != want {
+			t.Errorf("%s = %v, want %g first", unit, got, want)
+		}
 	}
-	if got.SamplesPerSec != 167480 {
-		t.Errorf("SamplesPerSec = %g, want 167480", got.SamplesPerSec)
+	// The paced line carries custom metrics but no -benchmem columns.
+	paced := run.rows["BenchmarkRuntimeSessions/paced"]
+	if _, ok := paced["allocs/op"]; ok {
+		t.Errorf("paced line grew memory metrics: %v", paced)
 	}
-	if got.AllocsOp != 5 {
-		t.Errorf("AllocsOp = %d, want 5", got.AllocsOp)
-	}
-	if got.BytesOp != 1746 {
-		t.Errorf("BytesOp = %d, want 1746", got.BytesOp)
-	}
-	// The paced line carries no -benchmem columns; they must stay zero
-	// (omitted from JSON) rather than corrupting the gate.
-	if timings[2].AllocsOp != 0 || timings[2].BytesOp != 0 {
-		t.Errorf("paced line grew memory metrics: %+v", timings[2])
+	if got := paced["ceiling/session"]; len(got) != 1 || got[0] != 15 {
+		t.Errorf("ceiling/session = %v, want [15]", got)
 	}
 }
 
@@ -97,5 +69,34 @@ func TestStripProcSuffix(t *testing.T) {
 		if got := stripProcSuffix(c.in); got != c.want {
 			t.Errorf("stripProcSuffix(%q) = %q, want %q", c.in, got, c.want)
 		}
+	}
+}
+
+// TestCheckValue: medians across -count runs (the mean of the middle
+// two for an even count), divided by the over operand, which defaults
+// to the check's own row or metric.
+func TestCheckValue(t *testing.T) {
+	run, err := parseGoBench(strings.NewReader(benchOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sat, paced := "BenchmarkRuntimeSaturated/sessions_100", "BenchmarkRuntimeSessions/paced"
+	cases := []struct {
+		c    check
+		want float64
+	}{
+		{check{Row: sat, Metric: "ns/op"}, (5969 + 5301) / 2.0},
+		{check{Row: sat, Metric: "allocs/op"}, 5},
+		{check{Row: paced, Metric: "samples/session", Over: &operand{Metric: "ceiling/session"}}, 14.0 / 15},
+		{check{Row: paced, Metric: "ns/op", Over: &operand{Row: sat}}, 10000000 / ((5969 + 5301) / 2.0)},
+	}
+	for _, tc := range cases {
+		got, err := tc.c.value(run)
+		if err != nil || got != tc.want {
+			t.Errorf("%+v: value = %v, %v; want %v", tc.c, got, err, tc.want)
+		}
+	}
+	if _, err := (&check{Row: paced, Metric: "allocs/op"}).value(run); err == nil {
+		t.Error("a metric the row never reported has a value")
 	}
 }

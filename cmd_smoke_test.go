@@ -77,6 +77,37 @@ func runBinErr(bin string, args ...string) (string, error) {
 	return string(out), err
 }
 
+// writeFile writes text to name under dir and returns its path.
+func writeFile(t *testing.T, dir, name, text string) string {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// readFile returns the file's text.
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// dropLines removes the lines of text that contain substr.
+func dropLines(text, substr string) string {
+	var kept []string
+	for _, line := range strings.Split(text, "\n") {
+		if !strings.Contains(line, substr) {
+			kept = append(kept, line)
+		}
+	}
+	return strings.Join(kept, "\n")
+}
+
 func TestBinariesSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds every binary")
@@ -283,162 +314,137 @@ func TestBinariesSmoke(t *testing.T) {
 
 	t.Run("perpos-bench-gate", func(t *testing.T) {
 		dir := t.TempDir()
-		benchOut := filepath.Join(dir, "bench.txt")
-		if err := os.WriteFile(benchOut, []byte(
-			"goos: linux\n"+
-				"BenchmarkRuntimeSessions/sessions_10-8  1  300000000 ns/op  450.5 samples/s\n"+
-				"BenchmarkRoomAt/grid-8  20000  15.2 ns/op  0 B/op\n"+
-				"BenchmarkRuntimeSaturated/sessions_100-8  100  650000 ns/op  996 B/op  17 allocs/op  150000 samples/s\n"+
-				"PASS\n"), 0o644); err != nil {
-			t.Fatal(err)
+		// Two -count runs of each row, as `go test -count 2` prints them.
+		bench := writeFile(t, dir, "bench.txt", "goos: linux\n"+
+			"cpu: Test CPU @ 1.00GHz\n"+
+			"BenchmarkRuntimeSessions/sessions_100-8  3  330000000 ns/op  15.00 ceiling/session  4600 samples/s  13.80 samples/session\n"+
+			"BenchmarkRuntimeSessions/sessions_100-8  3  331000000 ns/op  15.00 ceiling/session  4650 samples/s  13.90 samples/session\n"+
+			"BenchmarkRoomAt-8  20000  80.1 ns/op  20.1 grid-ns/lookup  60.0 linear-ns/lookup  0 B/op  0 allocs/op\n"+
+			"BenchmarkRoomAt-8  20000  81.9 ns/op  19.9 grid-ns/lookup  62.0 linear-ns/lookup  0 B/op  0 allocs/op\n"+
+			"BenchmarkRuntimeSaturated/sessions_100-8  200000  5500 ns/op  181000 samples/s  1339 B/op  21 allocs/op\n"+
+			"BenchmarkRuntimeSaturated/sessions_100-8  200000  5400 ns/op  185000 samples/s  1339 B/op  21 allocs/op\n"+
+			"PASS\n")
+		gate := writeFile(t, dir, "BENCH.json", `{
+  "command": "go test -bench",
+  "measured_on": {"nproc": 1, "cpu": "old", "go": "go1.0"},
+  "checks": [
+    {"name": "paced sessions", "row": "BenchmarkRuntimeSessions/sessions_100",
+     "metric": "samples/session", "over": {"metric": "ceiling/session"}, "min": 0.8, "median": 0},
+    {"name": "RoomAt grid/linear", "row": "BenchmarkRoomAt", "metric": "grid-ns/lookup",
+     "over": {"metric": "linear-ns/lookup"}, "max": 0.5, "median": 0},
+    {"name": "saturated allocs", "row": "BenchmarkRuntimeSaturated/sessions_100",
+     "metric": "allocs/op", "max": 21, "median": 0}
+  ]
+}`)
+		out := runBin(t, bins["perpos-bench"], "-gate", gate, bench)
+		if !strings.Contains(out, "all 3 checks hold") {
+			t.Errorf("gate did not pass checks within their bounds:\n%s", out)
 		}
-		newJSON := filepath.Join(dir, "new.json")
-		runBin(t, bins["perpos-bench"], "-gobench", benchOut, "-json", newJSON)
-		data, err := os.ReadFile(newJSON)
+
+		// -json rewrites the medians (13.85/15, 20/61, 21) and the
+		// machine, and keeps the bounds.
+		remeasured := filepath.Join(dir, "remeasured.json")
+		runBin(t, bins["perpos-bench"], "-gate", gate, bench, "-json", remeasured)
+		data, err := os.ReadFile(remeasured)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The -<GOMAXPROCS> suffix must be stripped so baselines port
-		// across machines.
 		for _, want := range []string{
-			`"id": "BenchmarkRuntimeSessions/sessions_10"`,
-			`"id": "BenchmarkRoomAt/grid"`,
-			`"samples_per_sec": 450.5`,
-			`"allocs_op": 17`,
-			`"bytes_op": 996`,
+			`"median": 0.9233`, `"median": 0.3279`, `"median": 21`,
+			`"cpu": "Test CPU @ 1.00GHz"`, `"min": 0.8`, `"max": 0.5`,
 		} {
 			if !strings.Contains(string(data), want) {
-				t.Errorf("gobench JSON missing %q:\n%s", want, data)
+				t.Errorf("rewritten gate file missing %q:\n%s", want, data)
 			}
 		}
 
-		// Within tolerance: gate passes.
-		baseline := filepath.Join(dir, "old.json")
-		if err := os.WriteFile(baseline, []byte(`[
-  {"id": "BenchmarkRuntimeSessions/sessions_10", "title": "", "ns_op": 310000000, "samples_per_sec": 470},
-  {"id": "BenchmarkRoomAt/grid", "title": "", "ns_op": 14}
-]`), 0o644); err != nil {
-			t.Fatal(err)
+		// A slow paced row (a stalled step halves its samples) fails.
+		slow := writeFile(t, dir, "slow.txt", strings.ReplaceAll(strings.ReplaceAll(
+			readFile(t, bench), "13.80 samples/session", "7.00 samples/session"),
+			"13.90 samples/session", "7.10 samples/session"))
+		out, err = runBinErr(bins["perpos-bench"], "-gate", gate, slow)
+		if err == nil {
+			t.Fatalf("gate passed a paced row at half its ceiling:\n%s", out)
 		}
-		out := runBin(t, bins["perpos-bench"], "-compare", baseline, newJSON, "-tol", "10%")
-		if !strings.Contains(out, "all 2 timings within 10%") {
-			t.Errorf("gate did not pass a within-tolerance comparison:\n%s", out)
+		if !strings.Contains(out, "FAILED") || !strings.Contains(out, "1 of 3 checks failed") {
+			t.Errorf("slow-row output missing diagnosis:\n%s", out)
 		}
 
-		// Injected 25% slowdown on both metrics: gate must fail.
-		slow := filepath.Join(dir, "slow.json")
-		if err := os.WriteFile(slow, []byte(`[
-  {"id": "BenchmarkRuntimeSessions/sessions_10", "title": "", "ns_op": 300000000, "samples_per_sec": 352},
-  {"id": "BenchmarkRoomAt/grid", "title": "", "ns_op": 19}
-]`), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		out, err = runBinErr(bins["perpos-bench"], "-compare", baseline, slow, "-tol", "10%")
+		// A row that vanished from the run fails too: deleting the
+		// regressing benchmark must not green the gate.
+		pruned := writeFile(t, dir, "pruned.txt", dropLines(readFile(t, bench), "BenchmarkRuntimeSessions/"))
+		out, err = runBinErr(bins["perpos-bench"], "-gate", gate, pruned)
 		if err == nil {
-			t.Fatalf("gate passed a 25%% slowdown:\n%s", out)
-		}
-		if !strings.Contains(out, "REGRESSED") || !strings.Contains(out, "2 regression(s)") {
-			t.Errorf("regression output missing diagnosis:\n%s", out)
-		}
-
-		// A benchmark that vanished from the new run is a failure too —
-		// deleting the regressing benchmark must not green the gate.
-		pruned := filepath.Join(dir, "pruned.json")
-		if err := os.WriteFile(pruned, []byte(`[
-  {"id": "BenchmarkRoomAt/grid", "title": "", "ns_op": 14}
-]`), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		out, err = runBinErr(bins["perpos-bench"], "-compare", baseline, pruned, "-tol", "10%")
-		if err == nil {
-			t.Fatalf("gate passed with a baseline benchmark missing from the new run:\n%s", out)
+			t.Fatalf("gate passed with a gated row missing from the run:\n%s", out)
 		}
 		if !strings.Contains(out, "MISSING") {
-			t.Errorf("missing-benchmark output lacks diagnosis:\n%s", out)
+			t.Errorf("missing-row output lacks diagnosis:\n%s", out)
 		}
 
-		// An allocation regression must fail the gate even when
-		// throughput holds: baseline pins 17 allocs/op and 996 B/op, the
-		// parsed bench.txt matches, then a doubled-allocs run does not.
-		memBase := filepath.Join(dir, "mem-base.json")
-		if err := os.WriteFile(memBase, []byte(`[
-  {"id": "BenchmarkRuntimeSaturated/sessions_100", "title": "", "ns_op": 650000,
-   "samples_per_sec": 150000, "allocs_op": 17, "bytes_op": 996}
-]`), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		out = runBin(t, bins["perpos-bench"], "-compare", memBase, newJSON, "-tol", "10%")
-		if !strings.Contains(out, "allocs/op") || !strings.Contains(out, "B/op") {
-			t.Errorf("gate did not report memory metrics:\n%s", out)
-		}
-		memBad := filepath.Join(dir, "mem-bad.json")
-		if err := os.WriteFile(memBad, []byte(`[
-  {"id": "BenchmarkRuntimeSaturated/sessions_100", "title": "", "ns_op": 650000,
-   "samples_per_sec": 160000, "allocs_op": 34, "bytes_op": 996}
-]`), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		out, err = runBinErr(bins["perpos-bench"], "-compare", memBase, memBad, "-tol", "10%")
+		// An allocation regression fails even with better throughput,
+		// and a run without -benchmem cannot skip the allocs check.
+		allocs := writeFile(t, dir, "allocs.txt", strings.ReplaceAll(strings.ReplaceAll(
+			readFile(t, bench), "21 allocs/op", "29 allocs/op"), "5500 ns/op", "4000 ns/op"))
+		out, err = runBinErr(bins["perpos-bench"], "-gate", gate, allocs)
 		if err == nil {
-			t.Fatalf("gate passed a doubled allocs/op with good throughput:\n%s", out)
+			t.Fatalf("gate passed 29 allocs/op against an exact 21:\n%s", out)
 		}
-		if !strings.Contains(out, "allocs/op") || !strings.Contains(out, "REGRESSED") {
+		if !strings.Contains(out, "saturated allocs") || !strings.Contains(out, "FAILED") {
 			t.Errorf("alloc regression output missing diagnosis:\n%s", out)
+		}
+		noMem := writeFile(t, dir, "nomem.txt", strings.ReplaceAll(
+			readFile(t, bench), "  1339 B/op  21 allocs/op", ""))
+		if out, err := runBinErr(bins["perpos-bench"], "-gate", gate, noMem); err == nil || !strings.Contains(out, "reports no allocs/op") {
+			t.Errorf("gate without -benchmem columns: err %v\n%s", err, out)
 		}
 	})
 
 	t.Run("perpos-bench-ratio", func(t *testing.T) {
-		// The within-run overhead gate: ruled throughput is compared to
-		// its observed twin from the SAME timings file, so scheduler
-		// drift between runs cannot mask (or fake) engine overhead.
+		// A within-run ratio: two rows of the SAME invocation, so host
+		// speed cancels out and the bound means the same on any machine.
 		dir := t.TempDir()
-		paired := filepath.Join(dir, "paired.json")
-		if err := os.WriteFile(paired, []byte(`[
-  {"id": "BenchmarkObserved/sessions_10", "title": "", "ns_op": 100000, "samples_per_sec": 1000},
-  {"id": "BenchmarkRuled/sessions_10", "title": "", "ns_op": 101000, "samples_per_sec": 991},
-  {"id": "BenchmarkObserved/sessions_100", "title": "", "ns_op": 100000, "samples_per_sec": 9800},
-  {"id": "BenchmarkRuled/sessions_100", "title": "", "ns_op": 100000, "samples_per_sec": 9750}
-]`), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		out := runBin(t, bins["perpos-bench"], "-ratio", paired,
-			"-base", "BenchmarkObserved", "-against", "BenchmarkRuled", "-tol", "2%")
-		if !strings.Contains(out, "all 2 BenchmarkRuled timings within 2% of BenchmarkObserved") {
-			t.Errorf("ratio gate did not pass a within-tolerance pair:\n%s", out)
-		}
-
-		// 6% overhead on one family: the gate must fail and say which.
-		slow := filepath.Join(dir, "slow.json")
-		if err := os.WriteFile(slow, []byte(`[
-  {"id": "BenchmarkObserved/sessions_10", "title": "", "ns_op": 100000, "samples_per_sec": 1000},
-  {"id": "BenchmarkRuled/sessions_10", "title": "", "ns_op": 106000, "samples_per_sec": 940}
-]`), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		out, err := runBinErr(bins["perpos-bench"], "-ratio", slow,
-			"-base", "BenchmarkObserved", "-against", "BenchmarkRuled", "-tol", "2%")
-		if err == nil {
-			t.Fatalf("ratio gate passed a 6%% overhead:\n%s", out)
-		}
-		if !strings.Contains(out, "REGRESSED") || !strings.Contains(out, "overhead violation") {
-			t.Errorf("ratio regression output missing diagnosis:\n%s", out)
+		gate := writeFile(t, dir, "BENCH.json", `{
+  "command": "go test -bench",
+  "measured_on": {"nproc": 1, "cpu": "old", "go": "go1.0"},
+  "checks": [
+    {"name": "shipped/bare", "row": "BenchmarkShipped/sessions_100", "metric": "ns/op",
+     "over": {"row": "BenchmarkBare/sessions_100"}, "max": 1.25, "median": 0}
+  ]
+}`)
+		paired := writeFile(t, dir, "paired.txt",
+			"BenchmarkBare/sessions_100-2  1000  5000 ns/op\n"+
+				"BenchmarkShipped/sessions_100-2  1000  5500 ns/op\n")
+		out := runBin(t, bins["perpos-bench"], "-gate", gate, paired)
+		if !strings.Contains(out, "all 1 checks hold") || !strings.Contains(out, "1.1 ") {
+			t.Errorf("ratio gate did not pass a 1.1 ratio under 1.25:\n%s", out)
 		}
 
-		// A ruled family missing its observed twin is a failure, not a
-		// silently skipped comparison.
-		lonely := filepath.Join(dir, "lonely.json")
-		if err := os.WriteFile(lonely, []byte(`[
-  {"id": "BenchmarkObserved/sessions_10", "title": "", "ns_op": 100000, "samples_per_sec": 1000}
-]`), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		out, err = runBinErr(bins["perpos-bench"], "-ratio", lonely,
-			"-base", "BenchmarkObserved", "-against", "BenchmarkRuled", "-tol", "2%")
+		// 30% overhead on the shipped row: the gate fails and says which.
+		slow := writeFile(t, dir, "slow.txt",
+			"BenchmarkBare/sessions_100-2  1000  5000 ns/op\n"+
+				"BenchmarkShipped/sessions_100-2  1000  6500 ns/op\n")
+		out, err := runBinErr(bins["perpos-bench"], "-gate", gate, slow)
 		if err == nil {
-			t.Fatalf("ratio gate passed with no ruled entries:\n%s", out)
+			t.Fatalf("ratio gate passed a 1.3 ratio:\n%s", out)
 		}
-		if !strings.Contains(out, "MISSING") {
-			t.Errorf("missing-twin output lacks diagnosis:\n%s", out)
+		if !strings.Contains(out, "FAILED") || !strings.Contains(out, "shipped/bare: 1.3, bound <= 1.25") {
+			t.Errorf("ratio breach output missing diagnosis:\n%s", out)
+		}
+
+		// A ratio whose partner row is missing is a failure, not a
+		// silently skipped comparison — from either side.
+		for name, text := range map[string]string{
+			"lonely-num.txt": "BenchmarkBare/sessions_100-2  1000  5000 ns/op\n",
+			"lonely-den.txt": "BenchmarkShipped/sessions_100-2  1000  5500 ns/op\n",
+		} {
+			lonely := writeFile(t, dir, name, text)
+			out, err = runBinErr(bins["perpos-bench"], "-gate", gate, lonely)
+			if err == nil {
+				t.Fatalf("%s: ratio gate passed with a row missing:\n%s", name, out)
+			}
+			if !strings.Contains(out, "MISSING") {
+				t.Errorf("%s: missing-partner output lacks diagnosis:\n%s", name, out)
+			}
 		}
 	})
 

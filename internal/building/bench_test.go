@@ -2,6 +2,7 @@ package building
 
 import (
 	"testing"
+	"time"
 
 	"perpos/internal/geo"
 )
@@ -22,32 +23,55 @@ func benchPoints() []geo.ENU {
 // BenchmarkRoomAt compares the grid-indexed lookup against the naive
 // linear scan it replaced. RoomAt runs once per emitted position
 // sample, so the grid path must stay sub-microsecond and beat the
-// scan.
+// scan. The two alternate in chunks of 1024 lookups, swapping which
+// goes first, and each chunk is timed: grid-ns/lookup over
+// linear-ns/lookup divides measurements taken under the same host
+// conditions, so it holds on any machine. An op is one lookup of each
+// kind.
 func BenchmarkRoomAt(b *testing.B) {
+	const chunk = 1024
 	bld := Evaluation()
 	f, _ := bld.Floor(0)
 	pts := benchPoints()
-
-	b.Run("grid", func(b *testing.B) {
-		b.ReportAllocs()
-		hits := 0
-		for i := 0; i < b.N; i++ {
+	// Each chunk calls its lookup directly, as callers do, so the grid
+	// path stays inlined.
+	var grid, linear time.Duration
+	hits := 0
+	gridChunk := func(from, to int) {
+		n, start := 0, time.Now()
+		for i := from; i < to; i++ {
 			if _, ok := f.RoomAt(pts[i%len(pts)]); ok {
-				hits++
+				n++
 			}
 		}
-		sinkHits = hits
-	})
-	b.Run("linear", func(b *testing.B) {
-		b.ReportAllocs()
-		hits := 0
-		for i := 0; i < b.N; i++ {
+		grid += time.Since(start)
+		hits += n
+	}
+	linearChunk := func(from, to int) {
+		n, start := 0, time.Now()
+		for i := from; i < to; i++ {
 			if _, ok := f.roomAtLinear(pts[i%len(pts)]); ok {
-				hits++
+				n++
 			}
 		}
-		sinkHits = hits
-	})
+		linear += time.Since(start)
+		hits += n
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += chunk {
+		to := min(done+chunk, b.N)
+		if done/chunk%2 == 0 {
+			gridChunk(done, to)
+			linearChunk(done, to)
+		} else {
+			linearChunk(done, to)
+			gridChunk(done, to)
+		}
+	}
+	sinkHits = hits
+	b.ReportMetric(float64(grid.Nanoseconds())/float64(b.N), "grid-ns/lookup")
+	b.ReportMetric(float64(linear.Nanoseconds())/float64(b.N), "linear-ns/lookup")
 }
 
 // sinkHits keeps the benchmarked lookups observable so the compiler

@@ -2,10 +2,10 @@
 // Processing Components, so failure paths become first-class, testable
 // scenarios instead of incidents. A wrapper preserves the inner
 // component's ID and Spec — the graph wiring is unchanged — and injects
-// faults on the way through: dropped samples, added latency, stalls,
-// corrupted payloads, returned errors, panics, and scripted or periodic
-// outages ("flapping"). All randomised faults draw from a seeded PRNG,
-// so a chaos scenario replays identically run-to-run.
+// faults on the way through: dropped samples, corrupted payloads,
+// returned errors, panics, and scripted or periodic outages
+// ("flapping"). All randomised faults draw from a seeded PRNG, so a
+// chaos scenario replays identically run-to-run.
 //
 // The wrappers compose with the supervision machinery in
 // internal/health: a killed source trips the runner's restart-with-
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"perpos/internal/core"
 )
@@ -41,17 +40,6 @@ func WithSeed(seed int64) Option {
 // sensor or link.
 func WithDrop(p float64) Option {
 	return func(in *injector) { in.dropP = p }
-}
-
-// WithDelay sleeps d before every operation: a slow component.
-func WithDelay(d time.Duration) Option {
-	return func(in *injector) { in.delay = d }
-}
-
-// WithStallEvery sleeps d on every nth operation: a component that
-// intermittently wedges, long enough for a watchdog to notice.
-func WithStallEvery(n int, d time.Duration) Option {
-	return func(in *injector) { in.stallEvery, in.stall = n, d }
 }
 
 // WithCorrupt rewrites each sample with probability p using fn — bit
@@ -87,9 +75,6 @@ type injector struct {
 	rng *rand.Rand
 
 	dropP      float64
-	delay      time.Duration
-	stallEvery int
-	stall      time.Duration
 	corruptP   float64
 	corrupt    func(core.Sample) core.Sample
 	errEvery   int
@@ -111,15 +96,11 @@ func newInjector(opts []Option) *injector {
 }
 
 // admit runs the pre-operation faults for one sample. It returns the
-// (possibly corrupted) sample, whether it should proceed, an error to
-// surface instead, and a sleep to perform OUTSIDE the injector lock.
-func (in *injector) admit(s core.Sample) (out core.Sample, proceed bool, err error, sleep time.Duration) {
+// (possibly corrupted) sample, whether it should proceed, and an error
+// to surface instead.
+func (in *injector) admit(s core.Sample) (out core.Sample, proceed bool, err error) {
 	in.mu.Lock()
 	in.ops++
-	sleep = in.delay
-	if in.stallEvery > 0 && in.ops%in.stallEvery == 0 {
-		sleep += in.stall
-	}
 	if in.panicEvery > 0 && in.ops%in.panicEvery == 0 {
 		in.mu.Unlock()
 		panic(fmt.Sprintf("chaos: injected panic (op %d)", in.ops))
@@ -127,21 +108,21 @@ func (in *injector) admit(s core.Sample) (out core.Sample, proceed bool, err err
 	if in.downLocked() {
 		err = in.downErrLocked()
 		in.mu.Unlock()
-		return s, false, err, sleep
+		return s, false, err
 	}
 	if in.errEvery > 0 && in.ops%in.errEvery == 0 {
 		in.mu.Unlock()
-		return s, false, fmt.Errorf("chaos: injected error (op %d)", in.ops), sleep
+		return s, false, fmt.Errorf("chaos: injected error (op %d)", in.ops)
 	}
 	if in.dropP > 0 && in.rng.Float64() < in.dropP {
 		in.mu.Unlock()
-		return s, false, nil, sleep
+		return s, false, nil
 	}
 	if in.corrupt != nil && in.corruptP > 0 && in.rng.Float64() < in.corruptP {
 		s = in.corrupt(s)
 	}
 	in.mu.Unlock()
-	return s, true, nil, sleep
+	return s, true, nil
 }
 
 // downLocked reports the effective outage state: a manual Kill wins;
@@ -220,10 +201,7 @@ func (c *Component) Down() bool { return c.inj.down() }
 // Process implements core.Component with the injector's faults applied
 // to the inbound sample.
 func (c *Component) Process(port int, in core.Sample, emit core.Emit) error {
-	s, proceed, err, sleep := c.inj.admit(in)
-	if sleep > 0 {
-		time.Sleep(sleep)
-	}
+	s, proceed, err := c.inj.admit(in)
 	if err != nil {
 		return err
 	}
@@ -278,10 +256,7 @@ func (s *Source) Process(int, core.Sample, core.Emit) error { return nil }
 // Step implements core.Producer. Emission faults (drop, corrupt) are
 // applied to each sample the inner producer emits during the step.
 func (s *Source) Step(emit core.Emit) (bool, error) {
-	_, proceed, err, sleep := s.inj.admit(core.Sample{})
-	if sleep > 0 {
-		time.Sleep(sleep)
-	}
+	_, proceed, err := s.inj.admit(core.Sample{})
 	if err != nil {
 		if s.inj.down() {
 			// A dead source stops; recovery goes through Restart.
@@ -296,7 +271,7 @@ func (s *Source) Step(emit core.Emit) (bool, error) {
 		return s.inner.Step(func(core.Sample) {})
 	}
 	return s.inner.Step(func(out core.Sample) {
-		out, keep, _, _ := s.inj.admitEmission(out)
+		out, keep := s.inj.admitEmission(out)
 		if keep {
 			emit(out)
 		}
@@ -306,16 +281,16 @@ func (s *Source) Step(emit core.Emit) (bool, error) {
 // admitEmission applies only the sample-level faults (drop, corrupt)
 // to an emission — outage/error/panic scheduling already happened for
 // the step itself.
-func (in *injector) admitEmission(s core.Sample) (core.Sample, bool, error, time.Duration) {
+func (in *injector) admitEmission(s core.Sample) (core.Sample, bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.dropP > 0 && in.rng.Float64() < in.dropP {
-		return s, false, nil, 0
+		return s, false
 	}
 	if in.corrupt != nil && in.corruptP > 0 && in.rng.Float64() < in.corruptP {
 		s = in.corrupt(s)
 	}
-	return s, true, nil, 0
+	return s, true
 }
 
 // Restart implements core.Restartable: it fails while the injected

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"hash/fnv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -241,10 +243,10 @@ func TestPumpCountsErrors(t *testing.T) {
 	}
 }
 
-// TestPumpErrorsTripBreaker: the pump steps sessions with StepN(1), and
-// a supervised session's failing component still trips its breaker —
-// the errors reach health, not only ClusterPumpErrors.
-func TestPumpErrorsTripBreaker(t *testing.T) {
+// erroringParserNode starts a node whose sessions run a supervised
+// pipeline with a parser that fails every sample.
+func erroringParserNode(t *testing.T) *Node {
+	t.Helper()
 	cfg := kalmanSessionConfig(t)
 	cfg.Health = &health.Policy{MaxConsecutiveErrors: 3, ProbeInterval: time.Hour, Sweep: time.Hour}
 	overrides := cfg.Overrides
@@ -257,15 +259,14 @@ func TestPumpErrorsTripBreaker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Close()
-	s, err := n.Manager().GetOrCreate("broken")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Pump(4); err != nil {
-		t.Fatal(err)
-	}
-	s.Supervisor().Sweep(time.Now())
+	t.Cleanup(func() { n.Close() })
+	return n
+}
+
+// checkParserTripped fails unless the session's parser breaker tripped
+// exactly once and its provider reports TEMPORARILY_UNAVAILABLE.
+func checkParserTripped(t *testing.T, s *runtime.Session) {
+	t.Helper()
 	h, ok := s.Monitor().Health("parser")
 	if !ok || h.Trips != 1 || h.State != health.StateDown {
 		t.Fatalf("parser health = %+v, want one trip and down", h)
@@ -273,6 +274,58 @@ func TestPumpErrorsTripBreaker(t *testing.T) {
 	if got := s.Provider().Availability(); got != positioning.TemporarilyUnavailable {
 		t.Errorf("provider availability = %v, want TEMPORARILY_UNAVAILABLE", got)
 	}
+}
+
+// TestPumpErrorsTripBreaker: the pump steps sessions with StepN(1) and
+// sweeps each session's supervisor once per round, so a supervised
+// session's failing component trips its breaker and gates its provider
+// with no sweep from outside — the errors reach health, not only
+// ClusterPumpErrors.
+func TestPumpErrorsTripBreaker(t *testing.T) {
+	n := erroringParserNode(t)
+	s, err := n.Manager().GetOrCreate("broken")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Pump(4); err != nil {
+		t.Fatal(err)
+	}
+	checkParserTripped(t, s)
+}
+
+// TestConcurrentPumpsSweepOneAtATime: two goroutines pumping the same
+// node trip the breaker as one would, and never sweep one supervisor
+// from both at once (Sweep is not re-entrant). A sweep hook that holds
+// each sweep open for a moment sees any overlap.
+func TestConcurrentPumpsSweepOneAtATime(t *testing.T) {
+	n := erroringParserNode(t)
+	s, err := n.Manager().GetOrCreate("broken")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inSweep, overlaps atomic.Int32
+	s.Supervisor().OnSweep(func(time.Time) {
+		if inSweep.Add(1) > 1 {
+			overlaps.Add(1)
+		}
+		time.Sleep(200 * time.Microsecond)
+		inSweep.Add(-1)
+	})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := n.Pump(8); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := overlaps.Load(); got != 0 {
+		t.Errorf("%d sweeps of one supervisor overlapped another", got)
+	}
+	checkParserTripped(t, s)
 }
 
 func TestJoinDuplicateAndTrackWithoutNodes(t *testing.T) {

@@ -62,6 +62,10 @@ type Node struct {
 	// runs unobserved); the pump counts its failures there.
 	hub *obs.Metrics
 
+	// pumpMu serialises pump rounds: Supervisor.Sweep is not
+	// re-entrant.
+	pumpMu sync.Mutex
+
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{}
 	killed   bool
@@ -161,35 +165,54 @@ func (n *Node) Down() bool {
 }
 
 // Pump advances every live session one step per round, checkpointing
-// each session every CheckpointEvery rounds — the deterministic
-// traffic driver. Sessions that error, close mid-round (a concurrent
-// handoff export) or exhaust their trace are skipped, not fatal; step
-// and checkpoint errors are counted in the hub's ClusterPumpErrors.
+// each session every CheckpointEvery rounds and then sweeping its
+// supervisor, so breakers, reroutes and rules move as they would under
+// Session.Start — the deterministic traffic driver. Rounds are
+// serialised per node, so concurrent Pump calls never sweep one
+// supervisor at once. Sessions that error, close mid-round (a
+// concurrent handoff export) or exhaust their trace are skipped, not
+// fatal; step and checkpoint errors are counted in the hub's
+// ClusterPumpErrors.
 func (n *Node) Pump(rounds int) error {
 	for i := 0; i < rounds; i++ {
-		n.mu.Lock()
-		if n.killed {
-			n.mu.Unlock()
-			return ErrNodeDown
+		if err := n.pumpRound(); err != nil {
+			return err
 		}
-		n.rounds++
-		round := n.rounds
+	}
+	return nil
+}
+
+// pumpRound is one Pump round, under the node's pump lock.
+func (n *Node) pumpRound() error {
+	n.pumpMu.Lock()
+	defer n.pumpMu.Unlock()
+	n.mu.Lock()
+	if n.killed {
 		n.mu.Unlock()
-		ckpt := n.ckptEv > 0 && round%n.ckptEv == 0
-		for _, id := range n.mgr.IDs() {
-			s, ok := n.mgr.Get(id)
-			if !ok {
-				continue
-			}
-			if _, err := s.StepN(1); err != nil {
+		return ErrNodeDown
+	}
+	n.rounds++
+	round := n.rounds
+	n.mu.Unlock()
+	ckpt := n.ckptEv > 0 && round%n.ckptEv == 0
+	for _, id := range n.mgr.IDs() {
+		s, ok := n.mgr.Get(id)
+		if !ok {
+			continue
+		}
+		_, err := s.StepN(1)
+		if errors.Is(err, runtime.ErrClosed) {
+			continue
+		}
+		if err != nil {
+			n.pumpError(err)
+		} else if ckpt {
+			if _, err := s.Checkpoint(); err != nil {
 				n.pumpError(err)
-				continue
 			}
-			if ckpt {
-				if _, err := s.Checkpoint(); err != nil {
-					n.pumpError(err)
-				}
-			}
+		}
+		if sup := s.Supervisor(); sup != nil {
+			sup.Sweep(time.Now())
 		}
 	}
 	return nil

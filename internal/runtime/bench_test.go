@@ -210,22 +210,101 @@ func benchSessions(b *testing.B, n int, cfg SessionConfig, ckptEverySteps int, s
 
 	perWindow := float64(delivered.Load()) / float64(b.N)
 	b.ReportMetric(perWindow/window.Seconds(), "samples/s")
-	b.ReportMetric(perWindow/float64(n), "samples/session")
+	reportPaced(b, perWindow/float64(n), window, pace)
+}
+
+// reportPaced reports a paced row's positions per session and window
+// beside the ceiling its pace and window imply (one source step per
+// pace interval), so a gate can hold their ratio on any machine: the
+// pacer, not the hardware, sets the ceiling.
+func reportPaced(b *testing.B, perSession float64, window, pace time.Duration) {
+	b.ReportMetric(perSession, "samples/session")
+	b.ReportMetric(float64(window/pace), "ceiling/session")
 }
 
 // BenchmarkRuntimeSaturated measures the throughput CEILING: N
 // sessions driven flat-out with no pacer — every worker calls StepN in
 // a tight loop against an endlessly looping GPS source. Where the
-// paced benchmarks above prove per-feature overhead budgets at the
-// fixed 46.67 samples/s/session live rate, this one answers "how fast
-// does the middleware run when the hardware is the only limit", and
-// its allocs/op is the per-source-step allocation bill of the whole
-// hot path (emission, span bookkeeping, channel history, data-tree
-// build, provider delivery).
+// paced benchmarks above hold their pace on any machine, this one
+// answers "how fast does the middleware run when the hardware is the
+// only limit", and its allocs/op is the per-source-step allocation
+// bill of the whole hot path (emission, span bookkeeping, channel
+// history, data-tree build, provider delivery). These sessions are
+// bare: no metrics hub, no supervision.
 func BenchmarkRuntimeSaturated(b *testing.B) {
+	benchSaturatedFamily(b, saturatedSessionConfig)
+}
+
+// BenchmarkRuntimeSaturatedShipped is the saturated workload as
+// gps-saturated ships it: the metrics hub and supervision watch every
+// emission. No supervisor sweeps run. Its allocs/op equals the bare
+// row's: watching allocates nothing per emission.
+func BenchmarkRuntimeSaturatedShipped(b *testing.B) {
+	benchSaturatedFamily(b, shippedSessionConfig)
+}
+
+// BenchmarkRuntimeSaturatedPaired runs the bare, shipped and ruled
+// (shipped plus the standard rule set, whose tap sees every emission)
+// configurations side by side: 100 sessions of each, stepped by one
+// worker pool in alternating phases of up to 8 steps per session,
+// rotating which configuration goes first. Each phase is timed, so
+// shipped-ns/step over bare-ns/step (the cost of watching) and
+// ruled-ns/step over shipped-ns/step (the cost of the rules tap) divide
+// measurements taken under the same host conditions, and hold on any
+// machine. No supervisor sweeps run in any of the three. An op is one
+// source step of each configuration.
+func BenchmarkRuntimeSaturatedPaired(b *testing.B) {
+	const n, phase = 100, 8
+	ruled := shippedSessionConfig(b)
+	ruled.Rules = catalog.StandardRules()
+	configs := []struct {
+		name string
+		cfg  SessionConfig
+	}{
+		{"bare", saturatedSessionConfig(b)},
+		{"shipped", shippedSessionConfig(b)},
+		{"ruled", ruled},
+	}
+	fleets := make([][]*Session, len(configs))
+	for c, conf := range configs {
+		m, err := NewManager(conf.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer m.Close()
+		for i := 0; i < n; i++ {
+			s, err := m.GetOrCreate(fmt.Sprintf("target-%04d", i))
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.Provider().Subscribe(func(positioning.Position) {})
+			fleets[c] = append(fleets[c], s)
+		}
+	}
+
+	elapsed := make([]time.Duration, len(configs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done, round := 0, 0; done < b.N; round++ {
+		steps := min(n*phase, b.N-done)
+		for j := range configs {
+			c := (round + j) % len(configs)
+			start := time.Now()
+			stepFleet(b, fleets[c], steps, phase)
+			elapsed[c] += time.Since(start)
+		}
+		done += steps
+	}
+	b.StopTimer()
+	for c, conf := range configs {
+		b.ReportMetric(float64(elapsed[c].Nanoseconds())/float64(b.N), conf.name+"-ns/step")
+	}
+}
+
+func benchSaturatedFamily(b *testing.B, config func(testing.TB) SessionConfig) {
 	for _, n := range []int{1, 10, 100, 1000} {
 		b.Run(fmt.Sprintf("sessions_%d", n), func(b *testing.B) {
-			benchSaturated(b, n)
+			benchSaturated(b, n, config(b))
 		})
 	}
 }
@@ -261,6 +340,19 @@ func saturatedSessionConfig(tb testing.TB) SessionConfig {
 	}
 }
 
+// shippedSessionConfig is saturatedSessionConfig with what
+// gps-saturated ships: a metrics hub and its supervision policy.
+func shippedSessionConfig(tb testing.TB) SessionConfig {
+	cfg := saturatedSessionConfig(tb)
+	cfg.Observability = obs.New()
+	cfg.Health = &health.Policy{
+		MaxConsecutiveErrors: 2,
+		ProbeInterval:        10 * time.Millisecond,
+		Restart:              core.RestartPolicy{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond},
+	}
+	return cfg
+}
+
 // benchSaturated splits b.N source steps across a GOMAXPROCS-sized
 // worker pool, each worker driving a contiguous shard of sessions in
 // StepN batches. The op of allocs/op and ns/op is one source step
@@ -275,12 +367,12 @@ func saturatedSessionConfig(tb testing.TB) SessionConfig {
 // apart, written plainly by the one worker driving that session
 // (delivery runs synchronously on the stepping goroutine) and summed
 // after the workers join.
-func benchSaturated(b *testing.B, n int) {
+func benchSaturated(b *testing.B, n int, cfg SessionConfig) {
 	const batch = 64
 	// counterStride spaces the per-session counters one 64-byte cache
 	// line apart so neighbouring sessions never false-share.
 	const counterStride = 8
-	m, err := NewManager(saturatedSessionConfig(b))
+	m, err := NewManager(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -298,40 +390,10 @@ func benchSaturated(b *testing.B, n int) {
 		sessions[i] = s
 	}
 
-	per, extra := b.N/n, b.N%n
-	workers := stdruntime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				steps := per
-				if i < extra {
-					steps++
-				}
-				for s := sessions[i]; steps > 0; {
-					k := batch
-					if steps < k {
-						k = steps
-					}
-					if _, err := s.StepN(k); err != nil {
-						b.Error(err)
-						return
-					}
-					steps -= k
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	stepFleet(b, sessions, b.N, batch)
 	elapsed := time.Since(start)
 	b.StopTimer()
 	var delivered int64
@@ -343,12 +405,48 @@ func benchSaturated(b *testing.B, n int) {
 	}
 }
 
+// stepFleet takes steps source steps across the fleet, spread evenly
+// over its sessions, in StepN batches of at most batch: a
+// GOMAXPROCS-sized worker pool, each worker driving a contiguous
+// shard of sessions.
+func stepFleet(b *testing.B, fleet []*Session, steps, batch int) {
+	n := len(fleet)
+	per, extra := steps/n, steps%n
+	workers := min(stdruntime.GOMAXPROCS(0), n)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			for i := lo; i < hi; i++ {
+				left := per
+				if i < extra {
+					left++
+				}
+				for left > 0 {
+					k := min(left, batch)
+					if _, err := fleet[i].StepN(k); err != nil {
+						b.Error(err)
+						return
+					}
+					left -= k
+				}
+			}
+		}(w*n/workers, (w+1)*n/workers)
+	}
+	wg.Wait()
+}
+
 // BenchmarkDegradedFusionSession measures steady-state degraded-mode
 // throughput: a supervised fusion session whose WiFi branch is down
 // (breaker open, app rerouted to the GPS branch, runner retrying the
-// dead source with backoff) delivering positions over a fixed window.
+// dead source with backoff) delivering positions over a fixed window,
+// its sources paced 1 ms apart.
 func BenchmarkDegradedFusionSession(b *testing.B) {
-	const window = 300 * time.Millisecond
+	const (
+		window = 300 * time.Millisecond
+		pace   = time.Millisecond
+	)
 	bld := building.Evaluation()
 	n := wifi.DefaultDeployment(bld)
 	db := wifi.Survey(n, 0, wifi.SurveyConfig{Seed: 1, GridStep: 4})
@@ -359,7 +457,7 @@ func BenchmarkDegradedFusionSession(b *testing.B) {
 	}
 	tr := trace.CorridorWalk(bld, 11, 60, time.Second)
 
-	var delivered atomic.Int64
+	var delivered, inWindow atomic.Int64
 	for iter := 0; iter < b.N; iter++ {
 		var wifiChaos *chaos.Source
 		m, err := NewManager(SessionConfig{
@@ -395,7 +493,7 @@ func BenchmarkDegradedFusionSession(b *testing.B) {
 		s.Provider().Subscribe(func(positioning.Position) { delivered.Add(1) })
 		wifiChaos.Kill(nil)
 		ctx, cancel := context.WithCancel(context.Background())
-		if err := s.Start(ctx, core.WithSourceInterval(time.Millisecond)); err != nil {
+		if err := s.Start(ctx, core.WithSourceInterval(pace)); err != nil {
 			b.Fatal(err)
 		}
 		deadline := time.Now().Add(window)
@@ -407,10 +505,12 @@ func BenchmarkDegradedFusionSession(b *testing.B) {
 		}
 		start := delivered.Load()
 		time.Sleep(window)
-		got := delivered.Load() - start
+		inWindow.Add(delivered.Load() - start)
 		_ = s.Stop() // the injected outage leaves expected errors behind
 		cancel()
 		m.Close()
-		b.ReportMetric(float64(got)/window.Seconds(), "samples/s")
 	}
+	perWindow := float64(inWindow.Load()) / float64(b.N)
+	b.ReportMetric(perWindow/window.Seconds(), "samples/s")
+	reportPaced(b, perWindow, window, pace)
 }

@@ -58,10 +58,11 @@ func (s *Session) appendSnapshot() (uint64, error) {
 }
 
 // checkpointLoop periodically checkpoints a running session until its
-// stop channel closes. Errors are counted, not returned: a failed
-// periodic checkpoint leaves the previous record in place, and the
-// evict-time checkpoint still runs.
-func (s *Session) checkpointLoop(stop <-chan struct{}) {
+// stop channel closes, and closes done on exit. Errors are counted, not
+// returned: a failed periodic checkpoint leaves the previous record in
+// place, and the evict-time checkpoint still runs.
+func (s *Session) checkpointLoop(stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
 	t := time.NewTicker(s.ckptEvery)
 	defer t.Stop()
 	for {

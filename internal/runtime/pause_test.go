@@ -229,3 +229,44 @@ func TestCheckpointCaptureFailureCounted(t *testing.T) {
 		t.Errorf("checkpoint writes = %d, want 0", got)
 	}
 }
+
+// TestStopWaitsForCheckpointTicker: Stop returns only once the periodic
+// checkpoint ticker has exited, so no record is appended to a stopped
+// session's journal by a tick that raced the stop.
+func TestStopWaitsForCheckpointTicker(t *testing.T) {
+	var appends atomic.Int64
+	store, err := checkpoint.Open(t.TempDir(), checkpoint.Options{
+		OnAppend: func(string, int, time.Duration, error) { appends.Add(1) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	cfg := longGPSSessionConfig(t)
+	cfg.Checkpoints, cfg.CheckpointEvery = store, 200*time.Microsecond
+	m, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	s, err := m.GetOrCreate("late-tick")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cycle := 0; cycle < 100; cycle++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		if err := s.Start(ctx, core.WithSourceInterval(time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(2 * time.Millisecond)
+		if err := s.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		stopped := appends.Load()
+		time.Sleep(time.Millisecond)
+		if late := appends.Load() - stopped; late != 0 {
+			t.Fatalf("cycle %d: %d checkpoint(s) appended after Stop returned", cycle, late)
+		}
+	}
+}

@@ -58,12 +58,10 @@ type SessionConfig struct {
 	// Overrides supplies the per-session instantiate options — typically
 	// core.WithComponentOverride for the blueprint's sensor placeholders,
 	// seeded or bound per target. May be nil when the blueprint has no
-	// placeholders beyond the sink.
+	// placeholders beyond the sink. The manager's own override of the
+	// "app" slot, which terminates the pipeline with the session's
+	// positioning.Provider sink, is applied last and wins.
 	Overrides func(sessionID string) []core.InstantiateOption
-	// SinkID names the placeholder slot the manager terminates with a
-	// positioning.Provider sink (default "app"). The manager's sink
-	// override is applied last and wins over Overrides for this slot.
-	SinkID string
 	// Provider describes each session's provider for criteria matching.
 	Provider positioning.ProviderInfo
 	// History bounds the channel layer's per-component sample history
@@ -106,6 +104,10 @@ type SessionConfig struct {
 	Rules []rules.Rule
 }
 
+// sinkID is the placeholder slot every session terminates with its
+// positioning.Provider sink.
+const sinkID = "app"
+
 // Session is one target's live pipeline: a private graph instantiated
 // from the shared blueprint, its channel-layer view, and the provider
 // the Positioning Layer hands to applications.
@@ -114,7 +116,6 @@ type Session struct {
 	graph    *core.Graph
 	layer    *channel.Layer
 	provider *positioning.Provider
-	sinkID   string
 	clock    func() time.Time
 
 	// instOpts rebuilds the per-session instantiate options (overrides
@@ -148,6 +149,9 @@ type Session struct {
 	mu       sync.Mutex
 	runner   *core.Runner
 	ckptStop chan struct{}
+	// ckptDone closes when the checkpoint ticker of the latest Start
+	// has exited.
+	ckptDone chan struct{}
 	lastUsed time.Time
 	closed   bool
 	rev      int
@@ -159,13 +163,9 @@ func newSession(id string, rev int, bp *core.Blueprint, cfg SessionConfig, clock
 	s := &Session{
 		id:        id,
 		rev:       rev,
-		sinkID:    cfg.SinkID,
 		clock:     clock,
 		store:     cfg.Checkpoints,
 		ckptEvery: cfg.CheckpointEvery,
-	}
-	if s.sinkID == "" {
-		s.sinkID = "app"
 	}
 	// The provider's feature lookup goes through the session's channel
 	// layer, so Channel Features installed per session stay reachable
@@ -177,7 +177,7 @@ func newSession(id string, rev int, bp *core.Blueprint, cfg SessionConfig, clock
 		if cfg.Overrides != nil {
 			opts = cfg.Overrides(id)
 		}
-		return append(opts, core.WithComponentOverride(s.sinkID, func(cid string) core.Component {
+		return append(opts, core.WithComponentOverride(sinkID, func(cid string) core.Component {
 			return positioning.NewProviderSink(cid, s.provider)
 		}))
 	}
@@ -302,7 +302,7 @@ func (s *Session) Provider() *positioning.Provider { return s.provider }
 // feature resolves a named feature through the channel delivering into
 // the session's sink — the provider's FeatureLookup.
 func (s *Session) feature(name string) (any, bool) {
-	if c, ok := s.layer.ChannelInto(s.sinkID, 0); ok {
+	if c, ok := s.layer.ChannelInto(sinkID, 0); ok {
 		if f, ok := c.Feature(name); ok {
 			return f, true
 		}
@@ -492,8 +492,8 @@ func (s *Session) Start(ctx context.Context, opts ...core.RunnerOption) error {
 		s.supervisor.Start(ctx)
 	}
 	if s.store != nil && s.ckptEvery > 0 {
-		s.ckptStop = make(chan struct{})
-		go s.checkpointLoop(s.ckptStop)
+		s.ckptStop, s.ckptDone = make(chan struct{}), make(chan struct{})
+		go s.checkpointLoop(s.ckptStop, s.ckptDone)
 	}
 	return nil
 }
@@ -516,14 +516,26 @@ func (s *Session) Stop() error {
 	return err
 }
 
-// halt is the one stop sequence. The supervisor stops first: a sweep
-// may be inside a pause, which needs the run lock. Then, holding the
-// run lock so no Run, StepN or pause is in flight, it stops the
-// checkpoint ticker and the runner, and marks the session closed when
+// halt is the one stop sequence. The supervisor and the checkpoint
+// ticker stop first, and halt waits for both to exit: a sweep or a
+// tick may be inside a pause, which needs the run lock, and a tick
+// that ran after the runner stopped would checkpoint the stopped
+// session. Then, holding the run lock so no Run, StepN or pause is in
+// flight, it stops the runner and marks the session closed when
 // closing. It reports false when the session was already closed.
 func (s *Session) halt(closing bool) (bool, error) {
 	if s.supervisor != nil {
 		s.supervisor.Stop()
+	}
+	s.mu.Lock()
+	stop, done := s.ckptStop, s.ckptDone
+	s.ckptStop = nil
+	s.mu.Unlock()
+	if stop != nil {
+		close(stop)
+	}
+	if done != nil {
+		<-done
 	}
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
@@ -535,10 +547,6 @@ func (s *Session) halt(closing bool) (bool, error) {
 	s.closed = closing
 	r := s.runner
 	s.runner = nil
-	if s.ckptStop != nil {
-		close(s.ckptStop)
-		s.ckptStop = nil
-	}
 	s.mu.Unlock()
 	if r == nil {
 		return true, nil

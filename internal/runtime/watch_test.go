@@ -283,10 +283,7 @@ func TestShippedStepNAllocatesLikeBare(t *testing.T) {
 		})
 	}
 	bare := allocs(saturatedSessionConfig(t))
-	shipped := saturatedSessionConfig(t)
-	shipped.Observability = obs.New()
-	shipped.Health = &health.Policy{MaxConsecutiveErrors: 2, Deadline: time.Minute}
-	if got := allocs(shipped); got != bare {
+	if got := allocs(shippedSessionConfig(t)); got != bare {
 		t.Errorf("shipped StepN(16) allocates %v, bare %v", got, bare)
 	}
 }
