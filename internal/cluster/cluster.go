@@ -88,7 +88,7 @@ type Policy struct {
 	// (default 2); application-level errors are never retried.
 	Retries int
 	// RetryBackoff is the wait before the first retry, doubling per
-	// attempt (default 20ms).
+	// attempt up to CallTimeout (default 20ms).
 	RetryBackoff time.Duration
 }
 

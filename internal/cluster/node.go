@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 
 	"perpos/internal/chaos"
 	"perpos/internal/checkpoint"
+	"perpos/internal/core"
 	"perpos/internal/obs"
 	"perpos/internal/remote"
 	"perpos/internal/runtime"
@@ -66,13 +68,13 @@ type Node struct {
 	// re-entrant.
 	pumpMu sync.Mutex
 
-	mu       sync.Mutex
-	conns    map[net.Conn]struct{}
-	killed   bool
-	rounds   int
-	pumpStop chan struct{}
-	wg       sync.WaitGroup
-	pumpWG   sync.WaitGroup
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	killed bool
+	rounds int
+	// pump is the StartPump job; StopPump clears it.
+	pump *core.Job
+	wg   sync.WaitGroup
 }
 
 // Node implements chaos.Controllable so kill scripts drive it like any
@@ -227,44 +229,33 @@ func (n *Node) pumpError(err error) {
 	}
 }
 
-// StartPump pumps continuously at the given interval until StopPump,
-// Kill or Close — the live-traffic mode the perpos-run demo uses.
+// StartPump pumps one round per interval until StopPump, Kill or
+// Close — the live-traffic mode the perpos-run demo uses.
 func (n *Node) StartPump(interval time.Duration) {
 	n.mu.Lock()
-	if n.killed || n.pumpStop != nil {
-		n.mu.Unlock()
+	defer n.mu.Unlock()
+	if n.killed || n.pump != nil {
 		return
 	}
-	stop := make(chan struct{})
-	n.pumpStop = stop
-	n.mu.Unlock()
-	n.pumpWG.Add(1)
-	go func() {
-		defer n.pumpWG.Done()
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				if err := n.Pump(1); err != nil {
-					return
-				}
-			}
-		}
-	}()
+	origin := time.Now()
+	n.pump = core.Every(context.Background(), origin.Add(interval), func(now time.Time) (time.Time, bool) {
+		err := n.Pump(1)
+		return core.NextDue(origin, interval, now), err == nil
+	})
 }
 
-// StopPump halts a StartPump loop and waits for it.
+// StopPump halts a StartPump job once a round in flight has returned;
+// until then a Kill or Close finds the job too and waits with it.
 func (n *Node) StopPump() {
 	n.mu.Lock()
-	if n.pumpStop != nil {
-		close(n.pumpStop)
-		n.pumpStop = nil
+	p := n.pump
+	n.mu.Unlock()
+	p.Stop()
+	n.mu.Lock()
+	if n.pump == p {
+		n.pump = nil
 	}
 	n.mu.Unlock()
-	n.pumpWG.Wait()
 }
 
 // Kill simulates hard node death: the RPC listener and every live
@@ -295,23 +286,16 @@ func (n *Node) Close() {
 // shutdownNet stops traffic: pump, listener, live conns.
 func (n *Node) shutdownNet() {
 	n.mu.Lock()
-	if n.killed {
-		n.mu.Unlock()
-		n.pumpWG.Wait()
-		n.wg.Wait()
-		return
-	}
-	n.killed = true
-	if n.pumpStop != nil {
-		close(n.pumpStop)
-		n.pumpStop = nil
-	}
-	_ = n.ln.Close()
-	for c := range n.conns {
-		_ = c.Close()
+	p := n.pump
+	if !n.killed {
+		n.killed = true
+		_ = n.ln.Close()
+		for c := range n.conns {
+			_ = c.Close()
+		}
 	}
 	n.mu.Unlock()
-	n.pumpWG.Wait()
+	p.Stop()
 	n.wg.Wait()
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -76,10 +77,9 @@ type Router struct {
 	members map[string]*member
 	routes  map[string]*route
 
-	stop    chan struct{}
-	started bool
-	stopped bool
-	wg      sync.WaitGroup
+	// sweeper is Start's health sweep job; closed refuses a later Start.
+	sweeper *core.Job
+	closed  bool
 }
 
 // NewRouter returns a router with no members. Call Start to run the
@@ -104,55 +104,43 @@ func NewRouter(cfg RouterConfig) *Router {
 		ring:    newRing(pol.Replicas),
 		members: make(map[string]*member),
 		routes:  make(map[string]*route),
-		stop:    make(chan struct{}),
 	}
 }
 
 // Monitor exposes the node-level breaker state (tests, inspection).
 func (r *Router) Monitor() *health.Monitor { return r.monitor }
 
-// Start launches the health sweep loop: probe every member, advance
-// the breakers, fail over members dead past the grace window.
+// Start sweeps every ProbeInterval: probe every member, advance the
+// breakers, fail over members dead past the grace window.
 func (r *Router) Start() {
 	r.mu.Lock()
-	if r.started || r.stopped {
-		r.mu.Unlock()
+	defer r.mu.Unlock()
+	if r.sweeper != nil || r.closed {
 		return
 	}
-	r.started = true
-	r.mu.Unlock()
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		ticker := time.NewTicker(r.pol.ProbeInterval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-r.stop:
-				return
-			case <-ticker.C:
-				r.sweep(time.Now())
-			}
-		}
-	}()
+	origin, period := time.Now(), r.pol.ProbeInterval
+	r.sweeper = core.Every(context.Background(), origin.Add(period), func(now time.Time) (time.Time, bool) {
+		r.sweep(now)
+		return core.NextDue(origin, period, now), true
+	})
 }
 
-// Close stops the sweep loop and drops every node connection. Nodes
+// Close stops the sweeps and drops every node connection. Nodes
 // themselves are closed by their owners.
 func (r *Router) Close() {
 	r.mu.Lock()
-	if r.stopped {
+	if r.closed {
 		r.mu.Unlock()
 		return
 	}
-	r.stopped = true
-	close(r.stop)
+	r.closed = true
+	sweeper := r.sweeper
 	clients := make([]*rpcClient, 0, len(r.members))
 	for _, m := range r.members {
 		clients = append(clients, m.cli)
 	}
 	r.mu.Unlock()
-	r.wg.Wait()
+	sweeper.Stop()
 	for _, c := range clients {
 		c.close()
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"perpos/internal/core"
 	"perpos/internal/positioning"
 	"perpos/internal/remote"
 )
@@ -64,8 +65,9 @@ func (e *RemoteError) Error() string {
 
 // rpcClient is the router's connection to one node: a single persistent
 // conn, lazily dialed, serialized per node. Transport failures reset
-// the conn and are retried with doubling backoff up to Policy.Retries;
-// every attempt is bounded by Policy.CallTimeout via conn deadlines.
+// the conn and are retried up to Policy.Retries with doubling backoff,
+// capped at Policy.CallTimeout; every attempt is bounded by
+// Policy.CallTimeout via conn deadlines.
 type rpcClient struct {
 	node string
 	addr string
@@ -90,11 +92,10 @@ func (c *rpcClient) call(req request) (response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var lastErr error
-	backoff := c.pol.RetryBackoff
+	backoff := core.RestartPolicy{Base: c.pol.RetryBackoff, Max: c.pol.CallTimeout}
 	for attempt := 0; attempt <= c.pol.Retries; attempt++ {
 		if attempt > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
+			time.Sleep(backoff.Delay(attempt))
 		}
 		resp, err := c.tryLocked(req)
 		if err != nil {

@@ -425,8 +425,8 @@ func TestRestartPolicyDelay(t *testing.T) {
 		60 * time.Millisecond,
 	}
 	for i, w := range want {
-		if got := p.delay(i + 1); got != w {
-			t.Errorf("delay(%d) = %v, want %v", i+1, got, w)
+		if got := p.Delay(i + 1); got != w {
+			t.Errorf("Delay(%d) = %v, want %v", i+1, got, w)
 		}
 	}
 }

@@ -30,6 +30,9 @@ type Node struct {
 	// Guarded by mu on processing nodes; a source is stepped by one
 	// goroutine at a time.
 	calls uint32
+	// job steps a source under a Runner; attempt, its restart attempt.
+	job     *Job
+	attempt int
 
 	// features in attach order (hook order is attach order).
 	features []Feature

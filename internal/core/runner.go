@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Runner is the live engine, and only a scheduler: one goroutine per
+// Runner is the live engine, and only a scheduler: one Job per
 // Producer source — the set StepAll steps — stepping it with optional
 // pacing and restart-with-backoff. Emissions propagate by the same
 // direct call StepAll uses, so gating, outcome reporting and timing
@@ -29,13 +29,9 @@ type Runner struct {
 	ctx context.Context
 	// cancel stops every source; it is nil while the runner is stopped.
 	cancel context.CancelFunc
-	// drivers lists the sources given a goroutine. An exhausted source
-	// stays listed, so a Pause does not start it again.
+	// drivers lists the sources given a job. An exhausted source stays
+	// listed, so a Pause does not start it again.
 	drivers []*Node
-	// live counts the source goroutines not yet returned; idle, on mu,
-	// is broadcast as each returns.
-	live int
-	idle sync.Cond
 }
 
 // Restartable is implemented by source components that can recover
@@ -61,33 +57,24 @@ type RestartPolicy struct {
 	Multiplier float64
 }
 
-// withDefaults fills zero fields.
-func (p RestartPolicy) withDefaults() RestartPolicy {
-	if p.Base <= 0 {
-		p.Base = 20 * time.Millisecond
+// Delay returns the backoff before restart attempt n (1-based): Base
+// grown by Multiplier per attempt and capped at Max, zero fields taking
+// their defaults.
+func (p RestartPolicy) Delay(attempt int) time.Duration {
+	d, limit, mult := float64(p.Base), float64(p.Max), p.Multiplier
+	if d <= 0 {
+		d = float64(20 * time.Millisecond)
 	}
-	if p.Max <= 0 {
-		p.Max = 2 * time.Second
+	if limit <= 0 {
+		limit = float64(2 * time.Second)
 	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
+	if mult < 1 {
+		mult = 2
 	}
-	return p
-}
-
-// delay returns the backoff before restart attempt n (1-based).
-func (p RestartPolicy) delay(attempt int) time.Duration {
-	d := float64(p.Base)
-	for i := 1; i < attempt; i++ {
-		d *= p.Multiplier
-		if d >= float64(p.Max) {
-			return p.Max
-		}
+	for i := 1; i < attempt && d < limit; i++ {
+		d *= mult
 	}
-	if d > float64(p.Max) {
-		return p.Max
-	}
-	return time.Duration(d)
+	return time.Duration(min(d, limit))
 }
 
 // RunnerOption configures a Runner.
@@ -96,10 +83,7 @@ type RunnerOption func(*Runner)
 // WithSourceRestart enables restart-with-exponential-backoff for
 // Restartable sources that die with an error.
 func WithSourceRestart(p RestartPolicy) RunnerOption {
-	return func(r *Runner) {
-		pp := p.withDefaults()
-		r.restart = &pp
-	}
+	return func(r *Runner) { r.restart = &p }
 }
 
 // WithSourceInterval makes producer sources step at the given period
@@ -111,15 +95,14 @@ func WithSourceInterval(d time.Duration) RunnerOption {
 // NewRunner returns a runner for g.
 func NewRunner(g *Graph, opts ...RunnerOption) *Runner {
 	r := &Runner{g: g}
-	r.idle.L = &r.mu
 	for _, opt := range opts {
 		opt(r)
 	}
 	return r
 }
 
-// Start freezes the graph and launches one goroutine per source. It
-// returns once everything is running.
+// Start freezes the graph and starts one job per source. It returns
+// once everything is running.
 func (r *Runner) Start(ctx context.Context) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -135,9 +118,9 @@ func (r *Runner) Start(ctx context.Context) error {
 // Pause runs fn between source steps: it waits out the steps and
 // restarts in flight, holds every source before its next one, and
 // lifts the structure freeze while fn runs. Then it follows the
-// producer list: sources that are gone or replaced never step again,
-// new ones start, and the rest keep their goroutine and pacing, so a
-// pause adds no step. On a runner that is not started fn just runs.
+// producer list: sources that are gone or replaced have their jobs
+// stopped, new ones start, and the rest keep their job and due times,
+// so a pause adds no step. On a runner that is not started fn runs.
 //
 // Pause waits for the steps in flight, so it must not be called from
 // a source step, an observer or anything they call; fn must not call
@@ -149,116 +132,89 @@ func (r *Runner) Pause(fn func() error) error {
 		return fn()
 	}
 	r.gate.Lock()
-	defer r.gate.Unlock()
 	r.g.running.Store(false)
 	err := fn()
 	r.g.running.Store(true)
+	r.gate.Unlock()
 	r.follow()
 	return err
 }
 
 // follow matches the drivers to the producer list: a source that left
-// it is dropped, and a listed one without a goroutine gets one. Caller
-// holds r.mu.
+// it has its job stopped, and a listed one without a job gets one.
+// Caller holds r.mu, not the gate a dropped source's call may wait on.
 func (r *Runner) follow() {
 	ps := r.g.producerList()
-	r.drivers = slices.DeleteFunc(r.drivers, func(n *Node) bool { return !slices.Contains(ps, n) })
+	r.drivers = slices.DeleteFunc(r.drivers, func(n *Node) bool {
+		if slices.Contains(ps, n) {
+			return false
+		}
+		n.job.Stop()
+		return true
+	})
 	for _, n := range ps {
-		if slices.Contains(r.drivers, n) {
-			continue
+		if !slices.Contains(r.drivers, n) {
+			n.job = Every(r.ctx, time.Now(), r.drive(n))
+			r.drivers = append(r.drivers, n)
 		}
-		r.drivers = append(r.drivers, n)
-		r.live++
-		go r.driveSource(r.ctx, n)
 	}
 }
 
-// driveSource steps one producer until exhaustion, restarting failed
-// Restartable sources with exponential backoff when a restart policy
-// is installed. Each step, with the restart a backoff may put before
-// it, holds the gate shared.
-func (r *Runner) driveSource(ctx context.Context, n *Node) {
-	var ticker *time.Ticker
-	if r.interval > 0 {
-		ticker = time.NewTicker(r.interval)
-		defer ticker.Stop()
-	}
-	// Backoff timer, created on first use and reused across restarts.
-	// time.After in the backoff select would leak a timer (and its
-	// goroutine-visible allocation) per restart attempt until it fires:
-	// when ctx wins the race the timer keeps running for the full delay.
-	var backoff *time.Timer
-	defer func() {
-		if backoff != nil {
-			backoff.Stop()
-		}
-		r.mu.Lock()
-		r.live--
-		r.idle.Broadcast()
-		r.mu.Unlock()
-	}()
-	attempt := 0
-	for {
-		r.gate.RLock()
-		if ctx.Err() != nil || !slices.Contains(r.g.producerList(), n) {
-			// Stopped, or removed or replaced by a Pause.
+// drive returns source n's job function: one step per call on the
+// interval's grid when paced, every step in one call when free-running.
+// A failed step's backoff schedules a call that restarts first. Each
+// step, with the restart before it, holds the gate shared.
+func (r *Runner) drive(n *Node) func(time.Time) (time.Time, bool) {
+	origin := time.Now()
+	n.attempt = 0
+	return func(now time.Time) (time.Time, bool) {
+		for {
+			r.gate.RLock()
+			if r.ctx.Err() != nil || !slices.Contains(r.g.producerList(), n) {
+				// Stopped, or removed or replaced by a Pause.
+				r.gate.RUnlock()
+				return now, false
+			}
+			if n.attempt > 0 {
+				// The backoff has elapsed: restart, then step again.
+				if rerr := n.comp.(Restartable).Restart(); rerr != nil {
+					// Still down: keep backing off. The failure is reported
+					// to the observers but not accumulated in the graph's
+					// error buffer — a long outage is state, not new news.
+					err := fmt.Errorf("source %q: restart: %w", n.ID(), rerr)
+					for _, o := range r.g.hooks() {
+						o.Done(n.ID(), 0, err)
+					}
+				} else {
+					for _, o := range r.g.hooks() {
+						o.Restarted(n.ID(), n.attempt)
+					}
+					n.attempt = 0
+				}
+			}
+			more, err := n.step()
 			r.gate.RUnlock()
-			return
-		}
-		if attempt > 0 {
-			// The backoff has elapsed: restart, then step again.
-			if rerr := n.comp.(Restartable).Restart(); rerr != nil {
-				// Still down: keep backing off. The failure is reported
-				// to the observers but not accumulated in the graph's
-				// error buffer — a long outage is state, not new news.
-				err := fmt.Errorf("source %q: restart: %w", n.ID(), rerr)
-				for _, o := range r.g.hooks() {
-					o.Done(n.ID(), 0, err)
+			if more {
+				n.attempt = 0
+				if r.interval > 0 {
+					return NextDue(origin, r.interval, now), true
 				}
-			} else {
-				for _, o := range r.g.hooks() {
-					o.Restarted(n.ID(), attempt)
-				}
-				attempt = 0
+				continue
 			}
-		}
-		more, err := n.step()
-		r.gate.RUnlock()
-		if more {
-			attempt = 0
-			if ticker != nil {
-				select {
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-				}
+			if _, ok := n.comp.(Restartable); err == nil || !ok || r.restart == nil {
+				// Clean exhaustion, or nothing to restart: done.
+				return now, false
 			}
-			continue
-		}
-		if _, ok := n.comp.(Restartable); err == nil || !ok || r.restart == nil {
-			// Clean exhaustion, or nothing to restart: done.
-			return
-		}
-		attempt++
-		if r.restart.MaxRestarts > 0 && attempt > r.restart.MaxRestarts {
-			return
-		}
-		if backoff == nil {
-			backoff = time.NewTimer(r.restart.delay(attempt))
-		} else {
-			// The timer is always drained here or stopped by the
-			// deferred Stop, so Reset is safe without a racy drain.
-			backoff.Reset(r.restart.delay(attempt))
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-backoff.C:
+			n.attempt++
+			if r.restart.MaxRestarts > 0 && n.attempt > r.restart.MaxRestarts {
+				return now, false
+			}
+			return time.Now().Add(r.restart.Delay(n.attempt)), true
 		}
 	}
 }
 
-// Stop halts the sources, waits for their goroutines to return (their
+// Stop halts the sources, waits out their steps in flight (their
 // emissions have propagated by then) and unfreezes the graph. It
 // returns any errors collected during the run.
 func (r *Runner) Stop() error {
@@ -268,21 +224,27 @@ func (r *Runner) Stop() error {
 		return nil
 	}
 	r.cancel()
-	for r.live > 0 {
-		r.idle.Wait()
+	for _, n := range r.drivers {
+		n.job.Stop()
 	}
 	r.g.running.Store(false)
 	r.cancel, r.drivers = nil, nil
 	return r.g.drainErrors()
 }
 
-// WaitSources blocks until every producer source is exhausted (or
-// stopped via context). The runner keeps accepting injected samples
-// until Stop is called.
+// WaitSources blocks until every producer source, also one a Pause
+// starts meanwhile, is exhausted (or stopped via context). The runner
+// keeps accepting injected samples until Stop is called.
 func (r *Runner) WaitSources() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for r.live > 0 {
-		r.idle.Wait()
+	for i := 0; i < len(r.drivers); {
+		n := r.drivers[i]
+		r.mu.Unlock()
+		n.job.exited.Wait()
+		r.mu.Lock()
+		// A Pause only appends, and drops sources it stops: the ones
+		// before n have ended, and if n was dropped, start over.
+		i = slices.Index(r.drivers, n) + 1
 	}
 }

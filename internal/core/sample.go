@@ -5,7 +5,8 @@
 // of every emission (the substrate for the Process Channel Layer's data
 // trees, Fig. 4), and two engines over one node path: the deterministic
 // synchronous StepAll/Run, and the Runner, which gives each source its
-// own goroutine and propagates emissions by the same direct call.
+// own periodic job (Every) and propagates emissions by the same direct
+// call.
 package core
 
 import (

@@ -54,12 +54,12 @@ type Reroute struct {
 }
 
 // Supervisor closes the loop from health monitoring to adaptation: a
-// sweep goroutine periodically advances the monitor's breakers, applies
-// the configured degradation reroutes through the Adapter, and notifies
-// listeners of every transition. Listener callbacks and reroute edits
-// run on the supervisor's own goroutine — never on engine goroutines —
-// because an edit pauses the runner, and a pause waits out the source
-// steps in flight: called from one, it would wait for itself.
+// sweep job (core.Every) periodically advances the monitor's breakers,
+// applies the configured degradation reroutes through the Adapter, and
+// notifies listeners of every transition. Listener callbacks and
+// reroute edits run on the sweep job's goroutine — never on engine
+// goroutines — because an edit pauses the runner, and a pause waits out
+// the source steps in flight: called from one, it would wait for itself.
 type Supervisor struct {
 	mon      *Monitor
 	adapter  Adapter
@@ -72,8 +72,8 @@ type Supervisor struct {
 	onReroute []func(engaged bool)
 	onSweep   []func(now time.Time)
 	sweepBuf  []func(now time.Time) // reused snapshot; Sweep is single-goroutine
-	cancel    context.CancelFunc
-	done      chan struct{}
+	// sweeper is the sweep job; nil while stopped.
+	sweeper *core.Job
 }
 
 // NewSupervisor wires a supervisor over the monitor. adapter may be nil
@@ -105,8 +105,8 @@ func NewSupervisor(mon *Monitor, adapter Adapter, reroutes []Reroute) *Superviso
 func (s *Supervisor) Monitor() *Monitor { return s.mon }
 
 // OnEvent registers a listener for node transitions. Register before
-// Start; callbacks run serially on the supervisor goroutine (or the
-// Sweep caller).
+// Start; callbacks run serially on the sweep job (or the Sweep
+// caller).
 func (s *Supervisor) OnEvent(fn func(Event)) {
 	if fn == nil {
 		return
@@ -120,8 +120,8 @@ func (s *Supervisor) OnEvent(fn func(Event)) {
 // engaged is true when a rule was engaged or switched, false when the
 // pristine graph was restored. Unlike OnEvent it fires only when an
 // edit actually landed, making it the natural seam for counting
-// supervisor churn. Register before Start; callbacks run on the
-// supervisor goroutine (or the Sweep caller).
+// supervisor churn. Register before Start; callbacks run on the sweep
+// job (or the Sweep caller).
 func (s *Supervisor) OnReroute(fn func(engaged bool)) {
 	if fn == nil {
 		return
@@ -135,8 +135,8 @@ func (s *Supervisor) OnReroute(fn func(engaged bool)) {
 // breakers have advanced and reroutes have been reconciled — the seam
 // the rules engine piggybacks on, so rule evaluation always sees the
 // supervisor's claims for the same instant. Hooks run serially on the
-// supervisor goroutine (or the Sweep caller) and may apply edits
-// through the same adapter. Register before Start.
+// sweep job (or the Sweep caller) and may apply edits through the same
+// adapter. Register before Start.
 func (s *Supervisor) OnSweep(fn func(now time.Time)) {
 	if fn == nil {
 		return
@@ -167,49 +167,33 @@ func (s *Supervisor) ClaimedEdges(buf []core.Edge) []core.Edge {
 	return buf
 }
 
-// Start launches the sweep loop. Stop must be called to release it.
+// Start sweeps every Policy.Sweep until Stop or ctx is done.
 func (s *Supervisor) Start(ctx context.Context) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.done != nil {
+	if s.sweeper != nil {
 		return
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	s.cancel = cancel
-	done := make(chan struct{})
-	s.done = done
-	period := s.mon.Policy().Sweep
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(period)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case now := <-ticker.C:
-				s.Sweep(now)
-			}
-		}
-	}()
+	period, origin := s.mon.Policy().Sweep, time.Now()
+	s.sweeper = core.Every(ctx, origin.Add(period), func(now time.Time) (time.Time, bool) {
+		s.Sweep(now)
+		return core.NextDue(origin, period, now), true
+	})
 }
 
-// Stop halts the sweep loop and waits for it to exit.
+// Stop halts the sweeps and returns once a sweep in flight has.
 func (s *Supervisor) Stop() {
 	s.mu.Lock()
-	cancel, done := s.cancel, s.done
-	s.cancel, s.done = nil, nil
+	j := s.sweeper
+	s.sweeper = nil
 	s.mu.Unlock()
-	if cancel != nil {
-		cancel()
-		<-done
-	}
+	j.Stop()
 }
 
 // Sweep runs one supervision pass at the given time: advance breakers,
 // apply or reverse reroutes for any transitions, notify listeners.
 // Exposed so tests (and synchronous drivers) can supervise without the
-// background goroutine.
+// sweep job.
 func (s *Supervisor) Sweep(now time.Time) []Event {
 	events := s.mon.Advance(now)
 	// Reconcile every pass, not only on breaker transitions: an edit

@@ -168,16 +168,10 @@ func (u *Uplink) sendLocked(body []byte) error {
 }
 
 // nextBackoffLocked computes the wait before the next dial: the base
-// doubled per consecutive failure, capped, then jittered ±jitterFrac.
+// doubled per consecutive failure, capped (core.RestartPolicy's delay),
+// then jittered ±jitterFrac.
 func (u *Uplink) nextBackoffLocked() time.Duration {
-	d := float64(u.baseBackoff)
-	for i := 1; i < u.dialErrs; i++ {
-		d *= 2
-		if d >= float64(u.maxBackoff) {
-			d = float64(u.maxBackoff)
-			break
-		}
-	}
+	d := float64(core.RestartPolicy{Base: u.baseBackoff, Max: u.maxBackoff}.Delay(u.dialErrs))
 	if u.jitterFrac > 0 {
 		d *= 1 - u.jitterFrac + 2*u.jitterFrac*u.rng.Float64()
 	}

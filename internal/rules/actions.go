@@ -123,19 +123,18 @@ func (a *SwapAction) Revert(g *core.Graph) error {
 // FeatureAction attaches a feature to a node — the §3.2 case study
 // (change power strategy by attaching an energy strategy feature). It
 // has no structural footprint, so it never conflicts with supervisor
-// reroutes.
+// reroutes. It is an immutable value: every session of a config shares
+// one, so Apply and Revert keep no state on it.
 type FeatureAction struct {
 	// Target is the node to attach to.
 	Target string
-	// Name labels the action in events; detaching uses the attached
+	// Name labels the action in events; detaching uses the built
 	// feature's own FeatureName, which may differ from a config-side
 	// factory key.
 	Name string
-	// Build constructs the feature; called once per engagement.
+	// Build constructs the feature; called once per engagement and once
+	// per revert, for the name to detach.
 	Build func() core.Feature
-
-	// applied is the FeatureName of the currently attached instance.
-	applied string
 }
 
 // Describe implements Action.
@@ -152,12 +151,7 @@ func (a *FeatureAction) Apply(g *core.Graph) error {
 	if !ok {
 		return fmt.Errorf("rules: feature target %q not in graph", a.Target)
 	}
-	f := a.Build()
-	if err := n.AttachFeature(f); err != nil {
-		return err
-	}
-	a.applied = f.FeatureName()
-	return nil
+	return n.AttachFeature(a.Build())
 }
 
 // Revert implements Action. An already-detached feature is tolerated.
@@ -166,10 +160,7 @@ func (a *FeatureAction) Revert(g *core.Graph) error {
 	if !ok {
 		return fmt.Errorf("rules: feature target %q not in graph", a.Target)
 	}
-	name := a.applied
-	if name == "" {
-		name = a.Build().FeatureName()
-	}
+	name := a.Build().FeatureName()
 	if _, ok := n.Feature(name); !ok {
 		return nil
 	}

@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"sync"
 	"testing"
 
 	"perpos/internal/core"
@@ -215,6 +216,38 @@ func TestFeatureActionRoundTrip(t *testing.T) {
 	if err := a.Revert(g); err != nil {
 		t.Fatalf("idempotent Revert: %v", err)
 	}
+}
+
+// TestFeatureActionSharedAcrossGraphs: every session of a config
+// shares one action value, so two graphs applying and reverting it at
+// once must not race on it (run under -race).
+func TestFeatureActionSharedAcrossGraphs(t *testing.T) {
+	a := &FeatureAction{
+		Target: "mid",
+		Name:   "cfg-key",
+		Build:  func() core.Feature { return namedFeature{name: "real.name"} },
+	}
+	var wg sync.WaitGroup
+	for _, g := range []*core.Graph{actionGraph(t), actionGraph(t)} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if err := a.Apply(g); err != nil {
+					t.Errorf("Apply: %v", err)
+					return
+				}
+				if err := a.Revert(g); err != nil {
+					t.Errorf("Revert: %v", err)
+					return
+				}
+			}
+			if n, _ := g.Node("mid"); len(n.Features()) != 0 {
+				t.Errorf("features left attached: %v", n.Features())
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestFeatureActionMissingTarget(t *testing.T) {

@@ -659,6 +659,28 @@ func TestNewRejectsBadRules(t *testing.T) {
 	}
 }
 
+// TestNormalizeLeavesCallerRuleUnchanged: Validate and New fill the
+// defaults of a copy, so the caller's rule, and the Guard it points
+// to, stay as written for every other session built from it.
+func TestNormalizeLeavesCallerRuleUnchanged(t *testing.T) {
+	guard := &Guard{Condition: Condition{Signal: "errors:mid", Op: OpGT, Value: 1}}
+	r := Rule{Name: "r", When: Condition{Signal: "attr:x", Op: OpGT}, Action: &fakeAction{}, Guard: guard}
+	want := *guard
+	if err := Validate(r); err != nil {
+		t.Fatal(err)
+	}
+	if *guard != want {
+		t.Errorf("Validate changed the caller's guard: probation %v", guard.Probation)
+	}
+	e := newTestEngine(t, []Rule{r}, Config{})
+	if *guard != want {
+		t.Errorf("New changed the caller's guard: probation %v", guard.Probation)
+	}
+	if got := e.states[0].rule.Guard.Probation; got != DefaultProbation {
+		t.Errorf("engine guard probation = %v, want the default %v", got, DefaultProbation)
+	}
+}
+
 func TestEngineProbeDedup(t *testing.T) {
 	// Two rules on the same attribute share one probe.
 	rs := []Rule{

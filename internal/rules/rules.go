@@ -190,9 +190,13 @@ func (r Rule) normalize(idx int) (Rule, error) {
 		if err := validCondition(r.Guard.Condition); err != nil {
 			return r, fmt.Errorf("rules: rule %q: guard: %w", r.Name, err)
 		}
-		if r.Guard.Probation == 0 {
-			r.Guard.Probation = DefaultProbation
+		// A copy: the caller's rule, often shared by every session of a
+		// config, keeps its own guard.
+		g := *r.Guard
+		if g.Probation == 0 {
+			g.Probation = DefaultProbation
 		}
+		r.Guard = &g
 	}
 	if r.DisengageAfter == 0 {
 		r.DisengageAfter = DefaultDisengageAfter

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"time"
 
 	"perpos/internal/checkpoint"
 	"perpos/internal/positioning"
@@ -55,24 +54,6 @@ func (s *Session) appendSnapshot() (uint64, error) {
 		Availability: int(s.provider.Availability()),
 		Revision:     s.Revision(),
 	})
-}
-
-// checkpointLoop periodically checkpoints a running session until its
-// stop channel closes, and closes done on exit. Errors are counted, not
-// returned: a failed periodic checkpoint leaves the previous record in
-// place, and the evict-time checkpoint still runs.
-func (s *Session) checkpointLoop(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	t := time.NewTicker(s.ckptEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			_, _ = s.Checkpoint()
-		}
-	}
 }
 
 // Checkpoints returns the manager's checkpoint store (nil when

@@ -85,8 +85,8 @@ type SessionConfig struct {
 	// rehydrates sessions from it. Nil disables checkpointing.
 	Checkpoints *checkpoint.Store
 	// CheckpointEvery additionally checkpoints running (async) sessions
-	// on this period; 0 disables the ticker (evict-time and manual
-	// checkpoints still happen).
+	// on this period; 0 disables the periodic checkpoints (evict-time
+	// and manual checkpoints still happen).
 	CheckpointEvery time.Duration
 	// Observability wires every session into a shared metrics hub:
 	// emission taps, per-node errors and sampled process latency,
@@ -146,12 +146,10 @@ type Session struct {
 	// runMu → mu.
 	runMu sync.Mutex
 
-	mu       sync.Mutex
-	runner   *core.Runner
-	ckptStop chan struct{}
-	// ckptDone closes when the checkpoint ticker of the latest Start
-	// has exited.
-	ckptDone chan struct{}
+	mu     sync.Mutex
+	runner *core.Runner
+	// ckpt is the periodic checkpoint job of the latest Start.
+	ckpt     *core.Job
 	lastUsed time.Time
 	closed   bool
 	rev      int
@@ -467,7 +465,7 @@ func (s *Session) StepN(n int) (bool, error) {
 	return more, nil
 }
 
-// Start launches the session's runner: one goroutine per source.
+// Start launches the session's runner, supervisor and checkpoint jobs.
 func (s *Session) Start(ctx context.Context, opts ...core.RunnerOption) error {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
@@ -492,8 +490,13 @@ func (s *Session) Start(ctx context.Context, opts ...core.RunnerOption) error {
 		s.supervisor.Start(ctx)
 	}
 	if s.store != nil && s.ckptEvery > 0 {
-		s.ckptStop, s.ckptDone = make(chan struct{}), make(chan struct{})
-		go s.checkpointLoop(s.ckptStop, s.ckptDone)
+		// A failed periodic checkpoint is counted and leaves the
+		// previous record in place; the evict-time one still runs.
+		origin := time.Now()
+		s.ckpt = core.Every(context.Background(), origin.Add(s.ckptEvery), func(now time.Time) (time.Time, bool) {
+			_, _ = s.Checkpoint()
+			return core.NextDue(origin, s.ckptEvery, now), true
+		})
 	}
 	return nil
 }
@@ -509,34 +512,29 @@ func (s *Session) WaitSources() {
 	}
 }
 
-// Stop halts the session's supervisor, checkpoint ticker and async
+// Stop halts the session's supervisor, checkpoint job and async
 // runner, returning the errors the runner collected.
 func (s *Session) Stop() error {
 	_, err := s.halt(false)
 	return err
 }
 
-// halt is the one stop sequence. The supervisor and the checkpoint
-// ticker stop first, and halt waits for both to exit: a sweep or a
-// tick may be inside a pause, which needs the run lock, and a tick
-// that ran after the runner stopped would checkpoint the stopped
-// session. Then, holding the run lock so no Run, StepN or pause is in
-// flight, it stops the runner and marks the session closed when
-// closing. It reports false when the session was already closed.
+// halt is the one stop sequence. The supervisor's sweeps and the
+// periodic checkpoints stop first, each once a call in flight has
+// returned: either may be inside a pause, which needs the run lock, and
+// a checkpoint after the runner stopped would record a stopped session.
+// Then, holding the run lock so no Run, StepN or pause is in flight, it
+// stops the runner and marks the session closed when closing. It
+// reports false when the session was already closed.
 func (s *Session) halt(closing bool) (bool, error) {
 	if s.supervisor != nil {
 		s.supervisor.Stop()
 	}
 	s.mu.Lock()
-	stop, done := s.ckptStop, s.ckptDone
-	s.ckptStop = nil
+	ckpt := s.ckpt
+	s.ckpt = nil
 	s.mu.Unlock()
-	if stop != nil {
-		close(stop)
-	}
-	if done != nil {
-		<-done
-	}
+	ckpt.Stop()
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	s.mu.Lock()
