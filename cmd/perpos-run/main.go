@@ -10,7 +10,8 @@
 //	perpos-run -seed 7 -max 20
 //	perpos-run -config pipeline.json   # declarative system-level configuration
 //	perpos-run -targets 25          # 25 concurrent tracked targets, one
-//	                                # session each from a shared blueprint
+//	                                # session each from rules-fusion.json's
+//	                                # layout
 //	perpos-run -chaos               # supervised fusion session surviving an
 //	                                # injected WiFi outage (self-healing demo)
 //	perpos-run -chaos -chaos-script examples/configs/chaos-fusion.json
@@ -35,16 +36,25 @@
 //	                                # join with minimal-range rebalancing
 //	perpos-run -cluster 3 -node n2 # same demo, killing node n2
 //	perpos-run -rules examples/configs/rules-fusion.json
-//	                                # self-adaptation demo: declarative
-//	                                # rules engage live graph edits as the
-//	                                # GPS accuracy degrades, defer to a
+//	                                # self-adaptation demo: the whole
+//	                                # pipeline from the file; its rules
+//	                                # engage live graph edits as the GPS
+//	                                # accuracy degrades, defer to a
 //	                                # supervisor reroute during a WiFi
 //	                                # outage, and unwind on recovery
 //
-// Configurations (see internal/config) may reference two pre-built
-// instances: "gps" (a receiver on a commute trace) and "app" (a
-// printing sink), plus every component type in internal/catalog and
-// the features "satellites", "hdop" and "parser-stats".
+// The -targets, -chaos and -rollout demos build their sessions from the
+// pipeline definitions in examples/configs, which the binary embeds, so
+// they run from any directory: rules-fusion.json for the fusion
+// pipeline (without its rules for -chaos, and without its rules and
+// supervision for -targets) and fusion-upgrade.json for the rollout.
+// Each demo binds a smaller seeded particle filter per session.
+//
+// Configurations given with -config (see internal/config) may reference
+// two pre-built instances: "gps" (a receiver on a commute trace) and
+// "app" (a printing sink), plus every component type in
+// internal/catalog and the features "satellites", "hdop" and
+// "parser-stats".
 package main
 
 import (
@@ -59,6 +69,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"perpos/examples/configs"
 	"perpos/internal/building"
 	"perpos/internal/catalog"
 	"perpos/internal/chaos"
@@ -71,7 +82,6 @@ import (
 	"perpos/internal/filter"
 	"perpos/internal/geo"
 	"perpos/internal/gps"
-	"perpos/internal/health"
 	"perpos/internal/obs"
 	"perpos/internal/positioning"
 	"perpos/internal/rules"
@@ -98,7 +108,7 @@ func run(args []string) error {
 	rolloutDemo := fs.Bool("rollout", false, "roll a live session fleet from the GPS-only revision to the fusion revision (canary → gate → ramp)")
 	rolloutFail := fs.Bool("rollout-fail", false, "rollout demo with a broken WiFi branch: the canary gate trips and the fleet rolls back")
 	chaosScript := fs.String("chaos-script", "", "pipeline JSON whose chaos block drives the -chaos fault script (default: built-in kill/heal)")
-	rulesPath := fs.String("rules", "", "pipeline JSON whose rules block drives the self-adaptation demo (engage → arbitrate → disengage transcript)")
+	rulesPath := fs.String("rules", "", "pipeline JSON with supervision and rules blocks to run the self-adaptation demo on (engage → arbitrate → disengage transcript)")
 	checkpointDir := fs.String("checkpoint-dir", "", "directory for durable session checkpoints; with -chaos the session is evicted and resumed from it")
 	clusterN := fs.Int("cluster", 0, "run the distributed session tier demo with N nodes: kill one node (checkpointed failover), then join a fresh one (minimal-range rebalance)")
 	nodeID := fs.String("node", "", "with -cluster: the node ID to kill mid-demo (default: the node carrying the most sessions)")
@@ -231,24 +241,24 @@ func runConfigured(path string, seed int64, maxLines int) error {
 
 // runTargets is the multi-tenant mode: N targets tracked through the
 // positioning manager, each backed by its own pipeline session
-// instantiated from ONE shared Fig. 2 fusion blueprint (building model
-// and WiFi database shared, sensors and sink per target), replayed
-// concurrently and summarised deterministically. A non-nil hub gets
-// the full runtime observability wiring (lifecycle gauges, emission
-// taps, tree depths).
+// instantiated from ONE shared Fig. 2 fusion blueprint, the layout of
+// rules-fusion.json (building model and WiFi database shared, sensors,
+// filter and sink per target), replayed concurrently and summarised
+// deterministically. A non-nil hub gets the full runtime observability
+// wiring (lifecycle gauges, emission taps, tree depths).
 func runTargets(n int, seed int64, hub *obs.Metrics) error {
 	b := building.Evaluation()
 	network := wifi.DefaultDeployment(b)
 	db := wifi.Survey(network, 0, wifi.SurveyConfig{Seed: seed + 1})
-	bp, err := catalog.FusionBlueprint(
-		catalog.Deps{Building: b, Database: db},
-		filter.Config{Particles: 200, Seed: seed + 2})
+	loader, p, err := fusionPipeline(b, db, "rules-fusion.json")
 	if err != nil {
 		return err
 	}
+	// The replay drives each session synchronously to the end of its
+	// trace, with no supervisor sweeping: the layout alone.
+	p.Supervision, p.Rules = nil, nil
 
-	rt, err := runtime.NewManager(runtime.SessionConfig{
-		Blueprint:     bp,
+	rt, err := loader.Manager(p, runtime.SessionConfig{
 		Provider:      positioning.ProviderInfo{Technology: "fused", TypicalAccuracy: 4},
 		History:       64,
 		Observability: hub,
@@ -263,6 +273,7 @@ func runTargets(n int, seed int64, hub *obs.Metrics) error {
 				core.WithComponentOverride("wifi", func(cid string) core.Component {
 					return wifi.NewSensor(cid, network, tr, 2*time.Second, seed+i+200)
 				}),
+				particleFilter(b, 200, seed+2),
 			}
 		},
 	})
@@ -335,14 +346,16 @@ func runTargets(n int, seed int64, hub *obs.Metrics) error {
 }
 
 // runChaos is the self-healing demo: a supervised fusion session whose
-// WiFi sensor is chaos-killed mid-run. The session's supervisor trips
-// the breaker, degrades the pipeline to the GPS branch (positions keep
-// flowing), and restores full fusion when the sensor comes back. The
-// fault script comes from a pipeline definition's chaos block when
-// scriptPath is set; with ckptDir the session also checkpoints durably
-// and is evicted and resumed from disk at the end — the crash-recovery
-// path exercised interactively. A non-nil hub additionally collects
-// runtime metrics, including checkpoint write accounting.
+// WiFi sensor is chaos-killed mid-run. The session runs rules-fusion.json
+// without its rules, so the supervision block alone acts: the
+// supervisor trips the breaker, degrades the pipeline to the GPS branch
+// (positions keep flowing), and restores full fusion when the sensor
+// comes back. The fault script comes from a pipeline definition's chaos
+// block when scriptPath is set; with ckptDir the session also
+// checkpoints durably and is evicted and resumed from disk at the end —
+// the crash-recovery path exercised interactively. A non-nil hub
+// additionally collects runtime metrics, including checkpoint write
+// accounting.
 func runChaos(seed int64, ckptDir, scriptPath string, hub *obs.Metrics) error {
 	script := chaos.Schedule{Steps: []chaos.Step{
 		{At: 0, Action: chaos.ActionKill, Target: "wifi"},
@@ -368,12 +381,11 @@ func runChaos(seed int64, ckptDir, scriptPath string, hub *obs.Metrics) error {
 	b := building.Evaluation()
 	network := wifi.DefaultDeployment(b)
 	db := wifi.Survey(network, 0, wifi.SurveyConfig{Seed: seed + 1, GridStep: 4})
-	bp, err := catalog.FusionBlueprint(
-		catalog.Deps{Building: b, Database: db},
-		filter.Config{Particles: 150, Seed: seed + 2})
+	loader, p, err := fusionPipeline(b, db, "rules-fusion.json")
 	if err != nil {
 		return err
 	}
+	p.Rules = nil
 	tr := trace.CorridorWalk(b, seed, 600, time.Second)
 
 	var store *checkpoint.Store
@@ -390,8 +402,7 @@ func runChaos(seed int64, ckptDir, scriptPath string, hub *obs.Metrics) error {
 	}
 
 	var wifiChaos *chaos.Source
-	m, err := runtime.NewManager(runtime.SessionConfig{
-		Blueprint:     bp,
+	m, err := loader.Manager(p, runtime.SessionConfig{
 		Provider:      positioning.ProviderInfo{Technology: "fused", TypicalAccuracy: 4},
 		History:       32,
 		Observability: hub,
@@ -404,16 +415,9 @@ func runChaos(seed int64, ckptDir, scriptPath string, hub *obs.Metrics) error {
 					wifiChaos = chaos.WrapSource(wifi.NewSensor(cid, network, tr, time.Second, seed+4))
 					return wifiChaos
 				}),
+				particleFilter(b, 150, seed+2),
 			}
 		},
-		Health: &health.Policy{
-			MaxConsecutiveErrors: 2,
-			Deadlines:            map[string]time.Duration{"wifi": 200 * time.Millisecond},
-			ProbeInterval:        10 * time.Millisecond,
-			Sweep:                5 * time.Millisecond,
-			Restart:              core.RestartPolicy{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond},
-		},
-		Reroutes:        catalog.FusionDegradation(),
 		Checkpoints:     store,
 		CheckpointEvery: 50 * time.Millisecond,
 	})
@@ -514,9 +518,9 @@ func runChaos(seed int64, ckptDir, scriptPath string, hub *obs.Metrics) error {
 	return nil
 }
 
-// runRules is the self-adaptation demo: a supervised fusion session
-// carrying the declarative rules from a pipeline definition's rules
-// block. A chaos corruptor pins the GPS HDOP on cue — the indoor walk's
+// runRules is the self-adaptation demo: a fusion session built
+// entirely from the pipeline definition at path, whose supervision
+// block and rules block must both be present. A chaos corruptor pins the GPS HDOP on cue — the indoor walk's
 // true HDOP sits above every threshold, so both the healthy and the
 // degraded phases rewrite it. When accuracy degrades the insert rule
 // splices an HDOP filter into the live pipeline and the swap rule
@@ -535,23 +539,16 @@ func runRules(path string, seed int64, hub *obs.Metrics) error {
 	if err != nil {
 		return err
 	}
-	if p.Rules == nil {
-		return fmt.Errorf("%s has no rules block", path)
+	if p.Rules == nil || p.Supervision == nil {
+		return fmt.Errorf("%s needs a rules block and a supervision block", path)
 	}
 
 	b := building.Evaluation()
 	network := wifi.DefaultDeployment(b)
 	db := wifi.Survey(network, 0, wifi.SurveyConfig{Seed: seed + 1, GridStep: 4})
-	reg, err := catalog.Standard(catalog.Deps{Building: b, Database: db})
+	loader, err := fusionLoader(b, db)
 	if err != nil {
 		return err
-	}
-	loader := &config.Loader{
-		Registry: reg,
-		Features: map[string]func() core.Feature{
-			"hdop":     func() core.Feature { return gps.NewHDOPFeature() },
-			"periodic": func() core.Feature { return energy.NewPeriodicStrategy(5*time.Second, time.Second) },
-		},
 	}
 	rs, err := loader.Rules(p.Rules)
 	if err != nil {
@@ -571,12 +568,6 @@ func runRules(path string, seed int64, hub *obs.Metrics) error {
 		return fmt.Errorf("%s: the demo script needs an insert rule and a swap rule", path)
 	}
 
-	bp, err := catalog.FusionBlueprint(
-		catalog.Deps{Building: b, Database: db},
-		filter.Config{Particles: 150, Seed: seed + 2})
-	if err != nil {
-		return err
-	}
 	tr := trace.CorridorWalk(b, seed, 600, time.Second)
 
 	// The script steers this: the corruptor pins every fix's HDOP so the
@@ -596,23 +587,8 @@ func runRules(path string, seed int64, hub *obs.Metrics) error {
 		return s
 	}
 
-	policy := &health.Policy{
-		MaxConsecutiveErrors: 2,
-		Deadlines:            map[string]time.Duration{"wifi": 200 * time.Millisecond},
-		ProbeInterval:        10 * time.Millisecond,
-		Sweep:                5 * time.Millisecond,
-		Restart:              core.RestartPolicy{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond},
-	}
-	reroutes := catalog.FusionDegradation()
-	if p.Supervision != nil {
-		pl := p.Supervision.Policy()
-		policy = &pl
-		reroutes = p.Supervision.HealthReroutes()
-	}
-
 	var wifiChaos *chaos.Source
-	m, err := runtime.NewManager(runtime.SessionConfig{
-		Blueprint:     bp,
+	m, err := loader.Manager(p, runtime.SessionConfig{
 		Provider:      positioning.ProviderInfo{Technology: "fused", TypicalAccuracy: 4},
 		History:       32,
 		Observability: hub,
@@ -627,11 +603,9 @@ func runRules(path string, seed int64, hub *obs.Metrics) error {
 					wifiChaos = chaos.WrapSource(wifi.NewSensor(cid, network, tr, time.Second, seed+4))
 					return wifiChaos
 				}),
+				particleFilter(b, 150, seed+2),
 			}
 		},
-		Health:   policy,
-		Reroutes: reroutes,
-		Rules:    rs,
 	})
 	if err != nil {
 		return err
@@ -731,8 +705,8 @@ func runRules(path string, seed int64, hub *obs.Metrics) error {
 }
 
 // runRollout is the fleet-adaptation demo: a fleet of live sessions on
-// the GPS-only revision of the catalog's upgrade set rolls to the
-// fusion revision through the manager's canary → gate → ramp driver,
+// the GPS-only revision of fusion-upgrade.json rolls to its fusion
+// revision through the manager's canary → gate → ramp driver,
 // while every session keeps delivering positions. With fail=true the
 // WiFi branch the upgrade introduces is chaos-killed on arrival: the
 // canary cohort's error delta trips the gate, the canaries are migrated
@@ -746,20 +720,16 @@ func runRollout(seed int64, fail bool, hub *obs.Metrics) error {
 	b := building.Evaluation()
 	network := wifi.DefaultDeployment(b)
 	db := wifi.Survey(network, 0, wifi.SurveyConfig{Seed: seed + 1, GridStep: 4})
-	set, err := catalog.FusionUpgradeSet(
-		catalog.Deps{Building: b, Database: db},
-		filter.Config{Particles: 100, Seed: seed + 2})
+	loader, p, err := fusionPipeline(b, db, "fusion-upgrade.json")
 	if err != nil {
 		return err
 	}
 	tr := trace.CorridorWalk(b, seed, 600, time.Second)
 
-	m, err := runtime.NewManager(runtime.SessionConfig{
-		Blueprints:      set,
-		InitialRevision: 1,
-		Provider:        positioning.ProviderInfo{Technology: "fused", TypicalAccuracy: 4},
-		History:         16,
-		Observability:   hub,
+	m, err := loader.Manager(p, runtime.SessionConfig{
+		Provider:      positioning.ProviderInfo{Technology: "fused", TypicalAccuracy: 4},
+		History:       16,
+		Observability: hub,
 		Overrides: func(sessionID string) []core.InstantiateOption {
 			var i int64
 			fmt.Sscanf(sessionID, "target-%d", &i)
@@ -778,6 +748,7 @@ func runRollout(seed int64, fail bool, hub *obs.Metrics) error {
 					broken.Kill(nil) // the regression ships with revision 2
 					return broken
 				}),
+				particleFilter(b, 100, seed+2),
 			}
 		},
 	})
@@ -812,7 +783,7 @@ func runRollout(seed int64, fail bool, hub *obs.Metrics) error {
 	if err := wait("first positions", func() bool { return delivered.Load() >= fleet }); err != nil {
 		return err
 	}
-	fmt.Printf("fleet live: %d sessions on revision %d (%s)\n", m.Len(), m.ActiveRevision(), set.Name())
+	fmt.Printf("fleet live: %d sessions on revision %d (%s)\n", m.Len(), m.ActiveRevision(), m.Blueprints().Name())
 
 	gate := runtime.GateConfig{MaxErrors: 1 << 20}
 	if fail {
@@ -866,6 +837,43 @@ func runRollout(seed int64, fail bool, hub *obs.Metrics) error {
 	}
 	fmt.Printf("fleet still delivering: %d positions total, %d sessions live\n", delivered.Load(), m.Len())
 	return nil
+}
+
+// fusionLoader resolves the shipped fusion definitions against the
+// standard registry over the building and WiFi survey, with the two
+// features they name.
+func fusionLoader(b *building.Building, db *wifi.Database) (*config.Loader, error) {
+	reg, err := catalog.Standard(catalog.Deps{Building: b, Database: db})
+	if err != nil {
+		return nil, err
+	}
+	return &config.Loader{
+		Registry: reg,
+		Features: map[string]func() core.Feature{
+			"hdop":     func() core.Feature { return gps.NewHDOPFeature() },
+			"periodic": func() core.Feature { return energy.NewPeriodicStrategy(5*time.Second, time.Second) },
+		},
+	}, nil
+}
+
+// fusionPipeline parses the embedded definition name and returns it
+// with its loader.
+func fusionPipeline(b *building.Building, db *wifi.Database, name string) (*config.Loader, config.Pipeline, error) {
+	loader, err := fusionLoader(b, db)
+	if err != nil {
+		return nil, config.Pipeline{}, err
+	}
+	p, err := configs.Load(name)
+	return loader, p, err
+}
+
+// particleFilter binds each session's "particle-filter" slot, where its
+// revision has one, to a seeded filter of the given size: the demos run
+// smaller filters than the registry's default.
+func particleFilter(b *building.Building, particles int, seed int64) core.InstantiateOption {
+	return core.WithOptionalOverride("particle-filter", func(cid string) core.Component {
+		return filter.NewParticleFilter(cid, b, filter.Config{Particles: particles, Seed: seed})
+	})
 }
 
 func runFusion(seed int64, maxLines int) error {

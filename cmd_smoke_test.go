@@ -63,11 +63,21 @@ func buildBinaries(t *testing.T) map[string]string {
 // runBin executes a built binary and returns its combined output.
 func runBin(t *testing.T, bin string, args ...string) string {
 	t.Helper()
-	out, err := runBinErr(bin, args...)
+	return runBinIn(t, "", bin, args...)
+}
+
+// runBinIn is runBin with dir as the working directory ("" = the
+// repository root). A demo run from an empty directory proves it reads
+// no file of the repository.
+func runBinIn(t *testing.T, dir, bin string, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("%s %v: %v\n%s", filepath.Base(bin), args, err, out)
 	}
-	return out
+	return string(out)
 }
 
 // runBinErr is the variant for exercising failure exits (the benchmark
@@ -147,7 +157,7 @@ func TestBinariesSmoke(t *testing.T) {
 	})
 
 	t.Run("perpos-run-targets", func(t *testing.T) {
-		out := runBin(t, bins["perpos-run"], "-targets", "3", "-seed", "5")
+		out := runBinIn(t, t.TempDir(), bins["perpos-run"], "-targets", "3", "-seed", "5")
 		for _, want := range []string{"target-000", "target-002", "positions total"} {
 			if !strings.Contains(out, want) {
 				t.Errorf("multi-target output missing %q:\n%s", want, out)
@@ -171,7 +181,7 @@ func TestBinariesSmoke(t *testing.T) {
 	})
 
 	t.Run("perpos-run-chaos", func(t *testing.T) {
-		out := runBin(t, bins["perpos-run"], "-chaos", "-seed", "7")
+		out := runBinIn(t, t.TempDir(), bins["perpos-run"], "-chaos", "-seed", "7")
 		for _, want := range []string{
 			"starting fault script",
 			"provider -> TEMPORARILY_UNAVAILABLE",
@@ -200,7 +210,7 @@ func TestBinariesSmoke(t *testing.T) {
 	})
 
 	t.Run("perpos-run-rollout", func(t *testing.T) {
-		out := runBin(t, bins["perpos-run"], "-rollout", "-seed", "11")
+		out := runBinIn(t, t.TempDir(), bins["perpos-run"], "-rollout", "-seed", "11")
 		for _, want := range []string{
 			"fleet live: 24 sessions on revision 1 (fusion-upgrade)",
 			"rollout fusion-upgrade 1->2: 24 sessions, 6 canaries",
@@ -216,7 +226,7 @@ func TestBinariesSmoke(t *testing.T) {
 	})
 
 	t.Run("perpos-run-rollout-fail", func(t *testing.T) {
-		out := runBin(t, bins["perpos-run"], "-rollout-fail", "-seed", "11")
+		out := runBinIn(t, t.TempDir(), bins["perpos-run"], "-rollout-fail", "-seed", "11")
 		for _, want := range []string{
 			"fleet live: 24 sessions on revision 1 (fusion-upgrade)",
 			"rollout gate tripped",

@@ -183,9 +183,6 @@ func (b *Building) Origin() geo.Point { return b.origin }
 // building origin.
 func (b *Building) Projection() *geo.Projection { return b.proj }
 
-// Floors returns the number of storeys.
-func (b *Building) Floors() int { return len(b.floors) }
-
 // Floor returns the storey at the given level, or false for unknown
 // levels.
 func (b *Building) Floor(level int) (*Floor, bool) {

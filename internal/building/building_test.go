@@ -9,8 +9,8 @@ import (
 
 func TestEvaluationShape(t *testing.T) {
 	b := Evaluation()
-	if b.Floors() != 1 {
-		t.Fatalf("floors = %d, want 1", b.Floors())
+	if len(b.floors) != 1 {
+		t.Fatalf("floors = %d, want 1", len(b.floors))
 	}
 	f, ok := b.Floor(0)
 	if !ok || len(f.Rooms) != 11 {
@@ -112,7 +112,7 @@ func TestRoomAtWrongFloor(t *testing.T) {
 // outside the building and on every wall line.
 func TestGridMatchesLinearScan(t *testing.T) {
 	for _, b := range []*Building{Evaluation(), EvaluationTwoFloors()} {
-		for level := 0; level < b.Floors(); level++ {
+		for level := 0; level < len(b.floors); level++ {
 			f, _ := b.Floor(level)
 			for e := -2.0; e <= 42.0; e += 0.25 {
 				for n := -2.0; n <= 14.0; n += 0.25 {
@@ -140,8 +140,8 @@ func TestRoomByIDMiss(t *testing.T) {
 
 func TestTwoFloorsDisambiguation(t *testing.T) {
 	b := EvaluationTwoFloors()
-	if b.Floors() != 2 {
-		t.Fatalf("floors = %d, want 2", b.Floors())
+	if len(b.floors) != 2 {
+		t.Fatalf("floors = %d, want 2", len(b.floors))
 	}
 	p := geo.ENU{East: 20, North: 10} // inside N3's footprint on both floors
 	ground, ok := b.RoomAt(p, 0)
@@ -250,7 +250,7 @@ func TestWallsBetweenCounts(t *testing.T) {
 // must be a legal (non-crossing) path on every floor.
 func TestDoorsAreUsable(t *testing.T) {
 	b := EvaluationTwoFloors()
-	for level := 0; level < b.Floors(); level++ {
+	for level := 0; level < len(b.floors); level++ {
 		f, _ := b.Floor(level)
 		corridorN := (corridorLoN + corridorHiN) / 2
 		for _, r := range f.Rooms {

@@ -1,7 +1,12 @@
 // Package catalog preloads a registry with the repository's standard
 // Processing Component types, so whole pipelines can be assembled
 // declaratively (§2.1) — the role the OSGi bundle repository played for
-// the original middleware.
+// the original middleware. It also builds the two GPS pipelines that
+// Go callers instantiate directly: GPSBlueprint (perfbench's GPS
+// workloads) and KalmanBlueprint (the cluster tier's sessions). The
+// Fig. 2 fusion pipeline, its supervision reroutes and its adaptation
+// rules are data, not Go: examples/configs/rules-fusion.json, resolved
+// through this registry by config.Loader.
 //
 // Registration order matters: the resolver instantiates the first
 // registered type whose output satisfies an open requirement, so more
@@ -15,13 +20,10 @@ import (
 
 	"perpos/internal/building"
 	"perpos/internal/core"
-	"perpos/internal/energy"
 	"perpos/internal/filter"
 	"perpos/internal/geo"
 	"perpos/internal/gps"
-	"perpos/internal/health"
 	"perpos/internal/registry"
-	"perpos/internal/rules"
 	"perpos/internal/transport"
 	"perpos/internal/wifi"
 )
@@ -76,9 +78,9 @@ func Standard(deps Deps) (*registry.Registry, error) {
 			New:  func(id string) core.Component { return transport.NewHMMSmoother(id, 0) },
 		},
 		// Registered after the Parser so an open sentence requirement
-		// resolves to the parser, never to a pass-through filter. The
-		// rules engine (and RulesDef configs) instantiate this type when
-		// the AccuracyFilterRule engages.
+		// resolves to the parser, never to a pass-through filter. A rule
+		// whose insert action names this type (rules-fusion.json's
+		// accuracy-filter) instantiates it when it engages.
 		{
 			Name: "HDOPFilter",
 			Spec: gps.NewHDOPFilter("proto", DefaultMaxHDOP).Spec(),
@@ -184,259 +186,7 @@ func KalmanBlueprint(proj *geo.Projection, processNoise float64) (*core.Blueprin
 	return bp, nil
 }
 
-// FusionBlueprint returns the blueprint of the Fig. 2 fusion pipeline:
-// the GPS chain and the WiFi positioning chain feeding a particle
-// filter whose output reaches the application. The building model and
-// fingerprint database in deps are shared, immutable, across every
-// instance; the "gps" and "wifi" sensors and the "app" sink are
-// placeholders bound per instantiation. The parser carries the HDOP
-// Component Feature, as in the paper's §3.2 setup.
-func FusionBlueprint(deps Deps, fcfg filter.Config) (*core.Blueprint, error) {
-	if deps.Building == nil || deps.Database == nil {
-		return nil, fmt.Errorf("catalog: fusion blueprint needs a building model and a WiFi database")
-	}
-	b, db := deps.Building, deps.Database
-	bp := core.NewBlueprint()
-	comps := []struct {
-		id      string
-		factory core.ComponentFactory
-	}{
-		{"gps", nil},
-		{"parser", func(id string) core.Component { return gps.NewParser(id) }},
-		{"interpreter", func(id string) core.Component { return gps.NewInterpreter(id, 0) }},
-		{"wifi", nil},
-		{"wifi-positioning", func(id string) core.Component { return wifi.NewEngine(id, db, b, 3) }},
-		{"particle-filter", func(id string) core.Component { return filter.NewParticleFilter(id, b, fcfg) }},
-		{"app", nil},
-	}
-	for _, c := range comps {
-		if err := bp.AddComponent(c.id, c.factory); err != nil {
-			return nil, fmt.Errorf("catalog: %w", err)
-		}
-	}
-	if err := bp.AttachFeature("parser", func() core.Feature { return gps.NewHDOPFeature() }); err != nil {
-		return nil, fmt.Errorf("catalog: %w", err)
-	}
-	for _, e := range []core.Edge{
-		{From: "gps", To: "parser", Port: 0},
-		{From: "parser", To: "interpreter", Port: 0},
-		{From: "interpreter", To: "particle-filter", Port: 0},
-		{From: "wifi", To: "wifi-positioning", Port: 0},
-		{From: "wifi-positioning", To: "particle-filter", Port: 1},
-		{From: "particle-filter", To: "app", Port: 0},
-	} {
-		if err := bp.Connect(e.From, e.To, e.Port); err != nil {
-			return nil, fmt.Errorf("catalog: %w", err)
-		}
-	}
-	return bp, nil
-}
-
-// FusionUpgradeSet returns the two-revision blueprint set behind the
-// repository's rolling-upgrade demo: revision 1 is the plain GPS chain
-// (gps -> parser -> interpreter -> app), revision 2 the Fig. 2 fusion
-// pipeline that splices the WiFi branch and the particle filter between
-// the interpreter and the app. The GPS chain slots share one factory
-// per slot AND carry identity tags across both revisions, so a
-// migration sees gps/parser/interpreter/app as Unchanged — their live
-// instances (and component state) survive the upgrade; only the wifi
-// branch and the filter are instantiated, and the reverse migration
-// tears exactly those down again.
-func FusionUpgradeSet(deps Deps, fcfg filter.Config) (*core.BlueprintSet, error) {
-	if deps.Building == nil || deps.Database == nil {
-		return nil, fmt.Errorf("catalog: fusion upgrade set needs a building model and a WiFi database")
-	}
-	b, db := deps.Building, deps.Database
-
-	// One factory value per shared slot: identity-tagged anyway, but
-	// sharing keeps the pointer-compare fallback equivalent.
-	parserF := func(id string) core.Component { return gps.NewParser(id) }
-	interpF := func(id string) core.Component { return gps.NewInterpreter(id, 0) }
-	hdopF := func() core.Feature { return gps.NewHDOPFeature() }
-
-	type slot struct {
-		id      string
-		tag     string
-		factory core.ComponentFactory
-	}
-	build := func(fusion bool) (*core.Blueprint, error) {
-		bp := core.NewBlueprint()
-		comps := []slot{
-			{"gps", "sensor.gps", nil},
-			{"parser", "gps.Parser", parserF},
-			{"interpreter", "gps.Interpreter", interpF},
-			{"app", "sink.app", nil},
-		}
-		edges := []core.Edge{
-			{From: "gps", To: "parser", Port: 0},
-			{From: "parser", To: "interpreter", Port: 0},
-		}
-		if fusion {
-			comps = append(comps,
-				slot{"wifi", "sensor.wifi", nil},
-				slot{"wifi-positioning", "wifi.Engine", func(id string) core.Component {
-					return wifi.NewEngine(id, db, b, 3)
-				}},
-				slot{"particle-filter", "filter.Particle", func(id string) core.Component {
-					return filter.NewParticleFilter(id, b, fcfg)
-				}},
-			)
-			edges = append(edges,
-				core.Edge{From: "interpreter", To: "particle-filter", Port: 0},
-				core.Edge{From: "wifi", To: "wifi-positioning", Port: 0},
-				core.Edge{From: "wifi-positioning", To: "particle-filter", Port: 1},
-				core.Edge{From: "particle-filter", To: "app", Port: 0},
-			)
-		} else {
-			edges = append(edges, core.Edge{From: "interpreter", To: "app", Port: 0})
-		}
-		for _, c := range comps {
-			if err := bp.AddComponent(c.id, c.factory); err != nil {
-				return nil, err
-			}
-			if err := bp.TagComponent(c.id, c.tag); err != nil {
-				return nil, err
-			}
-		}
-		// Same tagged HDOP feature in both revisions: the parser's
-		// Component Feature is part of the chain, not of the upgrade.
-		if err := bp.AttachTaggedFeature("parser", "gps.HDOP", hdopF); err != nil {
-			return nil, err
-		}
-		for _, e := range edges {
-			if err := bp.Connect(e.From, e.To, e.Port); err != nil {
-				return nil, err
-			}
-		}
-		return bp, nil
-	}
-
-	set := core.NewBlueprintSet("fusion-upgrade")
-	for _, fusion := range []bool{false, true} {
-		bp, err := build(fusion)
-		if err != nil {
-			return nil, fmt.Errorf("catalog: %w", err)
-		}
-		if _, err := set.Add(bp); err != nil {
-			return nil, fmt.Errorf("catalog: %w", err)
-		}
-	}
-	return set, nil
-}
-
-// FusionDegradation returns the graceful-degradation rules matching
-// FusionBlueprint: when either sensor branch trips its breaker, the
-// fused output edge is cut and the surviving branch's position stream
-// is routed straight to the application sink — the paper's PSL
-// connect/delete adaptation, driven by the supervisor instead of a
-// developer. Recovery reverses the edit, restoring full fusion.
-//
-// Both rules break the same fused output edge, so they form one
-// supervisor conflict group. Priorities make the multi-failure order
-// explicit: with both branches down, the GPS bypass (dead-reckoned
-// interpreter output) is preferred over the Wi-Fi fingerprint bypass,
-// since the interpreter keeps extrapolating through short outages.
-func FusionDegradation() []health.Reroute {
-	return []health.Reroute{
-		{
-			Watch:    "wifi",
-			Break:    core.Edge{From: "particle-filter", To: "app", Port: 0},
-			Make:     core.Edge{From: "interpreter", To: "app", Port: 0},
-			Priority: 0,
-		},
-		{
-			Watch:    "gps",
-			Break:    core.Edge{From: "particle-filter", To: "app", Port: 0},
-			Make:     core.Edge{From: "wifi-positioning", To: "app", Port: 0},
-			Priority: 1,
-		},
-	}
-}
-
-// Tuning for the shipped self-adaptation rules — the paper's §3 case
-// studies as data. The thresholds follow the usual GPS accuracy bands:
-// HDOP up to ~2 is good, above ~4-5 the fix is poor.
-const (
-	// DefaultMaxHDOP is the HDOPFilter registration's cutoff: sentences
-	// with a worse (higher) HDOP are dropped.
-	DefaultMaxHDOP = 4.0
-	// EngageHDOP / ClearHDOP are the AccuracyFilterRule's hysteresis
-	// band: degrade past EngageHDOP and the filter goes in; only when
-	// the signal recovers below ClearHDOP does it come out.
-	EngageHDOP = 4.0
-	ClearHDOP  = 2.5
-	// SwapHDOP is the ProviderSwapRule's threshold: GPS accuracy so
-	// poor the WiFi fingerprint position is the better provider.
-	SwapHDOP = 6.0
-	// IdleSpeedMS is the PowerRule's threshold: a target moving slower
-	// than this (m/s) is effectively stationary, so the receiver can
-	// duty-cycle.
-	IdleSpeedMS = 0.3
-)
-
-// AccuracyFilterRule is the §3.1/§3.2 case study as data: when the
-// HDOP attached by the parser's HDOP feature degrades past the engage
-// threshold, an HDOPFilter is spliced between parser and interpreter
-// so poor fixes stop reaching the position chain; when HDOP recovers
-// below the clear threshold, the filter is removed. The hysteresis
-// band between the two thresholds plus the dwell times keep a noisy
-// boundary signal from flapping the graph.
-func AccuracyFilterRule() rules.Rule {
-	return rules.Rule{
-		Name:        "accuracy-filter",
-		When:        rules.Condition{Signal: "attr:" + gps.AttrHDOP, Op: rules.OpGT, Value: EngageHDOP},
-		ClearWhen:   &rules.Condition{Signal: "attr:" + gps.AttrHDOP, Op: rules.OpLT, Value: ClearHDOP},
-		EngageAfter: 100 * time.Millisecond,
-		Action: &rules.InsertAction{
-			ID:    "hdop-filter",
-			Build: func(id string) core.Component { return gps.NewHDOPFilter(id, DefaultMaxHDOP) },
-			From:  "parser",
-			To:    "interpreter",
-			Port:  0,
-		},
-	}
-}
-
-// ProviderSwapRule is the §3.3 case study as data: under severely
-// degraded GPS accuracy the fused output is bypassed in favour of the
-// WiFi fingerprint position. Its action deliberately reuses the
-// supervisor's Break/Make edges for the fused output, so when a real
-// branch failure triggers a supervisor reroute on the same edge the
-// supervisor wins and this rule defers until the graph heals.
-func ProviderSwapRule() rules.Rule {
-	return rules.Rule{
-		Name:        "provider-swap",
-		When:        rules.Condition{Signal: "attr:" + gps.AttrHDOP, Op: rules.OpGT, Value: SwapHDOP},
-		ClearWhen:   &rules.Condition{Signal: "attr:" + gps.AttrHDOP, Op: rules.OpLT, Value: ClearHDOP},
-		EngageAfter: 150 * time.Millisecond,
-		Action: &rules.SwapAction{
-			Break: core.Edge{From: "particle-filter", To: "app", Port: 0},
-			Make:  core.Edge{From: "wifi-positioning", To: "app", Port: 0},
-		},
-	}
-}
-
-// PowerRule is the §3.2 power case study as data: when the
-// interpreter's dead-reckoned speed shows the target effectively
-// stationary, a periodic duty-cycling strategy is attached to the GPS
-// receiver; movement detaches it again. The action is a pure feature
-// edit with no structural footprint, so it never conflicts with
-// supervisor reroutes.
-func PowerRule() rules.Rule {
-	return rules.Rule{
-		Name:        "power-periodic",
-		When:        rules.Condition{Signal: "attr:speedMS@interpreter", Op: rules.OpLT, Value: IdleSpeedMS},
-		ClearWhen:   &rules.Condition{Signal: "attr:speedMS@interpreter", Op: rules.OpGT, Value: 2 * IdleSpeedMS},
-		EngageAfter: 500 * time.Millisecond,
-		Action: &rules.FeatureAction{
-			Target: "gps",
-			Name:   energy.FeaturePeriodic,
-			Build:  func() core.Feature { return energy.NewPeriodicStrategy(5*time.Second, time.Second) },
-		},
-	}
-}
-
-// StandardRules bundles the three case-study rules.
-func StandardRules() []rules.Rule {
-	return []rules.Rule{AccuracyFilterRule(), ProviderSwapRule(), PowerRule()}
-}
+// DefaultMaxHDOP is the HDOPFilter registration's cutoff: sentences
+// with a worse (higher) HDOP are dropped. HDOP up to ~2 is good; above
+// ~4-5 the fix is poor.
+const DefaultMaxHDOP = 4.0

@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"perpos/examples/configs"
 	"perpos/internal/building"
+	"perpos/internal/config"
 	"perpos/internal/core"
 	"perpos/internal/filter"
 	"perpos/internal/geo"
@@ -124,14 +126,26 @@ func TestAssembleTransportPipeline(t *testing.T) {
 	}
 }
 
-// TestFusionBlueprint: the shared Fig. 2 blueprint instantiates into
-// independent per-target pipelines over shared immutable deps.
+// TestFusionBlueprint: the Fig. 2 blueprint that rules-fusion.json
+// resolves to through Standard instantiates into independent per-target
+// pipelines over shared immutable deps.
 func TestFusionBlueprint(t *testing.T) {
 	b := building.Evaluation()
 	n := wifi.DefaultDeployment(b)
 	db := wifi.Survey(n, 0, wifi.SurveyConfig{Seed: 1, GridStep: 4})
-	bp, err := FusionBlueprint(Deps{Building: b, Database: db},
-		filter.Config{Particles: 100, Seed: 2})
+	reg, err := Standard(Deps{Building: b, Database: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := configs.Load("rules-fusion.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader := &config.Loader{
+		Registry: reg,
+		Features: map[string]func() core.Feature{"hdop": func() core.Feature { return gps.NewHDOPFeature() }},
+	}
+	bp, err := loader.Blueprint(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +162,9 @@ func TestFusionBlueprint(t *testing.T) {
 			}),
 			core.WithComponentOverride("wifi", func(id string) core.Component {
 				return wifi.NewSensor(id, n, tr, 2*time.Second, 30+i)
+			}),
+			core.WithComponentOverride("particle-filter", func(id string) core.Component {
+				return filter.NewParticleFilter(id, b, filter.Config{Particles: 100, Seed: 2})
 			}),
 			core.WithComponentOverride("app", func(id string) core.Component { return sink }),
 		)

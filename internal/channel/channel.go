@@ -95,16 +95,9 @@ func (c *Channel) ID() string { return c.id }
 // component — the PCL data source).
 func (c *Channel) Source() *core.Node { return c.source }
 
-// Endpoint returns the last Processing Component inside the channel; its
-// output is what the channel delivers.
-func (c *Channel) Endpoint() *core.Node { return c.endpoint }
-
 // Consumer returns the merge component or application sink fed by the
 // channel.
 func (c *Channel) Consumer() *core.Node { return c.consumer }
-
-// ConsumerPort returns the consumer input port the channel feeds.
-func (c *Channel) ConsumerPort() int { return c.port }
 
 // Nodes returns the Processing Components inside the channel in flow
 // order (source first). The slice is a copy.

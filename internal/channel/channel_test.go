@@ -113,11 +113,11 @@ func TestDeriveFig2Channels(t *testing.T) {
 	if got := gps.NodeIDs(); !equalStrings(got, wantNodes) {
 		t.Errorf("gps channel nodes = %v, want %v", got, wantNodes)
 	}
-	if gps.Endpoint().ID() != "interpreter" {
-		t.Errorf("gps endpoint = %q, want interpreter", gps.Endpoint().ID())
+	if gps.endpoint.ID() != "interpreter" {
+		t.Errorf("gps endpoint = %q, want interpreter", gps.endpoint.ID())
 	}
-	if gps.Consumer().ID() != "particle-filter" || gps.ConsumerPort() != 0 {
-		t.Errorf("gps consumer = %q:%d", gps.Consumer().ID(), gps.ConsumerPort())
+	if gps.Consumer().ID() != "particle-filter" || gps.port != 0 {
+		t.Errorf("gps consumer = %q:%d", gps.Consumer().ID(), gps.port)
 	}
 
 	wifi, ok := byID["wifi->particle-filter:1"]
@@ -263,8 +263,8 @@ func TestDanglingChannel(t *testing.T) {
 	if channels[0].Consumer() != nil {
 		t.Error("dangling channel should have nil consumer")
 	}
-	if channels[0].ConsumerPort() != -1 {
-		t.Errorf("dangling port = %d, want -1", channels[0].ConsumerPort())
+	if channels[0].port != -1 {
+		t.Errorf("dangling port = %d, want -1", channels[0].port)
 	}
 }
 

@@ -496,45 +496,3 @@ func TestMoveImportFailureRevivesOnSource(t *testing.T) {
 		t.Errorf("ClusterHandoffs = %d, want 0", got)
 	}
 }
-
-// TestLeaveDrains: a graceful Leave hands every owned session to the
-// remaining members and drops the node from the membership.
-func TestLeaveDrains(t *testing.T) {
-	n1 := startTestNode(t, "n1", 4)
-	n2 := startTestNode(t, "n2", 4)
-	r := NewRouter(RouterConfig{Policy: fastPolicy(), Logf: t.Logf})
-	defer r.Close()
-	if err := r.Join(n1.Info()); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Join(n2.Info()); err != nil {
-		t.Fatal(err)
-	}
-	targets := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	for _, target := range targets {
-		if err := r.Track(target); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, n := range []*Node{n1, n2} {
-		if err := n.Pump(6); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r.Leave("n2"); err != nil {
-		t.Fatalf("Leave: %v", err)
-	}
-	if got := n1.Sessions(); got != len(targets) {
-		t.Fatalf("n1 sessions after drain = %d, want %d", got, len(targets))
-	}
-	for _, target := range targets {
-		node, inFlight, ok := r.NodeOf(target)
-		if !ok || inFlight || node != "n1" {
-			t.Fatalf("route %s = %q,%v,%v; want n1 settled", target, node, inFlight, ok)
-		}
-	}
-	members := r.Members()
-	if len(members) != 1 || members[0].ID != "n1" {
-		t.Fatalf("members after leave = %+v, want just n1", members)
-	}
-}

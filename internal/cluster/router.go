@@ -220,80 +220,6 @@ func (r *Router) Join(info NodeInfo) error {
 	return nil
 }
 
-// Leave drains a member gracefully: every target it owns is handed off
-// to its post-removal ring owner, then the member is dropped.
-func (r *Router) Leave(id string) error {
-	r.opMu.Lock()
-	defer r.opMu.Unlock()
-
-	r.mu.Lock()
-	m, ok := r.members[id]
-	if !ok {
-		r.mu.Unlock()
-		return fmt.Errorf("cluster: unknown node %s", id)
-	}
-	r.ring.remove(id)
-	type move struct {
-		target string
-		to     *member
-	}
-	var moves []move
-	for target, rt := range r.routes {
-		if rt.node != id {
-			continue
-		}
-		owner, ok := r.ring.owner(target)
-		if !ok {
-			r.ring.add(id) // restore: nowhere to drain to
-			r.mu.Unlock()
-			return ErrNoNodes
-		}
-		to := r.members[owner]
-		if to == nil || to.dead {
-			continue
-		}
-		moves = append(moves, move{target: target, to: to})
-	}
-	r.mu.Unlock()
-
-	r.logf("cluster: node %s leaving, draining %d targets", id, len(moves))
-	sem := make(chan struct{}, r.pol.HandoffConcurrency)
-	var wg sync.WaitGroup
-	for _, mv := range moves {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(mv move) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := r.handoff(mv.target, m, mv.to); err != nil {
-				r.logf("cluster: drain %s %s→%s failed: %v", mv.target, id, mv.to.info.ID, err)
-			}
-		}(mv)
-	}
-	wg.Wait()
-
-	r.mu.Lock()
-	remaining := 0
-	for _, rt := range r.routes {
-		if rt.node == id {
-			remaining++
-		}
-	}
-	if remaining > 0 {
-		// Failed drains keep the member (and its ring range) so the
-		// stragglers stay reachable; the caller can retry Leave.
-		r.ring.add(id)
-		r.mu.Unlock()
-		return fmt.Errorf("cluster: node %s still owns %d targets after drain", id, remaining)
-	}
-	delete(r.members, id)
-	r.mu.Unlock()
-	m.cli.close()
-	r.setNodeUp(id, false)
-	r.logf("cluster: node %s left", id)
-	return nil
-}
-
 // Track starts tracking a target: the ring picks its home node and the
 // node instantiates its session.
 func (r *Router) Track(target string) error {

@@ -242,4 +242,13 @@ func TestRulesFusionExampleConfig(t *testing.T) {
 	if !shared {
 		t.Fatal("swap rule shares no edge with the supervision reroutes")
 	}
+
+	// The reroutes are one conflict group with explicit priorities.
+	rr := p.Supervision.HealthReroutes()
+	if len(rr) != 2 || rr[0].Priority != 0 || rr[1].Priority != 1 {
+		t.Fatalf("example reroutes = %+v, want explicit priorities 0 and 1", rr)
+	}
+	if rr[0].Break != rr[1].Break {
+		t.Error("example reroutes should share a Break edge (one conflict group)")
+	}
 }

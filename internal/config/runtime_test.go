@@ -163,8 +163,9 @@ func TestChaosDefRejectsUnknownAction(t *testing.T) {
 	}
 }
 
-// The shipped example must stay parseable: it is the declarative
-// counterpart of the soak test's hardcoded scenario.
+// The shipped fault script must stay parseable: a checkpoint policy and
+// a kill/heal script for rules-fusion.json's wifi branch, and no
+// pipeline of its own.
 func TestChaosFusionExampleParses(t *testing.T) {
 	f, err := os.Open(filepath.Join("..", "..", "examples", "configs", "chaos-fusion.json"))
 	if err != nil {
@@ -175,16 +176,11 @@ func TestChaosFusionExampleParses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Supervision == nil || p.Checkpoint == nil || p.Chaos == nil {
-		t.Fatalf("example missing blocks: supervision=%v checkpoint=%v chaos=%v",
-			p.Supervision != nil, p.Checkpoint != nil, p.Chaos != nil)
+	if p.Checkpoint == nil || p.Chaos == nil {
+		t.Fatalf("example missing blocks: checkpoint=%v chaos=%v", p.Checkpoint != nil, p.Chaos != nil)
 	}
-	rr := p.Supervision.HealthReroutes()
-	if len(rr) != 2 || rr[0].Priority != 0 || rr[1].Priority != 1 {
-		t.Fatalf("example reroutes = %+v, want explicit priorities 0 and 1", rr)
-	}
-	if rr[0].Break != rr[1].Break {
-		t.Error("example reroutes should share a Break edge (one conflict group)")
+	if len(p.Components) != 0 || p.Supervision != nil || p.Rules != nil {
+		t.Fatal("the fault script repeats pipeline blocks; rules-fusion.json is their one definition")
 	}
 	sched := p.Chaos.Schedule()
 	if len(sched.Steps) != 2 || sched.Steps[0].Action != chaos.ActionKill || sched.Steps[0].At != 400*time.Millisecond {

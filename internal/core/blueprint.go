@@ -90,7 +90,7 @@ func (b *Blueprint) AddComponent(id string, factory ComponentFactory) error {
 	return nil
 }
 
-// TagComponent sets the identity tag DiffBlueprints uses to decide
+// TagComponent sets the identity tag BlueprintSet.Diff uses to decide
 // whether two revisions' slots hold "the same" component. Untagged
 // slots compare by factory code identity, which distinguishes any two
 // distinct function literals; tags let blueprints built through a

@@ -18,7 +18,7 @@ var (
 // graph to a fleet definition. Individual blueprints stay frozen
 // forever (the PR 2 contract); evolution happens by appending a new
 // revision and migrating live instances across the structural diff
-// between two revisions (see DiffBlueprints / MigrationPlan).
+// between two revisions (see BlueprintDiff / MigrationPlan).
 //
 // Revisions are numbered from 1 in Add order. Add freezes the
 // blueprint, so every revision in a set is immutable and safe to share;

@@ -54,10 +54,10 @@ func (d *BlueprintDiff) Empty() bool {
 		len(d.DetachFeatures) == 0 && len(d.AttachFeatures) == 0
 }
 
-// DiffBlueprints computes the structural diff from one revision to
+// diffBlueprints computes the structural diff from one revision to
 // another. Both blueprints are frozen by the call (diffing, like
 // instantiation, fixes the definition).
-func DiffBlueprints(from, to *Blueprint) *BlueprintDiff {
+func diffBlueprints(from, to *Blueprint) *BlueprintDiff {
 	return PlanMigration(from, to).Diff
 }
 

@@ -114,7 +114,7 @@ func TestDiffPlaceholderSlotChanges(t *testing.T) {
 		return bp
 	}
 
-	d := DiffBlueprints(mk(nil), mk(srcF))
+	d := diffBlueprints(mk(nil), mk(srcF))
 	if len(d.Replaced) != 1 || d.Replaced[0] != "src" {
 		t.Fatalf("placeholder->concrete Replaced = %v, want [src]", d.Replaced)
 	}
@@ -123,12 +123,12 @@ func TestDiffPlaceholderSlotChanges(t *testing.T) {
 		t.Fatalf("edges = drop %v make %v, want one each", d.DropEdges, d.MakeEdges)
 	}
 
-	d = DiffBlueprints(mk(srcF), mk(nil))
+	d = diffBlueprints(mk(srcF), mk(nil))
 	if len(d.Replaced) != 1 || d.Replaced[0] != "src" {
 		t.Fatalf("concrete->placeholder Replaced = %v, want [src]", d.Replaced)
 	}
 
-	d = DiffBlueprints(mk(nil), mk(nil))
+	d = diffBlueprints(mk(nil), mk(nil))
 	if !d.Empty() {
 		t.Fatalf("placeholder->placeholder diff not empty: %+v", d)
 	}
@@ -225,15 +225,15 @@ func TestDiffTaggedIdentity(t *testing.T) {
 		}
 		return bp
 	}
-	if d := DiffBlueprints(mk("v"), mk("v")); len(d.Replaced) != 0 || len(d.Unchanged) != 2 {
+	if d := diffBlueprints(mk("v"), mk("v")); len(d.Replaced) != 0 || len(d.Unchanged) != 2 {
 		t.Fatalf("same-tag diff = %+v, want unchanged", d)
 	}
-	if d := DiffBlueprints(mk("v"), mk("w")); len(d.Replaced) != 1 || d.Replaced[0] != "src" {
+	if d := diffBlueprints(mk("v"), mk("w")); len(d.Replaced) != 1 || d.Replaced[0] != "src" {
 		t.Fatalf("different-tag diff Replaced = %v, want [src]", d.Replaced)
 	}
 	// Untagged distinct closures (numSourceFactory returns a fresh
 	// closure per call, but from one literal — same code identity).
-	if d := DiffBlueprints(mk(""), mk("")); len(d.Replaced) != 0 {
+	if d := diffBlueprints(mk(""), mk("")); len(d.Replaced) != 0 {
 		t.Fatalf("same-literal untagged diff Replaced = %v, want none", d.Replaced)
 	}
 	if err := mk("").TagComponent("nope", "x"); !errors.Is(err, ErrNotFound) {
@@ -259,7 +259,7 @@ func migrationFixture(t *testing.T) *BlueprintSet {
 		})
 	}
 	sinkF := func(id string) Component { return NewSink(id, []Kind{"counted"}) }
-	stateF := func() Feature { return NewStateFeature() }
+	stateF := func() Feature { return newStateFeature() }
 
 	mk := func(withDouble bool) *Blueprint {
 		bp := NewBlueprint()
@@ -405,7 +405,7 @@ func TestMigrateFailureRollsBack(t *testing.T) {
 		if err := bp.TagComponent("counter", "counter"); err != nil {
 			t.Fatal(err)
 		}
-		if err := bp.AttachTaggedFeature("counter", "state", func() Feature { return NewStateFeature() }); err != nil {
+		if err := bp.AttachTaggedFeature("counter", "state", func() Feature { return newStateFeature() }); err != nil {
 			t.Fatal(err)
 		}
 		if err := bp.AddComponent("sink", func(id string) Component { return NewSink(id, []Kind{"counted"}) }); err != nil {

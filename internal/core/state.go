@@ -33,14 +33,6 @@ type StateAccess interface {
 	UnmarshalState(data []byte) error
 }
 
-// StatefulComponent is a Processing Component whose internal state can
-// be checkpointed and restored — the seam the durability subsystem
-// (internal/checkpoint) builds on.
-type StatefulComponent interface {
-	Component
-	StateAccess
-}
-
 // StateFeature is the Component Feature that advertises and mediates
 // access to its host's state. Attaching it to a non-stateful component
 // is allowed (the capability is simply inert); marshalling through it
@@ -55,8 +47,8 @@ var (
 	_ StateAccess     = (*StateFeature)(nil)
 )
 
-// NewStateFeature returns the state-exposure feature.
-func NewStateFeature() *StateFeature { return &StateFeature{} }
+// newStateFeature returns the state-exposure feature.
+func newStateFeature() *StateFeature { return &StateFeature{} }
 
 // FeatureName implements Feature.
 func (f *StateFeature) FeatureName() string { return StateFeatureName }

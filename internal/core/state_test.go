@@ -49,7 +49,7 @@ func stateGraph(t *testing.T) (*Graph, *counterComponent, *Sink) {
 		}
 	}
 	if n, _ := g.Node("counter"); n != nil {
-		if err := n.AttachFeature(NewStateFeature()); err != nil {
+		if err := n.AttachFeature(newStateFeature()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,7 +155,7 @@ func TestStateFeatureOnStatelessHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AttachFeature(NewStateFeature()); err != nil {
+	if err := n.AttachFeature(newStateFeature()); err != nil {
 		t.Fatal(err)
 	}
 	f, _ := n.Feature(StateFeatureName)

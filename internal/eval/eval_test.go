@@ -45,22 +45,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	cdf := CDF([]float64{1, 2, 3, 4}, 4)
-	if len(cdf) != 5 {
-		t.Fatalf("CDF = %d points", len(cdf))
-	}
-	if cdf[0][0] != 1 || cdf[0][1] != 0 {
-		t.Errorf("first = %v", cdf[0])
-	}
-	if cdf[4][0] != 4 || cdf[4][1] != 1 {
-		t.Errorf("last = %v", cdf[4])
-	}
-	if CDF(nil, 4) != nil {
-		t.Error("CDF(nil) should be nil")
-	}
-}
-
 func TestTrackingErrorStaleReports(t *testing.T) {
 	origin := geo.Point{Lat: 56.16, Lon: 10.2}
 	proj := geo.NewProjection(origin)
@@ -322,24 +306,15 @@ func TestRunE9Shape(t *testing.T) {
 	t.Log("\n" + r.Table())
 }
 
-func TestRunAllAndIDs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("RunAll is slow")
-	}
+func TestIDs(t *testing.T) {
 	ids := IDs()
 	if len(ids) != 10 || ids[0] != "E1" || ids[9] != "E10" {
 		t.Fatalf("IDs = %v", ids)
 	}
-	results, err := RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 10 {
-		t.Errorf("results = %d", len(results))
-	}
-	for i, r := range results {
-		if r.ID != ids[i] {
-			t.Errorf("result %d = %s, want %s", i, r.ID, ids[i])
+	exps := Experiments()
+	for _, id := range ids {
+		if exps[id] == nil {
+			t.Errorf("ID %s has no experiment", id)
 		}
 	}
 }

@@ -64,22 +64,6 @@ func quantile(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-f) + sorted[hi]*f
 }
 
-// CDF returns (value, cumulative fraction) pairs at the given
-// probability steps — the series behind error-CDF figures.
-func CDF(errs []float64, steps int) [][2]float64 {
-	if len(errs) == 0 || steps <= 0 {
-		return nil
-	}
-	sorted := append([]float64(nil), errs...)
-	sort.Float64s(sorted)
-	out := make([][2]float64, 0, steps+1)
-	for i := 0; i <= steps; i++ {
-		q := float64(i) / float64(steps)
-		out = append(out, [2]float64{quantile(sorted, q), q})
-	}
-	return out
-}
-
 // TrackingError samples, once per second, the distance between the
 // ground truth and the most recent reported position — the server-side
 // view of a tracked target used by the EnTracked experiments.

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 )
@@ -39,18 +38,4 @@ func IDs() []string {
 		return a < b
 	})
 	return ids
-}
-
-// RunAll executes every experiment and returns the results in ID order.
-func RunAll() ([]Result, error) {
-	exps := Experiments()
-	var out []Result
-	for _, id := range IDs() {
-		r, err := exps[id]()
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", id, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

@@ -2,6 +2,7 @@ package filter
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -97,11 +98,27 @@ func (pf *ParticleFilter) MarshalState() ([]byte, error) {
 // UnmarshalState implements core.StateAccess. The RNG restarts from a
 // stream derived from the config seed and the emission count, so two
 // resumes of the same checkpoint behave identically even though the
-// pre-crash random stream cannot be recovered.
+// pre-crash random stream cannot be recovered. It refuses a population
+// of another size than the configured count (none before the first
+// fix), since the filter resamples to the size it holds and would keep
+// it, and a negative weight, which systematic resampling cannot draw
+// from. (JSON carries no NaN or infinity: the decode refuses those.)
 func (pf *ParticleFilter) UnmarshalState(data []byte) error {
 	var st particleState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return err
+	}
+	want := 0
+	if st.Initialized {
+		want = pf.cfg.Particles
+	}
+	if len(st.Particles) != want {
+		return fmt.Errorf("filter: restored population holds %d particles, want %d", len(st.Particles), want)
+	}
+	for i, p := range st.Particles {
+		if p.W < 0 {
+			return fmt.Errorf("filter: restored particle %d has weight %v", i, p.W)
+		}
 	}
 	pf.particles = st.Particles
 	pf.initialized = st.Initialized

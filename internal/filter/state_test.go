@@ -1,6 +1,7 @@
 package filter
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 	"time"
@@ -101,5 +102,55 @@ func TestParticleStateRoundTrip(t *testing.T) {
 	second := resume()
 	if first.Local != second.Local {
 		t.Errorf("two resumes diverged: %+v vs %+v", first.Local, second.Local)
+	}
+}
+
+// TestParticleRestoreValidatesPopulation: a restored population must
+// hold the configured count once initialised (none before the first
+// fix) and no negative weight. The filter resamples to the size it
+// holds, so a 300-particle filter restored with 5 would keep 5.
+func TestParticleRestoreValidatesPopulation(t *testing.T) {
+	b := building.Evaluation()
+	src := NewParticleFilter("pf", b, Config{Particles: 300, Seed: 1})
+	feedPositions(t, src, 0, 6, func(core.Sample) {})
+	full := src.Particles()
+
+	for _, tc := range []struct {
+		name        string
+		initialized bool
+		particles   []Particle
+		ok          bool
+	}{
+		{"configured-count", true, full, true},
+		{"fresh", false, nil, true},
+		{"too-few", true, full[:5], false},
+		{"too-many", true, append(append([]Particle(nil), full...), full[0]), false},
+		{"empty-but-initialized", true, nil, false},
+		{"particles-before-first-fix", false, full, false},
+		{"negative-weight", true, append([]Particle{{Pos: full[0].Pos, W: -0.5}}, full[1:]...), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data, err := json.Marshal(particleState{Particles: tc.particles, Initialized: tc.initialized, Emitted: 6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pf := NewParticleFilter("pf", b, Config{Particles: 300, Seed: 1})
+			err = pf.UnmarshalState(data)
+			if !tc.ok {
+				if err == nil {
+					t.Fatalf("restored %d particles without error", len(tc.particles))
+				}
+				if emitted, _, _ := pf.Stats(); emitted != 0 || len(pf.Particles()) != 0 {
+					t.Fatalf("refused restore changed the filter: emitted %d, %d particles", emitted, len(pf.Particles()))
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(pf.Particles()); got != len(tc.particles) {
+				t.Fatalf("restored %d particles, want %d", got, len(tc.particles))
+			}
+		})
 	}
 }

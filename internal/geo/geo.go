@@ -144,47 +144,6 @@ func (pr *Projection) ToGlobal(e ENU) Point {
 	}
 }
 
-// Bounds is an axis-aligned WGS84 bounding box.
-type Bounds struct {
-	MinLat, MinLon, MaxLat, MaxLon float64
-}
-
-// NewBounds returns the tightest bounds containing all pts. It returns a
-// zero Bounds when pts is empty.
-func NewBounds(pts ...Point) Bounds {
-	if len(pts) == 0 {
-		return Bounds{}
-	}
-	b := Bounds{
-		MinLat: pts[0].Lat, MaxLat: pts[0].Lat,
-		MinLon: pts[0].Lon, MaxLon: pts[0].Lon,
-	}
-	for _, p := range pts[1:] {
-		b = b.Extend(p)
-	}
-	return b
-}
-
-// Extend returns bounds grown to include p.
-func (b Bounds) Extend(p Point) Bounds {
-	b.MinLat = math.Min(b.MinLat, p.Lat)
-	b.MaxLat = math.Max(b.MaxLat, p.Lat)
-	b.MinLon = math.Min(b.MinLon, p.Lon)
-	b.MaxLon = math.Max(b.MaxLon, p.Lon)
-	return b
-}
-
-// Contains reports whether p lies inside the bounds (inclusive).
-func (b Bounds) Contains(p Point) bool {
-	return p.Lat >= b.MinLat && p.Lat <= b.MaxLat &&
-		p.Lon >= b.MinLon && p.Lon <= b.MaxLon
-}
-
-// Center returns the midpoint of the bounds.
-func (b Bounds) Center() Point {
-	return Point{Lat: (b.MinLat + b.MaxLat) / 2, Lon: (b.MinLon + b.MaxLon) / 2}
-}
-
 func radians(deg float64) float64 { return deg * math.Pi / 180 }
 func degrees(rad float64) float64 { return rad * 180 / math.Pi }
 

@@ -208,44 +208,6 @@ func TestProjectionOrigin(t *testing.T) {
 	}
 }
 
-func TestBounds(t *testing.T) {
-	a := Point{Lat: 56.0, Lon: 10.0}
-	b := Point{Lat: 56.2, Lon: 10.3}
-	c := Point{Lat: 56.1, Lon: 10.1}
-
-	bb := NewBounds(a, b)
-	if !bb.Contains(c) {
-		t.Errorf("bounds %+v should contain %v", bb, c)
-	}
-	if bb.Contains(Point{Lat: 55.9, Lon: 10.1}) {
-		t.Error("bounds should not contain point south of box")
-	}
-	if bb.Contains(Point{Lat: 56.1, Lon: 10.4}) {
-		t.Error("bounds should not contain point east of box")
-	}
-
-	center := bb.Center()
-	if math.Abs(center.Lat-56.1) > 1e-9 || math.Abs(center.Lon-10.15) > 1e-9 {
-		t.Errorf("Center() = %v", center)
-	}
-}
-
-func TestBoundsEmpty(t *testing.T) {
-	bb := NewBounds()
-	if bb != (Bounds{}) {
-		t.Errorf("NewBounds() = %+v, want zero", bb)
-	}
-}
-
-func TestBoundsExtend(t *testing.T) {
-	bb := NewBounds(aarhus)
-	p := aarhus.Offset(500, 30)
-	bb = bb.Extend(p)
-	if !bb.Contains(p) || !bb.Contains(aarhus) {
-		t.Errorf("extended bounds %+v must contain both anchor points", bb)
-	}
-}
-
 func TestNormalizeLon(t *testing.T) {
 	tests := []struct {
 		in, want float64

@@ -2,6 +2,7 @@ package gps
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -47,11 +48,16 @@ func (r *Receiver) MarshalState() ([]byte, error) {
 	})
 }
 
-// UnmarshalState implements core.StateAccess.
+// UnmarshalState implements core.StateAccess. It refuses a mode other
+// than Off, Acquiring and Tracking, which Step would neither leave nor
+// emit from.
 func (r *Receiver) UnmarshalState(data []byte) error {
 	var st receiverState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return err
+	}
+	if st.Mode < ModeOff || st.Mode > ModeTracking {
+		return fmt.Errorf("gps: restored receiver mode %d is not Off, Acquiring or Tracking", st.Mode)
 	}
 	r.now = st.Now
 	r.mode = st.Mode

@@ -44,7 +44,7 @@ func TestRecoveryCountsExactlyTheDownEmissions(t *testing.T) {
 	const tappers, perTapper = 4, 250
 	const recovery = tappers*perTapper + 1
 	clk := &synthClock{}
-	m := NewMonitor(Policy{MaxConsecutiveErrors: 1, RecoveryEmissions: recovery}, WithClock(clk.now))
+	m := NewMonitor(Policy{MaxConsecutiveErrors: 1, RecoveryEmissions: recovery}, withClock(clk.now))
 
 	// tapAll taps n outputs per goroutine while the caller sweeps.
 	tapAll := func(n int, sweep func()) {
@@ -119,7 +119,7 @@ func TestSilenceJudgedPerSweep(t *testing.T) {
 	const deadline = 5 * period
 	const tappers, perTapper = 3, 2000
 	clk := &synthClock{}
-	m := NewMonitor(Policy{Deadlines: map[string]time.Duration{"gps": deadline}}, WithClock(clk.now))
+	m := NewMonitor(Policy{Deadlines: map[string]time.Duration{"gps": deadline}}, withClock(clk.now))
 
 	// Each output is bracketed by clock reads: it happened at a clock
 	// reading in [before, after].

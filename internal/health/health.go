@@ -187,8 +187,8 @@ var _ core.Observer = (*Monitor)(nil)
 // MonitorOption configures a Monitor.
 type MonitorOption func(*Monitor)
 
-// WithClock substitutes the monitor clock (tests).
-func WithClock(now func() time.Time) MonitorOption {
+// withClock substitutes the monitor clock (tests).
+func withClock(now func() time.Time) MonitorOption {
 	return func(m *Monitor) {
 		if now != nil {
 			m.clock = now

@@ -114,7 +114,7 @@ func TestGateQuarantinesWithProbes(t *testing.T) {
 	now := t0
 	m := NewMonitor(
 		Policy{MaxConsecutiveErrors: 1, ProbeInterval: time.Second},
-		WithClock(func() time.Time { return now }),
+		withClock(func() time.Time { return now }),
 	)
 	if !m.Allow("wifi") {
 		t.Fatal("healthy node gated off")

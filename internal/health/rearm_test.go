@@ -21,7 +21,7 @@ func TestWatchdogRearmsAfterProbeRecovery(t *testing.T) {
 		Deadlines:            map[string]time.Duration{"wifi": 100 * time.Millisecond},
 		RecoveryEmissions:    1,
 		ProbeInterval:        10 * time.Millisecond,
-	}, WithClock(func() time.Time { return now }))
+	}, withClock(func() time.Time { return now }))
 	adapter := AdapterFunc(func(edit func(*core.Graph) error) error { return edit(g) })
 	sup := NewSupervisor(m, adapter, []Reroute{{
 		Watch: "wifi",

@@ -67,15 +67,6 @@ type TraceFeature struct {
 // TraceOption configures a TraceFeature.
 type TraceOption func(*TraceFeature)
 
-// WithTraceClock substitutes the wall clock (tests).
-func WithTraceClock(now func() time.Time) TraceOption {
-	return func(f *TraceFeature) {
-		if now != nil {
-			f.now = now
-		}
-	}
-}
-
 // NewTraceFeature returns an unbound trace feature.
 func NewTraceFeature(opts ...TraceOption) *TraceFeature {
 	f := &TraceFeature{now: time.Now}

@@ -54,7 +54,7 @@ func buildTraced(t *testing.T) (*core.Graph, *core.Sink) {
 	if err := g.Connect("parser", "sink", 0); err != nil {
 		t.Fatalf("connect: %v", err)
 	}
-	if err := InstrumentGraph(g, WithTraceClock(fakeClock())); err != nil {
+	if err := InstrumentGraph(g, func(f *TraceFeature) { f.now = fakeClock() }); err != nil {
 		t.Fatalf("instrument: %v", err)
 	}
 	return g, sink

@@ -11,7 +11,6 @@ package registry
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"perpos/internal/core"
@@ -74,15 +73,6 @@ func (r *Registry) Lookup(name string) (Registration, bool) {
 	defer r.mu.RUnlock()
 	reg, ok := r.regs[name]
 	return reg, ok
-}
-
-// Names returns the registered type names in registration order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, len(r.order))
-	copy(out, r.order)
-	return out
 }
 
 // Instantiated records one component the resolver created: its fresh
@@ -277,18 +267,4 @@ func outputSatisfies(out core.OutputSpec, capabilities []string, in core.PortSpe
 		}
 	}
 	return true
-}
-
-// Catalog returns a human-readable listing of the registry for
-// inspection tools.
-func (r *Registry) Catalog() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.order))
-	for _, name := range r.order {
-		reg := r.regs[name]
-		out = append(out, fmt.Sprintf("%s: %d input(s) -> %s", name, len(reg.Spec.Inputs), reg.Spec.Output.Kind))
-	}
-	sort.Strings(out)
-	return out
 }

@@ -59,7 +59,7 @@ func TestRegisterValidation(t *testing.T) {
 	if _, ok := r.Lookup("Y"); ok {
 		t.Error("Lookup found unregistered type")
 	}
-	if names := r.Names(); len(names) != 1 || names[0] != "X" {
+	if names := r.order; len(names) != 1 || names[0] != "X" {
 		t.Errorf("Names = %v", names)
 	}
 }
@@ -218,17 +218,6 @@ func TestResolveSharesOutputsWhenNecessary(t *testing.T) {
 	}
 	if a.Len() == 0 || b.Len() == 0 {
 		t.Errorf("deliveries a=%d b=%d; want both > 0", a.Len(), b.Len())
-	}
-}
-
-func TestCatalog(t *testing.T) {
-	r := gpsCatalog(t)
-	cat := r.Catalog()
-	if len(cat) != 2 {
-		t.Fatalf("catalog = %v", cat)
-	}
-	if !strings.Contains(strings.Join(cat, "\n"), "Parser") {
-		t.Errorf("catalog missing Parser: %v", cat)
 	}
 }
 

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"context"
 	"fmt"
 	stdruntime "runtime"
 	"sync"
@@ -9,18 +8,14 @@ import (
 	"testing"
 	"time"
 
-	"perpos/internal/building"
 	"perpos/internal/catalog"
-	"perpos/internal/chaos"
 	"perpos/internal/checkpoint"
 	"perpos/internal/core"
-	"perpos/internal/filter"
 	"perpos/internal/gps"
 	"perpos/internal/health"
 	"perpos/internal/obs"
 	"perpos/internal/positioning"
 	"perpos/internal/trace"
-	"perpos/internal/wifi"
 )
 
 // BenchmarkRuntimeSessions measures multi-tenant session throughput:
@@ -110,42 +105,6 @@ func BenchmarkRuntimeSessionsObserved(b *testing.B) {
 			defer store.Close()
 			cfg.Checkpoints = store
 			benchSessions(b, n, cfg, 5, nil)
-		})
-	}
-}
-
-// BenchmarkRuntimeSessionsRuled is the observed workload with the full
-// standard rule set evaluated on every supervisor sweep: the rules tap
-// runs on every emission path and the engine re-evaluates all three
-// case-study rules each sweep, but no rule ever fires (the plain GPS
-// blueprint carries no HDOP feature and the simulated target never
-// stops). The delta against BenchmarkRuntimeSessionsObserved is the
-// cost of *having* self-adaptation armed (budget: ≤2%) — the engine's
-// hot path is one lock-free probe store per attribute-bearing sample
-// plus an O(rules) sweep off the hot path.
-func BenchmarkRuntimeSessionsRuled(b *testing.B) {
-	for _, n := range []int{1, 10, 100, 1000} {
-		b.Run(fmt.Sprintf("sessions_%d", n), func(b *testing.B) {
-			cfg := gpsSessionConfig(b)
-			cfg.Health = &health.Policy{
-				MaxConsecutiveErrors: 3,
-				Deadlines:            map[string]time.Duration{"gps": time.Second},
-			}
-			hub := obs.New()
-			cfg.Observability = hub
-			store, err := checkpoint.Open(b.TempDir(), checkpoint.Options{OnAppend: hub.CheckpointAppend})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer store.Close()
-			cfg.Checkpoints = store
-			cfg.Rules = catalog.StandardRules()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			// benchSessions drives Step() directly instead of Start(), so
-			// the sweep goroutine the engine piggybacks on needs an
-			// explicit start; Manager.Close stops it.
-			benchSessions(b, n, cfg, 5, func(s *Session) { s.Supervisor().Start(ctx) })
 		})
 	}
 }
@@ -241,64 +200,6 @@ func BenchmarkRuntimeSaturated(b *testing.B) {
 // row's: watching allocates nothing per emission.
 func BenchmarkRuntimeSaturatedShipped(b *testing.B) {
 	benchSaturatedFamily(b, shippedSessionConfig)
-}
-
-// BenchmarkRuntimeSaturatedPaired runs the bare, shipped and ruled
-// (shipped plus the standard rule set, whose tap sees every emission)
-// configurations side by side: 100 sessions of each, stepped by one
-// worker pool in alternating phases of up to 8 steps per session,
-// rotating which configuration goes first. Each phase is timed, so
-// shipped-ns/step over bare-ns/step (the cost of watching) and
-// ruled-ns/step over shipped-ns/step (the cost of the rules tap) divide
-// measurements taken under the same host conditions, and hold on any
-// machine. No supervisor sweeps run in any of the three. An op is one
-// source step of each configuration.
-func BenchmarkRuntimeSaturatedPaired(b *testing.B) {
-	const n, phase = 100, 8
-	ruled := shippedSessionConfig(b)
-	ruled.Rules = catalog.StandardRules()
-	configs := []struct {
-		name string
-		cfg  SessionConfig
-	}{
-		{"bare", saturatedSessionConfig(b)},
-		{"shipped", shippedSessionConfig(b)},
-		{"ruled", ruled},
-	}
-	fleets := make([][]*Session, len(configs))
-	for c, conf := range configs {
-		m, err := NewManager(conf.cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer m.Close()
-		for i := 0; i < n; i++ {
-			s, err := m.GetOrCreate(fmt.Sprintf("target-%04d", i))
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.Provider().Subscribe(func(positioning.Position) {})
-			fleets[c] = append(fleets[c], s)
-		}
-	}
-
-	elapsed := make([]time.Duration, len(configs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done, round := 0, 0; done < b.N; round++ {
-		steps := min(n*phase, b.N-done)
-		for j := range configs {
-			c := (round + j) % len(configs)
-			start := time.Now()
-			stepFleet(b, fleets[c], steps, phase)
-			elapsed[c] += time.Since(start)
-		}
-		done += steps
-	}
-	b.StopTimer()
-	for c, conf := range configs {
-		b.ReportMetric(float64(elapsed[c].Nanoseconds())/float64(b.N), conf.name+"-ns/step")
-	}
 }
 
 func benchSaturatedFamily(b *testing.B, config func(testing.TB) SessionConfig) {
@@ -435,82 +336,4 @@ func stepFleet(b *testing.B, fleet []*Session, steps, batch int) {
 		}(w*n/workers, (w+1)*n/workers)
 	}
 	wg.Wait()
-}
-
-// BenchmarkDegradedFusionSession measures steady-state degraded-mode
-// throughput: a supervised fusion session whose WiFi branch is down
-// (breaker open, app rerouted to the GPS branch, runner retrying the
-// dead source with backoff) delivering positions over a fixed window,
-// its sources paced 1 ms apart.
-func BenchmarkDegradedFusionSession(b *testing.B) {
-	const (
-		window = 300 * time.Millisecond
-		pace   = time.Millisecond
-	)
-	bld := building.Evaluation()
-	n := wifi.DefaultDeployment(bld)
-	db := wifi.Survey(n, 0, wifi.SurveyConfig{Seed: 1, GridStep: 4})
-	bp, err := catalog.FusionBlueprint(catalog.Deps{Building: bld, Database: db},
-		filter.Config{Particles: 100, Seed: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := trace.CorridorWalk(bld, 11, 60, time.Second)
-
-	var delivered, inWindow atomic.Int64
-	for iter := 0; iter < b.N; iter++ {
-		var wifiChaos *chaos.Source
-		m, err := NewManager(SessionConfig{
-			Blueprint: bp,
-			Overrides: func(string) []core.InstantiateOption {
-				return []core.InstantiateOption{
-					core.WithComponentOverride("gps", func(id string) core.Component {
-						return gps.NewReceiver(id, tr, gps.Config{Seed: 21, ColdStart: 0})
-					}),
-					core.WithComponentOverride("wifi", func(id string) core.Component {
-						wifiChaos = chaos.WrapSource(wifi.NewSensor(id, n, tr, time.Second, 31))
-						return wifiChaos
-					}),
-				}
-			},
-			Provider: positioning.ProviderInfo{Technology: "fusion"},
-			History:  16,
-			Health: &health.Policy{
-				MaxConsecutiveErrors: 2,
-				ProbeInterval:        10 * time.Millisecond,
-				Sweep:                5 * time.Millisecond,
-				Restart:              core.RestartPolicy{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond},
-			},
-			Reroutes: catalog.FusionDegradation(),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, err := m.GetOrCreate("bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.Provider().Subscribe(func(positioning.Position) { delivered.Add(1) })
-		wifiChaos.Kill(nil)
-		ctx, cancel := context.WithCancel(context.Background())
-		if err := s.Start(ctx, core.WithSourceInterval(pace)); err != nil {
-			b.Fatal(err)
-		}
-		deadline := time.Now().Add(window)
-		for time.Now().Before(deadline) {
-			if s.Supervisor().Degraded() {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
-		start := delivered.Load()
-		time.Sleep(window)
-		inWindow.Add(delivered.Load() - start)
-		_ = s.Stop() // the injected outage leaves expected errors behind
-		cancel()
-		m.Close()
-	}
-	perWindow := float64(inWindow.Load()) / float64(b.N)
-	b.ReportMetric(perWindow/window.Seconds(), "samples/s")
-	reportPaced(b, perWindow, window, pace)
 }

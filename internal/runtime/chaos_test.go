@@ -1,4 +1,4 @@
-package runtime
+package runtime_test
 
 import (
 	"context"
@@ -7,81 +7,23 @@ import (
 	"testing"
 	"time"
 
-	"perpos/internal/building"
-	"perpos/internal/catalog"
 	"perpos/internal/chaos"
 	"perpos/internal/core"
-	"perpos/internal/filter"
-	"perpos/internal/gps"
 	"perpos/internal/health"
 	"perpos/internal/positioning"
-	"perpos/internal/trace"
-	"perpos/internal/wifi"
+	"perpos/internal/runtime"
 )
 
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
 // TestChaosFusionDegradation is the end-to-end robustness scenario: a
-// fusion pipeline whose WiFi sensor is chaos-killed mid-run. The
-// supervisor must trip the wifi breaker, reroute the app to the GPS
-// branch, flip the provider to TEMPORARILY_UNAVAILABLE, and keep
-// positions flowing; healing the sensor must restore fusion and the
-// AVAILABLE state.
+// session of rules-fusion.json, without its rules, whose WiFi sensor is
+// chaos-killed mid-run. The supervisor must trip the wifi breaker,
+// reroute the app to the GPS branch, flip the provider to
+// TEMPORARILY_UNAVAILABLE, and keep positions flowing; healing the
+// sensor must restore fusion and the AVAILABLE state.
 func TestChaosFusionDegradation(t *testing.T) {
-	b := building.Evaluation()
-	n := wifi.DefaultDeployment(b)
-	db := wifi.Survey(n, 0, wifi.SurveyConfig{Seed: 1, GridStep: 4})
-	bp, err := catalog.FusionBlueprint(catalog.Deps{Building: b, Database: db}, filter.Config{Particles: 100, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A long indoor walk so neither source exhausts mid-test: ~21 min of
-	// trace at a 5 ms source interval is several seconds of wall clock.
-	tr := trace.CorridorWalk(b, 11, 60, time.Second)
-
+	w := newFusionWorld()
 	var wifiChaos *chaos.Source
-	cfg := SessionConfig{
-		Blueprint: bp,
-		Overrides: func(sessionID string) []core.InstantiateOption {
-			return []core.InstantiateOption{
-				core.WithComponentOverride("gps", func(id string) core.Component {
-					return gps.NewReceiver(id, tr, gps.Config{Seed: 21, ColdStart: time.Second})
-				}),
-				core.WithComponentOverride("wifi", func(id string) core.Component {
-					wifiChaos = chaos.WrapSource(wifi.NewSensor(id, n, tr, time.Second, 31))
-					return wifiChaos
-				}),
-			}
-		},
-		Provider: positioning.ProviderInfo{Technology: "fusion", TypicalAccuracy: 3},
-		History:  16,
-		Health: &health.Policy{
-			MaxConsecutiveErrors: 2,
-			Deadlines:            map[string]time.Duration{"wifi": 200 * time.Millisecond},
-			RecoveryEmissions:    1,
-			ProbeInterval:        10 * time.Millisecond,
-			Sweep:                5 * time.Millisecond,
-			Restart:              core.RestartPolicy{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond},
-		},
-		Reroutes: catalog.FusionDegradation(),
-	}
-
-	m, err := NewManager(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := w.manager(t, noRules, w.base(w.receiver(time.Second), &wifiChaos))
 	defer m.Close()
 
 	s, err := m.GetOrCreate("eve")
@@ -110,7 +52,7 @@ func TestChaosFusionDegradation(t *testing.T) {
 	}
 
 	// Phase 1: full fusion delivers positions.
-	waitFor(t, 5*time.Second, "first fused positions", func() bool {
+	runtime.WaitFor(t, 5*time.Second, "first fused positions", func() bool {
 		return delivered.Load() >= 3
 	})
 	if got := s.Provider().Availability(); got != positioning.Available {
@@ -121,7 +63,7 @@ func TestChaosFusionDegradation(t *testing.T) {
 	// supervisor must reroute to the GPS branch, and the provider must
 	// turn temporarily unavailable — while positions keep flowing.
 	wifiChaos.Kill(nil)
-	waitFor(t, 5*time.Second, "provider to degrade", func() bool {
+	runtime.WaitFor(t, 5*time.Second, "provider to degrade", func() bool {
 		return s.Provider().Availability() == positioning.TemporarilyUnavailable &&
 			s.Supervisor().Degraded()
 	})
@@ -129,7 +71,7 @@ func TestChaosFusionDegradation(t *testing.T) {
 		t.Fatalf("wifi health = %+v, want down", h)
 	}
 	before := delivered.Load()
-	waitFor(t, 5*time.Second, "positions from the GPS branch while degraded", func() bool {
+	runtime.WaitFor(t, 5*time.Second, "positions from the GPS branch while degraded", func() bool {
 		return delivered.Load() >= before+3
 	})
 	if got := s.Provider().Availability(); got != positioning.TemporarilyUnavailable {
@@ -140,7 +82,7 @@ func TestChaosFusionDegradation(t *testing.T) {
 	// source, the breaker closes, the supervisor restores the fusion
 	// edge, and the provider turns available again.
 	wifiChaos.Heal()
-	waitFor(t, 5*time.Second, "provider to recover", func() bool {
+	runtime.WaitFor(t, 5*time.Second, "provider to recover", func() bool {
 		return s.Provider().Availability() == positioning.Available &&
 			!s.Supervisor().Degraded()
 	})
@@ -148,7 +90,7 @@ func TestChaosFusionDegradation(t *testing.T) {
 		t.Fatalf("wifi health after heal = %+v, want healthy", h)
 	}
 	after := delivered.Load()
-	waitFor(t, 5*time.Second, "fused positions after recovery", func() bool {
+	runtime.WaitFor(t, 5*time.Second, "fused positions after recovery", func() bool {
 		return delivered.Load() >= after+3
 	})
 

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"time"
 
 	"perpos/internal/checkpoint"
 	"perpos/internal/positioning"
@@ -49,7 +50,7 @@ func (s *Session) appendSnapshot() (uint64, error) {
 	}
 	return s.store.Append(checkpoint.SessionState{
 		SessionID:    s.id,
-		Taken:        s.clock(),
+		Taken:        time.Now(),
 		Graph:        gs,
 		Availability: int(s.provider.Availability()),
 		Revision:     s.Revision(),
@@ -80,7 +81,6 @@ func (m *Manager) ResumeSession(id string) (*Session, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if s, ok := m.sessions[id]; ok {
-		s.touch()
 		return s, nil
 	}
 	// Resume always rehydrates onto the ACTIVE revision, not the one
@@ -91,7 +91,7 @@ func (m *Manager) ResumeSession(id string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := newSession(id, rev, bp, m.cfg, m.clock)
+	s, err := newSession(id, rev, bp, m.cfg)
 	if err != nil {
 		return nil, err
 	}

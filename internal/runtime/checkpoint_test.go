@@ -1,27 +1,14 @@
 package runtime
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"perpos/internal/building"
-	"perpos/internal/catalog"
-	"perpos/internal/chaos"
 	"perpos/internal/checkpoint"
-	"perpos/internal/core"
-	"perpos/internal/filter"
 	"perpos/internal/geo"
-	"perpos/internal/gps"
-	"perpos/internal/health"
 	"perpos/internal/positioning"
-	"perpos/internal/trace"
-	"perpos/internal/wifi"
 )
 
 // localOf projects a delivered position into the test origin's frame.
@@ -228,199 +215,5 @@ func TestCheckpointUnconfigured(t *testing.T) {
 	}
 	if _, err := m.ResumeSession("carol"); !errors.Is(err, ErrNoCheckpoints) {
 		t.Fatalf("ResumeSession = %v, want ErrNoCheckpoints", err)
-	}
-}
-
-// TestSoakCrashRecovery is the crash-recovery soak: a supervised fusion
-// session under a scripted chaos outage checkpoints periodically; the
-// process "dies" (no graceful eviction — the durable trail is the
-// periodic records plus a torn write at the journal tail), and a fresh
-// manager over the same directory resumes the target with position
-// continuity inside the filter's convergence bounds and a monotonic
-// logical timeline.
-func TestSoakCrashRecovery(t *testing.T) {
-	dir := t.TempDir()
-	b := building.Evaluation()
-	n := wifi.DefaultDeployment(b)
-	db := wifi.Survey(n, 0, wifi.SurveyConfig{Seed: 1, GridStep: 4})
-	bp, err := catalog.FusionBlueprint(catalog.Deps{Building: b, Database: db}, filter.Config{Particles: 100, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := trace.CorridorWalk(b, 11, 60, time.Second)
-
-	var wifiChaos *chaos.Source
-	mkCfg := func(store *checkpoint.Store) SessionConfig {
-		return SessionConfig{
-			Blueprint: bp,
-			Overrides: func(sessionID string) []core.InstantiateOption {
-				return []core.InstantiateOption{
-					core.WithComponentOverride("gps", func(id string) core.Component {
-						return gps.NewReceiver(id, tr, gps.Config{Seed: 21, ColdStart: time.Second})
-					}),
-					core.WithComponentOverride("wifi", func(id string) core.Component {
-						wifiChaos = chaos.WrapSource(wifi.NewSensor(id, n, tr, time.Second, 31))
-						return wifiChaos
-					}),
-				}
-			},
-			Provider: positioning.ProviderInfo{Technology: "fusion", TypicalAccuracy: 3},
-			History:  16,
-			Health: &health.Policy{
-				MaxConsecutiveErrors: 2,
-				Deadlines:            map[string]time.Duration{"wifi": 200 * time.Millisecond},
-				RecoveryEmissions:    1,
-				ProbeInterval:        10 * time.Millisecond,
-				Sweep:                5 * time.Millisecond,
-				Restart:              core.RestartPolicy{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond},
-			},
-			Reroutes:        catalog.FusionDegradation(),
-			Checkpoints:     store,
-			CheckpointEvery: 25 * time.Millisecond,
-		}
-	}
-
-	store1, err := checkpoint.Open(dir, checkpoint.Options{SnapshotEvery: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1, err := NewManager(mkCfg(store1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := m1.GetOrCreate("soak")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var delivered atomic.Int64
-	s1.Provider().Subscribe(func(positioning.Position) { delivered.Add(1) })
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if err := s1.Start(ctx, core.WithSourceInterval(5*time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Scripted outage: the WiFi branch dies mid-run and heals later —
-	// the declarative form of the chaos scenario.
-	script := chaos.Schedule{Steps: []chaos.Step{
-		{At: 50 * time.Millisecond, Action: chaos.ActionKill, Target: "wifi"},
-		{At: 150 * time.Millisecond, Action: chaos.ActionHeal, Target: "wifi"},
-	}}
-	scriptDone := script.Start(ctx, map[string]chaos.Controllable{"wifi": wifiChaos})
-
-	waitFor(t, 10*time.Second, "positions before the crash", func() bool {
-		return delivered.Load() >= 5
-	})
-	if err := <-scriptDone; err != nil {
-		t.Fatalf("chaos script: %v", err)
-	}
-	waitFor(t, 10*time.Second, "recovery after the scripted outage", func() bool {
-		return s1.Provider().Availability() == positioning.Available
-	})
-	// Periodic checkpoints must have landed by now.
-	waitFor(t, 10*time.Second, "periodic checkpoints on disk", func() bool {
-		st, err := store1.Load("soak")
-		return err == nil && st.Seq >= 2
-	})
-	// One explicit checkpoint pins a healthy post-recovery state as the
-	// newest record, then the "crash": stop without eviction, so nothing
-	// newer is ever written — exactly what a killed process leaves.
-	if _, err := s1.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	ckpt, err := store1.Load("soak")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	_ = s1.Stop()
-	store1.Close()
-
-	// The kill also tore a frame mid-write at the journal tail.
-	f, err := os.OpenFile(filepath.Join(dir, "soak.journal"), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0xC5, 0x9E, 0x40, 0x00, 0x00, 0x00, 0xDE, 0xAD}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	// The checkpointed particle population is the recovery target: the
-	// resumed stream must re-converge around it.
-	var pfState struct {
-		Particles []filter.Particle `json:"particles"`
-	}
-	for _, node := range ckpt.Graph.Nodes {
-		if node.ID == "particle-filter" {
-			if err := json.Unmarshal(node.Component, &pfState); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if len(pfState.Particles) == 0 {
-		t.Fatal("checkpoint carries no particle population")
-	}
-	var mean geo.ENU
-	for _, p := range pfState.Particles {
-		mean.East += p.W * p.Pos.East
-		mean.North += p.W * p.Pos.North
-	}
-
-	// Restart: fresh store, fresh manager, same directory.
-	store2, err := checkpoint.Open(dir, checkpoint.Options{SnapshotEvery: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store2.Close()
-	m2, err := NewManager(mkCfg(store2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
-
-	s2, err := m2.ResumeSession("soak")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s2.Provider().Availability(); got != positioning.Available {
-		t.Fatalf("resumed availability = %v, want Available (the checkpointed state)", got)
-	}
-	pfNode, _ := s2.Graph().Node("particle-filter")
-	resumedClock := pfNode.Clock()
-	if resumedClock == 0 {
-		t.Fatal("resumed logical clock is zero — state did not carry over")
-	}
-
-	var delivered2 atomic.Int64
-	var firstResumed atomic.Pointer[positioning.Position]
-	s2.Provider().Subscribe(func(p positioning.Position) {
-		firstResumed.CompareAndSwap(nil, &p)
-		delivered2.Add(1)
-	})
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	defer cancel2()
-	if err := s2.Start(ctx2, core.WithSourceInterval(5*time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 10*time.Second, "positions after the resume", func() bool {
-		return delivered2.Load() >= 3
-	})
-	_ = s2.Stop()
-
-	// Position continuity: the first post-resume estimate stays within
-	// the filter's convergence bounds of the checkpointed population
-	// (not back at the start of the walk, not re-acquiring from scratch).
-	first := firstResumed.Load()
-	if first == nil {
-		t.Fatal("no resumed position recorded")
-	}
-	if d := first.Local.Distance(mean); d > 20 {
-		t.Errorf("first resumed estimate %.1f m from checkpointed population mean, want <= 20 m", d)
-	}
-	// Logical time is monotonic across the crash.
-	if pfNode.Clock() <= resumedClock {
-		t.Errorf("particle-filter clock after resumed run = %d, want > %d (monotonic)", pfNode.Clock(), resumedClock)
 	}
 }

@@ -1,77 +1,77 @@
-package runtime
+package runtime_test
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"reflect"
+	goruntime "runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"perpos/internal/building"
-	"perpos/internal/catalog"
 	"perpos/internal/chaos"
 	"perpos/internal/core"
-	"perpos/internal/filter"
 	"perpos/internal/gps"
 	"perpos/internal/obs"
 	"perpos/internal/positioning"
-	"perpos/internal/trace"
+	"perpos/internal/runtime"
 	"perpos/internal/wifi"
 )
 
-// fusionUpgradeConfig is the rolling-upgrade fixture: the catalog's
-// two-revision set (rev 1 GPS-only, rev 2 GPS+WiFi fusion), per-target
-// simulated sensors. The wifi override is OPTIONAL: revision 1 has no
-// wifi slot, so the same override set must serve both revisions —
-// exactly the seam WithOptionalOverride exists for. makeWifi lets
-// tests substitute the wifi sensor (e.g. a chaos-wrapped one).
-func fusionUpgradeConfig(tb testing.TB, makeWifi func(id string, seed int64) core.Component) SessionConfig {
+// upgradeManager is the rolling-upgrade fixture: fusion-upgrade.json
+// (revision 1 GPS-only, revision 2 rules-fusion.json's layout) with a
+// simulated receiver per target, starting on revision 1. fusion binds
+// each session's revision-2 slots (wifi, particle-filter); its bindings
+// must be OPTIONAL, since revision 1 has neither slot, so the same
+// override set serves both revisions — exactly the seam
+// WithOptionalOverride exists for. hub, when non-nil, is the fleet's
+// metrics hub.
+func (w *fusionWorld) upgradeManager(tb testing.TB, hub *obs.Metrics, fusion func(seed int64) []core.InstantiateOption) *runtime.Manager {
 	tb.Helper()
-	b := building.Evaluation()
-	n := wifi.DefaultDeployment(b)
-	db := wifi.Survey(n, 0, wifi.SurveyConfig{Seed: 1, GridStep: 4})
-	set, err := catalog.FusionUpgradeSet(
-		catalog.Deps{Building: b, Database: db},
-		filter.Config{Particles: 50, Seed: 2},
-	)
+	loader, p := w.shipped(tb, "fusion-upgrade.json")
+	m, err := loader.Manager(p, runtime.SessionConfig{
+		Overrides: func(sessionID string) []core.InstantiateOption {
+			seed := runtime.SeedFrom(sessionID)
+			return append(fusion(seed), core.WithComponentOverride("gps", func(id string) core.Component {
+				return gps.NewReceiver(id, w.tr, gps.Config{Seed: seed})
+			}))
+		},
+		Provider:      positioning.ProviderInfo{Technology: "fusion", TypicalAccuracy: 3},
+		History:       16,
+		Observability: hub,
+	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tr := trace.CorridorWalk(b, 11, 60, time.Second)
-	if makeWifi == nil {
-		makeWifi = func(id string, seed int64) core.Component {
-			return wifi.NewSensor(id, n, tr, time.Second, seed)
+	return m
+}
+
+// fusionSlots binds revision 2's WiFi sensor, built by wifiSource (a
+// simulated sensor on the walk when nil), and a 50-particle filter.
+func (w *fusionWorld) fusionSlots(wifiSource func(id string, seed int64) core.Component) func(seed int64) []core.InstantiateOption {
+	if wifiSource == nil {
+		wifiSource = func(id string, seed int64) core.Component {
+			return wifi.NewSensor(id, w.n, w.tr, time.Second, seed)
 		}
 	}
-	return SessionConfig{
-		Blueprints:      set,
-		InitialRevision: 1, // the fleet starts on the GPS-only pipeline
-		Overrides: func(sessionID string) []core.InstantiateOption {
-			seed := seedFrom(sessionID)
-			return []core.InstantiateOption{
-				core.WithComponentOverride("gps", func(id string) core.Component {
-					return gps.NewReceiver(id, tr, gps.Config{Seed: seed})
-				}),
-				core.WithOptionalOverride("wifi", func(id string) core.Component {
-					return makeWifi(id, seed)
-				}),
-			}
-		},
-		Provider: positioning.ProviderInfo{Technology: "fusion", TypicalAccuracy: 3},
-		History:  16,
+	return func(seed int64) []core.InstantiateOption {
+		return []core.InstantiateOption{
+			core.WithOptionalOverride("wifi", func(id string) core.Component { return wifiSource(id, seed) }),
+			w.filter(50),
+		}
 	}
 }
 
-// TestFusionUpgradeSetShape pins the catalog set's migration surface:
-// the GPS chain is Unchanged between the revisions (identity tags +
-// shared factories), only the wifi branch and the filter are added, and
-// the reverse diff mirrors it.
+// TestFusionUpgradeSetShape pins the migration surface of the set that
+// config.Loader builds from fusion-upgrade.json: the GPS chain is
+// Unchanged between the revisions (identity tags by registry type,
+// instance binding and feature name), only the wifi branch and the
+// filter are added, and the reverse diff mirrors it.
 func TestFusionUpgradeSetShape(t *testing.T) {
-	b := building.Evaluation()
-	db := wifi.Survey(wifi.DefaultDeployment(b), 0, wifi.SurveyConfig{Seed: 1, GridStep: 4})
-	set, err := catalog.FusionUpgradeSet(catalog.Deps{Building: b, Database: db}, filter.Config{Particles: 10, Seed: 2})
+	loader, p := newFusionWorld().shipped(t, "fusion-upgrade.json")
+	set, err := loader.BlueprintSet(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,13 +113,9 @@ func TestFusionUpgradeSetShape(t *testing.T) {
 // counters and per-revision gauges track the fleet exactly.
 func TestRolloutFleetUpgrade(t *testing.T) {
 	const fleet = 100
-	cfg := fusionUpgradeConfig(t, nil)
 	hub := obs.New()
-	cfg.Observability = hub
-	m, err := NewManager(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newFusionWorld()
+	m := w.upgradeManager(t, hub, w.fusionSlots(nil))
 	defer m.Close()
 	if got := m.ActiveRevision(); got != 1 {
 		t.Fatalf("initial active revision = %d, want 1", got)
@@ -141,18 +137,18 @@ func TestRolloutFleetUpgrade(t *testing.T) {
 	if got := hub.RevisionLive(1).Value(); got != fleet {
 		t.Fatalf("revision 1 gauge = %d, want %d", got, fleet)
 	}
-	waitFor(t, 10*time.Second, "pre-rollout positions", func() bool {
+	runtime.WaitFor(t, 10*time.Second, "pre-rollout positions", func() bool {
 		return delivered.Load() >= fleet
 	})
 
-	rep, err := m.Rollout(ctx, RolloutConfig{
+	rep, err := m.Rollout(ctx, runtime.RolloutConfig{
 		To:             2,
 		CanaryFraction: 0.1,
 		CanaryWindow:   50 * time.Millisecond,
 		// The mechanics are under test here, not the gate: a healthy
 		// wifi branch may still log transient errors (acquisition), so
 		// the budget is generous. The rollback path has its own test.
-		Gate: GateConfig{MaxErrors: 1 << 20},
+		Gate: runtime.GateConfig{MaxErrors: 1 << 20},
 	})
 	if err != nil {
 		t.Fatalf("Rollout: %v (report %+v)", err, rep)
@@ -189,7 +185,7 @@ func TestRolloutFleetUpgrade(t *testing.T) {
 
 	// The fleet keeps serving on the new revision.
 	before := delivered.Load()
-	waitFor(t, 10*time.Second, "post-rollout positions", func() bool {
+	runtime.WaitFor(t, 10*time.Second, "post-rollout positions", func() bool {
 		return delivered.Load() >= before+fleet
 	})
 
@@ -231,20 +227,13 @@ func TestRolloutFleetUpgrade(t *testing.T) {
 // hub must count exactly one rollback with every canary reverted.
 func TestRolloutCanaryRollback(t *testing.T) {
 	const fleet = 30
-	cfg := fusionUpgradeConfig(t, func(id string, seed int64) core.Component {
-		b := building.Evaluation()
-		n := wifi.DefaultDeployment(b)
-		tr := trace.CorridorWalk(b, 11, 60, time.Second)
-		src := chaos.WrapSource(wifi.NewSensor(id, n, tr, time.Second, seed))
+	w := newFusionWorld()
+	hub := obs.New()
+	m := w.upgradeManager(t, hub, w.fusionSlots(func(id string, seed int64) core.Component {
+		src := chaos.WrapSource(wifi.NewSensor(id, w.n, w.tr, time.Second, seed))
 		src.Kill(nil) // dead on arrival: the regression ships with rev 2
 		return src
-	})
-	hub := obs.New()
-	cfg.Observability = hub
-	m, err := NewManager(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}))
 	defer m.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -260,18 +249,18 @@ func TestRolloutCanaryRollback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 10*time.Second, "pre-rollout positions", func() bool {
+	runtime.WaitFor(t, 10*time.Second, "pre-rollout positions", func() bool {
 		return delivered.Load() >= fleet
 	})
 
-	rep, err := m.Rollout(ctx, RolloutConfig{
+	rep, err := m.Rollout(ctx, runtime.RolloutConfig{
 		To:             2,
 		CanaryFraction: 0.1,
 		CanaryWindow:   500 * time.Millisecond,
-		Gate:           GateConfig{MaxErrors: 0}, // any new error on the added nodes trips
+		Gate:           runtime.GateConfig{MaxErrors: 0}, // any new error on the added nodes trips
 	})
-	if !errors.Is(err, ErrRolloutRolledBack) {
-		t.Fatalf("Rollout = %v, want ErrRolloutRolledBack (report %+v)", err, rep)
+	if !errors.Is(err, runtime.ErrRolloutRolledBack) {
+		t.Fatalf("Rollout = %v, want runtime.ErrRolloutRolledBack (report %+v)", err, rep)
 	}
 	if !rep.RolledBack || rep.Reason == "" {
 		t.Fatalf("report = %+v, want rolled back with a reason", rep)
@@ -322,7 +311,7 @@ func TestRolloutCanaryRollback(t *testing.T) {
 
 	// Positions keep flowing on the old revision after the aborted roll.
 	before := delivered.Load()
-	waitFor(t, 10*time.Second, "positions after rollback", func() bool {
+	runtime.WaitFor(t, 10*time.Second, "positions after rollback", func() bool {
 		return delivered.Load() >= before+fleet
 	})
 }
@@ -334,14 +323,11 @@ func TestRolloutCanaryRollback(t *testing.T) {
 // marshal/unmarshal round trip to drift through.
 func TestRolloutCarriesStateBitExact(t *testing.T) {
 	const fleet = 20
-	cfg := fusionUpgradeConfig(t, nil)
-	m, err := NewManager(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newFusionWorld()
+	m := w.upgradeManager(t, nil, w.fusionSlots(nil))
 	defer m.Close()
 
-	snap := func(s *Session) map[string]core.NodeState {
+	snap := func(s *runtime.Session) map[string]core.NodeState {
 		gs, err := s.Graph().SnapshotState()
 		if err != nil {
 			t.Fatal(err)
@@ -353,7 +339,7 @@ func TestRolloutCarriesStateBitExact(t *testing.T) {
 		return out
 	}
 
-	sessions := make([]*Session, fleet)
+	sessions := make([]*runtime.Session, fleet)
 	before := make([]map[string]core.NodeState, fleet)
 	for i := range sessions {
 		s, err := m.GetOrCreate(fmt.Sprintf("target-%03d", i))
@@ -369,7 +355,7 @@ func TestRolloutCarriesStateBitExact(t *testing.T) {
 
 	kept := []string{"gps", "parser", "interpreter", "app"}
 	for _, to := range []int{2, 1} {
-		rep, err := m.Rollout(context.Background(), RolloutConfig{To: to})
+		rep, err := m.Rollout(context.Background(), runtime.RolloutConfig{To: to})
 		if err != nil {
 			t.Fatalf("Rollout to %d: %v (report %+v)", to, err, rep)
 		}
@@ -405,13 +391,10 @@ func TestRolloutCarriesStateBitExact(t *testing.T) {
 // TestRolloutNoSessions: rolling an empty fleet just moves the active
 // revision (no canaries to watch).
 func TestRolloutNoSessions(t *testing.T) {
-	cfg := fusionUpgradeConfig(t, nil)
-	m, err := NewManager(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newFusionWorld()
+	m := w.upgradeManager(t, nil, w.fusionSlots(nil))
 	defer m.Close()
-	rep, err := m.Rollout(context.Background(), RolloutConfig{To: 2})
+	rep, err := m.Rollout(context.Background(), runtime.RolloutConfig{To: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,16 +416,16 @@ func TestRolloutNoSessions(t *testing.T) {
 // TestRolloutRejectsUnknownRevision: a bad target fails fast, before
 // anything migrates.
 func TestRolloutRejectsUnknownRevision(t *testing.T) {
-	m, err := NewManager(gpsSessionConfig(t))
+	m, err := runtime.NewManager(runtime.GPSSessionConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if _, err := m.Rollout(context.Background(), RolloutConfig{To: 7}); !errors.Is(err, core.ErrUnknownRevision) {
+	if _, err := m.Rollout(context.Background(), runtime.RolloutConfig{To: 7}); !errors.Is(err, core.ErrUnknownRevision) {
 		t.Fatalf("Rollout to unknown revision = %v, want ErrUnknownRevision", err)
 	}
 	// Same-revision rollout is a no-op, not an error.
-	rep, err := m.Rollout(context.Background(), RolloutConfig{To: 1})
+	rep, err := m.Rollout(context.Background(), runtime.RolloutConfig{To: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,54 +435,106 @@ func TestRolloutRejectsUnknownRevision(t *testing.T) {
 }
 
 // BenchmarkRuntimeRollingUpgrade measures fleet migration: 100 started
-// async sessions, each iteration rolling the whole fleet to the other
-// revision (1→2, 2→1, …) through the full canary→gate→ramp machinery
-// with no soak window. The reported migrations/s is the rate at which
-// running sessions cross revisions — pause, in-place plan application,
-// channel-layer refresh and runner resume included. The sources are
-// paced an hour apart, so no step runs during the timed loop and
-// allocs/op counts the migrations alone, whatever the machine's speed.
+// async sessions in two fleets of 50, each iteration rolling both
+// fleets to their other revision through the full canary→gate→ramp
+// machinery with no soak window. The fleets start on different
+// revisions, so every iteration migrates 50 sessions up (1→2) and 50
+// down (2→1): an upgrade allocates more than a downgrade, and with one
+// fleet allocs/op would depend on whether b.N is odd. The reported
+// migrations/s is the rate at which running sessions cross revisions —
+// pause, in-place plan application, channel-layer refresh and runner
+// resume included. allocs/op counts the migrations alone, whatever the
+// machine's speed, and repeats exactly:
+//   - The GPS sources are paced an hour apart, so none steps in the
+//     timed loop. A source a migration adds steps at once, on its own
+//     goroutine, so each upgrade waits for every new WiFi source's first
+//     step; its slot is bound to a source with nothing to emit. The
+//     particle filter is the registry's, as rules-fusion.json ships it.
+//   - Warm-up rounds fill the pools the migration path draws from, and
+//     the garbage collector is held off until the timed loop ends: a GC
+//     empties every sync.Pool, so allocs/op would otherwise depend on
+//     how many GCs a run happens to hit.
 func BenchmarkRuntimeRollingUpgrade(b *testing.B) {
-	const fleet = 100
-	cfg := fusionUpgradeConfig(b, nil)
-	hub := obs.New()
-	cfg.Observability = hub
-	m, err := NewManager(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer m.Close()
-
+	const half = 50
+	var scans, upgrades atomic.Int64
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	for i := 0; i < fleet; i++ {
-		s, err := m.GetOrCreate(fmt.Sprintf("target-%03d", i))
-		if err != nil {
-			b.Fatal(err)
+	w := newFusionWorld()
+	var fleets [2]*runtime.Manager
+	for f := range fleets {
+		m := w.upgradeManager(b, obs.New(), func(int64) []core.InstantiateOption {
+			return []core.InstantiateOption{core.WithOptionalOverride("wifi", func(id string) core.Component {
+				return &noScans{id: id, steps: &scans}
+			})}
+		})
+		defer m.Close()
+		for i := 0; i < half; i++ {
+			s, err := m.GetOrCreate(fmt.Sprintf("target-%03d", i))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Start(ctx, core.WithSourceInterval(time.Hour)); err != nil {
+				b.Fatal(err)
+			}
 		}
-		if err := s.Start(ctx, core.WithSourceInterval(time.Hour)); err != nil {
-			b.Fatal(err)
-		}
+		fleets[f] = m
 	}
 
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		to := 2 - i%2
-		rep, err := m.Rollout(ctx, RolloutConfig{
+	roll := func(m *runtime.Manager, to int) {
+		rep, err := m.Rollout(ctx, runtime.RolloutConfig{
 			To:   to,
-			Gate: GateConfig{MaxErrors: 1 << 30},
+			Gate: runtime.GateConfig{MaxErrors: 1 << 30},
 		})
 		if err != nil {
 			b.Fatalf("Rollout to %d: %v (report %+v)", to, err, rep)
 		}
-		if rep.Upgraded != fleet {
-			b.Fatalf("Rollout to %d upgraded %d, want %d", to, rep.Upgraded, fleet)
+		if rep.Upgraded != half {
+			b.Fatalf("Rollout to %d upgraded %d, want %d", to, rep.Upgraded, half)
+		}
+		if to == 2 {
+			for want := upgrades.Add(1) * half; scans.Load() < want; {
+				goruntime.Gosched()
+			}
 		}
 	}
+	// round takes fleet 0 to revision to and fleet 1 to the other one.
+	round := func(to int) {
+		roll(fleets[0], to)
+		roll(fleets[1], 3-to)
+	}
+
+	roll(fleets[1], 2)
+	goruntime.GC()
+	gcPercent := debug.SetGCPercent(-1)
+	for i := 0; i < 10; i++ {
+		round(2)
+		round(1)
+	}
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		round(2 - i%2)
+	}
 	b.StopTimer()
+	debug.SetGCPercent(gcPercent)
 	elapsed := time.Since(start).Seconds()
 	if elapsed > 0 {
-		b.ReportMetric(float64(b.N)*fleet/elapsed, "migrations/s")
+		b.ReportMetric(float64(b.N)*2*half/elapsed, "migrations/s")
 	}
+}
+
+// noScans is a WiFi source with nothing to emit that counts its steps.
+type noScans struct {
+	id    string
+	steps *atomic.Int64
+}
+
+func (s *noScans) ID() string { return s.id }
+func (s *noScans) Spec() core.Spec {
+	return core.Spec{Name: "NoScans", Output: core.OutputSpec{Kind: wifi.KindScan}}
+}
+func (s *noScans) Process(int, core.Sample, core.Emit) error { return nil }
+func (s *noScans) Step(core.Emit) (bool, error) {
+	s.steps.Add(1)
+	return false, nil
 }

@@ -1,4 +1,4 @@
-package runtime
+package runtime_test
 
 import (
 	"context"
@@ -9,18 +9,16 @@ import (
 	"testing"
 	"time"
 
-	"perpos/internal/building"
 	"perpos/internal/catalog"
 	"perpos/internal/chaos"
 	"perpos/internal/core"
 	"perpos/internal/energy"
-	"perpos/internal/filter"
 	"perpos/internal/gps"
 	"perpos/internal/health"
 	"perpos/internal/positioning"
 	"perpos/internal/rules"
+	"perpos/internal/runtime"
 	"perpos/internal/trace"
-	"perpos/internal/wifi"
 )
 
 // hdopModes drive the chaos HDOP corruptor through the phases of the
@@ -64,51 +62,21 @@ func hdopCorruptor(mode *atomic.Int32) func(core.Sample) core.Sample {
 	}
 }
 
-// fusionRulesConfig builds the Fig. 2 fusion session with a
-// chaos-wrapped GPS receiver whose HDOP the test script controls, an
-// optionally chaos-wrapped WiFi sensor, and the given rule set.
-func fusionRulesConfig(t *testing.T, rs []rules.Rule, mode *atomic.Int32, wifiChaos **chaos.Source, reroutes []health.Reroute) SessionConfig {
+// rulesManager builds a manager for rules-fusion.json with only the
+// named rule armed: the GPS receiver is chaos-wrapped so the test
+// script controls its HDOP, and the WiFi sensor is chaos-wrapped and
+// reported through wifiChaos (when non-nil).
+func rulesManager(t *testing.T, rule string, mode *atomic.Int32, wifiChaos **chaos.Source) *runtime.Manager {
 	t.Helper()
-	b := building.Evaluation()
-	n := wifi.DefaultDeployment(b)
-	db := wifi.Survey(n, 0, wifi.SurveyConfig{Seed: 1, GridStep: 4})
-	bp, err := catalog.FusionBlueprint(catalog.Deps{Building: b, Database: db}, filter.Config{Particles: 100, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := trace.CorridorWalk(b, 11, 60, time.Second)
+	w := newFusionWorld()
 	corrupt := hdopCorruptor(mode)
-	return SessionConfig{
-		Blueprint: bp,
-		Overrides: func(sessionID string) []core.InstantiateOption {
-			return []core.InstantiateOption{
-				core.WithComponentOverride("gps", func(id string) core.Component {
-					return chaos.WrapSource(
-						gps.NewReceiver(id, tr, gps.Config{Seed: 21, ColdStart: time.Second}),
-						chaos.WithCorrupt(1, corrupt),
-					)
-				}),
-				core.WithComponentOverride("wifi", func(id string) core.Component {
-					src := chaos.WrapSource(wifi.NewSensor(id, n, tr, time.Second, 31))
-					if wifiChaos != nil {
-						*wifiChaos = src
-					}
-					return src
-				}),
-			}
-		},
-		Provider: positioning.ProviderInfo{Technology: "fusion", TypicalAccuracy: 3},
-		History:  16,
-		Health: &health.Policy{
-			MaxConsecutiveErrors: 2,
-			RecoveryEmissions:    1,
-			ProbeInterval:        10 * time.Millisecond,
-			Sweep:                5 * time.Millisecond,
-			Restart:              core.RestartPolicy{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond},
-		},
-		Reroutes: reroutes,
-		Rules:    rs,
+	receiver := func(id string) core.Component {
+		return chaos.WrapSource(
+			gps.NewReceiver(id, w.tr, gps.Config{Seed: 21, ColdStart: time.Second}),
+			chaos.WithCorrupt(1, corrupt),
+		)
 	}
+	return w.manager(t, onlyRule(t, rule), w.base(receiver, wifiChaos))
 }
 
 // graphHasEdge reports whether the session graph currently carries e.
@@ -133,19 +101,14 @@ func ruleStatus(t *testing.T, eng *rules.Engine, name string) rules.RuleStatus {
 	return rules.RuleStatus{}
 }
 
-// TestRulesHDOPFilterLifecycle is the §3.2 case study end to end: GPS
-// accuracy degrades, the accuracy rule inserts an HDOP filter into the
-// live pipeline; a noisy boundary signal oscillating inside the
+// TestRulesHDOPFilterLifecycle is the §3.2 case study end to end, on
+// rules-fusion.json with its accuracy-filter rule alone: GPS accuracy
+// degrades, the rule inserts an HDOP filter into the live pipeline; a noisy boundary signal oscillating inside the
 // hysteresis band causes no churn; recovery removes the filter again.
 func TestRulesHDOPFilterLifecycle(t *testing.T) {
 	var mode atomic.Int32
 	mode.Store(hdopClean)
-	cfg := fusionRulesConfig(t, []rules.Rule{catalog.AccuracyFilterRule()}, &mode, nil, nil)
-
-	m, err := NewManager(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := rulesManager(t, "accuracy-filter", &mode, nil)
 	defer m.Close()
 	s, err := m.GetOrCreate("hdop")
 	if err != nil {
@@ -167,7 +130,7 @@ func TestRulesHDOPFilterLifecycle(t *testing.T) {
 
 	// Phase 1: clean signal. Give the engine time to see good HDOP and
 	// verify it leaves the graph alone.
-	waitFor(t, 5*time.Second, "clean hdop observations", func() bool {
+	runtime.WaitFor(t, 5*time.Second, "clean hdop observations", func() bool {
 		_, ok := s.Graph().Node("interpreter")
 		return ok && !eng.Engaged("accuracy-filter")
 	})
@@ -179,7 +142,7 @@ func TestRulesHDOPFilterLifecycle(t *testing.T) {
 	// Phase 2: accuracy degrades. The rule must insert the filter after
 	// the engage dwell and splice the pipeline around it.
 	mode.Store(hdopDegraded)
-	waitFor(t, 5*time.Second, "accuracy rule to engage", func() bool {
+	runtime.WaitFor(t, 5*time.Second, "accuracy rule to engage", func() bool {
 		return eng.Engaged("accuracy-filter")
 	})
 	if _, ok := s.Graph().Node("hdop-filter"); !ok {
@@ -202,10 +165,10 @@ func TestRulesHDOPFilterLifecycle(t *testing.T) {
 	// Phase 4: accuracy recovers. The clear dwell elapses, the filter
 	// is removed, and the original edge is restored.
 	mode.Store(hdopClean)
-	waitFor(t, 5*time.Second, "accuracy rule to disengage", func() bool {
+	runtime.WaitFor(t, 5*time.Second, "accuracy rule to disengage", func() bool {
 		return !eng.Engaged("accuracy-filter")
 	})
-	waitFor(t, time.Second, "graph restored", func() bool {
+	runtime.WaitFor(t, time.Second, "graph restored", func() bool {
 		_, ok := s.Graph().Node("hdop-filter")
 		return !ok && graphHasEdge(s.Graph(), original)
 	})
@@ -226,7 +189,7 @@ func TestRulesGuardRollback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.OutdoorTrack(testOrigin, 7, 2, 100, 1.4, time.Second)
+	tr := trace.OutdoorTrack(runtime.TestOrigin, 7, 2, 100, 1.4, time.Second)
 
 	bad := rules.Rule{
 		Name: "bad-insert",
@@ -259,7 +222,7 @@ func TestRulesGuardRollback(t *testing.T) {
 		},
 	}
 
-	cfg := SessionConfig{
+	cfg := runtime.SessionConfig{
 		Blueprint: bp,
 		Overrides: func(sessionID string) []core.InstantiateOption {
 			return []core.InstantiateOption{
@@ -278,7 +241,7 @@ func TestRulesGuardRollback(t *testing.T) {
 		Rules: []rules.Rule{bad},
 	}
 
-	m, err := NewManager(cfg)
+	m, err := runtime.NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,14 +265,14 @@ func TestRulesGuardRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	waitFor(t, 5*time.Second, "bad action to roll back", func() bool {
+	runtime.WaitFor(t, 5*time.Second, "bad action to roll back", func() bool {
 		return ruleStatus(t, s.Rules(), "bad-insert").Rollbacks >= 1
 	})
 	st := ruleStatus(t, s.Rules(), "bad-insert")
 	if st.Engaged || !st.Quarantined {
 		t.Fatalf("after rollback: %+v, want disengaged and quarantined", st)
 	}
-	waitFor(t, time.Second, "graph restored after rollback", func() bool {
+	runtime.WaitFor(t, time.Second, "graph restored after rollback", func() bool {
 		_, ok := s.Graph().Node("bad-filter")
 		return !ok && graphHasEdge(s.Graph(), core.Edge{From: "parser", To: "interpreter", Port: 0})
 	})
@@ -344,8 +307,8 @@ func TestRulesGuardRollback(t *testing.T) {
 }
 
 // TestChaosRulesSupervisorArbitration is the arbitration scenario the
-// CI chaos job runs under -race: a provider-swap rule and the
-// supervisor's degradation reroutes deliberately contend for the
+// CI chaos job runs under -race: rules-fusion.json's provider-swap rule
+// and its supervision reroutes deliberately contend for the
 // particle-filter→app edge. The supervisor's reroute must always win
 // while the WiFi branch is down, and the rule must re-engage on its own
 // once the branch heals.
@@ -353,13 +316,7 @@ func TestChaosRulesSupervisorArbitration(t *testing.T) {
 	var mode atomic.Int32
 	mode.Store(hdopClean)
 	var wifiChaos *chaos.Source
-	cfg := fusionRulesConfig(t, []rules.Rule{catalog.ProviderSwapRule()}, &mode, &wifiChaos, catalog.FusionDegradation())
-	cfg.Health.Deadlines = map[string]time.Duration{"wifi": 200 * time.Millisecond}
-
-	m, err := NewManager(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := rulesManager(t, "provider-swap", &mode, &wifiChaos)
 	defer m.Close()
 	s, err := m.GetOrCreate("arb")
 	if err != nil {
@@ -383,7 +340,7 @@ func TestChaosRulesSupervisorArbitration(t *testing.T) {
 	swapped := core.Edge{From: "wifi-positioning", To: "app", Port: 0}
 
 	// Phase 1: healthy and accurate — fused output, rule idle.
-	waitFor(t, 5*time.Second, "first fused positions", func() bool {
+	runtime.WaitFor(t, 5*time.Second, "first fused positions", func() bool {
 		return delivered.Load() >= 3
 	})
 	if eng.Engaged("provider-swap") {
@@ -393,10 +350,10 @@ func TestChaosRulesSupervisorArbitration(t *testing.T) {
 	// Phase 2: GPS accuracy collapses; the rule swaps the app over to
 	// the WiFi fingerprint position.
 	mode.Store(hdopDegraded)
-	waitFor(t, 5*time.Second, "swap rule to engage", func() bool {
+	runtime.WaitFor(t, 5*time.Second, "swap rule to engage", func() bool {
 		return eng.Engaged("provider-swap")
 	})
-	waitFor(t, time.Second, "swap edge in place", func() bool {
+	runtime.WaitFor(t, time.Second, "swap edge in place", func() bool {
 		return graphHasEdge(s.Graph(), swapped) && !graphHasEdge(s.Graph(), fused)
 	})
 
@@ -405,45 +362,52 @@ func TestChaosRulesSupervisorArbitration(t *testing.T) {
 	// supervisor always wins — and positions must keep flowing from the
 	// GPS branch.
 	wifiChaos.Kill(nil)
-	waitFor(t, 5*time.Second, "supervisor to win the edge", func() bool {
+	runtime.WaitFor(t, 5*time.Second, "supervisor to win the edge", func() bool {
 		return s.Supervisor().Degraded() && !eng.Engaged("provider-swap")
 	})
-	waitFor(t, 5*time.Second, "degradation route in place", func() bool {
+	runtime.WaitFor(t, 5*time.Second, "degradation route in place", func() bool {
 		return graphHasEdge(s.Graph(), core.Edge{From: "interpreter", To: "app", Port: 0})
 	})
 	before := delivered.Load()
-	waitFor(t, 5*time.Second, "positions while degraded", func() bool {
+	runtime.WaitFor(t, 5*time.Second, "positions while degraded", func() bool {
 		return delivered.Load() >= before+3
 	})
 
 	// Phase 4: the branch heals. The supervisor releases its claim and
 	// the rule — whose condition still holds — re-engages by itself.
 	wifiChaos.Heal()
-	waitFor(t, 10*time.Second, "rule to re-engage after heal", func() bool {
+	runtime.WaitFor(t, 10*time.Second, "rule to re-engage after heal", func() bool {
 		return !s.Supervisor().Degraded() && eng.Engaged("provider-swap")
 	})
-	waitFor(t, time.Second, "swap edge back", func() bool {
+	runtime.WaitFor(t, time.Second, "swap edge back", func() bool {
 		return graphHasEdge(s.Graph(), swapped) && !graphHasEdge(s.Graph(), fused)
 	})
 
 	// Phase 5: accuracy recovers; the rule stands down and full fusion
 	// returns.
 	mode.Store(hdopClean)
-	waitFor(t, 5*time.Second, "swap rule to disengage", func() bool {
+	runtime.WaitFor(t, 5*time.Second, "swap rule to disengage", func() bool {
 		return !eng.Engaged("provider-swap")
 	})
-	waitFor(t, time.Second, "fused edge restored", func() bool {
+	runtime.WaitFor(t, time.Second, "fused edge restored", func() bool {
 		return graphHasEdge(s.Graph(), fused) && !graphHasEdge(s.Graph(), swapped)
 	})
 
 	_ = s.Stop()
 }
 
-// TestRulesPowerDutyCycle is the §3.2 power case study end to end: a
+// TestRulesPowerDutyCycle is the §3.2 power case study end to end,
+// with rules-fusion.json's power rule armed on the plain GPS chain: a
 // stationary target engages the periodic duty-cycling feature on the
 // receiver; movement detaches it again.
 func TestRulesPowerDutyCycle(t *testing.T) {
 	bp, err := catalog.GPSBlueprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader, p := newFusionWorld().shipped(t, "rules-fusion.json")
+	onlyRule(t, "power-periodic")(&p)
+	power, err := loader.Rules(p.Rules)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,16 +419,16 @@ func TestRulesPowerDutyCycle(t *testing.T) {
 	t0 := time.Date(2026, 1, 1, 12, 0, 0, 0, time.UTC)
 	tr := &trace.Trace{
 		Name:   "still-then-walk",
-		Origin: testOrigin,
+		Origin: runtime.TestOrigin,
 		Points: []trace.Point{
-			{Time: t0, Global: testOrigin, Speed: 0, Mode: "still"},
-			{Time: t0.Add(5 * time.Minute), Global: testOrigin, Speed: 0, Mode: "still"},
-			{Time: t0.Add(5*time.Minute + time.Second), Global: testOrigin, Speed: 1.4, Mode: "walk"},
-			{Time: t0.Add(60 * time.Minute), Global: testOrigin, Speed: 1.4, Mode: "walk"},
+			{Time: t0, Global: runtime.TestOrigin, Speed: 0, Mode: "still"},
+			{Time: t0.Add(5 * time.Minute), Global: runtime.TestOrigin, Speed: 0, Mode: "still"},
+			{Time: t0.Add(5*time.Minute + time.Second), Global: runtime.TestOrigin, Speed: 1.4, Mode: "walk"},
+			{Time: t0.Add(60 * time.Minute), Global: runtime.TestOrigin, Speed: 1.4, Mode: "walk"},
 		},
 	}
 
-	cfg := SessionConfig{
+	cfg := runtime.SessionConfig{
 		Blueprint: bp,
 		Overrides: func(sessionID string) []core.InstantiateOption {
 			return []core.InstantiateOption{
@@ -478,10 +442,10 @@ func TestRulesPowerDutyCycle(t *testing.T) {
 			ProbeInterval: 10 * time.Millisecond,
 			Sweep:         5 * time.Millisecond,
 		},
-		Rules: []rules.Rule{catalog.PowerRule()},
+		Rules: power,
 	}
 
-	m, err := NewManager(cfg)
+	m, err := runtime.NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,12 +471,12 @@ func TestRulesPowerDutyCycle(t *testing.T) {
 	}
 
 	// Stationary: the rule attaches the duty-cycling strategy.
-	waitFor(t, 5*time.Second, "power rule to engage while still", func() bool {
+	runtime.WaitFor(t, 5*time.Second, "power rule to engage while still", func() bool {
 		return s.Rules().Engaged("power-periodic") && hasPeriodic()
 	})
 
 	// Walking: the rule detaches it again.
-	waitFor(t, 10*time.Second, "power rule to disengage while walking", func() bool {
+	runtime.WaitFor(t, 10*time.Second, "power rule to disengage while walking", func() bool {
 		return !s.Rules().Engaged("power-periodic") && !hasPeriodic()
 	})
 	st := ruleStatus(t, s.Rules(), "power-periodic")

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"perpos/internal/core"
 )
@@ -16,16 +15,13 @@ import (
 // up a pipeline instance and Untrack reclaim it.
 //
 // Lock order: the registry lock comes before a session's own locks,
-// and no step, close or callback (onEvict) of a registered session
-// runs under it, so sources bound to a positioning.Manager cannot
+// and no step or close of a registered session runs under it, so sources bound to a positioning.Manager cannot
 // deadlock against it. Creation (GetOrCreate, ResumeSession) is the
 // one long hold: a new session is built, and on resume rehydrated,
 // under the write lock.
 type Manager struct {
-	cfg     SessionConfig
-	set     *core.BlueprintSet
-	clock   func() time.Time
-	onEvict func(s *Session)
+	cfg SessionConfig
+	set *core.BlueprintSet
 
 	// mu guards sessions: the live session of each tracked target.
 	mu       sync.RWMutex
@@ -40,24 +36,10 @@ type Manager struct {
 	rolloutMu sync.Mutex
 }
 
-// Option configures a Manager.
+// Option configures a Manager. No option ships today; the parameter
+// keeps NewManager's signature, and config.Loader.Manager's, stable for
+// the next one.
 type Option func(*Manager)
-
-// WithClock substitutes the idle-eviction clock (tests).
-func WithClock(now func() time.Time) Option {
-	return func(m *Manager) {
-		if now != nil {
-			m.clock = now
-		}
-	}
-}
-
-// WithOnEvict registers a callback fired after a session is removed and
-// closed — e.g. to Untrack the target or record churn. It runs outside
-// all manager locks.
-func WithOnEvict(fn func(s *Session)) Option {
-	return func(m *Manager) { m.onEvict = fn }
-}
 
 // NewManager returns a session manager for the given config. A lone
 // cfg.Blueprint is wrapped into a single-revision set, so every code
@@ -80,7 +62,6 @@ func NewManager(cfg SessionConfig, opts ...Option) (*Manager, error) {
 	m := &Manager{
 		cfg:      cfg,
 		set:      set,
-		clock:    time.Now,
 		sessions: make(map[string]*Session),
 	}
 	initial := cfg.InitialRevision
@@ -167,21 +148,19 @@ func (m *Manager) Get(id string) (*Session, bool) {
 // once per target.
 func (m *Manager) GetOrCreate(id string) (*Session, error) {
 	if s, ok := m.Get(id); ok {
-		s.touch()
 		return s, nil
 	}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if s, ok := m.sessions[id]; ok {
-		s.touch()
 		return s, nil
 	}
 	rev, bp, err := m.activeBlueprint()
 	if err != nil {
 		return nil, err
 	}
-	ns, err := newSession(id, rev, bp, m.cfg, m.clock)
+	ns, err := newSession(id, rev, bp, m.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -192,9 +171,9 @@ func (m *Manager) GetOrCreate(id string) (*Session, error) {
 
 // Evict removes and closes the target's session, checkpointing its
 // final state first when a checkpoint store is configured (so the
-// target is resumable later via ResumeSession). The checkpoint, the
-// close and the onEvict callback run outside the registry lock. It
-// reports whether a session existed.
+// target is resumable later via ResumeSession). The checkpoint and the
+// close run outside the registry lock. It reports whether a session
+// existed.
 func (m *Manager) Evict(id string) bool {
 	m.mu.Lock()
 	s, ok := m.sessions[id]
@@ -210,32 +189,10 @@ func (m *Manager) Evict(id string) bool {
 }
 
 // retire closes an already-deregistered session with a final
-// checkpoint, then fires onEvict. Runs outside all manager locks.
+// checkpoint. Runs outside all manager locks.
 func (m *Manager) retire(s *Session) {
 	s.close(true)
 	m.noteRetired(s.Revision())
-	if m.onEvict != nil {
-		m.onEvict(s)
-	}
-}
-
-// EvictIdle removes and closes every session idle for at least the
-// given duration, returning how many were evicted.
-func (m *Manager) EvictIdle(olderThan time.Duration) int {
-	cutoff := m.clock().Add(-olderThan)
-	var victims []*Session
-	m.mu.Lock()
-	for id, s := range m.sessions {
-		if !s.LastUsed().After(cutoff) {
-			delete(m.sessions, id)
-			victims = append(victims, s)
-		}
-	}
-	m.mu.Unlock()
-	for _, s := range victims {
-		m.retire(s)
-	}
-	return len(victims)
 }
 
 // Len returns the number of live sessions.

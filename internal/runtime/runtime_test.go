@@ -20,6 +20,19 @@ import (
 
 var testOrigin = geo.Point{Lat: 56.1629, Lon: 10.2039}
 
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(d)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatalf("timed out waiting for %s", what)
+}
+
 // seedFrom derives a deterministic per-target seed.
 func seedFrom(id string) int64 {
 	h := fnv.New32a()
@@ -183,24 +196,10 @@ func TestGetOrCreateConcurrent(t *testing.T) {
 	}
 }
 
-func TestEvictAndIdleEviction(t *testing.T) {
-	now := time.Date(2026, 7, 6, 9, 0, 0, 0, time.UTC)
-	var clockMu sync.Mutex
-	clock := func() time.Time {
-		clockMu.Lock()
-		defer clockMu.Unlock()
-		return now
-	}
-	advance := func(d time.Duration) {
-		clockMu.Lock()
-		now = now.Add(d)
-		clockMu.Unlock()
-	}
-
-	var evicted []string
-	m, err := NewManager(gpsSessionConfig(t),
-		WithClock(clock),
-		WithOnEvict(func(s *Session) { evicted = append(evicted, s.ID()) }))
+// TestEvict: an evicted session leaves the registry closed, and a
+// second eviction of the same target reports none.
+func TestEvict(t *testing.T) {
+	m, err := NewManager(gpsSessionConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,19 +209,14 @@ func TestEvictAndIdleEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	advance(10 * time.Minute)
 	if _, err := m.GetOrCreate("b"); err != nil {
 		t.Fatal(err)
 	}
-
-	if n := m.EvictIdle(5 * time.Minute); n != 1 {
-		t.Fatalf("EvictIdle = %d, want 1", n)
-	}
-	if len(evicted) != 1 || evicted[0] != "a" {
-		t.Fatalf("evicted = %v, want [a]", evicted)
+	if !m.Evict("a") {
+		t.Fatal("Evict(a) = false")
 	}
 	if _, ok := m.Get("a"); ok {
-		t.Error("idle session still live")
+		t.Error("evicted session still live")
 	}
 	// The evicted session is closed.
 	if _, err := a.Run(0); !errors.Is(err, ErrClosed) {
@@ -232,29 +226,17 @@ func TestEvictAndIdleEviction(t *testing.T) {
 		t.Errorf("Adapt on evicted session = %v, want ErrClosed", err)
 	}
 
-	// A touched session survives the sweep.
-	advance(10 * time.Minute)
-	if _, err := m.GetOrCreate("b"); err != nil {
-		t.Fatal(err)
-	}
-	advance(time.Minute)
-	if n := m.EvictIdle(5 * time.Minute); n != 0 {
-		t.Fatalf("EvictIdle after touch = %d, want 0", n)
-	}
-
 	if !m.Evict("b") {
 		t.Error("Evict(b) = false")
 	}
-	if m.Evict("nobody") {
-		t.Error("Evict(nobody) = true")
+	if m.Evict("b") {
+		t.Error("double Evict(b) = true")
 	}
 	if m.Len() != 0 {
-		t.Errorf("Len = %d, want 0", m.Len())
+		t.Errorf("Len = %d after evicting all", m.Len())
 	}
 }
 
-// TestPositioningIntegration: binding the runtime to a positioning
-// manager makes Track spin up a session and Untrack reclaim it.
 func TestPositioningIntegration(t *testing.T) {
 	m, err := NewManager(gpsSessionConfig(t))
 	if err != nil {

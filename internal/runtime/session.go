@@ -5,7 +5,7 @@
 // catalog registrations) captured once in the blueprint's factories and
 // shared by every instance. Sessions are adapted individually through
 // the PSL/PCL — the translucency story of the paper applied per target
-// — and evicted when tracking stops or the target idles out.
+// — and evicted when tracking stops.
 package runtime
 
 import (
@@ -116,7 +116,6 @@ type Session struct {
 	graph    *core.Graph
 	layer    *channel.Layer
 	provider *positioning.Provider
-	clock    func() time.Time
 
 	// instOpts rebuilds the per-session instantiate options (overrides
 	// + sink binding) — needed again at migration time, when changed
@@ -149,19 +148,17 @@ type Session struct {
 	mu     sync.Mutex
 	runner *core.Runner
 	// ckpt is the periodic checkpoint job of the latest Start.
-	ckpt     *core.Job
-	lastUsed time.Time
-	closed   bool
-	rev      int
+	ckpt   *core.Job
+	closed bool
+	rev    int
 }
 
 // newSession instantiates revision rev of the manager's blueprint set
 // into a fresh session.
-func newSession(id string, rev int, bp *core.Blueprint, cfg SessionConfig, clock func() time.Time) (*Session, error) {
+func newSession(id string, rev int, bp *core.Blueprint, cfg SessionConfig) (*Session, error) {
 	s := &Session{
 		id:        id,
 		rev:       rev,
-		clock:     clock,
 		store:     cfg.Checkpoints,
 		ckptEvery: cfg.CheckpointEvery,
 	}
@@ -194,7 +191,6 @@ func newSession(id string, rev int, bp *core.Blueprint, cfg SessionConfig, clock
 	}
 	s.graph = g
 	s.layer = channel.NewLayer(g, layerOpts...)
-	s.lastUsed = clock()
 
 	// Rules need a supervisor sweep to piggyback on, so a rule-bearing
 	// session gets the default supervision policy even without Health.
@@ -321,11 +317,7 @@ func (s *Session) feature(name string) (any, bool) {
 // must not be called from a provider subscriber or anything else a
 // source step runs.
 func (s *Session) Adapt(fn func(g *core.Graph, l *channel.Layer) error) error {
-	err := s.applyEdit(func(g *core.Graph) error { return fn(g, s.layer) })
-	if err == nil {
-		s.touch()
-	}
-	return err
+	return s.applyEdit(func(g *core.Graph) error { return fn(g, s.layer) })
 }
 
 // Monitor returns the session's health monitor (nil when supervision
@@ -400,7 +392,6 @@ func (s *Session) migrate(set *core.BlueprintSet, to int) error {
 		s.layer.Refresh()
 		s.mu.Lock()
 		s.rev = to
-		s.lastUsed = s.clock()
 		s.mu.Unlock()
 		return nil
 	})
@@ -420,8 +411,8 @@ func (s *Session) Run(maxTicks int) (int, error) {
 	return s.graph.Run(maxTicks)
 }
 
-// stepGuard admits a Run or StepN that steps the sources itself and
-// touches the idle clock. It fails with ErrClosed on a closed session
+// stepGuard admits a Run or StepN that steps the sources itself. It
+// fails with ErrClosed on a closed session
 // and with ErrStarted while a runner drives it. The caller holds the
 // run lock, which Start and Stop take too.
 func (s *Session) stepGuard() error {
@@ -433,7 +424,6 @@ func (s *Session) stepGuard() error {
 	if s.runner != nil {
 		return ErrStarted
 	}
-	s.lastUsed = s.clock()
 	return nil
 }
 
@@ -443,8 +433,8 @@ func (s *Session) Step() (bool, error) {
 }
 
 // StepN advances every source in the session n times under a single
-// lock acquisition, amortizing the per-step run-lock and idle-clock
-// cost — the batched drive loop for saturated (unpaced) workloads. It
+// lock acquisition, amortizing the per-step run-lock cost — the
+// batched drive loop for saturated (unpaced) workloads. It
 // stops early once the sources are exhausted. Supervisor edits never
 // interleave a batch: like Run, propagation holds the run lock. Like
 // Run, it fails with ErrStarted on a started session until Stop.
@@ -485,7 +475,6 @@ func (s *Session) Start(ctx context.Context, opts ...core.RunnerOption) error {
 		return err
 	}
 	s.runner = r
-	s.lastUsed = s.clock()
 	if s.supervisor != nil {
 		s.supervisor.Start(ctx)
 	}
@@ -550,21 +539,6 @@ func (s *Session) halt(closing bool) (bool, error) {
 		return true, nil
 	}
 	return true, r.Stop()
-}
-
-// LastUsed reports when the session last served a call — the idle
-// eviction clock.
-func (s *Session) LastUsed() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastUsed
-}
-
-// touch refreshes the idle clock.
-func (s *Session) touch() {
-	s.mu.Lock()
-	s.lastUsed = s.clock()
-	s.mu.Unlock()
 }
 
 // close tears the session down: the supervisor and runner are stopped,

@@ -1,8 +1,7 @@
 // Package trace provides ground-truth movement for the experiment
-// suite and the record/replay machinery of §3.2: movement generators
-// (corridor walks, outdoor tracks, random waypoint), JSONL persistence,
-// and the emulator component that "reads sensor data from a file and
-// presents itself as a sensor".
+// suite: movement generators (corridor walks, commutes, outdoor tracks,
+// pause-and-go, multimodal trips) and their JSONL persistence. The
+// simulated sensors (gps.Receiver, wifi.Sensor) replay these traces.
 package trace
 
 import (

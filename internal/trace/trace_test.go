@@ -148,18 +148,6 @@ func TestPauseAndGoHasStationaryPeriods(t *testing.T) {
 	}
 }
 
-func TestRandomWaypointBounds(t *testing.T) {
-	min := geo.ENU{East: -50, North: -20}
-	max := geo.ENU{East: 50, North: 20}
-	tr := RandomWaypoint(testOrigin, min, max, 9, 10, 0.5, 2.0, time.Second)
-	for i, p := range tr.Points {
-		if p.Local.East < min.East-1e-9 || p.Local.East > max.East+1e-9 ||
-			p.Local.North < min.North-1e-9 || p.Local.North > max.North+1e-9 {
-			t.Fatalf("point %d out of bounds: %v", i, p.Local)
-		}
-	}
-}
-
 func TestTraceAtInterpolates(t *testing.T) {
 	start := traceStart
 	tr := &Trace{

@@ -138,27 +138,6 @@ func PauseAndGo(origin geo.Point, seed int64, legs int, radius, speed float64, p
 	return &Trace{Name: "pause-and-go", Origin: origin, Points: w.points}
 }
 
-// RandomWaypoint generates the classic random-waypoint mobility model
-// within the given local bounds.
-func RandomWaypoint(origin geo.Point, min, max geo.ENU, seed int64, legs int, vmin, vmax float64, dt time.Duration) *Trace {
-	rng := rand.New(rand.NewSource(seed))
-	proj := geo.NewProjection(origin)
-	w := &walker{proj: proj, now: traceStart, dt: dt}
-	w.teleport(geo.ENU{
-		East:  min.East + rng.Float64()*(max.East-min.East),
-		North: min.North + rng.Float64()*(max.North-min.North),
-	})
-	for i := 0; i < legs; i++ {
-		next := geo.ENU{
-			East:  min.East + rng.Float64()*(max.East-min.East),
-			North: min.North + rng.Float64()*(max.North-min.North),
-		}
-		speed := vmin + rng.Float64()*(vmax-vmin)
-		w.walk([]geo.ENU{next}, speed)
-	}
-	return &Trace{Name: "random-waypoint", Origin: origin, Points: w.points}
-}
-
 // walker accumulates trace points while moving along waypoint legs.
 type walker struct {
 	b    *building.Building // optional: annotates rooms when set

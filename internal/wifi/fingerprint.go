@@ -28,13 +28,6 @@ type Database struct {
 // Len returns the number of surveyed cells.
 func (db *Database) Len() int { return len(db.fingerprints) }
 
-// Fingerprints returns the surveyed cells.
-func (db *Database) Fingerprints() []Fingerprint {
-	out := make([]Fingerprint, len(db.fingerprints))
-	copy(out, db.fingerprints)
-	return out
-}
-
 // SurveyConfig parameterizes the offline survey.
 type SurveyConfig struct {
 	// GridStep is the survey cell size in metres (default 2).

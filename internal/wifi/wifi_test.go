@@ -91,7 +91,7 @@ func TestSurveyCoversRooms(t *testing.T) {
 		t.Fatalf("survey produced %d cells, want >= 50", db.Len())
 	}
 	rooms := map[string]bool{}
-	for _, fp := range db.Fingerprints() {
+	for _, fp := range db.fingerprints {
 		rooms[fp.RoomID] = true
 		if len(fp.RSSI) == 0 {
 			t.Fatalf("fingerprint at %v has no APs", fp.Pos)
@@ -385,7 +385,7 @@ func TestSurveySecondFloor(t *testing.T) {
 	if db.Len() == 0 {
 		t.Fatal("no fingerprints on floor 1")
 	}
-	for _, fp := range db.Fingerprints() {
+	for _, fp := range db.fingerprints {
 		if fp.Floor != 1 {
 			t.Fatalf("fingerprint floor = %d", fp.Floor)
 		}
