@@ -32,16 +32,19 @@ type exportDecl struct {
 	ident *ast.Ident
 	dir   string
 	key   string // pkg.Name, or pkg.Type.Method for a method
+	use   string // what a use is noted under: dir.Name, or a method's Name
 }
 
 // TestEveryExportHasACaller fails when an exported identifier declared
 // in a non-test file under internal/ has no caller: no non-test file of
 // the module or of perfbench names it, and no other package's tests do.
 // Such an identifier is dead API, to delete, or test-only API, to
-// unexport. keptExports lists the exceptions with their reasons. The
-// scan matches bare names, not types, so a name any file mentions
-// counts as used wherever it is declared: it misses some dead exports
-// and never flags a live one.
+// unexport. keptExports lists the exceptions with their reasons. A
+// package-level name is matched through its package: bare inside the
+// package, as pkg.Name through an import of the package outside it, so
+// a name that another identifier shares does not hide it. A method is
+// matched by its bare name, since the scan does not resolve types: it
+// misses some dead methods and never flags a live one.
 func TestEveryExportHasACaller(t *testing.T) {
 	files := parseModule(t)
 
@@ -55,11 +58,11 @@ func TestEveryExportHasACaller(t *testing.T) {
 			if !id.IsExported() {
 				return
 			}
-			key := f.Name.Name + "." + id.Name
+			key, use := f.Name.Name+"."+id.Name, dir+"."+id.Name
 			if recv != "" {
-				key = f.Name.Name + "." + recv + "." + id.Name
+				key, use = f.Name.Name+"."+recv+"."+id.Name, id.Name
 			}
-			decls = append(decls, exportDecl{ident: id, dir: dir, key: key})
+			decls = append(decls, exportDecl{ident: id, dir: dir, key: key, use: use})
 		}
 		for _, d := range f.Decls {
 			switch d := d.(type) {
@@ -84,32 +87,61 @@ func TestEveryExportHasACaller(t *testing.T) {
 	for _, d := range decls {
 		declared[d.ident] = true
 	}
-	codeNames := map[string]bool{}            // names some non-test file mentions
-	testNames := map[string]map[string]bool{} // name -> dirs whose tests mention it
+	// Every identifier is noted under its bare name, for methods, and a
+	// package-level name also as "dir.Name", dir being the directory of
+	// the package it names.
+	codeUses := map[string]bool{}            // use -> some non-test file has it
+	testUses := map[string]map[string]bool{} // use -> dirs whose tests have it
 	for path, f := range files {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		test := strings.HasSuffix(path, "_test.go")
-		ast.Inspect(f, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok || declared[id] {
-				return true
-			}
+		note := func(use string) {
 			if !test {
-				codeNames[id.Name] = true
-			} else {
-				if testNames[id.Name] == nil {
-					testNames[id.Name] = map[string]bool{}
+				codeUses[use] = true
+				return
+			}
+			if testUses[use] == nil {
+				testUses[use] = map[string]bool{}
+			}
+			testUses[use][dir] = true
+		}
+		imports := map[string]string{} // local name -> directory
+		for _, imp := range f.Imports {
+			rel, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), "perpos/")
+			if !ok {
+				continue
+			}
+			name := rel[strings.LastIndex(rel, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = rel
+		}
+		selected := map[*ast.Ident]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				selected[n.Sel] = true
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					note(imports[x.Name] + "." + n.Sel.Name)
 				}
-				testNames[id.Name][dir] = true
+			case *ast.Ident:
+				if declared[n] {
+					return true
+				}
+				note(n.Name)
+				if !selected[n] {
+					note(dir + "." + n.Name)
+				}
 			}
 			return true
 		})
 	}
 	used := func(d exportDecl) bool {
-		if codeNames[d.ident.Name] {
+		if codeUses[d.use] {
 			return true
 		}
-		for dir := range testNames[d.ident.Name] {
+		for dir := range testUses[d.use] {
 			if dir != d.dir {
 				return true
 			}

@@ -33,11 +33,9 @@ type Feature interface {
 	// processes the delivered sample, so the feature's state always
 	// corresponds to the sample the consumer is about to see.
 	//
-	// The tree is lent for this one delivery: the middleware recycles
-	// it and its nodes as soon as Apply (and the layer's tree observer)
-	// return. Reading during Apply is safe; an implementation that
-	// keeps the tree (or samples reached through it) must call
-	// DataTree.Detach / Sample.Detach first.
+	// The tree is shared read-only with the channel's other features
+	// and the layer's tree observer. Nothing recycles it, so an
+	// implementation may keep it, or any sample reached through it.
 	Apply(tree *DataTree)
 }
 
@@ -82,8 +80,8 @@ type Channel struct {
 	mu       sync.RWMutex
 	features []Feature
 	// lastRoot/hasRoot record the latest delivery; LastTree rebuilds its
-	// tree from the layer's history on demand, since a delivered tree
-	// lives only for the delivery that built it.
+	// tree from the layer's history on demand, since a delivery builds a
+	// tree only when it has a consumer.
 	lastRoot core.Sample
 	hasRoot  bool
 }
@@ -257,7 +255,10 @@ func (c *Channel) LastTree() (*DataTree, bool) {
 	}
 	// Build outside c.mu: the layer lock is ordered before the channel
 	// lock everywhere else (Tap -> deliver).
-	return c.layer.buildDetachedTree(c, root), true
+	l := c.layer
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buildTreeLocked(c, root), true
 }
 
 // deliver is called by the Layer when the channel end point emits root:

@@ -429,9 +429,7 @@ type recordingFeature struct {
 
 func (f *recordingFeature) FeatureName() string { return f.name }
 
-// Apply detaches: delivered trees are pool-owned and recycled as soon
-// as the delivery is over, so retained ones must be deep-copied.
-func (f *recordingFeature) Apply(tree *DataTree) { f.trees = append(f.trees, tree.Detach()) }
+func (f *recordingFeature) Apply(tree *DataTree) { f.trees = append(f.trees, tree) }
 
 func (f *recordingFeature) Requires() Requirements { return f.reqs }
 

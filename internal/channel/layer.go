@@ -57,9 +57,8 @@ const treeEvery = 16
 // still get a tree at every delivery; the observer is a sample. The
 // callback runs outside the layer lock on the emitting goroutine, so
 // it must be cheap and safe for concurrent use — the intended client
-// is metrics (tree-depth histograms), not feature logic. The tree is
-// lent for the call only: it is recycled as soon as fn returns, so fn
-// must Detach anything it keeps.
+// is metrics (tree-depth histograms), not feature logic. fn shares the
+// tree read-only with the channel's features and may keep it.
 func WithTreeObserver(fn func(c *Channel, t *DataTree)) LayerOption {
 	return func(l *Layer) {
 		l.onTree = fn
@@ -219,15 +218,9 @@ func (l *Layer) Tap(componentID string, s core.Sample) {
 	// call back into the layer or the graph.
 	for _, d := range deliveries {
 		d.c.deliver(s, d.tree)
-		if d.tree == nil {
-			continue
-		}
 		if d.observe {
 			l.onTree(d.c, d.tree)
 		}
-		// The features and the observer only borrowed the tree (anything
-		// kept past the call was detached): recycle it before Tap returns.
-		releaseTree(d.tree)
 	}
 }
 
@@ -239,28 +232,13 @@ type delivery struct {
 
 // buildTreeLocked builds the Fig. 4 data tree for one endpoint sample by
 // resolving consumption spans against recorded history, bounded to the
-// channel's own components. Trees and nodes come from the package pool;
-// the caller releases the tree once its one delivery is over.
+// channel's own components.
 func (l *Layer) buildTreeLocked(c *Channel, root core.Sample) *DataTree {
-	t := newTree()
-	t.Root = l.buildNodeLocked(c, root)
-	return t
-}
-
-// buildDetachedTree rebuilds a past delivery's data tree from history.
-// The result is caller-owned; the pooled intermediate is recycled
-// immediately.
-func (l *Layer) buildDetachedTree(c *Channel, root core.Sample) *DataTree {
-	l.mu.Lock()
-	t := l.buildTreeLocked(c, root)
-	l.mu.Unlock()
-	d := t.Detach()
-	releaseTree(t)
-	return d
+	return &DataTree{Root: l.buildNodeLocked(c, root)}
 }
 
 func (l *Layer) buildNodeLocked(c *Channel, s core.Sample) *TreeNode {
-	node := newTreeNode(s)
+	node := &TreeNode{Sample: s}
 	for _, span := range s.Spans {
 		if !c.contains(span.Source) {
 			// The span refers outside the channel (e.g. a merge

@@ -14,7 +14,6 @@ package channel
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"perpos/internal/core"
 )
@@ -32,84 +31,12 @@ type TreeNode struct {
 // element that contributed to one Channel output (Fig. 4). The root is
 // the sample delivered by the Channel end point; leaves are sensor data.
 //
-// Lifetime: a tree lives for the one delivery that built it. Trees
-// handed to Channel Features via Apply (and to the layer's tree
-// observer) are owned by the middleware and recycled as soon as those
-// calls return. Reading during the call is free; retaining the tree (or
-// any node reached through it) past the call requires Detach.
+// A tree is a plain value: the layer builds one for a delivery that has
+// a consumer and shares it read-only with that delivery's Channel
+// Features and tree observer, as it shares the payloads inside it.
+// Nothing recycles it, so whoever wants it may keep it.
 type DataTree struct {
 	Root *TreeNode
-}
-
-// Trees are built for every endpoint emission that has a consumer, so
-// their nodes are the highest-volume heap objects in the PCL. They are
-// pooled: the layer allocates from the pool at build time and recycles
-// the tree when its delivery is over.
-var (
-	nodePool = sync.Pool{New: func() any { return new(TreeNode) }}
-	treePool = sync.Pool{New: func() any { return new(DataTree) }}
-)
-
-// newTree allocates a pooled tree shell.
-func newTree() *DataTree { return treePool.Get().(*DataTree) }
-
-// newTreeNode allocates a pooled node carrying s, with zero children
-// (but retained child capacity from its previous life).
-func newTreeNode(s core.Sample) *TreeNode {
-	n := nodePool.Get().(*TreeNode)
-	n.Sample = s
-	return n
-}
-
-// releaseTree returns a tree and all of its nodes to the pool. Nodes are
-// fully reset (zero Sample, zero-length children) before being pooled so
-// a recycled node can never leak a previous delivery's data.
-func releaseTree(t *DataTree) {
-	if t == nil {
-		return
-	}
-	releaseNode(t.Root)
-	t.Root = nil
-	treePool.Put(t)
-}
-
-func releaseNode(n *TreeNode) {
-	if n == nil {
-		return
-	}
-	for i, c := range n.Children {
-		releaseNode(c)
-		n.Children[i] = nil
-	}
-	n.Children = n.Children[:0]
-	n.Sample = core.Sample{}
-	nodePool.Put(n)
-}
-
-// Detach returns a deep copy of the tree that the caller owns outright:
-// its nodes are not pool-managed and its samples share no mutable state
-// (spans, attributes) with the middleware. Channel Features that keep
-// delivered trees past Apply must detach them first.
-func (t *DataTree) Detach() *DataTree {
-	if t == nil {
-		return nil
-	}
-	return &DataTree{Root: t.Root.Detach()}
-}
-
-// Detach returns an owned deep copy of the subtree rooted at n.
-func (n *TreeNode) Detach() *TreeNode {
-	if n == nil {
-		return nil
-	}
-	out := &TreeNode{Sample: n.Sample.Detach()}
-	if len(n.Children) > 0 {
-		out.Children = make([]*TreeNode, len(n.Children))
-		for i, c := range n.Children {
-			out.Children[i] = c.Detach()
-		}
-	}
-	return out
 }
 
 // Entry pairs a sample with the component that produced it, as returned

@@ -43,10 +43,17 @@ func BenchmarkClusterHandoff(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterSessions measures one pump round of a 3-node cluster
-// tracking 60 Kalman sessions — the steady-state cost of the session
-// tier per cluster-wide tick.
+// BenchmarkClusterSessions measures a 3-node cluster tracking 60
+// Kalman sessions — the steady-state cost of the session tier. An op
+// is one whole cycle of cycleRounds pump rounds: a checkpoint runs
+// every 4th round and a journal compacts every 8th append, so every op
+// does the same work, and rounds/op lets a gate divide allocs/op down
+// to one round. One cycle runs before the timer, so every session has
+// had its first fix, checkpoint and compaction (which open its journal
+// and snapshot files): counted in the timed run, those would move
+// allocs/op with b.N.
 func BenchmarkClusterSessions(b *testing.B) {
+	const cycleRounds = 32
 	ids := []string{"n1", "n2", "n3"}
 	nodes := make([]*Node, 0, len(ids))
 	r := NewRouter(RouterConfig{Policy: fastPolicy()})
@@ -64,7 +71,7 @@ func BenchmarkClusterSessions(b *testing.B) {
 		}
 	}
 	for _, n := range nodes {
-		if err := n.Pump(2); err != nil {
+		if err := n.Pump(cycleRounds); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -73,9 +80,10 @@ func BenchmarkClusterSessions(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, n := range nodes {
-			if err := n.Pump(1); err != nil {
+			if err := n.Pump(cycleRounds); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
+	b.ReportMetric(cycleRounds, "rounds/op")
 }

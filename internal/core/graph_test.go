@@ -511,27 +511,6 @@ func TestTapsFireInRegistrationOrder(t *testing.T) {
 	}
 }
 
-// TestSampleDetachCopiesSpansAndAttrs: a detached sample shares no
-// mutable state with the original, so a consumer may keep it after the
-// pooled data tree that carried it is recycled.
-func TestSampleDetachCopiesSpansAndAttrs(t *testing.T) {
-	orig := NewSample(kindRaw, "payload", time.Time{}).WithAttr("hdop", 1.5)
-	orig.Spans = []Span{{Source: "src", From: 1, To: 2}}
-	d := orig.Detach()
-	if d.Payload != "payload" || d.Spans[0] != orig.Spans[0] || d.Attrs["hdop"] != 1.5 {
-		t.Fatalf("Detach changed the sample: %+v", d)
-	}
-	d.Spans[0].To = 9
-	d.Attrs["hdop"] = 9.9
-	if orig.Spans[0].To != 2 || orig.Attrs["hdop"] != 1.5 {
-		t.Errorf("mutating the detached copy reached the original: spans %v attrs %v", orig.Spans, orig.Attrs)
-	}
-	// Empty spans and attrs stay nil rather than becoming empty copies.
-	if bare := NewSample(kindRaw, 1, time.Time{}).Detach(); bare.Spans != nil || bare.Attrs != nil {
-		t.Errorf("bare Detach = %+v, want nil spans and attrs", bare)
-	}
-}
-
 // TestSinkKeepRetainsNewest: WithKeep turns the sink's record into a
 // ring of the n most recent samples, oldest first.
 func TestSinkKeepRetainsNewest(t *testing.T) {

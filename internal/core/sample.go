@@ -107,26 +107,6 @@ func (s Sample) WithAttr(key string, value any) Sample {
 	return s
 }
 
-// Detach returns a copy of the sample that shares no engine-managed
-// mutable state with the original: Spans and Attrs are deep-copied. The
-// Payload is carried over as-is (payloads are immutable by convention).
-// Consumers that retain samples past the delivery that carried them —
-// e.g. a Channel Feature keeping history out of a pooled data tree —
-// must detach them first.
-func (s Sample) Detach() Sample {
-	if len(s.Spans) > 0 {
-		s.Spans = append([]Span(nil), s.Spans...)
-	}
-	if len(s.Attrs) > 0 {
-		attrs := make(map[string]any, len(s.Attrs))
-		for k, v := range s.Attrs {
-			attrs[k] = v
-		}
-		s.Attrs = attrs
-	}
-	return s
-}
-
 // Attr returns the named attribute and whether it is present.
 func (s Sample) Attr(key string) (any, bool) {
 	v, ok := s.Attrs[key]

@@ -119,9 +119,7 @@ func RunE3() (Result, error) {
 	return res, nil
 }
 
-// treeCollector is a channel feature that stores every delivered tree.
-// Delivered trees are pool-owned, so each one is detached before being
-// retained.
+// treeCollector is a channel feature that keeps every delivered tree.
 type treeCollector struct {
 	trees []*channel.DataTree
 }
@@ -129,5 +127,5 @@ type treeCollector struct {
 func (t *treeCollector) FeatureName() string { return "tree-collector" }
 
 func (t *treeCollector) Apply(tree *channel.DataTree) {
-	t.trees = append(t.trees, tree.Detach())
+	t.trees = append(t.trees, tree)
 }

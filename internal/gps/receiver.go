@@ -137,9 +137,11 @@ type Receiver struct {
 	emitted    int
 	epochCount int
 
-	// gsvSats is formatting scratch for one GSV sentence; the formatted
-	// string never aliases it, so reuse across epochs is safe.
+	// gsvSats and buf are formatting scratch for one sentence; the
+	// emitted string never aliases them, so reuse across sentences is
+	// safe.
 	gsvSats [4]nmea.SatelliteInView
+	buf     []byte
 }
 
 var _ core.Producer = (*Receiver)(nil)
@@ -402,12 +404,13 @@ func (r *Receiver) noFixGGA() nmea.GGA {
 
 // emitSentence renders and emits one sentence. It is generic over the
 // concrete sentence type (a constraint, not an interface parameter) so
-// the sentence value never boxes. The scratch buffer still escapes,
-// because AppendFormat is called through the generic dictionary, so a
-// sentence costs three allocations: buffer, string and payload box.
+// the sentence value never boxes, and it formats into the receiver's
+// own buffer, so a sentence costs two allocations: the string and its
+// payload box.
 func emitSentence[S nmea.Appender](r *Receiver, emit core.Emit, s S) {
 	r.emitted++
-	emit(core.NewSample(KindRaw, string(s.AppendFormat(make([]byte, 0, 96))), r.now))
+	r.buf = s.AppendFormat(r.buf[:0])
+	emit(core.NewSample(KindRaw, string(r.buf), r.now))
 }
 
 // prnTable is the simulator's fixed constellation: PRNs 2..13. prns

@@ -450,10 +450,10 @@ func TestRolloutRejectsUnknownRevision(t *testing.T) {
 //     goroutine, so each upgrade waits for every new WiFi source's first
 //     step; its slot is bound to a source with nothing to emit. The
 //     particle filter is the registry's, as rules-fusion.json ships it.
-//   - Warm-up rounds fill the pools the migration path draws from, and
-//     the garbage collector is held off until the timed loop ends: a GC
-//     empties every sync.Pool, so allocs/op would otherwise depend on
-//     how many GCs a run happens to hit.
+//   - Warm-up rounds fill the standard library's pools the migration
+//     path draws from, and the garbage collector is held off until the
+//     timed loop ends: a GC empties those pools, so allocs/op would
+//     otherwise depend on how many GCs a run happens to hit.
 func BenchmarkRuntimeRollingUpgrade(b *testing.B) {
 	const half = 50
 	var scans, upgrades atomic.Int64

@@ -256,34 +256,59 @@ func TestHubHoldsNoClosedSessionCells(t *testing.T) {
 }
 
 // TestShippedStepNAllocatesLikeBare: with the hub and supervision
-// wired, a warmed-up session's StepN allocates exactly what a bare
-// session's does — watching adds no allocation per emission.
+// wired, a warmed-up session's StepN(16) allocates exactly what a bare
+// session's does, plus one build of the data tree the hub's tree
+// observer samples: watching adds no allocation per emission. Each
+// batch ends on the sampled delivery, so the app channel's LastTree
+// rebuilds that delivery's tree, and the bare session steps in
+// lockstep, since a tree's size follows the receiver's GSV epochs.
 func TestShippedStepNAllocatesLikeBare(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not stable under -race: the sampled data tree's pool drops nodes")
-	}
-	allocs := func(cfg SessionConfig) float64 {
+	session := func(cfg SessionConfig) *Session {
 		m, err := NewManager(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer m.Close()
+		t.Cleanup(m.Close)
 		s, err := m.GetOrCreate("target-allocs")
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Provider().Subscribe(func(positioning.Position) {})
-		if _, err := s.StepN(512); err != nil {
+		delivered := 0
+		s.Provider().Subscribe(func(positioning.Position) { delivered++ })
+		// The warm-up also settles the Go runtime's per-call-site
+		// type-assertion caches, which grow at random, about one call
+		// in 1024, by an allocation of their own.
+		if _, err := s.StepN(8192); err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(64, func() {
+		// The observer samples deliveries 1, 17, 33, ...
+		for delivered%16 != 1 {
+			if _, err := s.StepN(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	stepN := func(s *Session) float64 {
+		return testing.AllocsPerRun(1, func() {
 			if _, err := s.StepN(16); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	bare := allocs(saturatedSessionConfig(t))
-	if got := allocs(shippedSessionConfig(t)); got != bare {
-		t.Errorf("shipped StepN(16) allocates %v, bare %v", got, bare)
+	bare, shipped := session(saturatedSessionConfig(t)), session(shippedSessionConfig(t))
+	app, ok := shipped.Layer().ChannelInto("app", 0)
+	if !ok {
+		t.Fatal("no channel into app")
+	}
+	// Each check steps two batches (AllocsPerRun runs once to warm up),
+	// so five checks see all five phases of the receiver's GSV cycle.
+	for i := 0; i < 5; i++ {
+		want := stepN(bare)
+		got := stepN(shipped)
+		tree := testing.AllocsPerRun(1, func() { app.LastTree() })
+		if got != want+tree {
+			t.Errorf("batch %d: shipped StepN(16) allocates %v, bare %v plus %v for the sampled tree", i, got, want, tree)
+		}
 	}
 }

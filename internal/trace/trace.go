@@ -1,14 +1,10 @@
 // Package trace provides ground-truth movement for the experiment
 // suite: movement generators (corridor walks, commutes, outdoor tracks,
-// pause-and-go, multimodal trips) and their JSONL persistence. The
-// simulated sensors (gps.Receiver, wifi.Sensor) replay these traces.
+// pause-and-go, multimodal trips). The simulated sensors (gps.Receiver,
+// wifi.Sensor) replay these traces.
 package trace
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
 	"time"
 
 	"perpos/internal/geo"
@@ -108,54 +104,4 @@ func (t *Trace) TotalDistance() float64 {
 		total += t.Points[i].Local.Distance(t.Points[i-1].Local)
 	}
 	return total
-}
-
-// Write serialises the trace as one JSON header line followed by one
-// JSON line per point.
-func Write(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	header := struct {
-		Name   string    `json:"name"`
-		Origin geo.Point `json:"origin"`
-		Count  int       `json:"count"`
-	}{t.Name, t.Origin, len(t.Points)}
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(header); err != nil {
-		return fmt.Errorf("trace header: %w", err)
-	}
-	for i := range t.Points {
-		if err := enc.Encode(&t.Points[i]); err != nil {
-			return fmt.Errorf("trace point %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// Read parses a trace written by Write.
-func Read(r io.Reader) (*Trace, error) {
-	dec := json.NewDecoder(r)
-	var header struct {
-		Name   string    `json:"name"`
-		Origin geo.Point `json:"origin"`
-		Count  int       `json:"count"`
-	}
-	if err := dec.Decode(&header); err != nil {
-		return nil, fmt.Errorf("trace header: %w", err)
-	}
-	t := &Trace{
-		Name:   header.Name,
-		Origin: header.Origin,
-		Points: make([]Point, 0, header.Count),
-	}
-	for {
-		var p Point
-		if err := dec.Decode(&p); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, fmt.Errorf("trace point %d: %w", len(t.Points), err)
-		}
-		t.Points = append(t.Points, p)
-	}
-	return t, nil
 }

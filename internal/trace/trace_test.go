@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -193,37 +192,6 @@ func TestTraceDurationAndDistance(t *testing.T) {
 	short := &Trace{Points: []Point{{}}}
 	if short.Duration() != 0 {
 		t.Error("single-point duration should be 0")
-	}
-}
-
-func TestTraceWriteReadRoundTrip(t *testing.T) {
-	b := building.Evaluation()
-	tr := CorridorWalk(b, 21, 2, time.Second)
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != tr.Name || got.Len() != tr.Len() {
-		t.Fatalf("round trip: name %q len %d, want %q len %d", got.Name, got.Len(), tr.Name, tr.Len())
-	}
-	for i := range tr.Points {
-		a, b := tr.Points[i], got.Points[i]
-		if !a.Time.Equal(b.Time) || a.Local != b.Local || a.RoomID != b.RoomID {
-			t.Fatalf("point %d differs: %+v vs %+v", i, a, b)
-		}
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewBufferString("not json")); err == nil {
-		t.Error("Read should fail on garbage")
-	}
-	if _, err := Read(bytes.NewBufferString("{\"name\":\"x\"}\ngarbage")); err == nil {
-		t.Error("Read should fail on garbage point")
 	}
 }
 
