@@ -137,6 +137,7 @@ func (g *Graph) Add(c Component) (*Node, error) {
 		spec:    c.Spec(),
 		inbound: make([]*Node, len(c.Spec().Inputs)),
 	}
+	n.prod, _ = c.(Producer)
 	n.selfEmit = func(s Sample) { n.emit(s, "") }
 	if n.spec.IsSource() {
 		// A source's emissions take its lock, which serialises them
@@ -580,7 +581,7 @@ func (g *Graph) producerList() []*Node {
 		ps := make([]*Node, 0, len(g.order))
 		for _, id := range g.order {
 			n := g.nodes[id]
-			if _, ok := n.comp.(Producer); ok && n.spec.IsSource() {
+			if n.prod != nil && n.spec.IsSource() {
 				ps = append(ps, n)
 			}
 		}

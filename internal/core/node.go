@@ -19,6 +19,9 @@ type Node struct {
 	comp  Component
 	id    string // cached; ID must be constant
 	spec  Spec   // cached; Spec must be constant
+	// prod is comp as a Producer, nil when it is not one: resolved
+	// once, so no source step asserts an interface to an interface.
+	prod Producer
 
 	// mu is held while the component runs in process and while one of
 	// a source's emissions propagates (its emit closure and
@@ -264,11 +267,10 @@ func (n *Node) produce(observed bool) (more bool, d time.Duration, err error) {
 		}
 		d = since(start)
 	}()
-	p, ok := n.comp.(Producer)
-	if !ok {
+	if n.prod == nil {
 		return false, 0, fmt.Errorf("%w: %q is not a producer", ErrNotProducer, n.ID())
 	}
-	more, serr := p.Step(n.selfEmit)
+	more, serr := n.prod.Step(n.selfEmit)
 	if serr != nil {
 		return more, 0, fmt.Errorf("source %q: %w", n.ID(), serr)
 	}

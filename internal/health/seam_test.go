@@ -1,7 +1,10 @@
 package health
 
 import (
+	"context"
 	"errors"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -46,6 +49,59 @@ func TestSupervisorOnSweep(t *testing.T) {
 	sup.Sweep(t0.Add(time.Second))
 	if !sawBypass {
 		t.Fatal("OnSweep hook ran before the supervisor reconciled its reroutes")
+	}
+}
+
+// TestSweepsShareOneGrid: supervisors with one period, started half a
+// period apart, sweep at the same instants, so that one wake of a job
+// shard runs all the sweeps due then.
+func TestSweepsShareOneGrid(t *testing.T) {
+	const period, sweeps = 40 * time.Millisecond, 4
+	var mu sync.Mutex
+	at := make([][]time.Time, 2)
+	sups := make([]*Supervisor, len(at))
+	for i := range sups {
+		i := i
+		sups[i] = NewSupervisor(NewMonitor(Policy{Sweep: period}), nil, nil)
+		sups[i].OnSweep(func(now time.Time) {
+			mu.Lock()
+			at[i] = append(at[i], now)
+			mu.Unlock()
+		})
+		sups[i].Start(context.Background())
+		time.Sleep(period / 2)
+	}
+	for end := time.Now().Add(5 * time.Second); ; time.Sleep(period) {
+		mu.Lock()
+		n := len(at[0])
+		mu.Unlock()
+		if n > sweeps+2 || time.Now().After(end) {
+			break
+		}
+	}
+	for _, s := range sups {
+		s.Stop()
+	}
+	// The first supervisor may stop before its sweep of the second's
+	// last instant: compare the second's sweeps up to the first's last.
+	// The median distance leaves out a sweep a busy machine delayed.
+	var apart []time.Duration
+	for _, b := range at[1] {
+		if len(at[0]) == 0 || b.After(at[0][len(at[0])-1]) {
+			break
+		}
+		nearest := period
+		for _, a := range at[0] {
+			nearest = min(nearest, b.Sub(a).Abs())
+		}
+		apart = append(apart, nearest)
+	}
+	if len(apart) < sweeps {
+		t.Fatalf("compared %d sweeps of the second supervisor, want %d", len(apart), sweeps)
+	}
+	slices.Sort(apart)
+	if m := apart[len(apart)/2]; m > period/4 {
+		t.Errorf("the second supervisor's sweeps ran a median %v from the nearest of the first's, want the same instants", m)
 	}
 }
 

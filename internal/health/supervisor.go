@@ -57,9 +57,10 @@ type Reroute struct {
 // sweep job (core.Every) periodically advances the monitor's breakers,
 // applies the configured degradation reroutes through the Adapter, and
 // notifies listeners of every transition. Listener callbacks and
-// reroute edits run on the sweep job's goroutine — never on engine
-// goroutines — because an edit pauses the runner, and a pause waits out
-// the source steps in flight: called from one, it would wait for itself.
+// reroute edits run in the sweep job's calls. A sweep may run on the
+// goroutine that ran a source step before it, but never inside a step:
+// an edit pauses the runner, and a pause waits out the source steps in
+// flight, so called from one it would wait for itself.
 type Supervisor struct {
 	mon      *Monitor
 	adapter  Adapter
@@ -174,7 +175,11 @@ func (s *Supervisor) Start(ctx context.Context) {
 	if s.sweeper != nil {
 		return
 	}
-	period, origin := s.mon.Policy().Sweep, time.Now()
+	// Every supervisor with one period sweeps on one grid, the wall
+	// clock's multiples of the period (kept on the monotonic clock), so
+	// one wake of each job shard runs all the sweeps due at an instant.
+	period, start := s.mon.Policy().Sweep, time.Now()
+	origin := start.Add(start.Truncate(period).Sub(start))
 	s.sweeper = core.Every(ctx, origin.Add(period), func(now time.Time) (time.Time, bool) {
 		s.Sweep(now)
 		return core.NextDue(origin, period, now), true

@@ -353,7 +353,7 @@ func (s *Session) pauseAndRun(fn func() error) error {
 
 // applyEdit is the edit path of Adapt and the supervisor's Adapter:
 // apply the edit through the pause seam and refresh the channel layer.
-// The supervisor calls it from its own goroutine, never from a step.
+// The supervisor calls it from its sweep job, never from inside a step.
 func (s *Session) applyEdit(edit func(*core.Graph) error) error {
 	return s.pauseAndRun(func() error {
 		err := edit(s.graph)
