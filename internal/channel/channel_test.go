@@ -730,7 +730,7 @@ func TestFeatureMethodsInspection(t *testing.T) {
 }
 
 // TestAsyncEngineWithChannelLayer: the layer's taps and tree building
-// run on the async runner's source goroutines, one per source, so the
+// run in the started graph's source jobs, one per source, so the
 // gps and wifi branches tap the layer concurrently; this is the race
 // test for the PCL's locking.
 func TestAsyncEngineWithChannelLayer(t *testing.T) {
@@ -743,12 +743,11 @@ func TestAsyncEngineWithChannelLayer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := core.NewRunner(g)
-	if err := r.Start(context.Background()); err != nil {
+	if err := g.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	r.WaitSources()
-	if err := r.Stop(); err != nil {
+	g.WaitSources()
+	if err := g.Stop(); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Len() != 100 { // 50 gps + 50 wifi through the pass-through PF

@@ -186,12 +186,11 @@ func TestLastTreeConcurrentWithDeliveries(t *testing.T) {
 				}
 			}()
 
-			r := core.NewRunner(g)
-			if err := r.Start(context.Background()); err != nil {
+			if err := g.Start(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			r.WaitSources()
-			if err := r.Stop(); err != nil {
+			g.WaitSources()
+			if err := g.Stop(); err != nil {
 				t.Fatal(err)
 			}
 			close(stop)

@@ -8,8 +8,8 @@
 // run-to-run.
 //
 // The wrappers compose with the supervision machinery in
-// internal/health: a killed source trips the runner's restart-with-
-// backoff path, the watchdog notices the silence, and the supervisor
+// internal/health: a killed source trips the started graph's
+// restart-with-backoff path, the watchdog notices the silence, and the supervisor
 // degrades the pipeline — all exercised deterministically in tests.
 package chaos
 
@@ -159,8 +159,8 @@ func (c *Component) Process(port int, in core.Sample, emit core.Emit) error {
 
 // Source wraps a Producer with fault injection on its Step path. A
 // down Source dies (Step returns more=false with the outage error),
-// which is exactly the shape the runner's restart-with-backoff path
-// recovers from: Source implements core.Restartable, and Restart
+// which is exactly the shape a started graph's restart-with-backoff
+// path recovers from: Source implements core.Restartable, and Restart
 // succeeds once the outage clears.
 type Source struct {
 	inner core.Producer

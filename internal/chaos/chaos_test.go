@@ -154,8 +154,9 @@ func TestSourceDiesAndRestarts(t *testing.T) {
 }
 
 func TestChaosSourceUnderRunnerRestarts(t *testing.T) {
-	// End-to-end with the engine: a killed source dies, the runner backs
-	// off and restarts it after Heal, and the stream completes.
+	// End-to-end with the engine: a killed source dies, the started
+	// graph backs off and restarts it after Heal, and the stream
+	// completes.
 	g := core.New()
 	src := WrapSource(sliceSource("src", 5))
 	if _, err := g.Add(src); err != nil {
@@ -170,15 +171,14 @@ func TestChaosSourceUnderRunnerRestarts(t *testing.T) {
 	}
 
 	src.Kill(nil)
-	r := core.NewRunner(g,
-		core.WithSourceRestart(core.RestartPolicy{Base: time.Millisecond, Max: 5 * time.Millisecond}))
-	if err := r.Start(context.Background()); err != nil {
+	if err := g.Start(context.Background(),
+		core.WithSourceRestart(core.RestartPolicy{Base: time.Millisecond, Max: 5 * time.Millisecond})); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(10 * time.Millisecond) // let a few restart attempts fail
 	src.Heal()
-	r.WaitSources()
-	if err := r.Stop(); err == nil {
+	g.WaitSources()
+	if err := g.Stop(); err == nil {
 		t.Error("Stop = nil, want the injected outage errors")
 	}
 	if sink.Len() != 5 {

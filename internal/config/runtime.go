@@ -90,7 +90,7 @@ func (d RolloutDef) Config(to int) runtime.RolloutConfig {
 // its Checkpoints field, when already set, wins over the definition's
 // (the caller owns that store's lifecycle either way — the manager
 // never closes it).
-func (l *Loader) Manager(p Pipeline, base runtime.SessionConfig, opts ...runtime.Option) (*runtime.Manager, error) {
+func (l *Loader) Manager(p Pipeline, base runtime.SessionConfig) (*runtime.Manager, error) {
 	cfg := base
 	if len(p.Revisions) > 0 {
 		set, err := l.BlueprintSet(p)
@@ -127,5 +127,5 @@ func (l *Loader) Manager(p Pipeline, base runtime.SessionConfig, opts ...runtime
 		cfg.Checkpoints = store
 		cfg.CheckpointEvery = p.Checkpoint.Every()
 	}
-	return runtime.NewManager(cfg, opts...)
+	return runtime.NewManager(cfg)
 }

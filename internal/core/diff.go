@@ -245,7 +245,7 @@ func (p *MigrationPlan) Empty() bool { return p.Diff.Empty() }
 // Unchanged nodes are never touched, so their component instances —
 // and therefore their running state — carry across bit-exact. The
 // caller must hold the graph quiescent (the runtime applies it inside
-// Runner.Pause, the seam Adapt uses).
+// Graph.Pause, the seam Adapt uses).
 //
 // Apply is transactional at the graph level: before editing it snapshots
 // component state via SnapshotState, and if any step fails it rebuilds

@@ -29,8 +29,8 @@ var (
 	// ErrNotProducer indicates a Step on a component that is not a
 	// Producer.
 	ErrNotProducer = errors.New("core: component is not a producer")
-	// ErrRunning indicates a structural change attempted while an async
-	// runner is active.
+	// ErrRunning indicates a structural change outside Pause, or a
+	// StepAll, StepSource or Run, attempted on a started graph.
 	ErrRunning = errors.New("core: graph is running")
 	// ErrPanicked indicates a component or feature hook panicked during
 	// processing; the engine contains it and reports it as an error.

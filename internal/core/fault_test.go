@@ -263,13 +263,12 @@ func TestRunnerRestartsFailedSource(t *testing.T) {
 
 	obs := &recordingObserver{}
 	g.Observe(obs)
-	r := NewRunner(g, WithSourceRestart(RestartPolicy{Base: time.Millisecond, Max: 5 * time.Millisecond}))
-	if err := r.Start(context.Background()); err != nil {
+	if err := g.Start(context.Background(), WithSourceRestart(RestartPolicy{Base: time.Millisecond, Max: 5 * time.Millisecond})); err != nil {
 		t.Fatal(err)
 	}
-	r.WaitSources()
+	g.WaitSources()
 	// Stop surfaces the step errors noted before the restarts landed.
-	if err := r.Stop(); err == nil {
+	if err := g.Stop(); err == nil {
 		t.Error("Stop = nil, want the source's pre-restart errors")
 	}
 	if sink.Len() != 5 {
@@ -295,12 +294,11 @@ func TestRunnerRestartCapExhausts(t *testing.T) {
 
 	obs := &recordingObserver{}
 	g.Observe(obs)
-	r := NewRunner(g, WithSourceRestart(RestartPolicy{MaxRestarts: 3, Base: time.Millisecond, Max: 2 * time.Millisecond}))
-	if err := r.Start(context.Background()); err != nil {
+	if err := g.Start(context.Background(), WithSourceRestart(RestartPolicy{MaxRestarts: 3, Base: time.Millisecond, Max: 2 * time.Millisecond})); err != nil {
 		t.Fatal(err)
 	}
-	r.WaitSources()
-	if err := r.Stop(); err == nil {
+	g.WaitSources()
+	if err := g.Stop(); err == nil {
 		t.Error("Stop = nil, want the terminal source error")
 	}
 	src.mu.Lock()
@@ -337,8 +335,7 @@ func TestRunnerCancelDuringRestartBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := NewRunner(g, WithSourceRestart(RestartPolicy{Base: time.Minute}))
-	if err := r.Start(context.Background()); err != nil {
+	if err := g.Start(context.Background(), WithSourceRestart(RestartPolicy{Base: time.Minute})); err != nil {
 		t.Fatal(err)
 	}
 	// Wait until the source has failed at least once, so the drive loop
@@ -357,7 +354,7 @@ func TestRunnerCancelDuringRestartBackoff(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	start := time.Now()
-	if err := r.Stop(); err == nil {
+	if err := g.Stop(); err == nil {
 		t.Error("Stop = nil, want the source's terminal error")
 	}
 	if waited := time.Since(start); waited > 10*time.Second {
@@ -376,12 +373,11 @@ func TestRunnerCleanExhaustionNeverRestarts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := NewRunner(g, WithSourceRestart(RestartPolicy{Base: time.Millisecond}))
-	if err := r.Start(context.Background()); err != nil {
+	if err := g.Start(context.Background(), WithSourceRestart(RestartPolicy{Base: time.Millisecond})); err != nil {
 		t.Fatal(err)
 	}
-	r.WaitSources()
-	if err := r.Stop(); err != nil {
+	g.WaitSources()
+	if err := g.Stop(); err != nil {
 		t.Fatal(err)
 	}
 	src.mu.Lock()
@@ -402,12 +398,11 @@ func (g *blockingGate) Allow(node string) bool { return node != g.deny }
 func TestRunnerGateDropsQuarantined(t *testing.T) {
 	g, sink := buildLinear(t, 10)
 	g.Observe(&blockingGate{deny: "app"})
-	r := NewRunner(g)
-	if err := r.Start(context.Background()); err != nil {
+	if err := g.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	r.WaitSources()
-	if err := r.Stop(); err != nil {
+	g.WaitSources()
+	if err := g.Stop(); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Len() != 0 {

@@ -9,9 +9,10 @@ import (
 )
 
 // Observer watches a graph run. Both engines — StepAll/StepN and the
-// Runner — call it from the same Node methods, so it sees the same
-// events whichever drives the graph. Methods run on the propagating
-// goroutine and must be fast and safe for concurrent use.
+// source jobs of a started graph (Start) — call it from the same Node
+// methods, so it sees the same events whichever drives the graph.
+// Methods run on the propagating goroutine and must be fast and safe
+// for concurrent use.
 type Observer interface {
 	// Tap is called for every emission anywhere in the graph, before
 	// the sample propagates downstream.
@@ -25,8 +26,9 @@ type Observer interface {
 	// the call's wall time on the one call in timedEvery per node that
 	// is timed, and 0 on the others.
 	Done(nodeID string, d time.Duration, err error)
-	// Restarted is called after a Runner restarts a failed source
-	// (attempt counts consecutive restarts since the last success).
+	// Restarted is called after a started graph restarts a failed
+	// source (attempt counts consecutive restarts since the last
+	// success).
 	Restarted(nodeID string, attempt int)
 }
 
@@ -69,8 +71,8 @@ type Edge struct {
 // plus synchronous propagation for deterministic runs.
 //
 // Concurrency contract: structural mutation (Add/Connect/Remove/attach)
-// must not run concurrently with propagation (Inject/Step*). The Runner
-// freezes the structure while running, except inside Runner.Pause.
+// must not run concurrently with propagation (Inject/Step*). Start
+// freezes the structure until Stop, except inside Pause.
 type Graph struct {
 	mu    sync.RWMutex
 	nodes map[string]*Node
@@ -94,8 +96,15 @@ type Graph struct {
 	errs       []error
 	errDropped int
 
-	// running freezes the structure while a Runner runs, outside Pause.
+	// running freezes the structure while the graph is started,
+	// outside Pause.
 	running atomic.Bool
+	// runMu serialises Start, Pause, Stop and WaitSources, and guards
+	// the sources' jobs (Node.job).
+	runMu sync.Mutex
+	// started is the live engine's state from Start to Stop, and nil
+	// while the graph is not started.
+	started atomic.Pointer[runState]
 }
 
 // observerList snapshots a graph's observers in registration order.
@@ -522,27 +531,13 @@ func (g *Graph) Inject(id string, s Sample) error {
 	return g.drainErrors()
 }
 
-// Deliver pushes a sample into the named component's input port and
-// synchronously propagates whatever it emits. It is the entry point
-// used by remote port bridges.
-func (g *Graph) Deliver(id string, port int, s Sample) error {
-	g.mu.RLock()
-	n, ok := g.nodes[id]
-	g.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: component %q", ErrNotFound, id)
-	}
-	if port < 0 || port >= len(n.spec.Inputs) {
-		return fmt.Errorf("%w: %q port %d", ErrPortIndex, id, port)
-	}
-	n.process(port, s)
-	return g.drainErrors()
-}
-
 // StepSource drives the named Producer component for one tick,
 // propagating its emissions synchronously. It returns whether the
-// producer has more data.
+// producer has more data, and ErrRunning on a started graph.
 func (g *Graph) StepSource(id string) (bool, error) {
+	if g.started.Load() != nil {
+		return false, ErrRunning
+	}
 	g.mu.RLock()
 	n, ok := g.nodes[id]
 	g.mu.RUnlock()
@@ -554,8 +549,12 @@ func (g *Graph) StepSource(id string) (bool, error) {
 }
 
 // StepAll drives every Producer source once. It returns true while at
-// least one producer reports more data.
+// least one producer reports more data, and ErrRunning on a started
+// graph, whose source jobs step them.
 func (g *Graph) StepAll() (bool, error) {
+	if g.started.Load() != nil {
+		return false, ErrRunning
+	}
 	any := false
 	for _, n := range g.producerList() {
 		if more, _ := n.step(); more {
@@ -659,7 +658,7 @@ func (g *Graph) reachesSink(n *Node, seen map[*Node]bool) bool {
 
 // Run drives all producer sources until every one is exhausted or
 // maxTicks is reached (maxTicks <= 0 means unbounded). It returns the
-// number of ticks executed.
+// number of ticks executed, and ErrRunning on a started graph.
 func (g *Graph) Run(maxTicks int) (int, error) {
 	ticks := 0
 	for {

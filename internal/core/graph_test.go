@@ -376,29 +376,6 @@ func TestInjectUnknownComponent(t *testing.T) {
 	}
 }
 
-func TestDeliverPushesIntoPort(t *testing.T) {
-	g, sink := buildLinear(t, 0)
-	s := NewSample(kindRaw, 42, time.Time{})
-	s.Source = "remote-peer"
-	s.Logical = 7
-	if err := g.Deliver("mid", 0, s); err != nil {
-		t.Fatal(err)
-	}
-	if sink.Len() != 1 {
-		t.Fatalf("sink received %d, want 1", sink.Len())
-	}
-	got, _ := sink.Last()
-	if got.Payload.(int) != 42 {
-		t.Errorf("payload = %v, want 42", got.Payload)
-	}
-	if err := g.Deliver("mid", 9, s); !errors.Is(err, ErrPortIndex) {
-		t.Errorf("bad port error = %v, want ErrPortIndex", err)
-	}
-	if err := g.Deliver("ghost", 0, s); !errors.Is(err, ErrNotFound) {
-		t.Errorf("unknown component error = %v, want ErrNotFound", err)
-	}
-}
-
 func TestStepSourceErrors(t *testing.T) {
 	g, _ := buildLinear(t, 1)
 	if _, err := g.StepSource("ghost"); !errors.Is(err, ErrNotFound) {

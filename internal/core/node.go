@@ -33,7 +33,8 @@ type Node struct {
 	// Guarded by mu on processing nodes; a source is stepped by one
 	// goroutine at a time.
 	calls uint32
-	// job steps a source under a Runner; attempt, its restart attempt.
+	// job steps a source while the graph is started (guarded by the
+	// graph's runMu); attempt, its restart attempt.
 	job     *Job
 	attempt int
 

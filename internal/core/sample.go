@@ -4,9 +4,9 @@
 // Features that augment components (paper §2.1), logical-time stamping
 // of every emission (the substrate for the Process Channel Layer's data
 // trees, Fig. 4), and two engines over one node path: the deterministic
-// synchronous StepAll/Run, and the Runner, which gives each source its
-// own periodic job (Every) and propagates emissions by the same direct
-// call.
+// synchronous StepAll/Run, and a started graph (Graph.Start), which
+// gives each source its own periodic job (Every) and propagates
+// emissions by the same direct call.
 package core
 
 import (

@@ -161,8 +161,8 @@ func (n *Node) restoreStateLocked(st NodeState) error {
 // SnapshotState captures the running state of every node in the graph:
 // logical clocks, span bookkeeping and the serialized state of every
 // stateful component (via its "state" feature or its own StateAccess).
-// The graph must be quiescent — it fails with ErrRunning while an async
-// Runner is active outside Runner.Pause, the seam runtime.Session's
+// The graph must be quiescent — it fails with ErrRunning while the
+// graph is started, outside Graph.Pause, the seam runtime.Session's
 // Checkpoint captures through.
 func (g *Graph) SnapshotState() (GraphState, error) {
 	g.mu.RLock()

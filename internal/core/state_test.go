@@ -182,13 +182,12 @@ func TestRestoreUnknownNodesSkipped(t *testing.T) {
 // TestSnapshotWhileRunning: state capture requires quiescence.
 func TestSnapshotWhileRunning(t *testing.T) {
 	g, _, _ := stateGraph(t)
-	r := NewRunner(g)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := r.Start(ctx); err != nil {
+	if err := g.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	defer r.Stop()
+	defer g.Stop()
 	if _, err := g.SnapshotState(); !errors.Is(err, ErrRunning) {
 		t.Fatalf("SnapshotState while running = %v, want ErrRunning", err)
 	}

@@ -122,12 +122,11 @@ func RunE7(cfg E7Config) (Result, error) {
 				return Result{}, err
 			}
 		case "async":
-			r := core.NewRunner(g)
-			if err := r.Start(context.Background()); err != nil {
+			if err := g.Start(context.Background()); err != nil {
 				return Result{}, err
 			}
-			r.WaitSources()
-			if err := r.Stop(); err != nil {
+			g.WaitSources()
+			if err := g.Stop(); err != nil {
 				return Result{}, err
 			}
 		}

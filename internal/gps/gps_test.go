@@ -570,19 +570,24 @@ func TestParserStatsFeature(t *testing.T) {
 	if _, err := g.Add(parser); err != nil {
 		t.Fatal(err)
 	}
+	// The sentences enter through a raw source node.
+	if _, err := g.Add(&core.SliceSource{CompID: "raw", Out: core.OutputSpec{Kind: KindRaw}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Connect("raw", "parser", 0); err != nil {
+		t.Fatal(err)
+	}
 	node, _ := g.Node("parser")
 	if err := node.AttachFeature(NewStatsFeature()); err != nil {
 		t.Fatal(err)
 	}
 
-	emit := func(core.Sample) {}
 	good := nmea.GGA{Quality: nmea.FixGPS, Lat: 56, Lon: 10, NumSatellites: 8, HDOP: 1}.Format()
 	for _, raw := range []string{good, "garbage", good, "more garbage"} {
-		if err := g.Deliver("parser", 0, core.NewSample(KindRaw, raw, time.Time{})); err != nil {
+		if err := g.Inject("raw", core.NewSample(KindRaw, raw, time.Time{})); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_ = emit
 
 	f, ok := node.Feature(FeatureParserStats)
 	if !ok {

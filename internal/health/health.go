@@ -20,7 +20,8 @@
 // deliveries, whichever engine drives the graph) except for a
 // half-open probe admitted every ProbeInterval — the sample that lets
 // a recovered component prove itself. Sources are not gated; a dead
-// source is restarted by the runner with exponential backoff instead.
+// source is restarted by its started graph with exponential backoff
+// instead.
 package health
 
 import (
@@ -92,7 +93,8 @@ type Policy struct {
 	ProbeInterval time.Duration
 	// Sweep is the supervisor's evaluation period (default 50ms).
 	Sweep time.Duration
-	// Restart is the runner's backoff policy for Restartable sources.
+	// Restart is the started graph's backoff policy for Restartable
+	// sources.
 	Restart core.RestartPolicy
 }
 

@@ -167,7 +167,7 @@ func TestSupervisorAppliesAndReversesReroute(t *testing.T) {
 
 	m := NewMonitor(Policy{MaxConsecutiveErrors: 1})
 	var edits int
-	adapter := AdapterFunc(func(edit func(*core.Graph) error) error {
+	adapter := Adapter(func(edit func(*core.Graph) error) error {
 		edits++
 		return edit(g)
 	})
@@ -269,7 +269,7 @@ func TestSupervisorPriorityOrderedFallback(t *testing.T) {
 	g := fusionTestGraph(t)
 	m := NewMonitor(Policy{MaxConsecutiveErrors: 1})
 	var edits int
-	adapter := AdapterFunc(func(edit func(*core.Graph) error) error {
+	adapter := Adapter(func(edit func(*core.Graph) error) error {
 		edits++
 		return edit(g)
 	})
@@ -334,7 +334,7 @@ func TestSupervisorTieBreakIsDeclarationOrder(t *testing.T) {
 	for run := 0; run < 5; run++ {
 		g := fusionTestGraph(t)
 		m := NewMonitor(Policy{MaxConsecutiveErrors: 1})
-		adapter := AdapterFunc(func(edit func(*core.Graph) error) error { return edit(g) })
+		adapter := Adapter(func(edit func(*core.Graph) error) error { return edit(g) })
 		sup := NewSupervisor(m, adapter, []Reroute{
 			{Watch: "gps", Break: fused, Make: core.Edge{From: "wifi", To: "app", Port: 0}, Priority: 2},
 			{Watch: "wifi", Break: fused, Make: core.Edge{From: "gps", To: "app", Port: 0}, Priority: 2},
@@ -351,7 +351,7 @@ func TestSupervisorTieBreakIsDeclarationOrder(t *testing.T) {
 
 func TestSupervisorReportsFailedReroute(t *testing.T) {
 	m := NewMonitor(Policy{MaxConsecutiveErrors: 1})
-	adapter := AdapterFunc(func(func(*core.Graph) error) error {
+	adapter := Adapter(func(func(*core.Graph) error) error {
 		return errors.New("graph says no")
 	})
 	sup := NewSupervisor(m, adapter, []Reroute{{Watch: "wifi"}})

@@ -22,7 +22,7 @@ func TestWatchdogRearmsAfterProbeRecovery(t *testing.T) {
 		RecoveryEmissions:    1,
 		ProbeInterval:        10 * time.Millisecond,
 	}, withClock(func() time.Time { return now }))
-	adapter := AdapterFunc(func(edit func(*core.Graph) error) error { return edit(g) })
+	adapter := Adapter(func(edit func(*core.Graph) error) error { return edit(g) })
 	sup := NewSupervisor(m, adapter, []Reroute{{
 		Watch: "wifi",
 		Break: core.Edge{From: "fuse", To: "app", Port: 0},

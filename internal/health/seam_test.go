@@ -16,7 +16,7 @@ import (
 func TestSupervisorOnSweep(t *testing.T) {
 	g := fusionTestGraph(t)
 	m := NewMonitor(Policy{MaxConsecutiveErrors: 1})
-	adapter := AdapterFunc(func(edit func(*core.Graph) error) error { return edit(g) })
+	adapter := Adapter(func(edit func(*core.Graph) error) error { return edit(g) })
 	sup := NewSupervisor(m, adapter, []Reroute{{
 		Watch: "wifi",
 		Break: core.Edge{From: "fuse", To: "app", Port: 0},
@@ -112,7 +112,7 @@ func TestSupervisorClaimedEdges(t *testing.T) {
 	g := fusionTestGraph(t)
 	m := NewMonitor(Policy{MaxConsecutiveErrors: 1})
 	fail := true
-	adapter := AdapterFunc(func(edit func(*core.Graph) error) error {
+	adapter := Adapter(func(edit func(*core.Graph) error) error {
 		if fail {
 			return errors.New("blocked")
 		}
@@ -163,7 +163,7 @@ func TestSupervisorRetriesFailedRerouteWithoutTransition(t *testing.T) {
 	m := NewMonitor(Policy{MaxConsecutiveErrors: 1})
 	fail := true
 	var edits int
-	adapter := AdapterFunc(func(edit func(*core.Graph) error) error {
+	adapter := Adapter(func(edit func(*core.Graph) error) error {
 		edits++
 		if fail {
 			return errors.New("edge held elsewhere")

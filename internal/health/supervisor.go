@@ -10,18 +10,10 @@ import (
 )
 
 // Adapter applies a structural edit to a pipeline's graph. The graph is
-// frozen while its async runner is active, so the owner (in practice
-// runtime.Session) applies the edit inside the runner's Pause, between
-// source steps, and refreshes the channel layer.
-type Adapter interface {
-	ApplyEdit(edit func(*core.Graph) error) error
-}
-
-// AdapterFunc adapts a function to the Adapter interface.
-type AdapterFunc func(edit func(*core.Graph) error) error
-
-// ApplyEdit implements Adapter.
-func (f AdapterFunc) ApplyEdit(edit func(*core.Graph) error) error { return f(edit) }
+// frozen while it is started, so the owner (in practice runtime.Session)
+// applies the edit inside the graph's Pause, between source steps, and
+// refreshes the channel layer.
+type Adapter func(edit func(*core.Graph) error) error
 
 // Reroute is a degradation rule: when the watched node's breaker opens,
 // Break is disconnected and Make is connected — the PSL adaptation that
@@ -59,7 +51,7 @@ type Reroute struct {
 // notifies listeners of every transition. Listener callbacks and
 // reroute edits run in the sweep job's calls. A sweep may run on the
 // goroutine that ran a source step before it, but never inside a step:
-// an edit pauses the runner, and a pause waits out the source steps in
+// an edit pauses the graph, and a pause waits out the source steps in
 // flight, so called from one it would wait for itself.
 type Supervisor struct {
 	mon      *Monitor
@@ -292,7 +284,7 @@ func (s *Supervisor) reconcile(events []Event) {
 			}
 		}
 
-		if err := s.adapter.ApplyEdit(edit); err != nil {
+		if err := s.adapter(edit); err != nil {
 			s.annotate(events, group, want >= 0, err)
 			continue
 		}

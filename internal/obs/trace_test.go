@@ -151,7 +151,7 @@ func TestFormatTraceEmpty(t *testing.T) {
 }
 
 // TestGraphObserverCountsAsyncRun drives the instrumented graph through
-// the Runner with the observer registered and checks the emission
+// Graph.Start with the observer registered and checks the emission
 // counts and the sampled process timings.
 func TestGraphObserverCountsAsyncRun(t *testing.T) {
 	g, sink := buildTraced(t)
@@ -159,15 +159,14 @@ func TestGraphObserverCountsAsyncRun(t *testing.T) {
 	cancel := g.Observe(NewGraphObserver(m, nil))
 	defer cancel()
 
-	r := core.NewRunner(g)
-	if err := r.Start(context.Background()); err != nil {
+	if err := g.Start(context.Background()); err != nil {
 		t.Fatalf("start: %v", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for sink.Len() < 3 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := r.Stop(); err != nil {
+	if err := g.Stop(); err != nil {
 		t.Fatalf("stop: %v", err)
 	}
 	if sink.Len() != 3 {

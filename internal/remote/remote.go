@@ -270,7 +270,7 @@ type Server struct {
 // Serve starts listening on addr (e.g. "127.0.0.1:0") and injects every
 // received sample into g as an emission of the given Downlink, which
 // must already be added to g. Injection runs on receiver goroutines;
-// run the graph with the async Runner, or make sure no local source is
+// start the graph (core.Graph.Start), or make sure no local source is
 // being stepped concurrently.
 func Serve(addr string, g *core.Graph, dl *Downlink, codecs Codecs) (*Server, error) {
 	if codecs == nil {

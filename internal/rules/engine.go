@@ -500,7 +500,7 @@ func (e *Engine) conflicts(st *ruleState) bool {
 // starts the cooldown so a permanently failing action is retried at
 // cooldown cadence, not every sweep.
 func (e *Engine) engage(st *ruleState, now time.Time) {
-	if err := e.adapter.ApplyEdit(st.rule.Action.Apply); err != nil {
+	if err := e.adapter(st.rule.Action.Apply); err != nil {
 		st.lastErr = err
 		st.cooldownUntil = now.Add(st.rule.Cooldown)
 		e.emit(Event{Time: now, Rule: st.rule.Name, Type: EventActionFailed, Reason: "apply", Err: err})
@@ -526,7 +526,7 @@ func (e *Engine) engage(st *ruleState, now time.Time) {
 // idempotent). countFlap marks condition-driven churn; supervisor
 // yields don't count against the rule.
 func (e *Engine) revert(st *ruleState, now time.Time, reason string, countFlap bool) error {
-	if err := e.adapter.ApplyEdit(st.rule.Action.Revert); err != nil {
+	if err := e.adapter(st.rule.Action.Revert); err != nil {
 		st.lastErr = err
 		e.emit(Event{Time: now, Rule: st.rule.Name, Type: EventActionFailed, Reason: "revert", Err: err})
 		return err

@@ -31,7 +31,7 @@ func (a *fakeAction) Revert(*core.Graph) error {
 }
 
 // passAdapter runs the edit against a nil graph — fakeAction ignores it.
-var passAdapter = health.AdapterFunc(func(edit func(*core.Graph) error) error { return edit(nil) })
+var passAdapter = health.Adapter(func(edit func(*core.Graph) error) error { return edit(nil) })
 
 // fakeClaimer returns a fixed claimed-edge set.
 type fakeClaimer struct{ edges []core.Edge }

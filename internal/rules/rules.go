@@ -3,7 +3,7 @@
 // — per-node health counters, sample attributes flowing through the
 // graph, provider availability — and whose actions are structural graph
 // edits applied between source steps through the runtime's pause seam
-// (core.Runner.Pause on a started session). It turns
+// (core.Graph.Pause on a started session). It turns
 // the paper's three hand-written case studies (§3.1–3.3: insert a
 // filter when accuracy degrades, swap providers, change power strategy)
 // into data.

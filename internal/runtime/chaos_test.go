@@ -78,7 +78,7 @@ func TestChaosFusionDegradation(t *testing.T) {
 		t.Fatalf("availability while degraded = %v, want TemporarilyUnavailable", got)
 	}
 
-	// Phase 3: the sensor heals. The runner's backoff restart revives the
+	// Phase 3: the sensor heals. The graph's backoff restart revives the
 	// source, the breaker closes, the supervisor restores the fusion
 	// edge, and the provider turns available again.
 	wifiChaos.Heal()

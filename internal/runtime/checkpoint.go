@@ -21,8 +21,8 @@ import (
 // Checkpoint captures the session's state and appends it durably,
 // returning the record's sequence number. Snapshots need a quiescent
 // graph, so the capture runs through the pause seam edits use: inside
-// the runner's Pause on a started session, under the run lock on a
-// Step/Run-driven one. Fails with ErrNoCheckpoints when the manager
+// the graph's Pause, between source steps on a started session, under
+// the run lock on a Step/Run-driven one. Fails with ErrNoCheckpoints when the manager
 // has no store.
 func (s *Session) Checkpoint() (uint64, error) {
 	if s.store == nil {

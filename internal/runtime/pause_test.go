@@ -108,15 +108,15 @@ func TestWaitSourcesOutlastsCheckpoints(t *testing.T) {
 	}
 
 	s, got := startCounted(t, withStore(t, gpsSessionConfig(t), 2*time.Millisecond, nil), "wait", time.Millisecond)
-	s.WaitSources()
+	s.Graph().WaitSources()
 	if n := got.Load(); n != int64(want) {
 		t.Errorf("WaitSources returned after %d positions, want all %d", n, want)
 	}
 }
 
 // TestAdaptWhileRunning: Adapt edits a started session between source
-// steps instead of failing with core.ErrRunning, and the runner drives
-// the edited graph.
+// steps instead of failing with core.ErrRunning, and the started graph
+// drives its edited structure.
 func TestAdaptWhileRunning(t *testing.T) {
 	s, delivered := startCounted(t, longGPSSessionConfig(t), "adapt", time.Millisecond)
 	waitFor(t, 5*time.Second, "positions before the edit", func() bool { return delivered.Load() > 0 })
@@ -137,22 +137,22 @@ func TestAdaptWhileRunning(t *testing.T) {
 	}
 }
 
-// TestStepRefusedWhileStarted: a started session's runner steps its
-// sources, so Step, StepN and Run fail with ErrStarted until Stop
-// instead of stepping the sources alongside the runner; after Stop
-// they drive the session again.
+// TestStepRefusedWhileStarted: a started session's graph steps its
+// sources, so Step, StepN and Run fail with core.ErrRunning until Stop
+// instead of stepping the sources alongside the graph's source jobs;
+// after Stop they drive the session again.
 func TestStepRefusedWhileStarted(t *testing.T) {
 	s, delivered := startCounted(t, longGPSSessionConfig(t), "started", 10*time.Millisecond)
 	waitFor(t, 5*time.Second, "positions from the runner", func() bool { return delivered.Load() > 0 })
 	for i := 0; i < 4; i++ {
-		if _, err := s.StepN(4); !errors.Is(err, ErrStarted) {
-			t.Fatalf("StepN on a started session: err = %v, want ErrStarted", err)
+		if _, err := s.StepN(4); !errors.Is(err, core.ErrRunning) {
+			t.Fatalf("StepN on a started session: err = %v, want core.ErrRunning", err)
 		}
-		if _, err := s.Step(); !errors.Is(err, ErrStarted) {
-			t.Fatalf("Step on a started session: err = %v, want ErrStarted", err)
+		if _, err := s.Step(); !errors.Is(err, core.ErrRunning) {
+			t.Fatalf("Step on a started session: err = %v, want core.ErrRunning", err)
 		}
-		if _, err := s.Run(1); !errors.Is(err, ErrStarted) {
-			t.Fatalf("Run on a started session: err = %v, want ErrStarted", err)
+		if _, err := s.Run(1); !errors.Is(err, core.ErrRunning) {
+			t.Fatalf("Run on a started session: err = %v, want core.ErrRunning", err)
 		}
 	}
 	if err := s.Stop(); err != nil {

@@ -109,7 +109,7 @@ func TestFusionUpgradeSetShape(t *testing.T) {
 // TestRolloutFleetUpgrade is the tentpole e2e: 100 live async sessions
 // on the GPS-only revision roll to the fusion revision through canary →
 // gate → ramp. Zero sessions drop, every session lands on revision 2
-// with its runner still delivering positions, and the obs hub's rollout
+// with its graph still delivering positions, and the obs hub's rollout
 // counters and per-revision gauges track the fleet exactly.
 func TestRolloutFleetUpgrade(t *testing.T) {
 	const fleet = 100
@@ -442,7 +442,7 @@ func TestRolloutRejectsUnknownRevision(t *testing.T) {
 // down (2→1): an upgrade allocates more than a downgrade, and with one
 // fleet allocs/op would depend on whether b.N is odd. The reported
 // migrations/s is the rate at which running sessions cross revisions —
-// pause, in-place plan application, channel-layer refresh and runner
+// pause, in-place plan application, channel-layer refresh and source
 // resume included. allocs/op counts the migrations alone, whatever the
 // machine's speed, and repeats exactly:
 //   - The GPS sources are paced an hour apart, so none steps in the

@@ -36,16 +36,11 @@ type Manager struct {
 	rolloutMu sync.Mutex
 }
 
-// Option configures a Manager. No option ships today; the parameter
-// keeps NewManager's signature, and config.Loader.Manager's, stable for
-// the next one.
-type Option func(*Manager)
-
 // NewManager returns a session manager for the given config. A lone
 // cfg.Blueprint is wrapped into a single-revision set, so every code
 // path — including Rollout — sees versioned blueprints; cfg.Blueprints
 // takes precedence when both are set.
-func NewManager(cfg SessionConfig, opts ...Option) (*Manager, error) {
+func NewManager(cfg SessionConfig) (*Manager, error) {
 	set := cfg.Blueprints
 	if set == nil {
 		if cfg.Blueprint == nil {
@@ -72,9 +67,6 @@ func NewManager(cfg SessionConfig, opts ...Option) (*Manager, error) {
 		return nil, err
 	}
 	m.activeRev.Store(int64(initial))
-	for _, opt := range opts {
-		opt(m)
-	}
 	return m, nil
 }
 

@@ -295,10 +295,10 @@ func TestSessionAsyncStartStop(t *testing.T) {
 	if err := s.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Start(ctx); !errors.Is(err, ErrStarted) {
-		t.Errorf("second Start = %v, want ErrStarted", err)
+	if err := s.Start(ctx); !errors.Is(err, core.ErrRunning) {
+		t.Errorf("second Start = %v, want core.ErrRunning", err)
 	}
-	s.WaitSources()
+	s.Graph().WaitSources()
 	if err := s.Stop(); err != nil {
 		t.Fatal(err)
 	}

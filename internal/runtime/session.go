@@ -28,9 +28,6 @@ import (
 var (
 	// ErrClosed indicates use of an evicted session.
 	ErrClosed = errors.New("runtime: session closed")
-	// ErrStarted indicates Start on an already-running session, or a
-	// Run, Step or StepN the session's runner would race.
-	ErrStarted = errors.New("runtime: session already started")
 	// ErrNoBlueprint indicates a manager configured without a blueprint.
 	ErrNoBlueprint = errors.New("runtime: config needs a blueprint")
 	// ErrNoCheckpoints indicates a checkpoint operation on a manager or
@@ -140,13 +137,12 @@ type Session struct {
 	store     *checkpoint.Store
 	ckptEvery time.Duration
 
-	// runMu serialises propagation (Run/Step/async runner lifecycle)
-	// against supervisor-applied graph edits and close. Lock order:
-	// runMu → mu.
+	// runMu serialises propagation (Run/Step, and the graph's Start and
+	// Stop) against supervisor-applied graph edits and close. Lock
+	// order: runMu → mu.
 	runMu sync.Mutex
 
-	mu     sync.Mutex
-	runner *core.Runner
+	mu sync.Mutex
 	// ckpt is the periodic checkpoint job of the latest Start.
 	ckpt   *core.Job
 	closed bool
@@ -200,7 +196,7 @@ func newSession(id string, rev int, bp *core.Blueprint, cfg SessionConfig) (*Ses
 			pol = *cfg.Health
 		}
 		s.monitor = health.NewMonitor(pol)
-		s.supervisor = health.NewSupervisor(s.monitor, health.AdapterFunc(s.applyEdit), cfg.Reroutes)
+		s.supervisor = health.NewSupervisor(s.monitor, s.applyEdit, cfg.Reroutes)
 		// Supervisor events drive the provider's JSR-179 state: any open
 		// breaker makes the provider temporarily unavailable; all clear
 		// makes it available again. Runs on the supervisor goroutine.
@@ -217,7 +213,7 @@ func newSession(id string, rev int, bp *core.Blueprint, cfg SessionConfig) (*Ses
 		// rule set leaves no observer behind.
 		eng, err := rules.New(rules.Config{
 			Rules:   cfg.Rules,
-			Adapter: health.AdapterFunc(s.applyEdit),
+			Adapter: s.applyEdit,
 			Monitor: s.monitor,
 			Claimer: s.supervisor,
 			Availability: func() float64 {
@@ -312,7 +308,7 @@ func (s *Session) feature(name string) (any, bool) {
 
 // Adapt applies a structural or feature change to this session only —
 // the per-target PSL seam. On a started session fn runs inside the
-// runner's Pause, between source steps. The channel layer is refreshed
+// graph's Pause, between source steps. The channel layer is refreshed
 // afterwards so Channel Features survive the edit. Like Checkpoint, it
 // must not be called from a provider subscriber or anything else a
 // source step runs.
@@ -334,21 +330,17 @@ func (s *Session) Rules() *rules.Engine { return s.rules }
 
 // pauseAndRun is the one seam for edits, checkpoints and migrations:
 // under the run lock, so no Run or StepN batch interleaves, fn runs
-// inside the runner's Pause on a started session and directly
-// otherwise.
+// inside the graph's Pause, between source steps on a started session.
 func (s *Session) pauseAndRun(fn func() error) error {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	s.mu.Lock()
-	closed, r := s.closed, s.runner
+	closed := s.closed
 	s.mu.Unlock()
 	if closed {
 		return ErrClosed
 	}
-	if r == nil {
-		return fn()
-	}
-	return r.Pause(fn)
+	return s.graph.Pause(fn)
 }
 
 // applyEdit is the edit path of Adapt and the supervisor's Adapter:
@@ -373,7 +365,7 @@ func (s *Session) Revision() int {
 // through the pause seam: the cached migration plan is applied in
 // place (unchanged nodes keep their instances and state; changed
 // subgraphs are re-instantiated with the session's own overrides), the
-// channel layer refreshed, and the runner then drives the revision's
+// channel layer refreshed, and the graph then drives the revision's
 // sources. On a failed plan application the graph has already been
 // rolled back to the old revision with state restored
 // (core.MigrationPlan.Apply), so the session keeps serving either way.
@@ -400,8 +392,8 @@ func (s *Session) migrate(set *core.BlueprintSet, to int) error {
 // Run drives the session synchronously until its sources are exhausted
 // (or maxTicks), returning the number of source steps taken. Propagation
 // holds the run lock, so supervisor edits never interleave a tick. A
-// started session's runner steps its sources, so Run fails with
-// ErrStarted until Stop.
+// started session's graph steps its sources, so Run fails with
+// core.ErrRunning until Stop.
 func (s *Session) Run(maxTicks int) (int, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
@@ -411,18 +403,14 @@ func (s *Session) Run(maxTicks int) (int, error) {
 	return s.graph.Run(maxTicks)
 }
 
-// stepGuard admits a Run or StepN that steps the sources itself. It
-// fails with ErrClosed on a closed session
-// and with ErrStarted while a runner drives it. The caller holds the
-// run lock, which Start and Stop take too.
+// stepGuard admits a Run or StepN that steps the sources itself: it
+// fails with ErrClosed on a closed session. The caller holds the run
+// lock, which close takes too.
 func (s *Session) stepGuard() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
-	}
-	if s.runner != nil {
-		return ErrStarted
 	}
 	return nil
 }
@@ -437,7 +425,7 @@ func (s *Session) Step() (bool, error) {
 // batched drive loop for saturated (unpaced) workloads. It
 // stops early once the sources are exhausted. Supervisor edits never
 // interleave a batch: like Run, propagation holds the run lock. Like
-// Run, it fails with ErrStarted on a started session until Stop.
+// Run, it fails with core.ErrRunning on a started session until Stop.
 func (s *Session) StepN(n int) (bool, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
@@ -455,8 +443,9 @@ func (s *Session) StepN(n int) (bool, error) {
 	return more, nil
 }
 
-// Start launches the session's runner, supervisor and checkpoint jobs.
-func (s *Session) Start(ctx context.Context, opts ...core.RunnerOption) error {
+// Start starts the session's graph, supervisor and checkpoint jobs. On
+// a started session it fails with core.ErrRunning.
+func (s *Session) Start(ctx context.Context, opts ...core.StartOption) error {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	s.mu.Lock()
@@ -464,17 +453,12 @@ func (s *Session) Start(ctx context.Context, opts ...core.RunnerOption) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if s.runner != nil {
-		return ErrStarted
-	}
 	if s.monitor != nil {
 		opts = append(opts, core.WithSourceRestart(s.monitor.Policy().Restart))
 	}
-	r := core.NewRunner(s.graph, opts...)
-	if err := r.Start(ctx); err != nil {
+	if err := s.graph.Start(ctx, opts...); err != nil {
 		return err
 	}
-	s.runner = r
 	if s.supervisor != nil {
 		s.supervisor.Start(ctx)
 	}
@@ -490,19 +474,8 @@ func (s *Session) Start(ctx context.Context, opts ...core.RunnerOption) error {
 	return nil
 }
 
-// WaitSources blocks until the running session's sources are exhausted
-// and in-flight samples have drained.
-func (s *Session) WaitSources() {
-	s.mu.Lock()
-	r := s.runner
-	s.mu.Unlock()
-	if r != nil {
-		r.WaitSources()
-	}
-}
-
-// Stop halts the session's supervisor, checkpoint job and async
-// runner, returning the errors the runner collected.
+// Stop halts the session's supervisor, checkpoint job and graph,
+// returning the errors the graph collected while started.
 func (s *Session) Stop() error {
 	_, err := s.halt(false)
 	return err
@@ -511,9 +484,9 @@ func (s *Session) Stop() error {
 // halt is the one stop sequence. The supervisor's sweeps and the
 // periodic checkpoints stop first, each once a call in flight has
 // returned: either may be inside a pause, which needs the run lock, and
-// a checkpoint after the runner stopped would record a stopped session.
+// a checkpoint after the graph stopped would record a stopped session.
 // Then, holding the run lock so no Run, StepN or pause is in flight, it
-// stops the runner and marks the session closed when closing. It
+// stops the graph and marks the session closed when closing. It
 // reports false when the session was already closed.
 func (s *Session) halt(closing bool) (bool, error) {
 	if s.supervisor != nil {
@@ -532,16 +505,11 @@ func (s *Session) halt(closing bool) (bool, error) {
 		return false, nil
 	}
 	s.closed = closing
-	r := s.runner
-	s.runner = nil
 	s.mu.Unlock()
-	if r == nil {
-		return true, nil
-	}
-	return true, r.Stop()
+	return true, s.graph.Stop()
 }
 
-// close tears the session down: the supervisor and runner are stopped,
+// close tears the session down: the supervisor and graph are stopped,
 // the state the session dies with is checkpointed when final is set and
 // a store is configured, the channel layer is detached, and the
 // provider retired to OutOfService. It waits for an in-flight Run,

@@ -126,7 +126,7 @@ func BenchmarkRuntimeSaturatedPaired(b *testing.B) {
 // BenchmarkDegradedFusionSession measures steady-state degraded-mode
 // throughput: a session of rules-fusion.json, without its rules, whose
 // WiFi branch is down (breaker open, app rerouted to the GPS branch,
-// runner retrying the dead source with backoff) delivering positions
+// the graph retrying the dead source with backoff) delivering positions
 // over a fixed window, its sources paced 1 ms apart.
 func BenchmarkDegradedFusionSession(b *testing.B) {
 	const (
