@@ -159,9 +159,6 @@ func New(name string, origin geo.Point, floors ...*Floor) *Building {
 	return b
 }
 
-// Name returns the building's name.
-func (b *Building) Name() string { return b.name }
-
 // String renders a one-line summary.
 func (b *Building) String() string {
 	rooms := 0
@@ -202,15 +199,6 @@ func (b *Building) Bounds(level int) (min, max geo.ENU, ok bool) {
 	return f.min, f.max, true
 }
 
-// Rooms returns all rooms of all floors.
-func (b *Building) Rooms() []Room {
-	var out []Room
-	for _, f := range b.floors {
-		out = append(out, f.Rooms...)
-	}
-	return out
-}
-
 // RoomByID returns the room with the given ID and its floor level, or
 // false when no floor has it.
 func (b *Building) RoomByID(id string) (Room, int, bool) {
@@ -230,12 +218,6 @@ func (b *Building) RoomAt(p geo.ENU, floor int) (Room, bool) {
 		return Room{}, false
 	}
 	return f.RoomAt(p)
-}
-
-// Locate resolves a global WGS84 position to the room containing it on
-// the given floor — the symbolic half of the Resolver component.
-func (b *Building) Locate(g geo.Point, floor int) (Room, bool) {
-	return b.RoomAt(b.proj.ToLocal(g), floor)
 }
 
 // Crosses reports whether the segment p→q intersects any wall of the

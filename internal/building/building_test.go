@@ -33,7 +33,7 @@ func TestEvaluationShape(t *testing.T) {
 	if corridor.Width() != 40 || corridor.Depth() != 2 {
 		t.Errorf("corridor extent = %.1fx%.1f, want 40x2", corridor.Width(), corridor.Depth())
 	}
-	if b.Name() == "" || b.String() == "" {
+	if b.name == "" || b.String() == "" {
 		t.Error("empty Name or String")
 	}
 }
@@ -158,8 +158,12 @@ func TestTwoFloorsDisambiguation(t *testing.T) {
 	if _, level, ok := b.RoomByID("corridor"); !ok || level != 0 {
 		t.Errorf("RoomByID(corridor): level=%d ok=%v, want level 0", level, ok)
 	}
-	if len(b.Rooms()) != 22 {
-		t.Errorf("total rooms = %d, want 22", len(b.Rooms()))
+	rooms := 0
+	for _, f := range b.floors {
+		rooms += len(f.Rooms)
+	}
+	if rooms != 22 {
+		t.Errorf("total rooms = %d, want 22", rooms)
 	}
 }
 
@@ -188,13 +192,13 @@ func TestProjectionRoundTrip(t *testing.T) {
 func TestLocateGlobal(t *testing.T) {
 	b := Evaluation()
 	inN1 := b.Projection().ToGlobal(geo.ENU{East: 4, North: 9})
-	room, ok := b.Locate(inN1, 0)
+	room, ok := b.RoomAt(b.proj.ToLocal(inN1), 0)
 	if !ok || room.ID != "N1" {
-		t.Errorf("Locate = %q ok=%v, want N1", room.ID, ok)
+		t.Errorf("RoomAt = %q ok=%v, want N1", room.ID, ok)
 	}
 	outdoor := b.Projection().ToGlobal(geo.ENU{East: -500})
-	if room, ok := b.Locate(outdoor, 0); ok {
-		t.Errorf("Locate outdoors = %q, want miss", room.ID)
+	if room, ok := b.RoomAt(b.proj.ToLocal(outdoor), 0); ok {
+		t.Errorf("RoomAt outdoors = %q, want miss", room.ID)
 	}
 }
 

@@ -15,8 +15,6 @@ var (
 	ErrUnmetRequirement = errors.New("channel: feature requirement not satisfied")
 	// ErrFeatureExists indicates a duplicate channel feature name.
 	ErrFeatureExists = errors.New("channel: feature already attached")
-	// ErrNotFound indicates a missing channel or feature.
-	ErrNotFound = errors.New("channel: not found")
 )
 
 // Feature is a Channel Feature (paper §2.2): functionality that depends
@@ -89,22 +87,6 @@ type Channel struct {
 // ID returns the channel identifier, "<source>-><consumer>:<port>".
 func (c *Channel) ID() string { return c.id }
 
-// Source returns the node producing into the channel (a sensor or merge
-// component — the PCL data source).
-func (c *Channel) Source() *core.Node { return c.source }
-
-// Consumer returns the merge component or application sink fed by the
-// channel.
-func (c *Channel) Consumer() *core.Node { return c.consumer }
-
-// Nodes returns the Processing Components inside the channel in flow
-// order (source first). The slice is a copy.
-func (c *Channel) Nodes() []*core.Node {
-	out := make([]*core.Node, len(c.nodes))
-	copy(out, c.nodes)
-	return out
-}
-
 // NodeIDs returns the component IDs inside the channel in flow order.
 func (c *Channel) NodeIDs() []string {
 	out := make([]string, len(c.nodes))
@@ -174,25 +156,6 @@ func (c *Channel) checkRequirements(req Requirements) error {
 		}
 	}
 	return nil
-}
-
-// DetachFeature removes the named Channel Feature.
-func (c *Channel) DetachFeature(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, f := range c.features {
-		if f.FeatureName() == name {
-			// Copy-on-write: deliver iterates a lock-free snapshot of
-			// this slice, so removal must not shift the shared backing
-			// array in place.
-			kept := make([]Feature, 0, len(c.features)-1)
-			kept = append(kept, c.features[:i]...)
-			kept = append(kept, c.features[i+1:]...)
-			c.features = kept
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: channel feature %q on %q", ErrNotFound, name, c.id)
 }
 
 // Feature returns the named feature. It searches attached Channel

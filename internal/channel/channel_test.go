@@ -116,8 +116,8 @@ func TestDeriveFig2Channels(t *testing.T) {
 	if gps.endpoint.ID() != "interpreter" {
 		t.Errorf("gps endpoint = %q, want interpreter", gps.endpoint.ID())
 	}
-	if gps.Consumer().ID() != "particle-filter" || gps.port != 0 {
-		t.Errorf("gps consumer = %q:%d", gps.Consumer().ID(), gps.port)
+	if gps.consumer.ID() != "particle-filter" || gps.port != 0 {
+		t.Errorf("gps consumer = %q:%d", gps.consumer.ID(), gps.port)
 	}
 
 	wifi, ok := byID["wifi->particle-filter:1"]
@@ -135,8 +135,8 @@ func TestDeriveFig2Channels(t *testing.T) {
 	if got := pfApp.NodeIDs(); !equalStrings(got, []string{"particle-filter"}) {
 		t.Errorf("pf->app channel nodes = %v", got)
 	}
-	if pfApp.Source().ID() != "particle-filter" {
-		t.Errorf("pf->app source = %q", pfApp.Source().ID())
+	if pfApp.source.ID() != "particle-filter" {
+		t.Errorf("pf->app source = %q", pfApp.source.ID())
 	}
 }
 
@@ -221,11 +221,11 @@ func TestChannelInto(t *testing.T) {
 	defer l.Close()
 
 	c, ok := l.ChannelInto("particle-filter", 0)
-	if !ok || c.Source().ID() != "gps" {
+	if !ok || c.source.ID() != "gps" {
 		t.Errorf("ChannelInto(pf, 0) = %v, %v; want gps channel", c, ok)
 	}
 	c, ok = l.ChannelInto("particle-filter", 1)
-	if !ok || c.Source().ID() != "wifi" {
+	if !ok || c.source.ID() != "wifi" {
 		t.Errorf("ChannelInto(pf, 1) = %v, %v; want wifi channel", c, ok)
 	}
 	if _, ok := l.ChannelInto("particle-filter", 9); ok {
@@ -260,7 +260,7 @@ func TestDanglingChannel(t *testing.T) {
 	if len(channels) != 1 {
 		t.Fatalf("channels = %v, want 1 dangling", channelIDs(channels))
 	}
-	if channels[0].Consumer() != nil {
+	if channels[0].consumer != nil {
 		t.Error("dangling channel should have nil consumer")
 	}
 	if channels[0].port != -1 {
@@ -562,29 +562,6 @@ func TestFeatureRequirements(t *testing.T) {
 type namedFeature string
 
 func (f namedFeature) FeatureName() string { return string(f) }
-
-func TestDetachChannelFeature(t *testing.T) {
-	g, _ := buildFig2Graph(t, 2)
-	l := NewLayer(g)
-	defer l.Close()
-	c, _ := l.ChannelInto("particle-filter", 0)
-	f := &plainFeature{name: "counter"}
-	if err := c.AttachFeature(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.DetachFeature("counter"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if f.count != 0 {
-		t.Errorf("detached feature applied %d times", f.count)
-	}
-	if err := c.DetachFeature("counter"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("double detach = %v, want ErrNotFound", err)
-	}
-}
 
 func TestChannelFeatureLookupFallsBackToEndpoint(t *testing.T) {
 	// A Component Feature on the channel's last component is visible

@@ -32,8 +32,8 @@ func MethodsOf(v any) []string {
 	return out
 }
 
-// Describe summarises a channel for inspection tooling: nodes, consumer
-// and the methods of every attached feature.
+// Description summarises a channel for inspection tooling: nodes,
+// consumer and the methods of every attached feature.
 type Description struct {
 	ID       string
 	Nodes    []string

@@ -97,18 +97,6 @@ func (l *Layer) Channels() []*Channel {
 	return out
 }
 
-// Channel returns the channel with the given ID.
-func (l *Layer) Channel(id string) (*Channel, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, c := range l.channels {
-		if c.id == id {
-			return c, true
-		}
-	}
-	return nil, false
-}
-
 // ChannelInto returns the channel feeding the given consumer input port
 // — the Fig. 5 "inputChannel" the particle filter asks for.
 func (l *Layer) ChannelInto(consumerID string, port int) (*Channel, bool) {
@@ -270,15 +258,7 @@ type View struct {
 	Sources  []string
 	Merges   []string
 	Sinks    []string
-	Channels []ChannelInfo
-}
-
-// ChannelInfo summarizes one channel for inspection.
-type ChannelInfo struct {
-	ID       string
-	Nodes    []string
-	Consumer string
-	Features []string
+	Channels []Description
 }
 
 // View returns the current PCL structure.
@@ -296,15 +276,7 @@ func (l *Layer) View() View {
 		}
 	}
 	for _, c := range l.Channels() {
-		info := ChannelInfo{
-			ID:       c.ID(),
-			Nodes:    c.NodeIDs(),
-			Features: c.FeatureNames(),
-		}
-		if c.consumer != nil {
-			info.Consumer = c.consumer.ID()
-		}
-		v.Channels = append(v.Channels, info)
+		v.Channels = append(v.Channels, c.Describe())
 	}
 	return v
 }

@@ -144,9 +144,6 @@ func (c *Component) Kill(err error) { c.inj.kill(err) }
 // Heal clears a Kill.
 func (c *Component) Heal() { c.inj.heal() }
 
-// Down reports the current outage state.
-func (c *Component) Down() bool { return c.inj.down() }
-
 // Process implements core.Component with the injector's faults applied
 // to the inbound sample.
 func (c *Component) Process(port int, in core.Sample, emit core.Emit) error {
@@ -189,9 +186,6 @@ func (s *Source) Kill(err error) { s.inj.kill(err) }
 
 // Heal clears a Kill; a pending Restart then succeeds.
 func (s *Source) Heal() { s.inj.heal() }
-
-// Down reports the current outage state.
-func (s *Source) Down() bool { return s.inj.down() }
 
 // Process implements core.Component; sources receive no input.
 func (s *Source) Process(int, core.Sample, core.Emit) error { return nil }

@@ -89,8 +89,8 @@ func TestErrorEvery(t *testing.T) {
 func TestKillHealComponent(t *testing.T) {
 	w := WrapComponent(&passthrough{id: "mid"})
 	w.Kill(nil)
-	if !w.Down() {
-		t.Fatal("Down() = false after Kill")
+	if !w.inj.down() {
+		t.Fatal("down() = false after Kill")
 	}
 	err := w.Process(0, core.NewSample(kindRaw, 0, time.Time{}), func(core.Sample) {})
 	if !errors.Is(err, ErrDown) {
@@ -102,8 +102,8 @@ func TestKillHealComponent(t *testing.T) {
 		t.Fatalf("Process = %v, want custom kill error", err)
 	}
 	w.Heal()
-	if w.Down() {
-		t.Fatal("Down() = true after Heal")
+	if w.inj.down() {
+		t.Fatal("down() = true after Heal")
 	}
 	if err := w.Process(0, core.NewSample(kindRaw, 0, time.Time{}), func(core.Sample) {}); err != nil {
 		t.Fatalf("Process after Heal = %v", err)

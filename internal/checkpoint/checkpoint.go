@@ -140,9 +140,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // journalFor returns (creating on demand) the session's journal handle.
 func (s *Store) journalFor(id string) (*journal, error) {
 	s.mu.Lock()

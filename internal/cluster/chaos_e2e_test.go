@@ -163,11 +163,11 @@ func TestClusterNodeDeathFailover(t *testing.T) {
 	for _, target := range moved {
 		node, _, _ := f.router.NodeOf(target)
 		survivor := f.nodes[node]
-		sess, ok := survivor.Manager().Get(target)
+		sess, ok := survivor.mgr.Get(target)
 		if !ok {
 			t.Fatalf("moved target %s has no session on %s", target, node)
 		}
-		durable, err := survivor.Store().Load(target)
+		durable, err := survivor.store.Load(target)
 		if err != nil {
 			t.Fatalf("moved target %s has no durable state on %s: %v", target, node, err)
 		}
@@ -219,7 +219,7 @@ func TestClusterJoinRebalance(t *testing.T) {
 	for _, target := range f.targets {
 		node, _, _ := f.router.NodeOf(target)
 		homeBefore[target] = node
-		s, ok := f.nodes[node].Manager().Get(target)
+		s, ok := f.nodes[node].mgr.Get(target)
 		if !ok {
 			t.Fatalf("no session for %s on %s", target, node)
 		}
@@ -253,7 +253,7 @@ func TestClusterJoinRebalance(t *testing.T) {
 		}
 		// Unmoved: the very same session object is still live — it was
 		// never paused, evicted or recreated, so no sample was dropped.
-		s, ok := f.nodes[node].Manager().Get(target)
+		s, ok := f.nodes[node].mgr.Get(target)
 		if !ok || any(s) != sessBefore[target] {
 			t.Errorf("unmoved target %s was disturbed by the rebalance", target)
 		}

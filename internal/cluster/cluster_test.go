@@ -218,7 +218,7 @@ func TestPumpCountsErrors(t *testing.T) {
 	}
 	defer n.Close()
 	for _, id := range []string{"broken", "healthy"} {
-		if _, err := n.Manager().GetOrCreate(id); err != nil {
+		if _, err := n.mgr.GetOrCreate(id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,7 +232,7 @@ func TestPumpCountsErrors(t *testing.T) {
 
 	// With the store gone, the healthy session's checkpoints (rounds 6
 	// and 8) fail too.
-	if err := n.Store().Close(); err != nil {
+	if err := n.store.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Pump(4); err != nil {
@@ -283,7 +283,7 @@ func checkParserTripped(t *testing.T, s *runtime.Session) {
 // ClusterPumpErrors.
 func TestPumpErrorsTripBreaker(t *testing.T) {
 	n := erroringParserNode(t)
-	s, err := n.Manager().GetOrCreate("broken")
+	s, err := n.mgr.GetOrCreate("broken")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestPumpErrorsTripBreaker(t *testing.T) {
 // each sweep open for a moment sees any overlap.
 func TestConcurrentPumpsSweepOneAtATime(t *testing.T) {
 	n := erroringParserNode(t)
-	s, err := n.Manager().GetOrCreate("broken")
+	s, err := n.mgr.GetOrCreate("broken")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,17 +392,17 @@ func TestMoveHandoffBitExact(t *testing.T) {
 	if !ok || inFlight || node != dstID {
 		t.Fatalf("route after move = %q,%v,%v; want %s settled", node, inFlight, ok, dstID)
 	}
-	if _, ok := src.Manager().Get(target); ok {
+	if _, ok := src.mgr.Get(target); ok {
 		t.Error("session still live on the source after handoff")
 	}
-	sess, ok := dst.Manager().Get(target)
+	sess, ok := dst.mgr.Get(target)
 	if !ok {
 		t.Fatal("session missing on the destination")
 	}
 
 	// Bit-exact rehydration: the destination's live graph state equals
 	// the shipped durable record, byte for byte, before any new sample.
-	shipped, err := dst.Store().Load(target)
+	shipped, err := dst.store.Load(target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestMoveHandoffBitExact(t *testing.T) {
 	}
 
 	// The source's copy was purged after the import ack.
-	if _, err := src.Store().Load(target); !errors.Is(err, checkpoint.ErrNoState) {
+	if _, err := src.store.Load(target); !errors.Is(err, checkpoint.ErrNoState) {
 		t.Errorf("source Load after purge = %v, want ErrNoState", err)
 	}
 
@@ -482,7 +482,7 @@ func TestMoveImportFailureRevivesOnSource(t *testing.T) {
 	if !ok || inFlight || node != srcID {
 		t.Fatalf("route after failed move = %q,%v,%v; want %s settled", node, inFlight, ok, srcID)
 	}
-	sess, ok := src.Manager().Get(target)
+	sess, ok := src.mgr.Get(target)
 	if !ok {
 		t.Fatal("session not revived on the source")
 	}

@@ -136,9 +136,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	return n, nil
 }
 
-// ID returns the node's cluster identity.
-func (n *Node) ID() string { return n.id }
-
 // Addr returns the bound RPC address.
 func (n *Node) Addr() string { return n.ln.Addr().String() }
 
@@ -149,12 +146,6 @@ func (n *Node) Dir() string { return n.dir }
 func (n *Node) Info() NodeInfo {
 	return NodeInfo{ID: n.id, Addr: n.Addr(), Dir: n.dir}
 }
-
-// Manager exposes the node's session manager (tests, local inspection).
-func (n *Node) Manager() *runtime.Manager { return n.mgr }
-
-// Store exposes the node's checkpoint store (tests, local inspection).
-func (n *Node) Store() *checkpoint.Store { return n.store }
 
 // Sessions returns the node's live session count.
 func (n *Node) Sessions() int { return n.mgr.Len() }

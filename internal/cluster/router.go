@@ -107,9 +107,6 @@ func NewRouter(cfg RouterConfig) *Router {
 	}
 }
 
-// Monitor exposes the node-level breaker state (tests, inspection).
-func (r *Router) Monitor() *health.Monitor { return r.monitor }
-
 // Start sweeps every ProbeInterval: probe every member, advance the
 // breakers, fail over members dead past the grace window.
 func (r *Router) Start() {

@@ -78,11 +78,6 @@ type Pipeline struct {
 	// ring shape, failure detection and handoff pacing. Consumed by
 	// perpos-run's cluster mode; nil means single-process.
 	Cluster *ClusterDef `json:"cluster,omitempty"`
-	// Rollout declares default rolling-upgrade parameters for the
-	// pipeline's fleet: canary sizing, soak window, and the metric gate
-	// that decides ramp versus rollback. Consumed by the session
-	// runtime's Rollout driver; nil means drivers use their defaults.
-	Rollout *RolloutDef `json:"rollout,omitempty"`
 }
 
 // RevisionDef is one complete pipeline layout inside a versioned

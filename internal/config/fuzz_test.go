@@ -13,7 +13,7 @@ import (
 
 // FuzzParsePipeline feeds arbitrary bytes through the full declarative
 // surface: Parse, then every definition-to-runtime conversion a loaded
-// pipeline can trigger (rules, supervision, rollout, chaos). The
+// pipeline can trigger (rules, supervision, chaos). The
 // contract under fuzz: no panics, and every rejection is a typed error
 // — a malformed config must never take down a process that loads it.
 func FuzzParsePipeline(f *testing.F) {
@@ -68,9 +68,6 @@ func FuzzParsePipeline(f *testing.F) {
 		if p.Supervision != nil {
 			_ = p.Supervision.Policy()
 			_ = p.Supervision.HealthReroutes()
-		}
-		if p.Rollout != nil {
-			_ = p.Rollout.Config(2)
 		}
 		if p.Chaos != nil {
 			_ = p.Chaos.Schedule()

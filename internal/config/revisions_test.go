@@ -74,14 +74,7 @@ const versionedJSON = `{
         {"component": "parser", "feature": "satellites"}
       ]
     }
-  ],
-  "rollout": {
-    "canary_fraction": 0.2,
-    "canary_window_ms": 250,
-    "max_errors": 3,
-    "max_p99_ms": 50,
-    "concurrency": 4
-  }
+  ]
 }`
 
 func TestParseVersionedPipeline(t *testing.T) {
@@ -94,20 +87,6 @@ func TestParseVersionedPipeline(t *testing.T) {
 	}
 	if p.InitialRevision != 1 {
 		t.Errorf("initial_revision = %d, want 1", p.InitialRevision)
-	}
-	if p.Rollout == nil {
-		t.Fatal("rollout def missing")
-	}
-	cfg := p.Rollout.Config(2)
-	want := runtime.RolloutConfig{
-		To:             2,
-		CanaryFraction: 0.2,
-		CanaryWindow:   250 * time.Millisecond,
-		Gate:           runtime.GateConfig{MaxErrors: 3, MaxP99: 50 * time.Millisecond},
-		Concurrency:    4,
-	}
-	if !reflect.DeepEqual(cfg, want) {
-		t.Errorf("RolloutDef.Config = %+v, want %+v", cfg, want)
 	}
 }
 
@@ -182,7 +161,7 @@ func TestBlueprintSetSingleRevision(t *testing.T) {
 
 // TestManagerFromVersionedPipeline wires a versioned definition through
 // Loader.Manager: sessions start on the declared initial revision and
-// a rollout driven by the definition's own RolloutDef migrates them.
+// a rollout to revision 2 migrates them.
 func TestManagerFromVersionedPipeline(t *testing.T) {
 	p, err := Parse(strings.NewReader(versionedJSON))
 	if err != nil {
@@ -211,7 +190,13 @@ func TestManagerFromVersionedPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := m.Rollout(context.Background(), p.Rollout.Config(2))
+	rep, err := m.Rollout(context.Background(), runtime.RolloutConfig{
+		To:             2,
+		CanaryFraction: 0.2,
+		CanaryWindow:   250 * time.Millisecond,
+		Gate:           runtime.GateConfig{MaxErrors: 3, MaxP99: 50 * time.Millisecond},
+		Concurrency:    4,
+	})
 	if err != nil {
 		t.Fatalf("Rollout: %v (report %+v)", err, rep)
 	}

@@ -41,45 +41,6 @@ func (d CheckpointDef) Every() time.Duration {
 	return time.Duration(d.EveryMS) * time.Millisecond
 }
 
-// RolloutDef is the JSON schema for a pipeline's rolling-upgrade
-// parameters: how large the canary cohort is, how long it soaks, and
-// the metric gate that decides ramp versus rollback.
-type RolloutDef struct {
-	// CanaryFraction of live sessions migrated first (0 = driver
-	// default, 5%).
-	CanaryFraction float64 `json:"canary_fraction,omitempty"`
-	// CanaryWindowMS is the soak time before the gate is evaluated.
-	CanaryWindowMS int `json:"canary_window_ms,omitempty"`
-	// MaxErrors is the gate's error budget across watched nodes over the
-	// canary window (0 = any new error trips).
-	MaxErrors uint64 `json:"max_errors,omitempty"`
-	// MaxP99MS bounds the watched nodes' p99 process latency over the
-	// window (0 disables the latency check).
-	MaxP99MS int `json:"max_p99_ms,omitempty"`
-	// Nodes overrides the watched node set (default: the revision
-	// diff's added and replaced components).
-	Nodes []string `json:"nodes,omitempty"`
-	// Concurrency bounds parallel per-session migrations (0 = driver
-	// default).
-	Concurrency int `json:"concurrency,omitempty"`
-}
-
-// Config reifies the definition into a driver config targeting the
-// given revision.
-func (d RolloutDef) Config(to int) runtime.RolloutConfig {
-	return runtime.RolloutConfig{
-		To:             to,
-		CanaryFraction: d.CanaryFraction,
-		CanaryWindow:   time.Duration(d.CanaryWindowMS) * time.Millisecond,
-		Gate: runtime.GateConfig{
-			Nodes:     d.Nodes,
-			MaxErrors: d.MaxErrors,
-			MaxP99:    time.Duration(d.MaxP99MS) * time.Millisecond,
-		},
-		Concurrency: d.Concurrency,
-	}
-}
-
 // Manager reifies the pipeline definition into a blueprint and
 // constructs the session manager that serves it: the declared
 // supervision policy becomes the per-session health monitor and

@@ -141,14 +141,10 @@ func (b *Blueprint) Connect(from, to string, port int) error {
 	return nil
 }
 
-// AttachFeature declares a Component Feature on a component slot. A
-// fresh feature instance is created for every pipeline instance.
-func (b *Blueprint) AttachFeature(componentID string, factory FeatureFactory) error {
-	return b.AttachTaggedFeature(componentID, "", factory)
-}
-
-// AttachTaggedFeature is AttachFeature with an explicit identity tag
-// for revision diffing (see TagComponent for the tag semantics).
+// AttachTaggedFeature declares a Component Feature on a component slot,
+// under an identity tag for revision diffing (see TagComponent for the
+// tag semantics). A fresh feature instance is created for every
+// pipeline instance.
 func (b *Blueprint) AttachTaggedFeature(componentID, tag string, factory FeatureFactory) error {
 	if factory == nil {
 		return fmt.Errorf("%w: nil feature factory for %q", ErrInvalidSpec, componentID)
@@ -173,15 +169,6 @@ func (b *Blueprint) Components() []string {
 	for i, c := range b.comps {
 		out[i] = c.id
 	}
-	return out
-}
-
-// Connections returns the declared edges in declaration order.
-func (b *Blueprint) Connections() []Edge {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]Edge, len(b.conns))
-	copy(out, b.conns)
 	return out
 }
 
@@ -315,16 +302,4 @@ func buildInto(g *Graph, comps []blueprintComponent, conns []Edge, feats []bluep
 		}
 	}
 	return nil
-}
-
-// Validate instantiates a probe instance (with the given overrides for
-// placeholders) and runs Graph.Validate on it, proving the blueprint's
-// factories and wiring are sound. Like Instantiate it freezes the
-// blueprint.
-func (b *Blueprint) Validate(opts ...InstantiateOption) error {
-	g, err := b.Instantiate(opts...)
-	if err != nil {
-		return err
-	}
-	return g.Validate()
 }

@@ -59,12 +59,12 @@ func sinkPayloads(t *testing.T, g *Graph) []int {
 
 func TestBlueprintInstantiate(t *testing.T) {
 	bp := numBlueprint(t, 1, 2, 3)
-	if err := bp.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
 	g, err := bp.Instantiate()
 	if err != nil {
 		t.Fatalf("Instantiate: %v", err)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
 	}
 	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
@@ -92,8 +92,8 @@ func TestBlueprintFreezesOnInstantiate(t *testing.T) {
 	if err := bp.Connect("src", "sink", 0); !errors.Is(err, ErrBlueprintFrozen) {
 		t.Fatalf("Connect after freeze = %v, want ErrBlueprintFrozen", err)
 	}
-	if err := bp.AttachFeature("double", func() Feature { return nil }); !errors.Is(err, ErrBlueprintFrozen) {
-		t.Fatalf("AttachFeature after freeze = %v, want ErrBlueprintFrozen", err)
+	if err := bp.AttachTaggedFeature("double", "", func() Feature { return nil }); !errors.Is(err, ErrBlueprintFrozen) {
+		t.Fatalf("AttachTaggedFeature after freeze = %v, want ErrBlueprintFrozen", err)
 	}
 }
 

@@ -185,14 +185,6 @@ func (s *Sink) Len() int {
 	return len(s.received)
 }
 
-// Reset clears the recorded samples.
-func (s *Sink) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.received = s.received[:0]
-	s.start = 0
-}
-
 // SliceSource is a Producer that emits a fixed sequence of samples, one
 // per engine tick — the test-fixture equivalent of the paper's emulator
 // component.

@@ -192,29 +192,6 @@ func (g *Graph) Nodes() []*Node {
 	return ns
 }
 
-// Sources returns the nodes whose specs declare no inputs (the sensors
-// and emulators — the leaves of the paper's processing tree).
-func (g *Graph) Sources() []*Node {
-	var out []*Node
-	for _, n := range g.Nodes() {
-		if n.spec.IsSource() {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// Sinks returns the nodes with no output kind (application roots).
-func (g *Graph) Sinks() []*Node {
-	var out []*Node
-	for _, n := range g.Nodes() {
-		if n.spec.IsSink() {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Edges returns every connection in the graph in deterministic order.
 func (g *Graph) Edges() []Edge {
 	g.mu.RLock()

@@ -43,9 +43,6 @@ type Span struct {
 	To   LogicalTime `json:"to"`
 }
 
-// Contains reports whether the span covers logical time t.
-func (s Span) Contains(t LogicalTime) bool { return t >= s.From && t <= s.To }
-
 // String renders the span like the Fig. 4 tuples ("gps:1-2").
 func (s Span) String() string {
 	if s.From == s.To {

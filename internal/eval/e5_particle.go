@@ -43,75 +43,75 @@ func RunE5(cfg E5Config) (Result, error) {
 
 	type variant struct {
 		name  string
-		build func(g *core.Graph, layer *channel.Layer) (consumerID string, err error)
+		build func(g *core.Graph, layer *channel.Layer) error
 	}
 
 	variants := []variant{
-		{name: "raw gps", build: func(g *core.Graph, _ *channel.Layer) (string, error) {
-			return "interpreter", nil
+		{name: "raw gps", build: func(g *core.Graph, _ *channel.Layer) error {
+			return nil
 		}},
-		{name: "moving average (w=5)", build: func(g *core.Graph, _ *channel.Layer) (string, error) {
+		{name: "moving average (w=5)", build: func(g *core.Graph, _ *channel.Layer) error {
 			ma := filter.NewMovingAverage("smoother", 5)
 			if _, err := g.Add(ma); err != nil {
-				return "", err
+				return err
 			}
 			if err := g.Disconnect("interpreter", "app", 0); err != nil {
-				return "", err
+				return err
 			}
 			if err := g.Connect("interpreter", "smoother", 0); err != nil {
-				return "", err
+				return err
 			}
 			if err := g.Connect("smoother", "app", 0); err != nil {
-				return "", err
+				return err
 			}
-			return "smoother", nil
+			return nil
 		}},
-		{name: "kalman (cv)", build: func(g *core.Graph, _ *channel.Layer) (string, error) {
+		{name: "kalman (cv)", build: func(g *core.Graph, _ *channel.Layer) error {
 			kf := filter.NewKalmanFilter("kalman", 0.5, b.Projection())
 			if _, err := g.Add(kf); err != nil {
-				return "", err
+				return err
 			}
 			if err := g.Disconnect("interpreter", "app", 0); err != nil {
-				return "", err
+				return err
 			}
 			if err := g.Connect("interpreter", "kalman", 0); err != nil {
-				return "", err
+				return err
 			}
 			if err := g.Connect("kalman", "app", 0); err != nil {
-				return "", err
+				return err
 			}
-			return "kalman", nil
+			return nil
 		}},
-		{name: "particle filter", build: func(g *core.Graph, layer *channel.Layer) (string, error) {
+		{name: "particle filter", build: func(g *core.Graph, layer *channel.Layer) error {
 			pf := filter.NewParticleFilter("particle-filter", b,
 				filter.Config{Particles: cfg.Particles, Seed: cfg.Seed + 9})
 			if _, err := g.Add(pf); err != nil {
-				return "", err
+				return err
 			}
 			if err := g.Disconnect("interpreter", "app", 0); err != nil {
-				return "", err
+				return err
 			}
 			if err := g.Connect("interpreter", "particle-filter", 0); err != nil {
-				return "", err
+				return err
 			}
 			if err := g.Connect("particle-filter", "app", 0); err != nil {
-				return "", err
+				return err
 			}
 			layer.Refresh()
 			ch, ok := layer.ChannelInto("particle-filter", 0)
 			if !ok {
-				return "", fmt.Errorf("eval: no channel into particle filter")
+				return fmt.Errorf("eval: no channel into particle filter")
 			}
 			like := filter.NewHDOPLikelihood(0)
 			if err := ch.AttachFeature(like); err != nil {
-				return "", err
+				return err
 			}
 			got, ok := ch.Feature(filter.FeatureLikelihood)
 			if !ok {
-				return "", fmt.Errorf("eval: likelihood feature not retrievable")
+				return fmt.Errorf("eval: likelihood feature not retrievable")
 			}
 			pf.UseLikelihood(got.(filter.Likelihood))
-			return "particle-filter", nil
+			return nil
 		}},
 	}
 
@@ -136,8 +136,7 @@ func RunE5(cfg E5Config) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		consumerID, err := v.build(g, layer)
-		if err != nil {
+		if err := v.build(g, layer); err != nil {
 			layer.Close()
 			return Result{}, err
 		}
@@ -166,7 +165,6 @@ func RunE5(cfg E5Config) (Result, error) {
 				series = e5Series(tr, positions)
 			}
 		}
-		_ = consumerID
 		layer.Close()
 	}
 

@@ -66,9 +66,6 @@ func (k *KalmanFilter) Spec() core.Spec {
 	}
 }
 
-// Emitted returns the number of estimates produced.
-func (k *KalmanFilter) Emitted() int { return k.emitted }
-
 // Process implements core.Component.
 func (k *KalmanFilter) Process(_ int, in core.Sample, emit core.Emit) error {
 	pos, ok := in.Payload.(positioning.Position)

@@ -40,8 +40,8 @@ func TestKalmanSmoothsStationaryNoise(t *testing.T) {
 	if last.Source != "kalman" {
 		t.Errorf("source = %q", last.Source)
 	}
-	if kf.Emitted() != 50 {
-		t.Errorf("Emitted = %d", kf.Emitted())
+	if kf.emitted != 50 {
+		t.Errorf("emitted = %d", kf.emitted)
 	}
 }
 

@@ -47,8 +47,8 @@ func TestKalmanStateRoundTrip(t *testing.T) {
 	if err := resumed.UnmarshalState(state); err != nil {
 		t.Fatal(err)
 	}
-	if resumed.Emitted() != 6 {
-		t.Fatalf("restored emitted = %d, want 6", resumed.Emitted())
+	if resumed.emitted != 6 {
+		t.Fatalf("restored emitted = %d, want 6", resumed.emitted)
 	}
 	var resLast positioning.Position
 	feedPositions(t, resumed, 6, 10, func(s core.Sample) { resLast = s.Payload.(positioning.Position) })
@@ -59,8 +59,8 @@ func TestKalmanStateRoundTrip(t *testing.T) {
 	if resLast.Accuracy != refLast.Accuracy {
 		t.Errorf("resumed accuracy %v != uninterrupted %v", resLast.Accuracy, refLast.Accuracy)
 	}
-	if resumed.Emitted() != ref.Emitted() {
-		t.Errorf("resumed emitted %d != uninterrupted %d", resumed.Emitted(), ref.Emitted())
+	if resumed.emitted != ref.emitted {
+		t.Errorf("resumed emitted %d != uninterrupted %d", resumed.emitted, ref.emitted)
 	}
 }
 

@@ -157,6 +157,3 @@ func (i *Interpreter) speedAttrs() map[string]any {
 	i.attrNext = (i.attrNext + 1) % len(i.attrCache)
 	return m
 }
-
-// Emitted returns the number of positions produced.
-func (i *Interpreter) Emitted() int { return i.emitted }

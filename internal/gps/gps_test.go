@@ -68,8 +68,8 @@ func TestReceiverEmitsValidNMEA(t *testing.T) {
 	if gga == 0 || rmc == 0 || gsa == 0 {
 		t.Errorf("sentence mix GGA=%d RMC=%d GSA=%d; want all > 0", gga, rmc, gsa)
 	}
-	if r.Emitted() != len(lines) {
-		t.Errorf("Emitted() = %d, want %d", r.Emitted(), len(lines))
+	if r.emitted != len(lines) {
+		t.Errorf("emitted = %d, want %d", r.emitted, len(lines))
 	}
 }
 
@@ -301,8 +301,8 @@ func TestParserPipeline(t *testing.T) {
 	if dropped != 0 {
 		t.Errorf("parser dropped %d good sentences", dropped)
 	}
-	if interp.Emitted() != sink.Len() {
-		t.Errorf("interpreter emitted %d, sink got %d", interp.Emitted(), sink.Len())
+	if interp.emitted != sink.Len() {
+		t.Errorf("interpreter emitted %d, sink got %d", interp.emitted, sink.Len())
 	}
 }
 

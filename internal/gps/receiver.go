@@ -202,9 +202,6 @@ func (r *Receiver) Process(int, core.Sample, core.Emit) error { return nil }
 // Mode returns the current power state.
 func (r *Receiver) Mode() Mode { return r.mode }
 
-// Now returns the receiver's current simulated time.
-func (r *Receiver) Now() time.Time { return r.now }
-
 // Moving reports whether the device is currently in motion. It stands
 // in for the accelerometer EnTracked [3] uses to detect movement
 // (substitution documented in DESIGN.md): the reading comes from the
@@ -242,9 +239,6 @@ func (r *Receiver) PowerOff() {
 	r.mode = ModeOff
 	r.offSince = r.now
 }
-
-// Emitted returns the number of raw strings emitted so far.
-func (r *Receiver) Emitted() int { return r.emitted }
 
 // Step implements core.Producer: advance one epoch and emit the epoch's
 // NMEA output.

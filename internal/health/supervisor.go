@@ -94,9 +94,6 @@ func NewSupervisor(mon *Monitor, adapter Adapter, reroutes []Reroute) *Superviso
 	return s
 }
 
-// Monitor returns the underlying monitor.
-func (s *Supervisor) Monitor() *Monitor { return s.mon }
-
 // OnEvent registers a listener for node transitions. Register before
 // Start; callbacks run serially on the sweep job (or the Sweep
 // caller).

@@ -50,10 +50,6 @@ func populateHub(m *Metrics) {
 	m.ProviderTransition("AVAILABLE")
 	m.ProviderTransition("AVAILABLE")
 	m.ProviderTransition("OUT_OF_SERVICE")
-	m.RemoteSent.Add(11)
-	m.RemoteDropped.Add(2)
-	m.RemoteBackoff("up-a").Set(int64(200 * time.Millisecond))
-	m.RemoteBackoff("up-b").Set(int64(time.Second))
 	m.ClusterHandoffs.Add(12)
 	m.ClusterHandoffFailed.Add(1)
 	m.ClusterFailovers.Add(2)

@@ -173,8 +173,8 @@ func TestMetricsSnapshotShape(t *testing.T) {
 	if ck["writes"].(uint64) != 1 || ck["errors"].(uint64) != 1 || ck["bytes"].(uint64) != 128 {
 		t.Errorf("checkpoint block = %v, want writes=1 errors=1 bytes=128", ck)
 	}
-	if ids := m.NodeIDs(); len(ids) != 1 || ids[0] != "gps" {
-		t.Errorf("NodeIDs = %v, want [gps]", ids)
+	if ids := m.nodes.keys(); len(ids) != 1 || ids[0] != "gps" {
+		t.Errorf("node IDs = %v, want [gps]", ids)
 	}
 }
 

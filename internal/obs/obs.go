@@ -113,13 +113,6 @@ type Metrics struct {
 	RulesRolledBack  Counter
 	RulesDeferred    Counter
 
-	// Remote link traffic (internal/remote): samples shipped over an
-	// Uplink and samples shed because the peer was unreachable past the
-	// immediate-retry + backoff gate. Without these an unreachable peer
-	// drops positioning data silently.
-	RemoteSent    Counter
-	RemoteDropped Counter
-
 	// Cluster distribution (internal/cluster): completed and failed
 	// session handoffs, node-death failovers, sessions resurrected on
 	// survivors, sessions moved by join/leave rebalancing, and position
@@ -162,11 +155,6 @@ type Metrics struct {
 	// revision — the fleet's upgrade progress at a glance.
 	revisionLive family[Gauge]
 
-	// remoteBackoff holds each uplink's current redial backoff in
-	// nanoseconds (0 only before first use; the base backoff once
-	// connected).
-	remoteBackoff family[Gauge]
-
 	// clusterNodeSessions gauges the sessions the router currently
 	// routes to each cluster node; clusterNodeUp is 1 while a node's
 	// breaker is closed, 0 while quarantined or dead.
@@ -208,7 +196,6 @@ func New() *Metrics {
 	m.nodes.label = "node"
 	m.providerTransitions.label = "state"
 	m.revisionLive.label = "revision"
-	m.remoteBackoff.label = "uplink"
 	m.clusterNodeSessions.label = "node"
 	m.clusterNodeUp.label = "node"
 	return m
@@ -276,10 +263,6 @@ func (m *Metrics) ProviderTransition(state string) { m.providerTransitions.get(s
 // revision gauges as they are created, migrated, resumed and retired.
 func (m *Metrics) RevisionLive(rev int) *Gauge { return m.revisionLive.get(strconv.Itoa(rev)) }
 
-// RemoteBackoff returns (creating on first use) the named uplink's
-// current-backoff gauge, in nanoseconds.
-func (m *Metrics) RemoteBackoff(uplink string) *Gauge { return m.remoteBackoff.get(uplink) }
-
 // ClusterNodeSessions returns (creating on first use) the gauge of
 // sessions routed to one cluster node.
 func (m *Metrics) ClusterNodeSessions(node string) *Gauge { return m.clusterNodeSessions.get(node) }
@@ -340,9 +323,6 @@ func (m *Metrics) table() []metric {
 		{"sessions_live", "perpos_sessions_live", "Live sessions.", &m.SessionsLive},
 		{"revision_live", "perpos_revision_sessions_live", "Live sessions per blueprint revision.", &m.revisionLive},
 		{"provider_transitions", "perpos_provider_transitions_total", "Provider availability transitions into each state.", &m.providerTransitions},
-		{"remote.sent", "perpos_remote_sent_total", "Samples shipped over remote uplinks.", &m.RemoteSent},
-		{"remote.dropped", "perpos_remote_dropped_total", "Samples shed because the uplink peer was unreachable.", &m.RemoteDropped},
-		{"remote.backoff_ns", "perpos_remote_backoff_ns", "Current uplink redial backoff in nanoseconds.", &m.remoteBackoff},
 		{"cluster.handoffs", "perpos_cluster_handoffs_total", "Completed cluster session handoffs.", &m.ClusterHandoffs},
 		{"cluster.handoff_failed", "perpos_cluster_handoff_failed_total", "Cluster session handoffs that failed and rolled back.", &m.ClusterHandoffFailed},
 		{"cluster.failovers", "perpos_cluster_failovers_total", "Node-death failovers executed by the router.", &m.ClusterFailovers},
@@ -421,7 +401,3 @@ func jsonValue(v any) any {
 	}
 	panic(fmt.Sprintf("obs: no JSON form for %T", v))
 }
-
-// NodeIDs returns the IDs with per-node metrics, sorted (inspection
-// and tests).
-func (m *Metrics) NodeIDs() []string { return m.nodes.keys() }

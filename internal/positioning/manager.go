@@ -174,19 +174,6 @@ func (t *Target) Attach(p *Provider) {
 	t.providers = append(t.providers, p)
 }
 
-// Detach removes a previously attached provider. Unknown providers are
-// ignored.
-func (t *Target) Detach(p *Provider) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i, q := range t.providers {
-		if q == p {
-			t.providers = append(t.providers[:i], t.providers[i+1:]...)
-			return
-		}
-	}
-}
-
 // Providers returns the target's attached providers.
 func (t *Target) Providers() []*Provider {
 	t.mu.Lock()

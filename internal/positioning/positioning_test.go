@@ -122,8 +122,7 @@ func TestManagerCriteriaMatching(t *testing.T) {
 	m := &Manager{}
 	gps := NewProvider("gps", ProviderInfo{Technology: "gps", TypicalAccuracy: 5}, nil)
 	wifi := NewProvider("wifi", ProviderInfo{Technology: "wifi", TypicalAccuracy: 3, RoomLevel: true}, nil)
-	pf := NewProvider("pf", ProviderInfo{Technology: "particle-filter", TypicalAccuracy: 2,
-		Features: []string{"likelihood"}},
+	pf := NewProvider("pf", ProviderInfo{Technology: "particle-filter", TypicalAccuracy: 2},
 		func(name string) (any, bool) { return nil, name == "likelihood" })
 	for _, p := range []*Provider{gps, wifi, pf} {
 		if err := m.Register(p); err != nil {
@@ -366,23 +365,6 @@ func TestTrackErrSurfacesSourceFailure(t *testing.T) {
 	tgt := m.Track("alice")
 	if tgt == nil || len(tgt.Providers()) != 0 {
 		t.Errorf("degraded Track = %+v", tgt)
-	}
-}
-
-func TestTargetDetach(t *testing.T) {
-	m := &Manager{}
-	tgt := m.Track("t")
-	a := NewProvider("a", ProviderInfo{}, nil)
-	b := NewProvider("b", ProviderInfo{}, nil)
-	tgt.Attach(a)
-	tgt.Attach(b)
-	tgt.Detach(a)
-	if provs := tgt.Providers(); len(provs) != 1 || provs[0] != b {
-		t.Errorf("Providers after Detach = %v", provs)
-	}
-	tgt.Detach(a) // unknown: no-op
-	if len(tgt.Providers()) != 1 {
-		t.Error("double Detach removed the wrong provider")
 	}
 }
 

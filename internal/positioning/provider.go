@@ -44,8 +44,6 @@ type ProviderInfo struct {
 	TypicalAccuracy float64
 	// RoomLevel reports whether positions carry symbolic room IDs.
 	RoomLevel bool
-	// Features lists the feature names reachable through the provider.
-	Features []string
 }
 
 // proximityWatch is one edge-triggered proximity registration.

@@ -30,20 +30,18 @@ func forceDial(u *Uplink) {
 }
 
 func TestUplinkBackoffGrowsExponentiallyAndCaps(t *testing.T) {
-	base, max := 100*time.Millisecond, time.Second
-	up := NewUplink("uplink", deadAddr(t), []core.Kind{"gps.raw"}, nil,
-		WithUplinkBackoff(base, max),
-		WithUplinkJitterSeed(42))
+	base, max := uplinkBaseBackoff, uplinkMaxBackoff
+	up := NewUplink("uplink", deadAddr(t), []core.Kind{"gps.raw"}, nil)
 	defer up.Close()
 	s := core.NewSample("gps.raw", "$x", time.Time{})
 
-	jitter := up.jitterFrac
+	jitter := uplinkJitter
 	for i := 0; i < 8; i++ {
 		forceDial(up)
 		if err := up.Process(0, s, nil); err != nil {
 			t.Fatalf("Process must drop, not error: %v", err)
 		}
-		got := up.Backoff()
+		got := up.backoff
 		// Expected backoff before jitter: base doubled per prior failure,
 		// capped at max.
 		want := float64(base)
@@ -59,35 +57,12 @@ func TestUplinkBackoffGrowsExponentiallyAndCaps(t *testing.T) {
 			t.Errorf("backoff after %d failures = %v, want in [%v, %v]", i+1, got, lo, max)
 		}
 	}
-	if got := up.Backoff(); got < time.Duration(float64(max)*(1-jitter)) {
+	if got := up.backoff; got < time.Duration(float64(max)*(1-jitter)) {
 		t.Errorf("backoff never reached the cap region: %v", got)
 	}
 	_, dropped := up.Stats()
 	if dropped != 8 {
 		t.Errorf("dropped = %d, want 8", dropped)
-	}
-}
-
-func TestUplinkBackoffJitterIsSeeded(t *testing.T) {
-	run := func() []time.Duration {
-		up := NewUplink("uplink", deadAddr(t), []core.Kind{"gps.raw"}, nil,
-			WithUplinkBackoff(50*time.Millisecond, time.Second),
-			WithUplinkJitterSeed(7))
-		defer up.Close()
-		s := core.NewSample("gps.raw", "$x", time.Time{})
-		var out []time.Duration
-		for i := 0; i < 5; i++ {
-			forceDial(up)
-			_ = up.Process(0, s, nil)
-			out = append(out, up.Backoff())
-		}
-		return out
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed, different backoff sequences: %v vs %v", a, b)
-		}
 	}
 }
 
@@ -108,10 +83,7 @@ func TestUplinkBackoffResetsOnSuccess(t *testing.T) {
 		}
 	}()
 
-	base := 50 * time.Millisecond
-	up := NewUplink("uplink", ln.Addr().String(), []core.Kind{"gps.raw"}, nil,
-		WithUplinkBackoff(base, time.Second),
-		WithUplinkJitterSeed(1))
+	up := NewUplink("uplink", ln.Addr().String(), []core.Kind{"gps.raw"}, nil)
 	defer up.Close()
 
 	// Inflate the backoff state as if the peer had been down a while.
@@ -128,7 +100,7 @@ func TestUplinkBackoffResetsOnSuccess(t *testing.T) {
 	if sent != 1 || dropped != 0 {
 		t.Fatalf("stats = %d sent %d dropped, want 1/0", sent, dropped)
 	}
-	if got := up.Backoff(); got != base {
-		t.Errorf("backoff after successful dial = %v, want reset to base %v", got, base)
+	if got := up.backoff; got != uplinkBaseBackoff {
+		t.Errorf("backoff after successful dial = %v, want reset to base %v", got, uplinkBaseBackoff)
 	}
 }

@@ -9,27 +9,23 @@ import (
 	"time"
 
 	"perpos/internal/core"
-	"perpos/internal/obs"
 )
 
 // Uplink is a Processing Component that forwards every sample arriving
 // at its input port to a remote Downlink over TCP — the device side of
 // the Fig. 7 split. It dials lazily on first use and redials after
 // connection failures with capped exponential backoff plus jitter:
-// consecutive dial failures double the wait between attempts (so an
-// unreachable peer costs one cheap gate check per sample, not a dial
-// timeout), and the jitter keeps a fleet of devices from thundering
-// back in lockstep when the peer returns. Samples that cannot be sent
-// are counted and dropped, since positioning data is perishable.
+// consecutive dial failures double the wait between attempts, from
+// 200 ms up to 5 s (so an unreachable peer costs one cheap gate check
+// per sample, not a dial timeout), and the jitter keeps a fleet of
+// devices from thundering back in lockstep when the peer returns.
+// Samples that cannot be sent are counted and dropped, since
+// positioning data is perishable.
 type Uplink struct {
-	id          string
-	addr        string
-	accepts     []core.Kind
-	codecs      Codecs
-	baseBackoff time.Duration
-	maxBackoff  time.Duration
-	jitterFrac  float64
-	metrics     *obs.Metrics
+	id      string
+	addr    string
+	accepts []core.Kind
+	codecs  Codecs
 
 	mu       sync.Mutex
 	conn     net.Conn
@@ -43,61 +39,30 @@ type Uplink struct {
 
 var _ core.Component = (*Uplink)(nil)
 
-// UplinkOption configures an Uplink.
-type UplinkOption func(*Uplink)
-
-// WithUplinkBackoff sets the redial backoff bounds (defaults 200ms
-// base, 5s cap).
-func WithUplinkBackoff(base, max time.Duration) UplinkOption {
-	return func(u *Uplink) {
-		if base > 0 {
-			u.baseBackoff = base
-		}
-		if max > 0 {
-			u.maxBackoff = max
-		}
-	}
-}
-
-// WithUplinkJitterSeed seeds the backoff jitter PRNG (deterministic
-// tests).
-func WithUplinkJitterSeed(seed int64) UplinkOption {
-	return func(u *Uplink) { u.rng = rand.New(rand.NewSource(seed)) }
-}
-
-// WithUplinkMetrics publishes the uplink's sent/dropped counters and
-// current redial backoff into an obs hub — without it an unreachable
-// peer silently sheds samples, which hides routing loss from
-// operators.
-func WithUplinkMetrics(m *obs.Metrics) UplinkOption {
-	return func(u *Uplink) { u.metrics = m }
-}
+// The uplink's redial backoff: the base wait after the first failed
+// dial, its cap, and the jitter applied to each wait (±20%).
+const (
+	uplinkBaseBackoff = 200 * time.Millisecond
+	uplinkMaxBackoff  = 5 * time.Second
+	uplinkJitter      = 0.2
+)
 
 // NewUplink returns an uplink forwarding the given kinds to addr.
-func NewUplink(id, addr string, accepts []core.Kind, codecs Codecs, opts ...UplinkOption) *Uplink {
+func NewUplink(id, addr string, accepts []core.Kind, codecs Codecs) *Uplink {
 	if len(accepts) == 0 {
 		accepts = []core.Kind{core.KindAny}
 	}
 	if codecs == nil {
 		codecs = DefaultCodecs()
 	}
-	u := &Uplink{
-		id:          id,
-		addr:        addr,
-		accepts:     accepts,
-		codecs:      codecs,
-		baseBackoff: 200 * time.Millisecond,
-		maxBackoff:  5 * time.Second,
-		jitterFrac:  0.2,
+	return &Uplink{
+		id:      id,
+		addr:    addr,
+		accepts: accepts,
+		codecs:  codecs,
+		backoff: uplinkBaseBackoff,
+		rng:     rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
-	for _, opt := range opts {
-		opt(u)
-	}
-	if u.rng == nil {
-		u.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
-	}
-	u.backoff = u.baseBackoff
-	return u
 }
 
 // ID implements core.Component.
@@ -128,16 +93,10 @@ func (u *Uplink) Process(_ int, in core.Sample, _ core.Emit) error {
 		// is perishable and must not wedge the pipeline.
 		if err := u.sendLocked(body); err != nil {
 			u.dropped++
-			if u.metrics != nil {
-				u.metrics.RemoteDropped.Inc()
-			}
 			return nil
 		}
 	}
 	u.sent++
-	if u.metrics != nil {
-		u.metrics.RemoteSent.Inc()
-	}
 	return nil
 }
 
@@ -151,13 +110,11 @@ func (u *Uplink) sendLocked(body []byte) error {
 		if err != nil {
 			u.dialErrs++
 			u.backoff = u.nextBackoffLocked()
-			u.publishBackoffLocked()
 			return fmt.Errorf("dial %s: %w", u.addr, err)
 		}
 		u.conn = conn
 		u.dialErrs = 0
-		u.backoff = u.baseBackoff
-		u.publishBackoffLocked()
+		u.backoff = uplinkBaseBackoff
 	}
 	if err := WriteFrame(u.conn, FrameSample, body); err != nil {
 		_ = u.conn.Close()
@@ -169,31 +126,14 @@ func (u *Uplink) sendLocked(body []byte) error {
 
 // nextBackoffLocked computes the wait before the next dial: the base
 // doubled per consecutive failure, capped (core.RestartPolicy's delay),
-// then jittered ±jitterFrac.
+// then jittered ±uplinkJitter.
 func (u *Uplink) nextBackoffLocked() time.Duration {
-	d := float64(core.RestartPolicy{Base: u.baseBackoff, Max: u.maxBackoff}.Delay(u.dialErrs))
-	if u.jitterFrac > 0 {
-		d *= 1 - u.jitterFrac + 2*u.jitterFrac*u.rng.Float64()
-	}
-	if d > float64(u.maxBackoff) {
-		d = float64(u.maxBackoff)
+	d := float64(core.RestartPolicy{Base: uplinkBaseBackoff, Max: uplinkMaxBackoff}.Delay(u.dialErrs))
+	d *= 1 - uplinkJitter + 2*uplinkJitter*u.rng.Float64()
+	if d > float64(uplinkMaxBackoff) {
+		d = float64(uplinkMaxBackoff)
 	}
 	return time.Duration(d)
-}
-
-// publishBackoffLocked mirrors the current backoff into the obs gauge.
-func (u *Uplink) publishBackoffLocked() {
-	if u.metrics != nil {
-		u.metrics.RemoteBackoff(u.id).Set(int64(u.backoff))
-	}
-}
-
-// Backoff returns the current redial backoff — how long the uplink
-// waits after the last failed dial before trying again.
-func (u *Uplink) Backoff() time.Duration {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.backoff
 }
 
 // Stats returns (sent, dropped) counts.

@@ -12,7 +12,6 @@ import (
 
 	"perpos/internal/core"
 	"perpos/internal/gps"
-	"perpos/internal/obs"
 )
 
 // downlinkGraph builds a minimal graph holding one raw-NMEA downlink.
@@ -188,55 +187,5 @@ func TestServerIgnoresControlFrames(t *testing.T) {
 	}
 	if len(srv.Errs()) == 0 {
 		t.Error("control frame on sample link produced no recorded error")
-	}
-}
-
-// TestUplinkMetrics: sent/dropped counters and the backoff gauge reach
-// the obs hub (JSON snapshot path; the Prometheus exposition is
-// covered in obs's own tests).
-func TestUplinkMetrics(t *testing.T) {
-	hub := obs.New()
-	g, dl := downlinkGraph(t)
-	srv, err := Serve("127.0.0.1:0", g, dl, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	up := NewUplink("up", srv.Addr(), []core.Kind{"gps.raw"}, nil,
-		WithUplinkMetrics(hub), WithUplinkJitterSeed(1))
-	defer up.Close()
-	if err := up.Process(0, core.NewSample("gps.raw", "$x", time.Time{}), nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := hub.RemoteSent.Value(); got != 1 {
-		t.Errorf("RemoteSent = %d, want 1", got)
-	}
-	if got := hub.RemoteBackoff("up").Value(); got != int64(200*time.Millisecond) {
-		t.Errorf("backoff gauge = %d, want base backoff after connect", got)
-	}
-
-	// An unreachable peer sheds the sample and raises the gauge.
-	dead := NewUplink("dead", "127.0.0.1:1", []core.Kind{"gps.raw"}, nil,
-		WithUplinkMetrics(hub), WithUplinkJitterSeed(1),
-		WithUplinkBackoff(time.Millisecond, 10*time.Millisecond))
-	defer dead.Close()
-	if err := dead.Process(0, core.NewSample("gps.raw", "$x", time.Time{}), nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := hub.RemoteDropped.Value(); got == 0 {
-		t.Error("RemoteDropped = 0, want > 0")
-	}
-	if got := hub.RemoteBackoff("dead").Value(); got <= 0 {
-		t.Errorf("dead-peer backoff gauge = %d, want > 0", got)
-	}
-
-	snap := hub.Snapshot()
-	rm, ok := snap["remote"].(map[string]any)
-	if !ok {
-		t.Fatalf("snapshot has no remote section: %T", snap["remote"])
-	}
-	if rm["sent"].(uint64) != 1 {
-		t.Errorf("snapshot remote.sent = %v, want 1", rm["sent"])
 	}
 }

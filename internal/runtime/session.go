@@ -277,14 +277,8 @@ func newSession(id string, rev int, bp *core.Blueprint, cfg SessionConfig) (*Ses
 	return s, nil
 }
 
-// ID returns the session's target ID.
-func (s *Session) ID() string { return s.id }
-
 // Graph returns the session's private pipeline instance.
 func (s *Session) Graph() *core.Graph { return s.graph }
-
-// Layer returns the session's channel-layer view.
-func (s *Session) Layer() *channel.Layer { return s.layer }
 
 // Provider returns the provider delivering this session's positions.
 func (s *Session) Provider() *positioning.Provider { return s.provider }

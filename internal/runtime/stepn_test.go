@@ -100,8 +100,8 @@ func TestStepNMatchesRepeatedStep(t *testing.T) {
 		}
 	}
 
-	sigBatch := treeSignature(t, sBatch.Layer())
-	sigSingle := treeSignature(t, sSingle.Layer())
+	sigBatch := treeSignature(t, sBatch.layer)
+	sigSingle := treeSignature(t, sSingle.layer)
 	if sigBatch != sigSingle {
 		t.Errorf("data trees diverge:\nbatch:\n%s\nsingle:\n%s", sigBatch, sigSingle)
 	}

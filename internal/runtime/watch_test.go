@@ -297,7 +297,7 @@ func TestShippedStepNAllocatesLikeBare(t *testing.T) {
 		})
 	}
 	bare, shipped := session(saturatedSessionConfig(t)), session(shippedSessionConfig(t))
-	app, ok := shipped.Layer().ChannelInto("app", 0)
+	app, ok := shipped.layer.ChannelInto("app", 0)
 	if !ok {
 		t.Fatal("no channel into app")
 	}

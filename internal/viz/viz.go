@@ -113,9 +113,6 @@ func (c *Canvas) String() string {
 	return b.String()
 }
 
-// Size returns (cols, rows).
-func (c *Canvas) Size() (int, int) { return c.cols, c.rows }
-
 // DrawFloor draws a floor's walls ('#') onto the canvas.
 func DrawFloor(c *Canvas, b *building.Building, level int) {
 	f, ok := b.Floor(level)

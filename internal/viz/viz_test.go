@@ -15,7 +15,7 @@ func TestCanvasPlotAndRender(t *testing.T) {
 	if !strings.Contains(out, "X") {
 		t.Errorf("marker missing:\n%s", out)
 	}
-	cols, rows := c.Size()
+	cols, rows := c.cols, c.rows
 	if cols != 20 || rows < 5 {
 		t.Errorf("Size = %d x %d", cols, rows)
 	}

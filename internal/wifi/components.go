@@ -147,9 +147,6 @@ func (e *Engine) Process(_ int, in core.Sample, emit core.Emit) error {
 	return nil
 }
 
-// Located returns the number of positions produced.
-func (e *Engine) Located() int { return e.located }
-
 // NewResolver returns the Resolver component of Fig. 1: it maps
 // positions to symbolic room IDs using the building model, emitting
 // room-ID samples. Positions that resolve to no room (outdoors) are

@@ -216,7 +216,7 @@ func TestEndToEndPipelineRoomStream(t *testing.T) {
 	if sink.Len() == 0 {
 		t.Fatal("no room IDs delivered")
 	}
-	if engine.Located() == 0 {
+	if engine.located == 0 {
 		t.Fatal("engine located nothing")
 	}
 
