@@ -1,23 +1,23 @@
-// Package checkpoint is the durability subsystem: an append-only,
-// CRC-framed journal of session-state records plus periodically
-// compacted snapshots, so a tracked target's positioning process — its
-// filter estimates, replay positions and logical clocks — survives
-// eviction and process death. The design follows the classic
-// checkpoint-and-replay recipe (re-execution from durable intermediate
-// state, à la MapReduce's recovery story) applied at the granularity of
-// one session's Process Structure Layer state.
+// Package checkpoint is the durability subsystem: append-only,
+// CRC-framed journals of session-state records, so a tracked target's
+// positioning process — its filter estimates, replay positions and
+// logical clocks — survives eviction and process death. The design
+// follows the classic checkpoint-and-replay recipe (re-execution from
+// durable intermediate state, à la MapReduce's recovery story) applied
+// at the granularity of one session's Process Structure Layer state.
 //
-// Layout: each session owns two files under the store directory,
-// <escaped-id>.journal (appended frames, newest last) and
-// <escaped-id>.snap (a single frame, rewritten atomically on
-// compaction). A frame is
+// Layout: each session owns two segments under the store directory,
+// <escaped-id>.journal and <escaped-id>.snap, each a file of appended
+// frames, newest last. Appends go to one segment; every
+// Options.SnapshotEvery appends the session switches to the other,
+// emptied as it opens, so both stay bounded. A frame is
 //
 //	magic(2) | length(4, LE) | crc32(4, LE, IEEE of payload) | payload
 //
-// with a JSON-encoded Record payload. Recovery scans the journal until
-// the first bad frame — a torn write at the tail after a crash is
-// expected, not fatal — and falls back to the snapshot file when the
-// journal yields nothing. The newest sequence number wins.
+// with a JSON-encoded SessionState payload. Recovery scans each segment
+// until its first bad frame — a torn write at the tail after a crash
+// is expected, not fatal — and the highest sequence number decodable
+// from either segment wins.
 package checkpoint
 
 import (
@@ -40,11 +40,11 @@ var (
 	ErrClosed = errors.New("checkpoint: store closed")
 	// ErrNoState indicates Load found no usable state for the session.
 	ErrNoState = errors.New("checkpoint: no state for session")
-	// ErrCompaction indicates an append landed durably in the journal
-	// (the returned seq is valid and recoverable) but promoting it into
-	// the snapshot file failed. Callers that only care about durability
-	// may treat it as a warning; it previously went unreported entirely.
-	ErrCompaction = errors.New("checkpoint: snapshot compaction failed")
+	// ErrCompaction indicates an append landed durably (the returned
+	// seq is valid and recoverable) but the switch to the other segment
+	// that followed it failed; the next append retries the switch.
+	// Callers that only care about durability may treat it as a warning.
+	ErrCompaction = errors.New("checkpoint: segment switch failed")
 	// ErrLocked indicates another store (in this or another process)
 	// holds the directory's exclusive lock. Two writers appending to the
 	// same journals would interleave frames and corrupt each other's
@@ -80,16 +80,17 @@ type SessionState struct {
 
 // Options configure a Store.
 type Options struct {
-	// SnapshotEvery compacts a session's journal into its snapshot file
-	// after this many appends (default 8; 1 compacts on every append).
+	// SnapshotEvery is how many appends a session's segment takes
+	// before the session switches to its other segment (default 8; 1
+	// switches on every append).
 	SnapshotEvery int
-	// Fsync forces an fsync after every append and snapshot. Off by
-	// default: the journal already survives process crashes (the torn
-	// tail is skipped); Fsync additionally covers OS crashes at a heavy
+	// Fsync forces an fsync after every append. Off by default: the
+	// segments already survive process crashes (the torn tail is
+	// skipped); Fsync additionally covers OS crashes at a heavy
 	// per-checkpoint cost.
 	Fsync bool
 	// OnAppend, when set, observes every Append: the session, the
-	// journal bytes written (0 when nothing reached the file), the
+	// frame bytes written (0 when nothing reached the file), the
 	// wall-clock duration of the durable write, and its error. The
 	// signature matches obs.(*Metrics).CheckpointAppend so a metrics hub
 	// wires in directly. Called outside the journal lock.
@@ -149,22 +150,19 @@ func (s *Store) journalFor(id string) (*journal, error) {
 	}
 	j, ok := s.sessions[id]
 	if !ok {
-		j = &journal{
-			path:     filepath.Join(s.dir, escapeID(id)+journalExt),
-			snapPath: filepath.Join(s.dir, escapeID(id)+snapExt),
-			fsync:    s.opts.Fsync,
-		}
+		stem := filepath.Join(s.dir, escapeID(id))
+		j = &journal{paths: [2]string{stem + journalExt, stem + snapExt}, fsync: s.opts.Fsync}
 		s.sessions[id] = j
 	}
 	return j, nil
 }
 
-// Append durably records one checkpoint for state.SessionID, assigning
-// and returning its sequence number. Every Options.SnapshotEvery
-// appends the journal is compacted: the newest state is rewritten
-// atomically into the snapshot file and the journal restarted. An
+// Append durably records one checkpoint for state.SessionID in one
+// write, assigning and returning its sequence number. Every
+// Options.SnapshotEvery appends the session switches segments: the
+// other segment is emptied and takes the appends from then on. An
 // error wrapping ErrCompaction means the record itself IS durable (the
-// returned seq is valid) but the snapshot promotion failed.
+// returned seq is valid) but the switch failed.
 func (s *Store) Append(state SessionState) (uint64, error) {
 	j, err := s.journalFor(state.SessionID)
 	if err != nil {
@@ -181,11 +179,11 @@ func (s *Store) Append(state SessionState) (uint64, error) {
 	return seq, err
 }
 
-// Load recovers the newest intact checkpoint for the session: the last
-// valid journal frame, or the snapshot file when the journal is empty,
-// missing or corrupt from the start. A corrupt or truncated journal
-// tail silently falls back to the last good frame before it. Returns
-// ErrNoState when the session has no usable state at all.
+// Load recovers the newest intact checkpoint for the session: the
+// highest-Seq record that decodes from either segment. A corrupt or
+// truncated segment tail silently falls back to the last good frame
+// before it. Returns ErrNoState when the session has no usable state at
+// all.
 func (s *Store) Load(sessionID string) (SessionState, error) {
 	j, err := s.journalFor(sessionID)
 	if err != nil {
@@ -293,15 +291,6 @@ func (s *Store) Close() error {
 		s.lock = nil
 	}
 	return errors.Join(errs...)
-}
-
-// encodeRecord serializes a SessionState into a frame payload.
-func encodeRecord(state SessionState) ([]byte, error) {
-	data, err := json.Marshal(state)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: encode session %q: %w", state.SessionID, err)
-	}
-	return data, nil
 }
 
 // decodeRecord deserializes a frame payload.

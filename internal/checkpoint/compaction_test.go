@@ -57,11 +57,11 @@ func TestOnAppendObservesSuccess(t *testing.T) {
 	}
 }
 
-// TestAppendSurfacesCompactionFailure blocks snapshot promotion by
-// planting a directory where the snapshot temp file goes: O_CREATE on a
-// directory fails for any euid, so this works under root too. Before
-// the fix, the append reported success and the broken snapshot cycle
-// went entirely unnoticed.
+// TestAppendSurfacesCompactionFailure blocks the switch to the other
+// segment by planting a dangling symlink at alice.snap whose target
+// lies in a missing directory: opening it with O_CREATE fails with
+// ENOENT for any euid, so this works under root too, and Load reads
+// the missing target as an absent segment.
 func TestAppendSurfacesCompactionFailure(t *testing.T) {
 	dir := t.TempDir()
 	log := &appendLog{}
@@ -70,7 +70,8 @@ func TestAppendSurfacesCompactionFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := os.Mkdir(filepath.Join(dir, "alice.snap.tmp"), 0o755); err != nil {
+	snap := filepath.Join(dir, "alice.snap")
+	if err := os.Symlink(filepath.Join(dir, "missing", "alice.snap"), snap); err != nil {
 		t.Fatal(err)
 	}
 
@@ -79,24 +80,24 @@ func TestAppendSurfacesCompactionFailure(t *testing.T) {
 		t.Fatalf("append error = %v, want wrapped ErrCompaction", err)
 	}
 	if seq != 1 {
-		t.Errorf("seq = %d, want 1: the record is durable despite the failed compaction", seq)
+		t.Errorf("seq = %d, want 1: the record is durable despite the failed switch", seq)
 	}
 	if c := log.last(t); !errors.Is(c.err, ErrCompaction) || c.bytes == 0 {
-		t.Errorf("hook call = %+v, want compaction error with journal bytes", c)
+		t.Errorf("hook call = %+v, want switch error with frame bytes", c)
 	}
 
 	// The journal frame survived, so recovery still works…
 	got, err := st.Load("alice")
 	if err != nil {
-		t.Fatalf("load after failed compaction: %v", err)
+		t.Fatalf("load after failed switch: %v", err)
 	}
 	if got.Seq != 1 {
 		t.Errorf("loaded seq = %d, want 1", got.Seq)
 	}
 
-	// …and once the obstruction clears, the next append compacts and
+	// …and once the obstruction clears, the next append switches and
 	// sequence numbering continues.
-	if err := os.Remove(filepath.Join(dir, "alice.snap.tmp")); err != nil {
+	if err := os.Remove(snap); err != nil {
 		t.Fatal(err)
 	}
 	seq, err = st.Append(testState("alice", 2))
@@ -106,14 +107,14 @@ func TestAppendSurfacesCompactionFailure(t *testing.T) {
 	if seq != 2 {
 		t.Errorf("seq = %d, want 2", seq)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "alice.snap")); err != nil {
-		t.Errorf("snapshot not written after recovery: %v", err)
+	if _, err := os.Stat(snap); err != nil {
+		t.Errorf("segment not switched after recovery: %v", err)
 	}
 }
 
 // TestAppendReadOnlyDir covers the permission-denied shape of the same
 // failure. Root bypasses mode bits, so this variant is skipped there;
-// the Mkdir obstruction above keeps CI-as-root coverage.
+// the symlink obstruction above keeps CI-as-root coverage.
 func TestAppendReadOnlyDir(t *testing.T) {
 	if os.Geteuid() == 0 {
 		t.Skip("mode bits do not bind root")

@@ -2,19 +2,30 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"testing"
 )
+
+// writeFrame appends one frame holding payload to w, framed as the
+// store frames its records.
+func writeFrame(w io.Writer, payload []byte) error {
+	frame := append(make([]byte, frameHeaderLen), payload...)
+	sealFrame(frame)
+	_, err := w.Write(frame)
+	return err
+}
 
 // FuzzJournalRecover commits three frames with writeFrame — two
 // arbitrary payloads around a decodable record — then appends an
 // arbitrary tail, the shape a crash leaves behind. scanFrames must
 // return the committed payloads, byte-equal, as a prefix of its result;
 // the committed bytes cut at any offset must scan to a prefix of the
-// committed payloads; and lastGood must not panic and must find a
+// committed payloads; and scanSegment must not panic and must find a
 // record. The seed corpus (testdata/fuzz/FuzzJournalRecover) holds
 // clean logs, torn headers, bad CRCs and hostile lengths in the tail.
 func FuzzJournalRecover(f *testing.F) {
-	record, err := encodeRecord(SessionState{SessionID: "target", Seq: 7})
+	record, err := json.Marshal(SessionState{SessionID: "target", Seq: 7})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -36,8 +47,8 @@ func FuzzJournalRecover(f *testing.F) {
 		if got := scanFrames(cutLog); !isPrefix(got, committed) {
 			t.Fatalf("scan cut at %d = %q, want a prefix of %q", len(cutLog), got, committed)
 		}
-		if _, ok := lastGood(append(log, tail...)); !ok {
-			t.Fatal("lastGood found no record in a log with a committed one")
+		if !scanSegment(append(log, tail...)).ok {
+			t.Fatal("scanSegment found no record in a log with a committed one")
 		}
 	})
 }

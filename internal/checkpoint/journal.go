@@ -3,10 +3,10 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"sync"
 )
@@ -26,31 +26,56 @@ const (
 // into garbage and recovery stops at the previous good frame.
 var frameMagic = [2]byte{0xC5, 0x9E}
 
-// journal is the per-session durable state: an append-only frame log
-// plus a single-frame snapshot file maintained by compaction. All
-// operations serialize on mu.
+// journal is the per-session durable state: two append-only frame
+// segments, <id>.journal and <id>.snap, of which one is active and
+// open. Every snapshotEvery appends the journal switches: it opens the
+// other segment emptied, closes the active one and appends there from
+// then on. All operations serialize on mu.
 type journal struct {
-	mu       sync.Mutex
-	path     string
-	snapPath string
-	fsync    bool
+	mu    sync.Mutex
+	paths [2]string // the segments: <id>.journal, <id>.snap
+	fsync bool
 
-	f       *os.File // opened lazily for append
-	appends int      // appends since the last compaction
-	nextSeq uint64   // 0 = not yet recovered from disk
+	f       *os.File // the active segment; nil until the first append recovers
+	active  int      // index of the active segment in paths
+	appends int      // frames in the active segment
+	nextSeq uint64
 }
 
-// writeFrame appends one frame to w.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [frameHeaderLen]byte
-	copy(hdr[0:2], frameMagic[:])
-	binary.LittleEndian.PutUint32(hdr[2:6], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[6:10], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+// frameBuf builds one frame: the header's room, then the JSON payload,
+// so that a record goes out in one write.
+type frameBuf struct {
+	bytes.Buffer
+	enc *json.Encoder
+}
+
+// frameBufs lends frame buffers to appends, so that a record's frame
+// is built without allocating.
+var frameBufs = sync.Pool{New: func() any {
+	b := new(frameBuf)
+	b.enc = json.NewEncoder(&b.Buffer)
+	return b
+}}
+
+// frame encodes state as one frame, valid until b's next use.
+func (b *frameBuf) frame(state SessionState) ([]byte, error) {
+	b.Reset()
+	b.Write(make([]byte, frameHeaderLen))
+	if err := b.enc.Encode(state); err != nil {
+		return nil, fmt.Errorf("checkpoint: encode session %q: %w", state.SessionID, err)
 	}
-	_, err := w.Write(payload)
-	return err
+	frame := b.Bytes()[:b.Len()-1] // Encode ends the payload with a newline
+	sealFrame(frame)
+	return frame, nil
+}
+
+// sealFrame fills in the header at the front of frame for the payload
+// that follows it.
+func sealFrame(frame []byte) {
+	payload := frame[frameHeaderLen:]
+	copy(frame[0:2], frameMagic[:])
+	binary.LittleEndian.PutUint32(frame[2:6], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[6:10], crc32.ChecksumIEEE(payload))
 }
 
 // scanFrames reads frames from data until the first corrupt or
@@ -76,147 +101,133 @@ func scanFrames(data []byte) [][]byte {
 	return out
 }
 
-// lastGood decodes the newest valid record in a frame log, preferring
-// later frames (higher Seq) and skipping frames whose JSON is somehow
-// undecodable despite an intact CRC.
-func lastGood(data []byte) (SessionState, bool) {
-	frames := scanFrames(data)
-	for i := len(frames) - 1; i >= 0; i-- {
-		if state, err := decodeRecord(frames[i]); err == nil {
-			return state, true
-		}
-	}
-	return SessionState{}, false
+// segment is what recovery finds in one segment file.
+type segment struct {
+	newest SessionState // the newest decodable record, if ok
+	ok     bool
+	frames int // intact frames, undecodable ones included
+	intact int // bytes of the intact frames; the rest is a torn tail
+	size   int // bytes in the file
 }
 
-// recoverLocked establishes nextSeq from disk on first use.
-func (j *journal) recoverLocked() error {
-	if j.nextSeq != 0 {
+// scanSegment scans one segment's bytes. Later frames carry higher
+// Seqs, so the newest record is the last intact frame whose JSON
+// decodes.
+func scanSegment(data []byte) segment {
+	frames := scanFrames(data)
+	s := segment{frames: len(frames), size: len(data)}
+	for i := len(frames) - 1; i >= 0; i-- {
+		s.intact += frameHeaderLen + len(frames[i])
+		if !s.ok {
+			state, err := decodeRecord(frames[i])
+			s.newest, s.ok = state, err == nil
+		}
+	}
+	return s
+}
+
+// loadLocked scans both segments, a missing file as empty, and returns
+// them with the index of the one holding the newest record.
+func (j *journal) loadLocked() ([2]segment, int, error) {
+	var segs [2]segment
+	newest := 0
+	for i, p := range j.paths {
+		data, err := os.ReadFile(p)
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return [2]segment{}, 0, fmt.Errorf("checkpoint: read segment: %w", err)
+		}
+		segs[i] = scanSegment(data)
+		if segs[i].ok && (!segs[newest].ok || segs[i].newest.Seq > segs[newest].newest.Seq) {
+			newest = i
+		}
+	}
+	return segs, newest, nil
+}
+
+// openLocked recovers the session on first use. Appends go on in the
+// segment holding the newest record, cut back to its intact frames so
+// that no torn tail hides the frames written after it.
+func (j *journal) openLocked() error {
+	if j.f != nil {
 		return nil
 	}
-	state, err := j.loadLocked()
-	switch {
-	case err == nil:
-		j.nextSeq = state.Seq + 1
-	case errors.Is(err, ErrNoState):
-		j.nextSeq = 1
-	default:
+	segs, newest, err := j.loadLocked()
+	if err != nil {
 		return err
 	}
+	seg := segs[newest]
+	f, err := os.OpenFile(j.paths[newest], os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("checkpoint: open segment: %w", err)
+	}
+	if seg.size > seg.intact {
+		if err := f.Truncate(int64(seg.intact)); err != nil {
+			return fmt.Errorf("checkpoint: cut torn tail: %w", errors.Join(err, f.Close()))
+		}
+	}
+	j.f, j.active, j.appends, j.nextSeq = f, newest, seg.frames, seg.newest.Seq+1
 	return nil
 }
 
-// append writes one record, compacting every snapshotEvery appends. It
-// returns the assigned sequence number and the number of journal bytes
-// written. A compaction failure after a successful append returns the
-// assigned seq together with an error wrapping ErrCompaction: the
-// record IS durable in the journal, only snapshot promotion failed.
+// append writes one record in one write, switching segments every
+// snapshotEvery appends. It returns the assigned sequence number and
+// the number of bytes written. A failed switch after a successful
+// append returns the assigned seq together with an error wrapping
+// ErrCompaction: the record IS durable, and the next append retries.
 func (j *journal) append(state SessionState, snapshotEvery int) (uint64, int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.recoverLocked(); err != nil {
+	if err := j.openLocked(); err != nil {
 		return 0, 0, err
 	}
 	state.Seq = j.nextSeq
-
-	payload, err := encodeRecord(state)
+	buf := frameBufs.Get().(*frameBuf)
+	defer frameBufs.Put(buf)
+	frame, err := buf.frame(state)
 	if err != nil {
 		return 0, 0, err
 	}
-	if j.f == nil {
-		f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return 0, 0, fmt.Errorf("checkpoint: open journal: %w", err)
-		}
-		j.f = f
-	}
-	if err := writeFrame(j.f, payload); err != nil {
+	if _, err := j.f.Write(frame); err != nil {
 		return 0, 0, fmt.Errorf("checkpoint: append: %w", err)
 	}
 	if j.fsync {
 		if err := j.f.Sync(); err != nil {
-			return 0, 0, fmt.Errorf("checkpoint: sync journal: %w", err)
+			return 0, 0, fmt.Errorf("checkpoint: sync segment: %w", err)
 		}
 	}
-	written := frameHeaderLen + len(payload)
 	j.nextSeq++
 	j.appends++
 	if j.appends >= snapshotEvery {
-		if cerr := j.compactLocked(payload); cerr != nil {
-			return state.Seq, written, fmt.Errorf("%w: %w", ErrCompaction, cerr)
+		if err := j.switchLocked(); err != nil {
+			return state.Seq, len(frame), fmt.Errorf("%w: %w", ErrCompaction, err)
 		}
 	}
-	return state.Seq, written, nil
+	return state.Seq, len(frame), nil
 }
 
-// compactLocked promotes the given (newest) record payload into the
-// snapshot file atomically and restarts the journal. Called with j.mu
-// held and j.f open.
-func (j *journal) compactLocked(newest []byte) error {
-	tmp := j.snapPath + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+// switchLocked moves appends to the other segment, emptied on open. The
+// newest record is in the active segment, which is only closed, so the
+// emptied segment never held it.
+func (j *journal) switchLocked() error {
+	other := 1 - j.active
+	f, err := os.OpenFile(j.paths[other], os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("checkpoint: snapshot: %w", err)
+		return fmt.Errorf("checkpoint: switch segment: %w", err)
 	}
-	if err := writeFrame(f, newest); err != nil {
-		err = errors.Join(err, f.Close())
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: snapshot: %w", err)
-	}
-	if j.fsync {
-		if err := f.Sync(); err != nil {
-			err = errors.Join(err, f.Close())
-			os.Remove(tmp)
-			return fmt.Errorf("checkpoint: sync snapshot: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, j.snapPath); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: snapshot: %w", err)
-	}
-	// The snapshot now covers everything in the journal: restart it.
-	if err := j.f.Truncate(0); err != nil {
-		return fmt.Errorf("checkpoint: truncate journal: %w", err)
-	}
-	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("checkpoint: truncate journal: %w", err)
-	}
-	j.appends = 0
-	return nil
+	old := j.f
+	j.f, j.active, j.appends = f, other, 0
+	return old.Close()
 }
 
 // load recovers the newest intact record.
 func (j *journal) load() (SessionState, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.loadLocked()
-}
-
-func (j *journal) loadLocked() (SessionState, error) {
-	var best SessionState
-	var found bool
-	if data, err := os.ReadFile(j.path); err == nil {
-		if state, ok := lastGood(data); ok {
-			best, found = state, true
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return SessionState{}, fmt.Errorf("checkpoint: read journal: %w", err)
+	segs, newest, err := j.loadLocked()
+	if err == nil && !segs[newest].ok {
+		err = ErrNoState
 	}
-	if data, err := os.ReadFile(j.snapPath); err == nil {
-		if state, ok := lastGood(data); ok && (!found || state.Seq > best.Seq) {
-			best, found = state, true
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return SessionState{}, fmt.Errorf("checkpoint: read snapshot: %w", err)
-	}
-	if !found {
-		return SessionState{}, ErrNoState
-	}
-	return best, nil
+	return segs[newest].newest, err
 }
 
 // remove deletes both files and resets the handle.
@@ -225,17 +236,14 @@ func (j *journal) remove() error {
 	defer j.mu.Unlock()
 	var errs []error
 	if j.f != nil {
-		if err := j.f.Close(); err != nil {
-			errs = append(errs, err)
-		}
+		errs = append(errs, j.f.Close())
 		j.f = nil
 	}
-	for _, p := range []string{j.path, j.snapPath} {
+	for _, p := range j.paths {
 		if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
 			errs = append(errs, err)
 		}
 	}
-	j.appends, j.nextSeq = 0, 0
 	return errors.Join(errs...)
 }
 

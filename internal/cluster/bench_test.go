@@ -46,12 +46,12 @@ func BenchmarkClusterHandoff(b *testing.B) {
 // BenchmarkClusterSessions measures a 3-node cluster tracking 60
 // Kalman sessions — the steady-state cost of the session tier. An op
 // is one whole cycle of cycleRounds pump rounds: a checkpoint runs
-// every 4th round and a journal compacts every 8th append, so every op
-// does the same work, and rounds/op lets a gate divide allocs/op down
-// to one round. One cycle runs before the timer, so every session has
-// had its first fix, checkpoint and compaction (which open its journal
-// and snapshot files): counted in the timed run, those would move
-// allocs/op with b.N.
+// every 4th round and a journal switches segments every 8th append, so
+// every op does the same work, and rounds/op lets a gate divide
+// allocs/op down to one round. One cycle runs before the timer, so
+// every session has had its first fix, checkpoint and segment switch
+// (which create its two segment files): counted in the timed run, those
+// would move allocs/op with b.N.
 func BenchmarkClusterSessions(b *testing.B) {
 	const cycleRounds = 32
 	ids := []string{"n1", "n2", "n3"}

@@ -17,8 +17,8 @@ type CheckpointDef struct {
 	// EveryMS checkpoints running sessions on this period; 0 keeps only
 	// evict-time and manual checkpoints.
 	EveryMS int `json:"every_ms,omitempty"`
-	// SnapshotEvery compacts a session's journal into a snapshot after
-	// this many appends (0 = store default).
+	// SnapshotEvery switches a session's checkpoints to its other
+	// segment after this many appends (0 = store default).
 	SnapshotEvery int `json:"snapshot_every,omitempty"`
 	// Fsync forces an fsync after every journal append — maximum
 	// durability, at a throughput cost.

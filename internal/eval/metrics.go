@@ -160,9 +160,6 @@ func (r Result) Table() string {
 // f1 formats a float with one decimal.
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 
-// f2 formats a float with two decimals.
-func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
-
 // pct formats a fraction as a percentage.
 func pct(v float64) string { return fmt.Sprintf("%.0f%%", v*100) }
 

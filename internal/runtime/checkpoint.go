@@ -64,9 +64,9 @@ func (m *Manager) Checkpoints() *checkpoint.Store { return m.cfg.Checkpoints }
 // ResumeSession rebuilds the target's session from its newest durable
 // checkpoint: the blueprint is instantiated into a fresh, structurally
 // current graph, then component state, logical clocks and the
-// provider's availability are rehydrated. A torn journal tail is
+// provider's availability are rehydrated. A torn segment tail is
 // transparently skipped by the store (recovery falls back to the last
-// intact record or the snapshot file). Returns the live session
+// intact record in either segment). Returns the live session
 // unchanged when the target is already tracked, and
 // checkpoint.ErrNoState when nothing durable exists for it.
 func (m *Manager) ResumeSession(id string) (*Session, error) {
