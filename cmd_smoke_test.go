@@ -107,6 +107,16 @@ func readFile(t *testing.T, path string) string {
 	return string(data)
 }
 
+// matchGolden fails t unless out equals testdata/golden/name, which
+// holds the command's output as run from the repository root, e.g.
+// go run ./cmd/perpos-inspect -dot > testdata/golden/perpos-inspect-dot.txt
+func matchGolden(t *testing.T, name, out string) {
+	t.Helper()
+	if want := readFile(t, filepath.Join("testdata", "golden", name)); out != want {
+		t.Errorf("output differs from testdata/golden/%s:\n--- got\n%s--- want\n%s", name, out, want)
+	}
+}
+
 // dropLines removes the lines of text that contain substr.
 func dropLines(text, substr string) string {
 	var kept []string
@@ -155,6 +165,25 @@ func TestBinariesSmoke(t *testing.T) {
 			t.Errorf("perpos-run output not deterministic:\n--- first\n%s--- second\n%s", first, again)
 		}
 	})
+
+	// The default mode runs eval.BuildFig2's fusion pipeline.
+	t.Run("perpos-run-fusion", func(t *testing.T) {
+		matchGolden(t, "perpos-run-fusion.txt", runBin(t, bins["perpos-run"]))
+	})
+
+	// -config builds a definition through config.Loader; declarative.json
+	// exercises its registry resolution. Seed 1 (the default).
+	for _, def := range []string{"roomnumber", "gps-pipeline", "declarative"} {
+		def := def
+		t.Run("perpos-run-config-"+def, func(t *testing.T) {
+			args := []string{"-config", "examples/configs/" + def + ".json"}
+			first := runBin(t, bins["perpos-run"], args...)
+			if again := runBin(t, bins["perpos-run"], args...); again != first {
+				t.Errorf("perpos-run %v output not deterministic:\n--- first\n%s--- second\n%s", args, first, again)
+			}
+			matchGolden(t, "perpos-run-config-"+def+".txt", first)
+		})
+	}
 
 	t.Run("perpos-run-targets", func(t *testing.T) {
 		out := runBinIn(t, t.TempDir(), bins["perpos-run"], "-targets", "3", "-seed", "5")
@@ -320,6 +349,14 @@ func TestBinariesSmoke(t *testing.T) {
 				t.Errorf("trace output missing %q:\n%s", want, out)
 			}
 		}
+	})
+
+	t.Run("perpos-inspect", func(t *testing.T) {
+		matchGolden(t, "perpos-inspect.txt", runBin(t, bins["perpos-inspect"]))
+	})
+
+	t.Run("perpos-inspect-dot", func(t *testing.T) {
+		matchGolden(t, "perpos-inspect-dot.txt", runBin(t, bins["perpos-inspect"], "-dot"))
 	})
 
 	t.Run("perpos-bench-gate", func(t *testing.T) {

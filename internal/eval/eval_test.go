@@ -2,6 +2,8 @@ package eval
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -87,6 +89,20 @@ func TestResultTable(t *testing.T) {
 	}
 }
 
+// matchTable fails t unless r's table, as perpos-bench -e prints it,
+// equals testdata/<ID>.txt. Regenerate a table from the repository root
+// with go run ./cmd/perpos-bench -e E1 > internal/eval/testdata/E1.txt
+func matchTable(t *testing.T, r Result) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", r.ID+".txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Table() + "\n"; got != string(want) {
+		t.Errorf("%s table differs from testdata/%s.txt:\n--- got\n%s--- want\n%s", r.ID, r.ID, got, want)
+	}
+}
+
 func getRow(t *testing.T, r Result, key string) []string {
 	t.Helper()
 	for _, row := range r.Rows {
@@ -126,6 +142,7 @@ func TestRunE1Shape(t *testing.T) {
 	if roomAcc < 50 {
 		t.Errorf("room accuracy = %v%%, want >= 50%%", roomAcc)
 	}
+	matchTable(t, r)
 	t.Log("\n" + r.Table())
 }
 
@@ -137,6 +154,7 @@ func TestRunE2Shape(t *testing.T) {
 	if len(r.Notes) != 0 {
 		t.Errorf("structure mismatches: %v", r.Notes)
 	}
+	matchTable(t, r)
 	t.Log("\n" + r.Table())
 }
 
@@ -153,6 +171,7 @@ func TestRunE3Shape(t *testing.T) {
 	if raws < 2 {
 		t.Errorf("raw strings per tree = %v, want >= 2 (GGA+RMC+GSA grouped)", raws)
 	}
+	matchTable(t, r)
 	t.Log("\n" + r.Table())
 }
 
@@ -174,6 +193,7 @@ func TestRunE4Shape(t *testing.T) {
 	if parseF(t, withRow[2]) != 0 {
 		t.Errorf("low-sat fixes leaked: %s", withRow[2])
 	}
+	matchTable(t, r)
 	t.Log("\n" + r.Table())
 }
 
@@ -210,6 +230,15 @@ func TestRunE5Shape(t *testing.T) {
 	if !sawSeries {
 		t.Error("no series emitted with Series=true")
 	}
+	// perpos-bench -e E5 prints the table without the series.
+	plain := r
+	plain.Notes = nil
+	for _, n := range r.Notes {
+		if !strings.HasPrefix(n, "series:") {
+			plain.Notes = append(plain.Notes, n)
+		}
+	}
+	matchTable(t, plain)
 	t.Log("\n" + r.Table())
 }
 
@@ -237,6 +266,7 @@ func TestRunE6Shape(t *testing.T) {
 		}
 		prevJ = j
 	}
+	matchTable(t, r)
 	t.Log("\n" + r.Table())
 }
 
@@ -303,6 +333,7 @@ func TestRunE9Shape(t *testing.T) {
 	if hmmTrans >= rawTrans/2 {
 		t.Errorf("HMM transitions %v not well below classifier flicker %v", hmmTrans, rawTrans)
 	}
+	matchTable(t, r)
 	t.Log("\n" + r.Table())
 }
 
