@@ -50,11 +50,11 @@
 // supervision for -targets) and fusion-upgrade.json for the rollout.
 // Each demo binds a smaller seeded particle filter per session.
 //
-// Configurations given with -config (see internal/config) may reference
-// two pre-built instances: "gps" (a receiver on a commute trace) and
-// "app" (a printing sink), plus every component type in
-// internal/catalog and the features "satellites", "hdop" and
-// "parser-stats".
+// Configurations given with -config (see internal/config) may declare
+// three placeholders, which perpos-run binds: "gps" (a receiver on a
+// commute trace), "wifi" (a WiFi sensor on the same trace) and "app" (a
+// printing sink), plus every component type in internal/catalog and the
+// features "satellites", "hdop" and "parser-stats".
 package main
 
 import (
@@ -77,7 +77,6 @@ import (
 	"perpos/internal/cluster"
 	"perpos/internal/config"
 	"perpos/internal/core"
-	"perpos/internal/energy"
 	"perpos/internal/eval"
 	"perpos/internal/filter"
 	"perpos/internal/geo"
@@ -213,20 +212,34 @@ func runConfigured(path string, seed int64, maxLines int) error {
 			fmt.Printf("%v %v\n", s.Kind, s.Payload)
 		}))
 	loader := &config.Loader{
-		Registry: reg,
-		Instances: map[string]core.Component{
-			"gps":  gps.NewReceiver("gps", tr, gps.Config{Seed: seed + 2, ColdStart: 2 * time.Second}),
-			"wifi": wifi.NewSensor("wifi", network, tr, 2*time.Second, seed+3),
-			"app":  sink,
-		},
+		Registry:  reg,
+		Instances: map[string]core.Component{},
 		Features: map[string]func() core.Feature{
 			"satellites":   func() core.Feature { return gps.NewSatellitesFeature() },
 			"hdop":         func() core.Feature { return gps.NewHDOPFeature() },
 			"parser-stats": func() core.Feature { return gps.NewStatsFeature() },
 		},
 	}
-	g := core.New()
-	if err := loader.Build(g, p); err != nil {
+	// The placeholders a definition may declare; each binding is
+	// optional (roomnumber.json has no gps slot). A resolving
+	// definition's probe gets a stand-in of each.
+	var bindings []core.InstantiateOption
+	for id, factory := range map[string]core.ComponentFactory{
+		"gps": func(id string) core.Component {
+			return gps.NewReceiver(id, tr, gps.Config{Seed: seed + 2, ColdStart: 2 * time.Second})
+		},
+		"wifi": func(id string) core.Component { return wifi.NewSensor(id, network, tr, 2*time.Second, seed+3) },
+		"app":  func(string) core.Component { return sink },
+	} {
+		loader.Instances[id] = factory(id)
+		bindings = append(bindings, core.WithOptionalOverride(id, factory))
+	}
+	bp, err := loader.Blueprint(p)
+	if err != nil {
+		return err
+	}
+	g, err := bp.Instantiate(bindings...)
+	if err != nil {
 		return err
 	}
 	if err := g.Validate(); err != nil {
@@ -546,7 +559,7 @@ func runRules(path string, seed int64, hub *obs.Metrics) error {
 	b := building.Evaluation()
 	network := wifi.DefaultDeployment(b)
 	db := wifi.Survey(network, 0, wifi.SurveyConfig{Seed: seed + 1, GridStep: 4})
-	loader, err := fusionLoader(b, db)
+	loader, err := eval.FusionLoader(b, db)
 	if err != nil {
 		return err
 	}
@@ -839,27 +852,10 @@ func runRollout(seed int64, fail bool, hub *obs.Metrics) error {
 	return nil
 }
 
-// fusionLoader resolves the shipped fusion definitions against the
-// standard registry over the building and WiFi survey, with the two
-// features they name.
-func fusionLoader(b *building.Building, db *wifi.Database) (*config.Loader, error) {
-	reg, err := catalog.Standard(catalog.Deps{Building: b, Database: db})
-	if err != nil {
-		return nil, err
-	}
-	return &config.Loader{
-		Registry: reg,
-		Features: map[string]func() core.Feature{
-			"hdop":     func() core.Feature { return gps.NewHDOPFeature() },
-			"periodic": func() core.Feature { return energy.NewPeriodicStrategy(5*time.Second, time.Second) },
-		},
-	}, nil
-}
-
 // fusionPipeline parses the embedded definition name and returns it
 // with its loader.
 func fusionPipeline(b *building.Building, db *wifi.Database, name string) (*config.Loader, config.Pipeline, error) {
-	loader, err := fusionLoader(b, db)
+	loader, err := eval.FusionLoader(b, db)
 	if err != nil {
 		return nil, config.Pipeline{}, err
 	}
@@ -918,69 +914,23 @@ func runGPS(seed int64, maxLines int) error {
 }
 
 func runRoomNumber(seed int64, maxLines int) error {
-	b := building.Evaluation()
-	tr := trace.Commute(b, seed, 150, 500*time.Millisecond)
-	network := wifi.DefaultDeployment(b)
-	db := wifi.Survey(network, 0, wifi.SurveyConfig{Seed: seed + 1})
-
-	g := core.New()
-	comps := []core.Component{
-		gps.NewReceiver("gps", tr, gps.Config{Seed: seed + 2, ColdStart: 2 * time.Second}),
-		gps.NewParser("parser"),
-		gps.NewInterpreter("interpreter", 0),
-		wifi.NewSensor("wifi", network, tr, 2*time.Second, seed+3),
-		wifi.NewEngine("positioning", db, b, 3),
-		wifi.NewResolver("resolver", b),
-	}
-	for _, c := range comps {
-		if _, err := g.Add(c); err != nil {
-			return err
-		}
-	}
-
 	printed := 0
-	app := &core.FuncComponent{
-		CompID: "app",
-		CompSpec: core.Spec{
-			Name: "RoomNumberApp",
-			Inputs: []core.PortSpec{
-				{Name: "gps", Accepts: []core.Kind{positioning.KindPosition}},
-				{Name: "room", Accepts: []core.Kind{positioning.KindRoom}},
-			},
-		},
-		Fn: func(port int, in core.Sample, _ core.Emit) error {
-			if maxLines > 0 && printed >= maxLines {
-				return nil
-			}
-			printed++
-			switch port {
-			case 0:
-				fmt.Printf("map point: %v\n", in.Payload.(positioning.Position))
-			case 1:
-				fmt.Printf("room: %s\n", in.Payload.(string))
-			}
-			return nil
-		},
-	}
-	if _, err := g.Add(app); err != nil {
+	g, _, err := eval.BuildFig1(seed, 150, func(port int, in core.Sample) {
+		if maxLines > 0 && printed >= maxLines {
+			return
+		}
+		printed++
+		switch port {
+		case 0:
+			fmt.Printf("map point: %v\n", in.Payload.(positioning.Position))
+		case 1:
+			fmt.Printf("room: %s\n", in.Payload.(string))
+		}
+	})
+	if err != nil {
 		return err
 	}
-	for _, c := range []struct {
-		from, to string
-		port     int
-	}{
-		{"gps", "parser", 0},
-		{"parser", "interpreter", 0},
-		{"interpreter", "app", 0},
-		{"wifi", "positioning", 0},
-		{"positioning", "resolver", 0},
-		{"resolver", "app", 1},
-	} {
-		if err := g.Connect(c.from, c.to, c.port); err != nil {
-			return err
-		}
-	}
-	_, err := g.Run(0)
+	_, err = g.Run(0)
 	return err
 }
 

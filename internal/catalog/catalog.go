@@ -131,27 +131,7 @@ func Standard(deps Deps) (*registry.Registry, error) {
 // "gps" source and "app" sink are placeholders bound per instantiation
 // (core.WithComponentOverride) — one tracked target, one instance.
 func GPSBlueprint() (*core.Blueprint, error) {
-	bp := core.NewBlueprint()
-	steps := []struct {
-		id      string
-		factory core.ComponentFactory
-	}{
-		{"gps", nil},
-		{"parser", func(id string) core.Component { return gps.NewParser(id) }},
-		{"interpreter", func(id string) core.Component { return gps.NewInterpreter(id, 0) }},
-		{"app", nil},
-	}
-	for _, s := range steps {
-		if err := bp.AddComponent(s.id, s.factory); err != nil {
-			return nil, fmt.Errorf("catalog: %w", err)
-		}
-	}
-	for i := 1; i < len(steps); i++ {
-		if err := bp.Connect(steps[i-1].id, steps[i].id, 0); err != nil {
-			return nil, fmt.Errorf("catalog: %w", err)
-		}
-	}
-	return bp, nil
+	return gpsChain()
 }
 
 // KalmanBlueprint returns the GPS tracking pipeline with a Kalman
@@ -162,17 +142,25 @@ func GPSBlueprint() (*core.Blueprint, error) {
 // proj (optional) projects global-only fixes into a local metric frame;
 // processNoise <= 0 uses the pedestrian default.
 func KalmanBlueprint(proj *geo.Projection, processNoise float64) (*core.Blueprint, error) {
-	bp := core.NewBlueprint()
-	steps := []struct {
-		id      string
-		factory core.ComponentFactory
-	}{
+	return gpsChain(stage{"kalman", func(id string) core.Component { return filter.NewKalmanFilter(id, processNoise, proj) }})
+}
+
+// stage is one component slot of a chain blueprint.
+type stage struct {
+	id      string
+	factory core.ComponentFactory
+}
+
+// gpsChain wires the GPS chain gps -> parser -> interpreter, then the
+// given stages, then app, each into port 0 of the next.
+func gpsChain(stages ...stage) (*core.Blueprint, error) {
+	steps := append([]stage{
 		{"gps", nil},
 		{"parser", func(id string) core.Component { return gps.NewParser(id) }},
 		{"interpreter", func(id string) core.Component { return gps.NewInterpreter(id, 0) }},
-		{"kalman", func(id string) core.Component { return filter.NewKalmanFilter(id, processNoise, proj) }},
-		{"app", nil},
-	}
+	}, stages...)
+	steps = append(steps, stage{"app", nil})
+	bp := core.NewBlueprint()
 	for _, s := range steps {
 		if err := bp.AddComponent(s.id, s.factory); err != nil {
 			return nil, fmt.Errorf("catalog: %w", err)

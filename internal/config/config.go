@@ -1,11 +1,12 @@
-// Package config assembles processing graphs from declarative JSON
-// pipeline definitions — the paper's third wiring mechanism:
-// connections "established either by direct calls to the graph
-// manipulation API, based on explicitly defined system level
-// configurations or through dynamic resolution of dependencies"
-// (§2.1). This package is the middle one; it composes with the other
-// two (pre-built instances are passed in, and leftover open ports can
-// be handed to the registry resolver).
+// Package config reifies declarative JSON pipeline definitions into
+// blueprints — the paper's third wiring mechanism: connections
+// "established either by direct calls to the graph manipulation API,
+// based on explicitly defined system level configurations or through
+// dynamic resolution of dependencies" (§2.1). This package is the
+// middle one, and it ends where the other two do: in one core.Blueprint
+// (or core.BlueprintSet) that callers instantiate. Open input ports a
+// definition leaves can be handed to the registry resolver, which runs
+// once, into the blueprint.
 package config
 
 import (
@@ -23,8 +24,8 @@ var (
 	// ErrUnknownType indicates a component type absent from the
 	// registry.
 	ErrUnknownType = errors.New("config: unknown component type")
-	// ErrUnknownInstance indicates an instance ID absent from the
-	// loader's instances map.
+	// ErrUnknownInstance indicates a placeholder the resolver must probe
+	// that has no stand-in in the loader's Instances.
 	ErrUnknownInstance = errors.New("config: unknown instance")
 	// ErrUnknownFeature indicates a feature name without a factory.
 	ErrUnknownFeature = errors.New("config: unknown feature")
@@ -35,9 +36,9 @@ type Pipeline struct {
 	// Name labels the pipeline.
 	Name string `json:"name"`
 	// Components to place in the graph. A component with a Type is
-	// instantiated from the registry; one without refers to a pre-built
-	// instance supplied to the Loader (sensors bound to hardware,
-	// application sinks).
+	// instantiated from the registry; one without is a placeholder that
+	// each instantiation binds (sensors bound to hardware, application
+	// sinks) with core.WithComponentOverride.
 	Components []ComponentDef `json:"components"`
 	// Connections wires output ports to input ports.
 	Connections []ConnectionDef `json:"connections"`
@@ -64,8 +65,8 @@ type Pipeline struct {
 	// becomes one revision of a core.BlueprintSet, in order — revision 1
 	// first. When set, the top-level Components/Connections/Features are
 	// ignored by BlueprintSet and Manager; same-ID slots with the same
-	// type (or the same instance binding) are identity-tagged, so
-	// migrations between revisions keep their live instances and state.
+	// type (or both placeholders) match, so migrations between
+	// revisions keep their live instances and state.
 	Revisions []RevisionDef `json:"revisions,omitempty"`
 	// InitialRevision selects the revision new sessions start on
 	// (0 = latest). Only meaningful with Revisions.
@@ -120,77 +121,31 @@ func Parse(r io.Reader) (Pipeline, error) {
 	return p, nil
 }
 
-// Loader builds graphs and blueprints from pipeline definitions.
+// Loader makes blueprints from pipeline definitions.
 type Loader struct {
 	// Registry supplies component types (may be nil if every component
-	// is a pre-built instance).
+	// is a placeholder).
 	Registry *registry.Registry
-	// Instances are pre-built components referenced by ID when a
-	// ComponentDef has no Type. They are single components bound to one
-	// graph — usable by Build, and by Blueprint only as resolution
-	// stand-ins.
+	// Instances holds stand-ins for placeholders, which the resolution
+	// probe of a pipeline with Resolve needs for their specs. A stand-in
+	// joins only that throwaway probe graph, never an instance.
 	Instances map[string]core.Component
-	// InstanceFactories supplies per-instantiation factories for
-	// ComponentDefs without a Type, so blueprints built from the
-	// pipeline can be instantiated many times. Takes precedence over
-	// Instances.
-	InstanceFactories map[string]core.ComponentFactory
 	// Features maps feature names to factories.
 	Features map[string]func() core.Feature
 }
 
-// Build places, wires and augments the pipeline into g.
-func (l *Loader) Build(g *core.Graph, p Pipeline) error {
-	for _, def := range p.Components {
-		comp, err := l.instantiate(def)
-		if err != nil {
-			return err
-		}
-		if _, err := g.Add(comp); err != nil {
-			return fmt.Errorf("config: add %q: %w", def.ID, err)
-		}
-	}
-	for _, def := range p.Features {
-		factory, ok := l.Features[def.Feature]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrUnknownFeature, def.Feature)
-		}
-		node, ok := g.Node(def.Component)
-		if !ok {
-			return fmt.Errorf("config: feature %q: component %q not in graph", def.Feature, def.Component)
-		}
-		if err := node.AttachFeature(factory()); err != nil {
-			return fmt.Errorf("config: attach %q to %q: %w", def.Feature, def.Component, err)
-		}
-	}
-	for _, c := range p.Connections {
-		if err := g.Connect(c.From, c.To, c.Port); err != nil {
-			return fmt.Errorf("config: connect %s -> %s:%d: %w", c.From, c.To, c.Port, err)
-		}
-	}
-	if p.Resolve {
-		if l.Registry == nil {
-			return fmt.Errorf("config: pipeline requests resolution but loader has no registry")
-		}
-		if _, err := l.Registry.Resolve(g); err != nil {
-			return fmt.Errorf("config: resolve: %w", err)
-		}
-	}
-	return nil
-}
-
 // Blueprint reifies the pipeline definition into a reusable
-// core.Blueprint instead of one live graph: declared components become
-// factory slots (registry factories for typed defs, InstanceFactories
-// for instance defs, placeholders otherwise), and — when the pipeline
-// requests Resolve — registry dependency resolution runs ONCE against a
-// probe instance, with the resolved component set and wiring recorded
-// in the blueprint. Every later Instantiate replays the resolved
-// structure with fresh component instances and pays no resolution cost.
+// core.Blueprint: declared components become factory slots (registry
+// factories for typed defs, placeholders otherwise), and — when the
+// pipeline requests Resolve — registry dependency resolution runs ONCE
+// against a probe instance, with the resolved component set and wiring
+// recorded in the blueprint. Every later Instantiate replays the
+// resolved structure with fresh component instances and pays no
+// resolution cost.
 //
-// Placeholder slots (no Type, no InstanceFactory) must be filled per
-// instantiation with core.WithComponentOverride; when the pipeline
-// needs resolution, a probe stand-in is taken from Instances.
+// Placeholder slots must be filled per instantiation with
+// core.WithComponentOverride; when the pipeline needs resolution, a
+// probe stand-in is taken from Instances.
 func (l *Loader) Blueprint(p Pipeline) (*core.Blueprint, error) {
 	return l.buildBlueprint(layout{p.Components, p.Connections, p.Features, p.Resolve})
 }
@@ -198,10 +153,11 @@ func (l *Loader) Blueprint(p Pipeline) (*core.Blueprint, error) {
 // BlueprintSet reifies a versioned pipeline definition into a named
 // core.BlueprintSet: each RevisionDef becomes one frozen revision, in
 // declared order. A definition without Revisions yields a
-// single-revision set wrapping Blueprint(p). Slots are identity-tagged
-// by their registry type (or instance binding) and features by their
-// factory name, so a revision diff sees structurally identical slots as
-// Unchanged — the property migrations rely on to carry live state.
+// single-revision set wrapping Blueprint(p). Typed slots are
+// identity-tagged by their registry type and features by their factory
+// name, and two placeholders with one ID always match, so a revision
+// diff sees structurally identical slots as Unchanged — the property
+// migrations rely on to carry live state.
 func (l *Loader) BlueprintSet(p Pipeline) (*core.BlueprintSet, error) {
 	name := p.Name
 	if name == "" {
@@ -259,8 +215,6 @@ func (l *Loader) buildBlueprint(p layout) (*core.Blueprint, error) {
 			// Every typed slot shares this one closure literal, so factory
 			// pointer identity cannot distinguish types — the tag does.
 			slots = append(slots, slot{id: def.ID, tag: "type:" + def.Type, factory: func(id string) core.Component { return reg.New(id) }})
-		case l.InstanceFactories[def.ID] != nil:
-			slots = append(slots, slot{id: def.ID, tag: "instance:" + def.ID, factory: l.InstanceFactories[def.ID]})
 		default:
 			slots = append(slots, slot{id: def.ID, factory: nil})
 		}
@@ -365,22 +319,4 @@ func (l *Loader) probeComponent(id string, factory core.ComponentFactory) (core.
 		return comp, nil
 	}
 	return nil, fmt.Errorf("%w: %q (resolution needs an instance or factory as probe)", ErrUnknownInstance, id)
-}
-
-func (l *Loader) instantiate(def ComponentDef) (core.Component, error) {
-	if def.Type == "" {
-		comp, ok := l.Instances[def.ID]
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownInstance, def.ID)
-		}
-		return comp, nil
-	}
-	if l.Registry == nil {
-		return nil, fmt.Errorf("%w: %q (loader has no registry)", ErrUnknownType, def.Type)
-	}
-	reg, ok := l.Registry.Lookup(def.Type)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownType, def.Type)
-	}
-	return reg.New(def.ID), nil
 }

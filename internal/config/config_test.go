@@ -2,6 +2,7 @@ package config
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -37,25 +38,52 @@ const fig1JSON = `{
   ]
 }`
 
+// newLoader returns a loader over the standard registry, whose
+// Instances hold the stand-ins a resolution probe needs for the gps and
+// app placeholders, and the sink that bindings binds as app.
 func newLoader(t *testing.T) (*Loader, *core.Sink) {
 	t.Helper()
 	reg, err := catalog.Standard(catalog.Deps{Building: building.Evaluation()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.OutdoorTrack(testOrigin, 1, 2, 100, 1.4, time.Second)
 	sink := core.NewSink("app", []core.Kind{positioning.KindPosition})
 	return &Loader{
 		Registry: reg,
 		Instances: map[string]core.Component{
-			"gps": gps.NewReceiver("gps", tr, gps.Config{Seed: 2, ColdStart: time.Second}),
-			"app": sink,
+			"gps": newReceiver("gps"),
+			"app": core.NewSink("app", []core.Kind{positioning.KindPosition}),
 		},
 		Features: map[string]func() core.Feature{
 			"satellites": func() core.Feature { return gps.NewSatellitesFeature() },
 			"hdop":       func() core.Feature { return gps.NewHDOPFeature() },
 		},
 	}, sink
+}
+
+// newReceiver is the test's GPS source: a receiver on an outdoor track.
+func newReceiver(id string) core.Component {
+	tr := trace.OutdoorTrack(testOrigin, 1, 2, 100, 1.4, time.Second)
+	return gps.NewReceiver(id, tr, gps.Config{Seed: 2, ColdStart: time.Second})
+}
+
+// bindings binds the gps and app placeholders, where a blueprint has
+// them: a fresh receiver per instance, and sink as the app.
+func bindings(sink *core.Sink) []core.InstantiateOption {
+	return []core.InstantiateOption{
+		core.WithOptionalOverride("gps", newReceiver),
+		core.WithOptionalOverride("app", func(string) core.Component { return sink }),
+	}
+}
+
+// instantiate makes one graph of p the way every caller does: the
+// loader's blueprint, instantiated with bindings(sink).
+func instantiate(l *Loader, p Pipeline, sink *core.Sink) (*core.Graph, error) {
+	bp, err := l.Blueprint(p)
+	if err != nil {
+		return nil, err
+	}
+	return bp.Instantiate(bindings(sink)...)
 }
 
 func TestParseAndBuildFig1(t *testing.T) {
@@ -68,8 +96,8 @@ func TestParseAndBuildFig1(t *testing.T) {
 	}
 
 	loader, sink := newLoader(t)
-	g := core.New()
-	if err := loader.Build(g, p); err != nil {
+	g, err := instantiate(loader, p, sink)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Validate(); err != nil {
@@ -108,8 +136,8 @@ func TestBuildWithResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	loader, sink := newLoader(t)
-	g := core.New()
-	if err := loader.Build(g, p); err != nil {
+	g, err := instantiate(loader, p, sink)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Validate(); err != nil {
@@ -123,36 +151,21 @@ func TestBuildWithResolution(t *testing.T) {
 	}
 }
 
-// blueprintLoader is newLoader plus per-instantiation factories, so
-// blueprints built from the pipeline can be instantiated repeatedly.
-func blueprintLoader(t *testing.T) *Loader {
-	t.Helper()
-	loader, _ := newLoader(t)
-	tr := trace.OutdoorTrack(testOrigin, 1, 2, 100, 1.4, time.Second)
-	loader.InstanceFactories = map[string]core.ComponentFactory{
-		"gps": func(id string) core.Component {
-			return gps.NewReceiver(id, tr, gps.Config{Seed: 2, ColdStart: time.Second})
-		},
-		"app": func(id string) core.Component {
-			return core.NewSink(id, []core.Kind{positioning.KindPosition})
-		},
-	}
-	return loader
-}
-
 func TestBlueprintFromPipeline(t *testing.T) {
 	p, err := Parse(strings.NewReader(fig1JSON))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp, err := blueprintLoader(t).Blueprint(p)
+	loader, _ := newLoader(t)
+	bp, err := loader.Blueprint(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Two independent instances from one declaration.
 	for i := 0; i < 2; i++ {
-		g, err := bp.Instantiate()
+		sink := core.NewSink("app", []core.Kind{positioning.KindPosition})
+		g, err := bp.Instantiate(bindings(sink)...)
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
@@ -166,8 +179,7 @@ func TestBlueprintFromPipeline(t *testing.T) {
 		if _, err := g.Run(0); err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
-		appNode, _ := g.Node("app")
-		if appNode.Component().(*core.Sink).Len() == 0 {
+		if sink.Len() == 0 {
 			t.Fatalf("instance %d delivered nothing", i)
 		}
 	}
@@ -186,7 +198,8 @@ func TestBlueprintResolutionRunsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp, err := blueprintLoader(t).Blueprint(p)
+	loader, sink := newLoader(t)
+	bp, err := loader.Blueprint(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,21 +207,34 @@ func TestBlueprintResolutionRunsOnce(t *testing.T) {
 		t.Fatalf("blueprint has %d components, want endpoints plus resolved chain", got)
 	}
 
-	// The resolved blueprint matches the structure Build produces.
-	loader, _ := newLoader(t)
+	// The resolved blueprint matches what the resolver makes of a
+	// hand-built probe: the same components in the same order, and the
+	// same edges.
 	reference := core.New()
-	if err := loader.Build(reference, p); err != nil {
+	for _, c := range []core.Component{newReceiver("gps"), core.NewSink("app", []core.Kind{positioning.KindPosition})} {
+		if _, err := reference.Add(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := loader.Registry.Resolve(reference); err != nil {
 		t.Fatal(err)
 	}
-	g, err := bp.Instantiate()
+	g, err := bp.Instantiate(bindings(sink)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(g.Nodes()), len(reference.Nodes()); got != want {
-		t.Errorf("instance has %d components, reference Build has %d", got, want)
+	nodeIDs := func(g *core.Graph) []string {
+		var ids []string
+		for _, n := range g.Nodes() {
+			ids = append(ids, n.ID())
+		}
+		return ids
 	}
-	if got, want := len(g.Edges()), len(reference.Edges()); got != want {
-		t.Errorf("instance has %d edges, reference Build has %d", got, want)
+	if got, want := nodeIDs(g), nodeIDs(reference); !reflect.DeepEqual(got, want) {
+		t.Errorf("instance components = %v, resolved probe has %v", got, want)
+	}
+	if got, want := g.Edges(), reference.Edges(); !reflect.DeepEqual(got, want) {
+		t.Errorf("instance edges = %v, resolved probe has %v", got, want)
 	}
 
 	if err := g.Validate(); err != nil {
@@ -217,13 +243,12 @@ func TestBlueprintResolutionRunsOnce(t *testing.T) {
 	if _, err := g.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	appNode, _ := g.Node("app")
-	if appNode.Component().(*core.Sink).Len() == 0 {
+	if sink.Len() == 0 {
 		t.Error("resolved blueprint instance delivered nothing")
 	}
 
 	// A second instance is independent and works too.
-	g2, err := bp.Instantiate()
+	g2, err := bp.Instantiate(bindings(core.NewSink("app", []core.Kind{positioning.KindPosition}))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +258,8 @@ func TestBlueprintResolutionRunsOnce(t *testing.T) {
 }
 
 func TestBlueprintPlaceholders(t *testing.T) {
-	// Without InstanceFactories, untyped defs become placeholders bound
-	// at instantiation time — the runtime's per-target source hook.
+	// Untyped defs become placeholders bound at instantiation time —
+	// the runtime's per-target source hook.
 	p, err := Parse(strings.NewReader(fig1JSON))
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +295,7 @@ func TestBlueprintPlaceholders(t *testing.T) {
 }
 
 func TestBuildErrors(t *testing.T) {
-	loader, _ := newLoader(t)
+	loader, sink := newLoader(t)
 
 	tests := []struct {
 		name string
@@ -283,8 +308,16 @@ func TestBuildErrors(t *testing.T) {
 			ErrUnknownType,
 		},
 		{
+			// An untyped def is a placeholder: the blueprint takes it, and
+			// an instantiation that binds nothing to it fails.
 			"unknown instance",
 			`{"components": [{"id": "ghost"}]}`,
+			core.ErrOverrideRequired,
+		},
+		{
+			// Resolution probes every placeholder through a stand-in.
+			"unknown instance to resolve",
+			`{"components": [{"id": "ghost"}], "resolve": true}`,
 			ErrUnknownInstance,
 		},
 		{
@@ -299,8 +332,7 @@ func TestBuildErrors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := core.New()
-			if err := loader.Build(g, p); !errors.Is(err, tt.want) {
+			if _, err := instantiate(loader, p, sink); !errors.Is(err, tt.want) {
 				t.Errorf("error = %v, want %v", err, tt.want)
 			}
 		})
@@ -313,8 +345,7 @@ func TestBuildErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := core.New()
-		if err := loader.Build(g, p); err == nil {
+		if _, err := instantiate(loader, p, sink); err == nil {
 			t.Error("bad port accepted")
 		}
 	})
@@ -328,8 +359,7 @@ func TestBuildErrors(t *testing.T) {
 	t.Run("resolution without registry", func(t *testing.T) {
 		l := &Loader{Instances: loader.Instances}
 		p := Pipeline{Components: []ComponentDef{{ID: "gps"}}, Resolve: true}
-		g := core.New()
-		if err := l.Build(g, p); err == nil {
+		if _, err := instantiate(l, p, sink); err == nil {
 			t.Error("resolution without registry accepted")
 		}
 	})

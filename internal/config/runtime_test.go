@@ -43,6 +43,14 @@ const durablePipeline = `{
   }
 }`
 
+// bindGPS binds each session's gps placeholder to an empty position
+// source; the manager binds app to the session's provider sink itself.
+func bindGPS(string) []core.InstantiateOption {
+	return []core.InstantiateOption{core.WithComponentOverride("gps", func(id string) core.Component {
+		return &core.SliceSource{CompID: id, Out: core.OutputSpec{Kind: positioning.KindPosition}}
+	})}
+}
+
 func TestLoaderManagerWiresSupervisionAndCheckpoints(t *testing.T) {
 	p, err := Parse(strings.NewReader(durablePipeline))
 	if err != nil {
@@ -53,16 +61,11 @@ func TestLoaderManagerWiresSupervisionAndCheckpoints(t *testing.T) {
 	}
 	p.Checkpoint.Dir = t.TempDir()
 
-	l := &Loader{
-		InstanceFactories: map[string]core.ComponentFactory{
-			"gps": func(id string) core.Component {
-				return &core.SliceSource{CompID: id, Out: core.OutputSpec{Kind: positioning.KindPosition}}
-			},
-		},
-	}
+	l := &Loader{}
 	m, err := l.Manager(p, runtime.SessionConfig{
-		Provider: positioning.ProviderInfo{Technology: "test"},
-		History:  8,
+		Overrides: bindGPS,
+		Provider:  positioning.ProviderInfo{Technology: "test"},
+		History:   8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,14 +113,8 @@ func TestLoaderManagerBaseStoreWins(t *testing.T) {
 	}
 	defer baseStore.Close()
 
-	l := &Loader{
-		InstanceFactories: map[string]core.ComponentFactory{
-			"gps": func(id string) core.Component {
-				return &core.SliceSource{CompID: id, Out: core.OutputSpec{Kind: positioning.KindPosition}}
-			},
-		},
-	}
-	m, err := l.Manager(p, runtime.SessionConfig{Checkpoints: baseStore})
+	l := &Loader{}
+	m, err := l.Manager(p, runtime.SessionConfig{Overrides: bindGPS, Checkpoints: baseStore})
 	if err != nil {
 		t.Fatal(err)
 	}

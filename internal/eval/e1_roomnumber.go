@@ -31,71 +31,45 @@ func (c E1Config) withDefaults() E1Config {
 	return c
 }
 
-// RunE1 reproduces Fig. 1 and the intro application: a commute trace
-// drives both the GPS pipeline (outdoor point on a map) and the WiFi
-// pipeline (indoor room highlighting). The application prefers room
-// output when the WiFi system delivers it and falls back to GPS
-// positions outdoors. Reported: outdoor position error, indoor room
-// accuracy, and handover behaviour.
-func RunE1(cfg E1Config) (Result, error) {
-	cfg = cfg.withDefaults()
+// BuildFig1 wires Fig. 1's Room Number application over a commute
+// trace that starts approach metres outside the building: GPS ->
+// Parser -> Interpreter feeds the application's port 0 with WGS84
+// points for the map, and WiFi -> Positioning -> Resolver its port 1
+// with room IDs. The application hands every sample it receives to
+// onInput with the port. It returns the graph and the trace it replays.
+func BuildFig1(seed int64, approach float64, onInput func(port int, in core.Sample)) (*core.Graph, *trace.Trace, error) {
 	b := building.Evaluation()
-	tr := trace.Commute(b, cfg.Seed, cfg.Approach, 500*time.Millisecond)
+	tr := trace.Commute(b, seed, approach, 500*time.Millisecond)
 	network := wifi.DefaultDeployment(b)
-	db := wifi.Survey(network, 0, wifi.SurveyConfig{Seed: cfg.Seed + 1})
+	db := wifi.Survey(network, 0, wifi.SurveyConfig{Seed: seed + 1})
 
 	g := core.New()
-	add := func(c core.Component) error {
-		_, err := g.Add(c)
-		return err
-	}
 	comps := []core.Component{
-		gps.NewReceiver("gps", tr, gps.Config{Seed: cfg.Seed + 2, ColdStart: 2 * time.Second}),
+		gps.NewReceiver("gps", tr, gps.Config{Seed: seed + 2, ColdStart: 2 * time.Second}),
 		gps.NewParser("parser"),
 		gps.NewInterpreter("interpreter", 0),
-		wifi.NewSensor("wifi", network, tr, 2*time.Second, cfg.Seed+3),
+		wifi.NewSensor("wifi", network, tr, 2*time.Second, seed+3),
 		wifi.NewEngine("positioning", db, b, 3),
 		wifi.NewResolver("resolver", b),
-	}
-	for _, c := range comps {
-		if err := add(c); err != nil {
-			return Result{}, err
-		}
-	}
-
-	// The application: room IDs from the WiFi branch, WGS84 points from
-	// the GPS branch.
-	type roomAt struct {
-		at   time.Time
-		room string
-	}
-	var rooms []roomAt
-	var gpsPositions []positioning.Position
-	app := &core.FuncComponent{
-		CompID: "app",
-		CompSpec: core.Spec{
-			Name: "RoomNumberApp",
-			Inputs: []core.PortSpec{
-				{Name: "gps", Accepts: []core.Kind{positioning.KindPosition}},
-				{Name: "room", Accepts: []core.Kind{positioning.KindRoom}},
+		&core.FuncComponent{
+			CompID: "app",
+			CompSpec: core.Spec{
+				Name: "RoomNumberApp",
+				Inputs: []core.PortSpec{
+					{Name: "gps", Accepts: []core.Kind{positioning.KindPosition}},
+					{Name: "room", Accepts: []core.Kind{positioning.KindRoom}},
+				},
+			},
+			Fn: func(port int, in core.Sample, _ core.Emit) error {
+				onInput(port, in)
+				return nil
 			},
 		},
-		Fn: func(port int, in core.Sample, _ core.Emit) error {
-			switch port {
-			case 0:
-				if pos, ok := in.Payload.(positioning.Position); ok {
-					gpsPositions = append(gpsPositions, pos)
-				}
-			case 1:
-				if room, ok := in.Payload.(string); ok {
-					rooms = append(rooms, roomAt{at: in.Time, room: room})
-				}
-			}
-			return nil
-		},
 	}
-	if err := add(app); err != nil {
-		return Result{}, err
+	for _, c := range comps {
+		if _, err := g.Add(c); err != nil {
+			return nil, nil, err
+		}
 	}
 	for _, c := range []struct {
 		from, to string
@@ -109,10 +83,44 @@ func RunE1(cfg E1Config) (Result, error) {
 		{"resolver", "app", 1},
 	} {
 		if err := g.Connect(c.from, c.to, c.port); err != nil {
-			return Result{}, err
+			return nil, nil, err
 		}
 	}
+	return g, tr, nil
+}
 
+// RunE1 reproduces Fig. 1 and the intro application: a commute trace
+// drives both the GPS pipeline (outdoor point on a map) and the WiFi
+// pipeline (indoor room highlighting). The application prefers room
+// output when the WiFi system delivers it and falls back to GPS
+// positions outdoors. Reported: outdoor position error, indoor room
+// accuracy, and handover behaviour.
+func RunE1(cfg E1Config) (Result, error) {
+	cfg = cfg.withDefaults()
+
+	// The application: room IDs from the WiFi branch, WGS84 points from
+	// the GPS branch.
+	type roomAt struct {
+		at   time.Time
+		room string
+	}
+	var rooms []roomAt
+	var gpsPositions []positioning.Position
+	g, tr, err := BuildFig1(cfg.Seed, cfg.Approach, func(port int, in core.Sample) {
+		switch port {
+		case 0:
+			if pos, ok := in.Payload.(positioning.Position); ok {
+				gpsPositions = append(gpsPositions, pos)
+			}
+		case 1:
+			if room, ok := in.Payload.(string); ok {
+				rooms = append(rooms, roomAt{at: in.Time, room: room})
+			}
+		}
+	})
+	if err != nil {
+		return Result{}, err
+	}
 	if _, err := g.Run(0); err != nil {
 		return Result{}, err
 	}

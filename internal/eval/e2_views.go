@@ -5,9 +5,13 @@ import (
 	"strings"
 	"time"
 
+	"perpos/examples/configs"
 	"perpos/internal/building"
+	"perpos/internal/catalog"
 	"perpos/internal/channel"
+	"perpos/internal/config"
 	"perpos/internal/core"
+	"perpos/internal/energy"
 	"perpos/internal/filter"
 	"perpos/internal/gps"
 	"perpos/internal/positioning"
@@ -15,18 +19,50 @@ import (
 	"perpos/internal/wifi"
 )
 
-// BuildFig2 assembles the pipeline of Fig. 2 — GPS -> Parser ->
+// FusionLoader resolves the shipped fusion definitions of
+// examples/configs (rules-fusion.json and fusion-upgrade.json) against
+// the standard registry over the building and its WiFi survey, with the
+// two features they name: the parser's "hdop" and the "periodic" power
+// strategy a rule attaches to the GPS receiver.
+func FusionLoader(b *building.Building, db *wifi.Database) (*config.Loader, error) {
+	reg, err := catalog.Standard(catalog.Deps{Building: b, Database: db})
+	if err != nil {
+		return nil, err
+	}
+	return &config.Loader{
+		Registry: reg,
+		Features: map[string]func() core.Feature{
+			"hdop":     func() core.Feature { return gps.NewHDOPFeature() },
+			"periodic": func() core.Feature { return energy.NewPeriodicStrategy(5*time.Second, time.Second) },
+		},
+	}, nil
+}
+
+// BuildFig2 instantiates the pipeline of Fig. 2 — GPS -> Parser ->
 // Interpreter and WiFi -> Positioning feeding a Particle Filter, whose
-// output reaches the application — and returns the graph, the channel
-// layer, the particle filter, and the provider the application uses.
-// It is shared by E2, E3, E7 and the inspection tooling.
+// output reaches the application — from its one definition,
+// rules-fusion.json's layout, and returns the graph, the channel layer,
+// the particle filter, and the provider the application uses. It binds
+// the sensors to a short corridor walk and a seeded 300-particle
+// filter. It is shared by E2, E3, E7 and the inspection tooling.
 func BuildFig2(seed int64) (*core.Graph, *channel.Layer, *filter.ParticleFilter, *positioning.Provider, error) {
 	b := building.Evaluation()
 	tr := trace.CorridorWalk(b, seed, 5, time.Second)
 	network := wifi.DefaultDeployment(b)
 	db := wifi.Survey(network, 0, wifi.SurveyConfig{Seed: seed + 1})
+	loader, err := FusionLoader(b, db)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	p, err := configs.Load("rules-fusion.json")
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	bp, err := loader.Blueprint(p)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
 
-	g := core.New()
 	pf := filter.NewParticleFilter("particle-filter", b, filter.Config{Particles: 300, Seed: seed + 2})
 	// The provider's feature lookup closes over channels assigned once
 	// the channel layer exists below.
@@ -48,40 +84,25 @@ func BuildFig2(seed int64) (*core.Graph, *channel.Layer, *filter.ParticleFilter,
 		RoomLevel:       true,
 	}, providerLookup)
 
-	comps := []core.Component{
-		gps.NewReceiver("gps", tr, gps.Config{Seed: seed + 3, ColdStart: 2 * time.Second}),
-		gps.NewParser("parser"),
-		gps.NewInterpreter("interpreter", 0),
-		wifi.NewSensor("wifi", network, tr, 2*time.Second, seed+4),
-		wifi.NewEngine("wifi-positioning", db, b, 3),
-		pf,
-		positioning.NewProviderSink("app", provider),
-	}
-	for _, c := range comps {
-		if _, err := g.Add(c); err != nil {
-			return nil, nil, nil, nil, err
-		}
-	}
-	parserNode, _ := g.Node("parser")
-	if err := parserNode.AttachFeature(gps.NewHDOPFeature()); err != nil {
+	g, err := bp.Instantiate(
+		core.WithComponentOverride("gps", func(id string) core.Component {
+			return gps.NewReceiver(id, tr, gps.Config{Seed: seed + 3, ColdStart: 2 * time.Second})
+		}),
+		core.WithComponentOverride("wifi", func(id string) core.Component {
+			return wifi.NewSensor(id, network, tr, 2*time.Second, seed+4)
+		}),
+		core.WithComponentOverride("particle-filter", func(string) core.Component { return pf }),
+		core.WithComponentOverride("app", func(id string) core.Component {
+			return positioning.NewProviderSink(id, provider)
+		}),
+	)
+	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	for _, c := range []struct {
-		from, to string
-		port     int
-	}{
-		{"gps", "parser", 0},
-		{"parser", "interpreter", 0},
-		{"interpreter", "particle-filter", 0},
-		{"wifi", "wifi-positioning", 0},
-		{"wifi-positioning", "particle-filter", 1},
-		{"particle-filter", "app", 0},
-	} {
-		if err := g.Connect(c.from, c.to, c.port); err != nil {
-			return nil, nil, nil, nil, err
-		}
-	}
 
+	// Fig. 5's Likelihood Channel Feature on the GPS channel. The shipped
+	// definition attaches none, so its sessions' filters score GPS fixes
+	// with the accuracy-based fallback (filter.UseLikelihoodForPort).
 	layer := channel.NewLayer(g)
 	like := filter.NewHDOPLikelihood(0)
 	ch, ok := layer.ChannelInto("particle-filter", 0)

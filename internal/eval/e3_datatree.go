@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"perpos/internal/building"
+	"perpos/internal/catalog"
 	"perpos/internal/channel"
 	"perpos/internal/core"
 	"perpos/internal/gps"
@@ -12,43 +13,32 @@ import (
 	"perpos/internal/trace"
 )
 
-// BuildGPSChannelPipeline assembles the Fig. 4 pipeline — GPS ->
-// Parser -> Interpreter -> app — over the given trace, returning the
-// graph and channel layer. The HDOP feature is attached so data trees
-// carry feature data, as in Fig. 5. Zero fields of cfg take the
-// receiver defaults.
+// BuildGPSChannelPipeline instantiates the Fig. 4 pipeline — GPS ->
+// Parser -> Interpreter -> app, catalog.GPSBlueprint — over the given
+// trace, returning the graph and channel layer. The HDOP feature is
+// attached so data trees carry feature data, as in Fig. 5. Zero fields
+// of cfg take the receiver defaults.
 func BuildGPSChannelPipeline(tr *trace.Trace, cfg gps.Config) (*core.Graph, *channel.Layer, *core.Sink, error) {
 	if cfg.ColdStart == 0 {
 		cfg.ColdStart = 2 * time.Second
 	}
-	g := core.New()
-	comps := []core.Component{
-		gps.NewReceiver("gps", tr, cfg),
-		gps.NewParser("parser"),
-		gps.NewInterpreter("interpreter", 0),
-	}
-	for _, c := range comps {
-		if _, err := g.Add(c); err != nil {
-			return nil, nil, nil, err
-		}
+	bp, err := catalog.GPSBlueprint()
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	sink := core.NewSink("app", []core.Kind{positioning.KindPosition})
-	if _, err := g.Add(sink); err != nil {
+	g, err := bp.Instantiate(
+		core.WithComponentOverride("gps", func(id string) core.Component { return gps.NewReceiver(id, tr, cfg) }),
+		core.WithComponentOverride("app", func(string) core.Component { return sink }),
+	)
+	if err != nil {
 		return nil, nil, nil, err
 	}
 	parserNode, _ := g.Node("parser")
 	if err := parserNode.AttachFeature(gps.NewHDOPFeature()); err != nil {
 		return nil, nil, nil, err
 	}
-	for _, c := range []struct{ from, to string }{
-		{"gps", "parser"}, {"parser", "interpreter"}, {"interpreter", "app"},
-	} {
-		if err := g.Connect(c.from, c.to, 0); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	layer := channel.NewLayer(g)
-	return g, layer, sink, nil
+	return g, channel.NewLayer(g), sink, nil
 }
 
 // RunE3 reproduces the Fig. 4 data tree for the GPS channel: every

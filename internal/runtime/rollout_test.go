@@ -66,9 +66,9 @@ func (w *fusionWorld) fusionSlots(wifiSource func(id string, seed int64) core.Co
 
 // TestFusionUpgradeSetShape pins the migration surface of the set that
 // config.Loader builds from fusion-upgrade.json: the GPS chain is
-// Unchanged between the revisions (identity tags by registry type,
-// instance binding and feature name), only the wifi branch and the
-// filter are added, and the reverse diff mirrors it.
+// Unchanged between the revisions (identity tags by registry type and
+// feature name; a placeholder matches a placeholder), only the wifi
+// branch and the filter are added, and the reverse diff mirrors it.
 func TestFusionUpgradeSetShape(t *testing.T) {
 	loader, p := newFusionWorld().shipped(t, "fusion-upgrade.json")
 	set, err := loader.BlueprintSet(p)
