@@ -43,12 +43,13 @@
 //	                                # supervisor reroute during a WiFi
 //	                                # outage, and unwind on recovery
 //
-// The -targets, -chaos and -rollout demos build their sessions from the
-// pipeline definitions in examples/configs, which the binary embeds, so
-// they run from any directory: rules-fusion.json for the fusion
-// pipeline (without its rules for -chaos, and without its rules and
-// supervision for -targets) and fusion-upgrade.json for the rollout.
-// Each demo binds a smaller seeded particle filter per session.
+// The default mode and the -targets, -chaos and -rollout demos build
+// their pipelines from the definitions in examples/configs, which the
+// binary embeds, so they run from any directory: rules-fusion.json for
+// the fusion pipeline (its layout alone for the default mode, through
+// eval.BuildFig2; without its rules for -chaos, and without its rules
+// and supervision for -targets) and fusion-upgrade.json for the
+// rollout. Each binds a smaller seeded particle filter per session.
 //
 // Configurations given with -config (see internal/config) may declare
 // three placeholders, which perpos-run binds: "gps" (a receiver on a

@@ -2,8 +2,9 @@
 // Processing Component types, so whole pipelines can be assembled
 // declaratively (§2.1) — the role the OSGi bundle repository played for
 // the original middleware. It also builds the two GPS pipelines that
-// Go callers instantiate directly: GPSBlueprint (perfbench's GPS
-// workloads) and KalmanBlueprint (the cluster tier's sessions). The
+// Go callers instantiate directly, on one GPS chain: GPSBlueprint
+// (perfbench's GPS workloads and the Fig. 4 experiments) and
+// KalmanBlueprint (the cluster tier's sessions). The
 // Fig. 2 fusion pipeline, its supervision reroutes and its adaptation
 // rules are data, not Go: examples/configs/rules-fusion.json, resolved
 // through this registry by config.Loader.

@@ -1,12 +1,12 @@
 // Package config reifies declarative JSON pipeline definitions into
-// blueprints — the paper's third wiring mechanism: connections
-// "established either by direct calls to the graph manipulation API,
-// based on explicitly defined system level configurations or through
-// dynamic resolution of dependencies" (§2.1). This package is the
-// middle one, and it ends where the other two do: in one core.Blueprint
-// (or core.BlueprintSet) that callers instantiate. Open input ports a
-// definition leaves can be handed to the registry resolver, which runs
-// once, into the blueprint.
+// blueprints — the second of the paper's three wiring mechanisms:
+// connections "established either by direct calls to the graph
+// manipulation API, based on explicitly defined system level
+// configurations or through dynamic resolution of dependencies"
+// (§2.1). A definition becomes one core.Blueprint (or
+// core.BlueprintSet) that callers instantiate, never a live graph.
+// Input ports it leaves open can be handed to the registry resolver,
+// the third mechanism, which then runs once, into the blueprint.
 package config
 
 import (
@@ -203,21 +203,20 @@ func (l *Loader) buildBlueprint(p layout) (*core.Blueprint, error) {
 	}
 	slots := make([]slot, 0, len(p.components))
 	for _, def := range p.components {
-		switch {
-		case def.Type != "":
-			if l.Registry == nil {
-				return nil, fmt.Errorf("%w: %q (loader has no registry)", ErrUnknownType, def.Type)
-			}
-			reg, ok := l.Registry.Lookup(def.Type)
-			if !ok {
-				return nil, fmt.Errorf("%w: %q", ErrUnknownType, def.Type)
-			}
-			// Every typed slot shares this one closure literal, so factory
-			// pointer identity cannot distinguish types — the tag does.
-			slots = append(slots, slot{id: def.ID, tag: "type:" + def.Type, factory: func(id string) core.Component { return reg.New(id) }})
-		default:
-			slots = append(slots, slot{id: def.ID, factory: nil})
+		if def.Type == "" {
+			slots = append(slots, slot{id: def.ID})
+			continue
 		}
+		if l.Registry == nil {
+			return nil, fmt.Errorf("%w: %q (loader has no registry)", ErrUnknownType, def.Type)
+		}
+		reg, ok := l.Registry.Lookup(def.Type)
+		if !ok {
+			return nil, fmt.Errorf("%w: %q", ErrUnknownType, def.Type)
+		}
+		// Every typed slot shares this one closure literal, so factory
+		// pointer identity cannot distinguish types — the tag does.
+		slots = append(slots, slot{id: def.ID, tag: "type:" + def.Type, factory: func(id string) core.Component { return reg.New(id) }})
 	}
 
 	type featureSlot struct {
@@ -318,5 +317,5 @@ func (l *Loader) probeComponent(id string, factory core.ComponentFactory) (core.
 	if comp, ok := l.Instances[id]; ok {
 		return comp, nil
 	}
-	return nil, fmt.Errorf("%w: %q (resolution needs an instance or factory as probe)", ErrUnknownInstance, id)
+	return nil, fmt.Errorf("%w: %q (resolution needs a stand-in in Instances to probe)", ErrUnknownInstance, id)
 }

@@ -40,7 +40,7 @@ const fig1JSON = `{
 
 // newLoader returns a loader over the standard registry, whose
 // Instances hold the stand-ins a resolution probe needs for the gps and
-// app placeholders, and the sink that bindings binds as app.
+// app placeholders, and a sink to bind as app with bindings.
 func newLoader(t *testing.T) (*Loader, *core.Sink) {
 	t.Helper()
 	reg, err := catalog.Standard(catalog.Deps{Building: building.Evaluation()})

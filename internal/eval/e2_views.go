@@ -44,7 +44,7 @@ func FusionLoader(b *building.Building, db *wifi.Database) (*config.Loader, erro
 // rules-fusion.json's layout, and returns the graph, the channel layer,
 // the particle filter, and the provider the application uses. It binds
 // the sensors to a short corridor walk and a seeded 300-particle
-// filter. It is shared by E2, E3, E7 and the inspection tooling.
+// filter. E2, perpos-run's default mode and perpos-inspect share it.
 func BuildFig2(seed int64) (*core.Graph, *channel.Layer, *filter.ParticleFilter, *positioning.Provider, error) {
 	b := building.Evaluation()
 	tr := trace.CorridorWalk(b, seed, 5, time.Second)
