@@ -27,7 +27,7 @@ import (
 
 func BenchmarkE1RoomNumber(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.RunE1(eval.E1Config{}); err != nil {
+		if _, err := eval.RunE1(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,7 +63,7 @@ func BenchmarkE3DataTree(b *testing.B) {
 
 func BenchmarkE4SatFilter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.RunE4(eval.E4Config{}); err != nil {
+		if _, err := eval.RunE4(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,7 +103,7 @@ func BenchmarkE5ParticleStep(b *testing.B) {
 
 func BenchmarkE6EnTracked(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.RunE6(eval.E6Config{}); err != nil {
+		if _, err := eval.RunE6(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -268,7 +268,7 @@ func mustGGA(b *testing.B, lat, lon float64, sats int, hdop float64) string {
 
 func BenchmarkE9Transport(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.RunE9(eval.E9Config{}); err != nil {
+		if _, err := eval.RunE9(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -33,7 +33,9 @@
 //	perpos-run -cluster 3          # fault-tolerant session tier: 3 nodes,
 //	                                # 60 targets, a hard node kill with
 //	                                # checkpointed failover, then a node
-//	                                # join with minimal-range rebalancing
+//	                                # join with minimal-range rebalancing,
+//	                                # on the demo's own probing and handoff
+//	                                # policy (-config does not apply)
 //	perpos-run -cluster 3 -node n2 # same demo, killing node n2
 //	perpos-run -rules examples/configs/rules-fusion.json
 //	                                # self-adaptation demo: the whole
@@ -134,7 +136,7 @@ func run(args []string) error {
 	}
 
 	if *clusterN > 0 {
-		return runCluster(*clusterN, *nodeID, *targets, *configPath, *seed, hub)
+		return runCluster(*clusterN, *nodeID, *targets, *seed, hub)
 	}
 	if *configPath != "" {
 		return runConfigured(*configPath, *seed, *maxLines)
@@ -307,7 +309,7 @@ func runTargets(n int, seed int64, hub *obs.Metrics) error {
 	sessions := make([]*runtime.Session, n)
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("target-%03d", i)
-		tgt, err := pm.TrackErr(id)
+		tgt, err := pm.Track(id)
 		if err != nil {
 			return err
 		}
@@ -941,10 +943,8 @@ func runRoomNumber(seed int64, maxLines int) error {
 // breaker trips, the node is declared dead, and every one of its
 // sessions is resurrected on a survivor from its last durable
 // checkpoint. Then a fresh node joins and the minimal hash range is
-// rebalanced onto it via live handoffs. A pipeline definition's
-// cluster block (via -config) overrides the demo's probing and handoff
-// policy.
-func runCluster(n int, victim string, targets int, configPath string, seed int64, hub *obs.Metrics) error {
+// rebalanced onto it via live handoffs.
+func runCluster(n int, victim string, targets int, seed int64, hub *obs.Metrics) error {
 	if n < 2 {
 		return fmt.Errorf("-cluster needs at least 2 nodes, got %d", n)
 	}
@@ -962,27 +962,6 @@ func runCluster(n int, victim string, targets int, configPath string, seed int64
 		MaxConsecutiveErrors: 2,
 		DeathAfter:           400 * time.Millisecond,
 		Retries:              -1,
-	}
-	ckptEvery := 4
-	if configPath != "" {
-		f, err := os.Open(configPath)
-		if err != nil {
-			return err
-		}
-		p, err := config.Parse(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		if p.Cluster != nil {
-			pol = p.Cluster.Policy()
-			if p.Cluster.Nodes > 0 {
-				n = p.Cluster.Nodes
-			}
-			if p.Cluster.CheckpointEvery != 0 {
-				ckptEvery = p.Cluster.CheckpointEvery
-			}
-		}
 	}
 
 	origin := geo.Point{Lat: 56.1629, Lon: 10.2039}
@@ -1016,7 +995,7 @@ func runCluster(n int, victim string, targets int, configPath string, seed int64
 			ID:              id,
 			Dir:             dir,
 			Session:         session,
-			CheckpointEvery: ckptEvery,
+			CheckpointEvery: 4,
 		})
 		if err != nil {
 			os.RemoveAll(dir)

@@ -142,7 +142,10 @@ func TestTrackingServiceEndToEnd(t *testing.T) {
 		if err := manager.Register(provider); err != nil {
 			t.Fatal(err)
 		}
-		target := manager.Track(name)
+		target, err := manager.Track(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		target.Attach(provider)
 
 		g := core.New()

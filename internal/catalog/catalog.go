@@ -17,7 +17,6 @@ package catalog
 
 import (
 	"fmt"
-	"time"
 
 	"perpos/internal/building"
 	"perpos/internal/core"
@@ -36,8 +35,6 @@ type Deps struct {
 	Building *building.Building
 	// Database enables the WiFi positioning engine registration.
 	Database *wifi.Database
-	// SegmentWindow configures Segmenter instances (default 30 s).
-	SegmentWindow time.Duration
 }
 
 // Standard returns a registry with the standard component types. The
@@ -58,10 +55,8 @@ func Standard(deps Deps) (*registry.Registry, error) {
 		},
 		{
 			Name: "Segmenter",
-			Spec: transport.NewSegmenter("proto", deps.SegmentWindow).Spec(),
-			New: func(id string) core.Component {
-				return transport.NewSegmenter(id, deps.SegmentWindow)
-			},
+			Spec: transport.NewSegmenter("proto", 0).Spec(),
+			New:  func(id string) core.Component { return transport.NewSegmenter(id, 0) },
 		},
 		{
 			Name: "FeatureExtractor",

@@ -33,8 +33,6 @@ type NodeConfig struct {
 	// must be identical across nodes, so a handed-off target continues
 	// the same pipeline on its new home.
 	Session runtime.SessionConfig
-	// Store tunes the node's checkpoint store.
-	Store checkpoint.Options
 	// CheckpointEvery checkpoints each session every this many pump
 	// rounds (default 8; <0 disables periodic checkpoints).
 	CheckpointEvery int
@@ -91,7 +89,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("cluster: node needs a checkpoint dir")
 	}
-	store, err := checkpoint.Open(cfg.Dir, cfg.Store)
+	store, err := checkpoint.Open(cfg.Dir, checkpoint.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: node %s: %w", cfg.ID, err)
 	}

@@ -7,6 +7,10 @@
 // core.BlueprintSet) that callers instantiate, never a live graph.
 // Input ports it leaves open can be handed to the registry resolver,
 // the third mechanism, which then runs once, into the blueprint.
+//
+// The schema holds the keys a definition has a use for: a setting with
+// one value in use is a constant of the code that reads it, not a key.
+// Parse rejects every other key as an unknown field.
 package config
 
 import (
@@ -75,20 +79,15 @@ type Pipeline struct {
 	// signals driving reversible graph edits through the supervisor
 	// sweep. Consumed by the session runtime; nil means no rules.
 	Rules *RulesDef `json:"rules,omitempty"`
-	// Cluster declares the distributed session tier: node count, hash
-	// ring shape, failure detection and handoff pacing. Consumed by
-	// perpos-run's cluster mode; nil means single-process.
-	Cluster *ClusterDef `json:"cluster,omitempty"`
 }
 
 // RevisionDef is one complete pipeline layout inside a versioned
-// definition — the same shape as the top-level pipeline's structural
-// fields.
+// definition — the top-level pipeline's structural fields but Resolve:
+// a revision is wired explicitly.
 type RevisionDef struct {
 	Components  []ComponentDef  `json:"components"`
 	Connections []ConnectionDef `json:"connections"`
 	Features    []FeatureDef    `json:"features,omitempty"`
-	Resolve     bool            `json:"resolve,omitempty"`
 }
 
 // ComponentDef places one component.
@@ -175,7 +174,7 @@ func (l *Loader) BlueprintSet(p Pipeline) (*core.BlueprintSet, error) {
 		return set, nil
 	}
 	for i, rev := range p.Revisions {
-		bp, err := l.buildBlueprint(layout{rev.Components, rev.Connections, rev.Features, rev.Resolve})
+		bp, err := l.buildBlueprint(layout{rev.Components, rev.Connections, rev.Features, false})
 		if err != nil {
 			return nil, fmt.Errorf("config: revision %d: %w", i+1, err)
 		}

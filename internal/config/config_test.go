@@ -2,6 +2,7 @@ package config
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -363,4 +364,29 @@ func TestBuildErrors(t *testing.T) {
 			t.Error("resolution without registry accepted")
 		}
 	})
+}
+
+// TestParseRejectsDeletedKeys: keys the schema no longer has are
+// unknown fields, so a definition that still carries one fails to parse
+// rather than silently losing the setting.
+func TestParseRejectsDeletedKeys(t *testing.T) {
+	rule := `{"name": "r", "when": {"signal": "attr:hdop", "op": ">", "value": 4}, %s,
+	  "action": {"kind": "insert", "component": {"id": "f", "type": "HDOPFilter"}, "at": {"from": "a", "to": "b", "port": 0}%s}}`
+	for key, def := range map[string]string{
+		"cluster":            `{"cluster": {"nodes": 3}}`,
+		"deadline_ms":        `{"supervision": {"deadline_ms": 1000}}`,
+		"recovery_emissions": `{"supervision": {"recovery_emissions": 2}}`,
+		"max_restarts":       `{"supervision": {"restart": {"max_restarts": 5}}}`,
+		"multiplier":         `{"supervision": {"restart": {"multiplier": 3}}}`,
+		"max_flaps":          `{"rules": {"rules": [` + fmt.Sprintf(rule, `"max_flaps": 4`, "") + `]}}`,
+		"flap_window_ms":     `{"rules": {"rules": [` + fmt.Sprintf(rule, `"flap_window_ms": 5000`, "") + `]}}`,
+		"quarantine_ms":      `{"rules": {"rules": [` + fmt.Sprintf(rule, `"quarantine_ms": 10000`, "") + `]}}`,
+		"in_port":            `{"rules": {"rules": [` + fmt.Sprintf(rule, `"priority": 1`, `, "in_port": 1`) + `]}}`,
+		"resolve":            `{"revisions": [{"components": [], "connections": [], "resolve": true}]}`,
+	} {
+		_, err := Parse(strings.NewReader(def))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown field %q", key)) {
+			t.Errorf("%s: Parse error = %v, want an unknown field", key, err)
+		}
+	}
 }

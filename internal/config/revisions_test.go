@@ -194,8 +194,7 @@ func TestManagerFromVersionedPipeline(t *testing.T) {
 		To:             2,
 		CanaryFraction: 0.2,
 		CanaryWindow:   250 * time.Millisecond,
-		Gate:           runtime.GateConfig{MaxErrors: 3, MaxP99: 50 * time.Millisecond},
-		Concurrency:    4,
+		Gate:           runtime.GateConfig{MaxErrors: 3},
 	})
 	if err != nil {
 		t.Fatalf("Rollout: %v (report %+v)", err, rep)

@@ -16,11 +16,11 @@ var ErrBadRule = errors.New("config: invalid rule")
 
 // RulesDef is the JSON schema for a pipeline's declarative
 // self-adaptation rules — the paper's §3 case studies as data. Each
-// rule watches a signal (sample attributes, per-node health counters,
-// provider availability), engages a reversible graph edit when the
-// condition has held for its dwell time, and reverts it when the clear
-// condition holds. Durations are milliseconds like the rest of the
-// schema; zero knobs take the engine's defaults.
+// rule watches a signal (sample attributes or per-node error counts),
+// engages a reversible graph edit when the condition has held for its
+// dwell time, and reverts it when the clear condition holds. Durations
+// are milliseconds like the rest of the schema; zero knobs take the
+// engine's defaults.
 type RulesDef struct {
 	Rules []RuleDef `json:"rules"`
 }
@@ -42,13 +42,6 @@ type RuleDef struct {
 	DisengageAfterMS int `json:"disengage_after_ms,omitempty"`
 	// CooldownMS bars re-engagement after a disengage (0 = default).
 	CooldownMS int `json:"cooldown_ms,omitempty"`
-	// MaxFlaps / FlapWindowMS bound transition churn before the rule
-	// is quarantined (0 = defaults).
-	MaxFlaps     int `json:"max_flaps,omitempty"`
-	FlapWindowMS int `json:"flap_window_ms,omitempty"`
-	// QuarantineMS is how long a flapping rule stays benched (0 =
-	// default).
-	QuarantineMS int `json:"quarantine_ms,omitempty"`
 	// Priority and Group arbitrate conflicting rules: within a group at
 	// most one rule is engaged, lowest priority first.
 	Priority int    `json:"priority,omitempty"`
@@ -86,11 +79,10 @@ type RuleGuardDef struct {
 //	"feature" attach Feature to Target (§3.2 power strategy)
 type RuleActionDef struct {
 	Kind string `json:"kind"`
-	// Insert: the component to build (must carry a registry Type), the
-	// edge to splice into, and the component's input port.
+	// Insert: the component to build (must carry a registry Type) and
+	// the edge to splice it into, by its input port 0.
 	Component ComponentDef   `json:"component,omitempty"`
 	At        *ConnectionDef `json:"at,omitempty"`
-	InPort    int            `json:"in_port,omitempty"`
 	// Swap: the edge broken and the edge made while engaged.
 	Break *ConnectionDef `json:"break,omitempty"`
 	Make  *ConnectionDef `json:"make,omitempty"`
@@ -128,9 +120,6 @@ func (l *Loader) rule(rd RuleDef) (rules.Rule, error) {
 		EngageAfter:    time.Duration(rd.EngageAfterMS) * time.Millisecond,
 		DisengageAfter: time.Duration(rd.DisengageAfterMS) * time.Millisecond,
 		Cooldown:       time.Duration(rd.CooldownMS) * time.Millisecond,
-		MaxFlaps:       rd.MaxFlaps,
-		FlapWindow:     time.Duration(rd.FlapWindowMS) * time.Millisecond,
-		QuarantineFor:  time.Duration(rd.QuarantineMS) * time.Millisecond,
 		Priority:       rd.Priority,
 		Group:          rd.Group,
 		Action:         action,
@@ -173,12 +162,11 @@ func (l *Loader) ruleAction(d RuleActionDef) (rules.Action, error) {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownType, d.Component.Type)
 		}
 		return &rules.InsertAction{
-			ID:     d.Component.ID,
-			Build:  func(id string) core.Component { return reg.New(id) },
-			From:   d.At.From,
-			To:     d.At.To,
-			Port:   d.At.Port,
-			InPort: d.InPort,
+			ID:    d.Component.ID,
+			Build: func(id string) core.Component { return reg.New(id) },
+			From:  d.At.From,
+			To:    d.At.To,
+			Port:  d.At.Port,
 		}, nil
 	case "swap":
 		if d.Break == nil || d.Make == nil {

@@ -36,9 +36,6 @@ const ruledPipeline = `{
         "engage_after_ms": 100,
         "disengage_after_ms": 200,
         "cooldown_ms": 300,
-        "max_flaps": 4,
-        "flap_window_ms": 5000,
-        "quarantine_ms": 10000,
         "priority": 1,
         "group": "accuracy",
         "action": {
@@ -56,7 +53,7 @@ const ruledPipeline = `{
       },
       {
         "name": "swap",
-        "when": {"signal": "availability", "op": ">=", "value": 1},
+        "when": {"signal": "errors:interpreter", "op": ">=", "value": 1},
         "action": {
           "kind": "swap",
           "break": {"from": "interpreter", "to": "app", "port": 0},
@@ -98,8 +95,6 @@ func TestParseAndReifyRules(t *testing.T) {
 		r.EngageAfter != 100*time.Millisecond ||
 		r.DisengageAfter != 200*time.Millisecond ||
 		r.Cooldown != 300*time.Millisecond ||
-		r.MaxFlaps != 4 || r.FlapWindow != 5*time.Second ||
-		r.QuarantineFor != 10*time.Second ||
 		r.Priority != 1 || r.Group != "accuracy" {
 		t.Fatalf("rule 0 conversion wrong: %+v", r)
 	}

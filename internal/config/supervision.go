@@ -15,13 +15,9 @@ import (
 type SupervisionDef struct {
 	// MaxConsecutiveErrors trips a node's breaker (0 = default 3).
 	MaxConsecutiveErrors int `json:"max_consecutive_errors,omitempty"`
-	// DeadlineMS is the default last-output watchdog deadline for
-	// watched nodes (0 disables).
-	DeadlineMS int `json:"deadline_ms,omitempty"`
-	// DeadlinesMS overrides the watchdog deadline per component.
+	// DeadlinesMS sets the last-output watchdog deadline per component;
+	// a component without one is never held to a deadline.
 	DeadlinesMS map[string]int `json:"deadlines_ms,omitempty"`
-	// RecoveryEmissions closes the breaker again (0 = default 1).
-	RecoveryEmissions int `json:"recovery_emissions,omitempty"`
 	// ProbeIntervalMS paces half-open probes (0 = default 500).
 	ProbeIntervalMS int `json:"probe_interval_ms,omitempty"`
 	// SweepMS is the supervisor's evaluation period (0 = default 50).
@@ -32,12 +28,11 @@ type SupervisionDef struct {
 	Reroutes []RerouteDef `json:"reroutes,omitempty"`
 }
 
-// RestartDef is the JSON schema for a source restart policy.
+// RestartDef is the JSON schema for a source restart policy: the first
+// backoff delay and its cap.
 type RestartDef struct {
-	MaxRestarts int     `json:"max_restarts,omitempty"`
-	BaseMS      int     `json:"base_ms,omitempty"`
-	MaxMS       int     `json:"max_ms,omitempty"`
-	Multiplier  float64 `json:"multiplier,omitempty"`
+	BaseMS int `json:"base_ms,omitempty"`
+	MaxMS  int `json:"max_ms,omitempty"`
 }
 
 // RerouteDef is the JSON schema for one degradation rule: when the
@@ -57,8 +52,6 @@ type RerouteDef struct {
 func (d SupervisionDef) Policy() health.Policy {
 	p := health.Policy{
 		MaxConsecutiveErrors: d.MaxConsecutiveErrors,
-		Deadline:             time.Duration(d.DeadlineMS) * time.Millisecond,
-		RecoveryEmissions:    d.RecoveryEmissions,
 		ProbeInterval:        time.Duration(d.ProbeIntervalMS) * time.Millisecond,
 		Sweep:                time.Duration(d.SweepMS) * time.Millisecond,
 	}
@@ -70,10 +63,8 @@ func (d SupervisionDef) Policy() health.Policy {
 	}
 	if d.Restart != nil {
 		p.Restart = core.RestartPolicy{
-			MaxRestarts: d.Restart.MaxRestarts,
-			Base:        time.Duration(d.Restart.BaseMS) * time.Millisecond,
-			Max:         time.Duration(d.Restart.MaxMS) * time.Millisecond,
-			Multiplier:  d.Restart.Multiplier,
+			Base: time.Duration(d.Restart.BaseMS) * time.Millisecond,
+			Max:  time.Duration(d.Restart.MaxMS) * time.Millisecond,
 		}
 	}
 	return p

@@ -17,12 +17,10 @@ const supervisedPipeline = `{
   ],
   "supervision": {
     "max_consecutive_errors": 2,
-    "deadline_ms": 1000,
     "deadlines_ms": {"wifi": 150},
-    "recovery_emissions": 3,
     "probe_interval_ms": 20,
     "sweep_ms": 10,
-    "restart": {"max_restarts": 5, "base_ms": 2, "max_ms": 40, "multiplier": 2},
+    "restart": {"base_ms": 2, "max_ms": 40},
     "reroutes": [
       {
         "watch": "wifi",
@@ -46,14 +44,8 @@ func TestParseSupervision(t *testing.T) {
 	if pol.MaxConsecutiveErrors != 2 {
 		t.Errorf("MaxConsecutiveErrors = %d, want 2", pol.MaxConsecutiveErrors)
 	}
-	if pol.Deadline != time.Second {
-		t.Errorf("Deadline = %v, want 1s", pol.Deadline)
-	}
 	if got := pol.Deadlines["wifi"]; got != 150*time.Millisecond {
 		t.Errorf("Deadlines[wifi] = %v, want 150ms", got)
-	}
-	if pol.RecoveryEmissions != 3 {
-		t.Errorf("RecoveryEmissions = %d, want 3", pol.RecoveryEmissions)
 	}
 	if pol.ProbeInterval != 20*time.Millisecond {
 		t.Errorf("ProbeInterval = %v, want 20ms", pol.ProbeInterval)
@@ -62,8 +54,8 @@ func TestParseSupervision(t *testing.T) {
 		t.Errorf("Sweep = %v, want 10ms", pol.Sweep)
 	}
 	r := pol.Restart
-	if r.MaxRestarts != 5 || r.Base != 2*time.Millisecond || r.Max != 40*time.Millisecond || r.Multiplier != 2 {
-		t.Errorf("Restart = %+v, want {5 2ms 40ms 2}", r)
+	if r.Base != 2*time.Millisecond || r.Max != 40*time.Millisecond {
+		t.Errorf("Restart = %+v, want {2ms 40ms}", r)
 	}
 
 	rr := p.Supervision.HealthReroutes()

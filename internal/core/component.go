@@ -47,11 +47,6 @@ func (p PortSpec) acceptsFeature(name string) bool {
 type OutputSpec struct {
 	// Kind is the kind of data the component itself produces.
 	Kind Kind
-	// ExtraKinds lists additional kinds emitted through this port —
-	// typically added by Component Features ("when adding data the
-	// capabilities of the output port is changed to include the new type
-	// of data").
-	ExtraKinds []Kind
 	// Features lists Component Feature names natively provided by the
 	// component. Attached features extend this set at runtime; use
 	// Node.Capabilities for the effective value.
@@ -75,7 +70,7 @@ type Spec struct {
 func (s Spec) IsSource() bool { return len(s.Inputs) == 0 }
 
 // IsSink reports whether the spec describes a terminal component.
-func (s Spec) IsSink() bool { return s.Output.Kind == "" && len(s.Output.ExtraKinds) == 0 }
+func (s Spec) IsSink() bool { return s.Output.Kind == "" }
 
 // IsMerge reports whether the spec merges multiple data sources — the
 // components that remain visible at the Process Channel Layer.

@@ -259,7 +259,6 @@ func migrationFixture(t *testing.T) *BlueprintSet {
 		})
 	}
 	sinkF := func(id string) Component { return NewSink(id, []Kind{"counted"}) }
-	stateF := func() Feature { return newStateFeature() }
 
 	mk := func(withDouble bool) *Blueprint {
 		bp := NewBlueprint()
@@ -273,9 +272,6 @@ func migrationFixture(t *testing.T) *BlueprintSet {
 			t.Fatal(err)
 		}
 		if err := bp.TagComponent("counter", "counter"); err != nil {
-			t.Fatal(err)
-		}
-		if err := bp.AttachTaggedFeature("counter", "state", stateF); err != nil {
 			t.Fatal(err)
 		}
 		if err := bp.AddComponent("sink", sinkF); err != nil {
@@ -403,9 +399,6 @@ func TestMigrateFailureRollsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := bp.TagComponent("counter", "counter"); err != nil {
-			t.Fatal(err)
-		}
-		if err := bp.AttachTaggedFeature("counter", "state", func() Feature { return newStateFeature() }); err != nil {
 			t.Fatal(err)
 		}
 		if err := bp.AddComponent("sink", func(id string) Component { return NewSink(id, []Kind{"counted"}) }); err != nil {

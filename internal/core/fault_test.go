@@ -281,47 +281,6 @@ func TestRunnerRestartsFailedSource(t *testing.T) {
 	}
 }
 
-func TestRunnerRestartCapExhausts(t *testing.T) {
-	g := New()
-	// Fails forever: Restart never succeeds within the cap.
-	src := &dyingSource{id: "src", failures: 1 << 30, total: 1}
-	mustAdd(t, g, src)
-	sink := NewSink("app", []Kind{kindRaw})
-	mustAdd(t, g, sink)
-	if err := g.Connect("src", "app", 0); err != nil {
-		t.Fatal(err)
-	}
-
-	obs := &recordingObserver{}
-	g.Observe(obs)
-	if err := g.Start(context.Background(), WithSourceRestart(RestartPolicy{MaxRestarts: 3, Base: time.Millisecond, Max: 2 * time.Millisecond})); err != nil {
-		t.Fatal(err)
-	}
-	g.WaitSources()
-	if err := g.Stop(); err == nil {
-		t.Error("Stop = nil, want the terminal source error")
-	}
-	src.mu.Lock()
-	if src.restarts != 3 {
-		t.Errorf("restarts = %d, want 3 (the runner gives up at the cap)", src.restarts)
-	}
-	src.mu.Unlock()
-	obs.mu.Lock()
-	defer obs.mu.Unlock()
-	// Four failed steps and three failed restarts, each reported.
-	if got := obs.results["src"]; len(got) != 7 {
-		t.Errorf("observer saw %d outcomes for src, want 7: %v", len(got), got)
-	}
-	for _, err := range obs.results["src"] {
-		if err == nil {
-			t.Error("observer saw a success from a source that never recovers")
-		}
-	}
-	if len(obs.restarted) != 0 {
-		t.Errorf("restarted = %v, want none (restarts never succeeded)", obs.restarted)
-	}
-}
-
 func TestRunnerCancelDuringRestartBackoff(t *testing.T) {
 	g := New()
 	// Fails forever, with a backoff far longer than the test: Stop must
@@ -411,7 +370,7 @@ func TestRunnerGateDropsQuarantined(t *testing.T) {
 }
 
 func TestRestartPolicyDelay(t *testing.T) {
-	p := RestartPolicy{Base: 10 * time.Millisecond, Max: 60 * time.Millisecond, Multiplier: 2}
+	p := RestartPolicy{Base: 10 * time.Millisecond, Max: 60 * time.Millisecond}
 	want := []time.Duration{
 		10 * time.Millisecond,
 		20 * time.Millisecond,

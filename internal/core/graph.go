@@ -246,14 +246,6 @@ func (g *Graph) Connect(fromID, toID string, port int) error {
 // connection. Called with g.mu held.
 func checkCompatible(from *Node, in PortSpec) error {
 	kindOK := in.accepts(from.spec.Output.Kind)
-	if !kindOK {
-		for _, k := range from.spec.Output.ExtraKinds {
-			if in.accepts(k) {
-				kindOK = true
-				break
-			}
-		}
-	}
 	// A port that only wants feature-emitted data is satisfied when the
 	// upstream provides those features.
 	if !kindOK && len(in.AcceptsFeatures) > 0 {

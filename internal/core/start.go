@@ -18,35 +18,29 @@ type Restartable interface {
 
 // RestartPolicy bounds a started graph's restart-with-exponential-backoff
 // loop for Restartable sources that died with an error (Step returned
-// more=false and a non-nil error). Clean exhaustion never restarts.
+// more=false and a non-nil error). Clean exhaustion never restarts. The
+// loop never gives up: the backoff doubles per attempt up to Max, which
+// bounds the retry rate of a long outage.
 type RestartPolicy struct {
-	// MaxRestarts caps consecutive restart attempts; <= 0 means
-	// unlimited (the backoff cap bounds the retry rate).
-	MaxRestarts int
 	// Base is the first backoff delay (default 20ms).
 	Base time.Duration
 	// Max caps the backoff (default 2s).
 	Max time.Duration
-	// Multiplier grows the backoff per attempt (default 2).
-	Multiplier float64
 }
 
 // Delay returns the backoff before restart attempt n (1-based): Base
-// grown by Multiplier per attempt and capped at Max, zero fields taking
-// their defaults.
+// doubled per attempt and capped at Max, zero fields taking their
+// defaults.
 func (p RestartPolicy) Delay(attempt int) time.Duration {
-	d, limit, mult := float64(p.Base), float64(p.Max), p.Multiplier
+	d, limit := float64(p.Base), float64(p.Max)
 	if d <= 0 {
 		d = float64(20 * time.Millisecond)
 	}
 	if limit <= 0 {
 		limit = float64(2 * time.Second)
 	}
-	if mult < 1 {
-		mult = 2
-	}
 	for i := 1; i < attempt && d < limit; i++ {
-		d *= mult
+		d *= 2
 	}
 	return time.Duration(min(d, limit))
 }
@@ -195,9 +189,6 @@ func (r *runState) drive(n *Node) func(time.Time) (time.Time, bool) {
 				return now, false
 			}
 			n.attempt++
-			if r.restart.MaxRestarts > 0 && n.attempt > r.restart.MaxRestarts {
-				return now, false
-			}
 			return time.Now().Add(r.restart.Delay(n.attempt)), true
 		}
 	}

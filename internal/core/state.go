@@ -13,15 +13,11 @@ var (
 	ErrNotStateful = errors.New("core: component is not stateful")
 )
 
-// StateFeatureName is the well-known name of the Component Feature that
-// exposes its host's serializable state.
-const StateFeatureName = "state"
-
 // StateAccess is the functional interface for component-state
-// serialization. Retrieved from a node via the "state" Component
-// Feature (the paper's state-exposure mechanism: features "expose and
-// manipulate component state") and type-asserted by callers, exactly
-// like the Fig. 5 getFeature(HDOP.class) pattern.
+// serialization, implemented by stateful components themselves.
+// Graph.SnapshotState and RestoreState type-assert each node's
+// component to it; a component that does not implement it is
+// stateless.
 //
 // MarshalState must capture every bit of mutable processing state the
 // component would need to continue after a restart — filter estimates,
@@ -31,53 +27,6 @@ const StateFeatureName = "state"
 type StateAccess interface {
 	MarshalState() ([]byte, error)
 	UnmarshalState(data []byte) error
-}
-
-// StateFeature is the Component Feature that advertises and mediates
-// access to its host's state. Attaching it to a non-stateful component
-// is allowed (the capability is simply inert); marshalling through it
-// then fails with ErrNotStateful.
-type StateFeature struct {
-	host FeatureHost
-}
-
-var (
-	_ Feature         = (*StateFeature)(nil)
-	_ BindableFeature = (*StateFeature)(nil)
-	_ StateAccess     = (*StateFeature)(nil)
-)
-
-// newStateFeature returns the state-exposure feature.
-func newStateFeature() *StateFeature { return &StateFeature{} }
-
-// FeatureName implements Feature.
-func (f *StateFeature) FeatureName() string { return StateFeatureName }
-
-// Bind implements BindableFeature.
-func (f *StateFeature) Bind(host FeatureHost) { f.host = host }
-
-// MarshalState implements StateAccess by delegating to the host.
-func (f *StateFeature) MarshalState() ([]byte, error) {
-	if f.host == nil {
-		return nil, fmt.Errorf("%w: state feature not bound", ErrNotStateful)
-	}
-	sc, ok := f.host.Component().(StateAccess)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotStateful, f.host.Component().ID())
-	}
-	return sc.MarshalState()
-}
-
-// UnmarshalState implements StateAccess by delegating to the host.
-func (f *StateFeature) UnmarshalState(data []byte) error {
-	if f.host == nil {
-		return fmt.Errorf("%w: state feature not bound", ErrNotStateful)
-	}
-	sc, ok := f.host.Component().(StateAccess)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotStateful, f.host.Component().ID())
-	}
-	return sc.UnmarshalState(data)
 }
 
 // NodeState is the serializable snapshot of one graph node: its logical
@@ -107,19 +56,6 @@ type GraphState struct {
 	Nodes []NodeState `json:"nodes"`
 }
 
-// stateAccessLocked returns the node's state serializer: the attached
-// "state" Component Feature when present, else the component's own
-// StateAccess implementation. Called with g.mu held (read or write).
-func (n *Node) stateAccessLocked() (StateAccess, bool) {
-	if f, ok := n.featureLocked(StateFeatureName); ok {
-		if sa, ok := f.(StateAccess); ok {
-			return sa, true
-		}
-	}
-	sa, ok := n.comp.(StateAccess)
-	return sa, ok
-}
-
 // snapshotStateLocked captures the node's running state. Called with
 // g.mu held.
 func (n *Node) snapshotStateLocked() (NodeState, error) {
@@ -129,7 +65,7 @@ func (n *Node) snapshotStateLocked() (NodeState, error) {
 		Emitted: n.emitted,
 		Pending: n.currentSpans(),
 	}
-	if sa, ok := n.stateAccessLocked(); ok {
+	if sa, ok := n.comp.(StateAccess); ok {
 		data, err := sa.MarshalState()
 		if err != nil {
 			return NodeState{}, fmt.Errorf("core: marshal state of %q: %w", n.ID(), err)
@@ -148,7 +84,7 @@ func (n *Node) restoreStateLocked(st NodeState) error {
 	if len(st.Component) == 0 {
 		return nil
 	}
-	sa, ok := n.stateAccessLocked()
+	sa, ok := n.comp.(StateAccess)
 	if !ok {
 		return fmt.Errorf("%w: %q has checkpointed component state", ErrNotStateful, n.ID())
 	}
@@ -160,7 +96,7 @@ func (n *Node) restoreStateLocked(st NodeState) error {
 
 // SnapshotState captures the running state of every node in the graph:
 // logical clocks, span bookkeeping and the serialized state of every
-// stateful component (via its "state" feature or its own StateAccess).
+// stateful component (via its own StateAccess).
 // The graph must be quiescent — it fails with ErrRunning while the
 // graph is started, outside Graph.Pause, the seam runtime.Session's
 // Checkpoint captures through.

@@ -48,11 +48,6 @@ func stateGraph(t *testing.T) (*Graph, *counterComponent, *Sink) {
 			t.Fatal(err)
 		}
 	}
-	if n, _ := g.Node("counter"); n != nil {
-		if err := n.AttachFeature(newStateFeature()); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if err := g.Connect("src", "counter", 0); err != nil {
 		t.Fatal(err)
 	}
@@ -114,58 +109,48 @@ func TestGraphStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStateFeatureExposure retrieves state through the Component
-// Feature mechanism, the paper's state-exposure seam.
+// TestStateFeatureExposure: a snapshot carries a stateful component's
+// state as its own MarshalState produces it, with no feature attached.
 func TestStateFeatureExposure(t *testing.T) {
 	g, _, _ := stateGraph(t)
 	if _, err := g.StepAll(); err != nil {
 		t.Fatal(err)
 	}
-	n, _ := g.Node("counter")
-	if !n.HasCapability(StateFeatureName) {
-		t.Fatal("state feature not advertised as a capability")
-	}
-	f, ok := n.Feature(StateFeatureName)
-	if !ok {
-		t.Fatal("state feature not retrievable")
-	}
-	sa, ok := f.(StateAccess)
-	if !ok {
-		t.Fatalf("state feature does not implement StateAccess: %T", f)
-	}
-	data, err := sa.MarshalState()
+	snap, err := g.SnapshotState()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var st counterComponent
-	if err := json.Unmarshal(data, &st); err != nil {
-		t.Fatal(err)
+	for _, ns := range snap.Nodes {
+		if ns.ID == "counter" {
+			if err := json.Unmarshal(ns.Component, &st); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if st.Count != 1 {
-		t.Fatalf("feature-marshalled count = %d, want 1", st.Count)
+		t.Fatalf("snapshotted count = %d, want 1", st.Count)
 	}
 }
 
-// TestStateFeatureOnStatelessHost: attaching the feature to a
-// stateless component is inert until used, then fails cleanly.
+// TestStateFeatureOnStatelessHost: a stateless component snapshots no
+// component state, and restoring component state onto it fails
+// cleanly.
 func TestStateFeatureOnStatelessHost(t *testing.T) {
 	g := New()
-	sink := NewSink("app", []Kind{KindAny})
-	n, err := g.Add(sink)
+	if _, err := g.Add(NewSink("app", []Kind{KindAny})); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := g.SnapshotState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.AttachFeature(newStateFeature()); err != nil {
-		t.Fatal(err)
+	if len(snap.Nodes) != 1 || snap.Nodes[0].Component != nil {
+		t.Fatalf("snapshot = %+v, want one node without component state", snap)
 	}
-	f, _ := n.Feature(StateFeatureName)
-	if _, err := f.(StateAccess).MarshalState(); !errors.Is(err, ErrNotStateful) {
-		t.Fatalf("MarshalState on stateless host: err = %v, want ErrNotStateful", err)
-	}
-	// A snapshot of the whole graph must not fail on the inert feature
-	// ... it must surface the error, since the capability was advertised.
-	if _, err := g.SnapshotState(); !errors.Is(err, ErrNotStateful) {
-		t.Fatalf("SnapshotState = %v, want ErrNotStateful", err)
+	snap.Nodes[0].Component = json.RawMessage(`{"count": 1}`)
+	if err := g.RestoreState(snap); !errors.Is(err, ErrNotStateful) {
+		t.Fatalf("RestoreState = %v, want ErrNotStateful", err)
 	}
 }
 

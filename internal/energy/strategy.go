@@ -68,7 +68,6 @@ type PowerStrategy struct {
 	ctrl      PowerControllable
 	motion    MotionSource
 	threshold float64
-	maxSpeed  float64 // assumed speed before any measurement
 	minSpeed  float64 // floor for measured speeds
 	warmup    time.Duration
 
@@ -85,14 +84,15 @@ var (
 	_ StrategyControl      = (*PowerStrategy)(nil)
 )
 
+// maxSpeed is the target speed, in m/s, the strategy assumes before its
+// first fix.
+const maxSpeed = 3
+
 // PowerStrategyConfig parameterizes the updating scheme.
 type PowerStrategyConfig struct {
 	// Threshold is the maximum tolerated movement between updates in
 	// metres (default 50).
 	Threshold float64
-	// MaxSpeed is the assumed target speed before measurements, m/s
-	// (default 3).
-	MaxSpeed float64
 	// MinSpeed floors measured speeds so a momentarily stationary
 	// target still wakes the device eventually. The default is 0.3: a
 	// resting target is EnTracked's biggest energy win, so the re-check
@@ -106,9 +106,6 @@ type PowerStrategyConfig struct {
 func (c PowerStrategyConfig) withDefaults() PowerStrategyConfig {
 	if c.Threshold <= 0 {
 		c.Threshold = 50
-	}
-	if c.MaxSpeed <= 0 {
-		c.MaxSpeed = 3
 	}
 	if c.MinSpeed <= 0 {
 		c.MinSpeed = 0.3
@@ -124,7 +121,6 @@ func NewPowerStrategy(cfg PowerStrategyConfig) *PowerStrategy {
 	cfg = cfg.withDefaults()
 	return &PowerStrategy{
 		threshold: cfg.Threshold,
-		maxSpeed:  cfg.MaxSpeed,
 		minSpeed:  cfg.MinSpeed,
 		warmup:    cfg.Warmup,
 	}
@@ -200,7 +196,7 @@ func (s *PowerStrategy) tick(mode gps.Mode, d time.Duration) {
 	}
 	speed := s.estSpeed
 	if !s.haveFix {
-		speed = s.maxSpeed
+		speed = maxSpeed
 	}
 	moving := s.movingTime.Seconds()
 	if s.haveFix && s.motion != nil && speed < 1 {

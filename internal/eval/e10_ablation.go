@@ -13,14 +13,11 @@ import (
 
 // E10Config parameterizes the particle-count ablation.
 type E10Config struct {
-	Seed      int64
+	// Particles are the population sizes to sweep.
 	Particles []int
 }
 
 func (c E10Config) withDefaults() E10Config {
-	if c.Seed == 0 {
-		c.Seed = 110
-	}
 	if len(c.Particles) == 0 {
 		c.Particles = []int{50, 100, 200, 400, 800, 1600}
 	}
@@ -30,8 +27,9 @@ func (c E10Config) withDefaults() E10Config {
 // RunE10 sweeps the particle filter's population size over the E5
 // scenario — the accuracy/cost design-choice ablation DESIGN.md calls
 // out. Expected shape: accuracy improves with population and saturates;
-// cost grows linearly.
+// cost grows linearly. The walk has seed 110.
 func RunE10(cfg E10Config) (Result, error) {
+	const seed = 110
 	cfg = cfg.withDefaults()
 	b := building.Evaluation()
 
@@ -43,29 +41,16 @@ func RunE10(cfg E10Config) (Result, error) {
 
 	var firstRMSE, lastRMSE float64
 	for _, particles := range cfg.Particles {
-		tr := trace.CorridorWalk(b, cfg.Seed, 6, time.Second)
+		tr := trace.CorridorWalk(b, seed, 6, time.Second)
 		g, layer, sink, err := BuildGPSChannelPipeline(tr, gps.Config{
-			Seed:            cfg.Seed + 1,
+			Seed:            seed + 1,
 			IndoorDriftRate: 0.2,
 		})
 		if err != nil {
 			return Result{}, err
 		}
-		pf := filter.NewParticleFilter("particle-filter", b,
-			filter.Config{Particles: particles, Seed: cfg.Seed + 2})
-		if _, err := g.Add(pf); err != nil {
-			layer.Close()
-			return Result{}, err
-		}
-		if err := g.Disconnect("interpreter", "app", 0); err != nil {
-			layer.Close()
-			return Result{}, err
-		}
-		if err := g.Connect("interpreter", "particle-filter", 0); err != nil {
-			layer.Close()
-			return Result{}, err
-		}
-		if err := g.Connect("particle-filter", "app", 0); err != nil {
+		pf := filter.NewParticleFilter("particle-filter", b, filter.Config{Particles: particles, Seed: seed + 2})
+		if err := g.InsertBetween(pf, "interpreter", "app", 0, 0); err != nil {
 			layer.Close()
 			return Result{}, err
 		}

@@ -13,24 +13,6 @@ import (
 	"perpos/internal/wifi"
 )
 
-// E1Config parameterizes the Room Number experiment.
-type E1Config struct {
-	// Seed drives trace and sensor noise.
-	Seed int64
-	// Approach is the outdoor approach distance in metres.
-	Approach float64
-}
-
-func (c E1Config) withDefaults() E1Config {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Approach <= 0 {
-		c.Approach = 150
-	}
-	return c
-}
-
 // BuildFig1 wires Fig. 1's Room Number application over a commute
 // trace that starts approach metres outside the building: GPS ->
 // Parser -> Interpreter feeds the application's port 0 with WGS84
@@ -94,10 +76,9 @@ func BuildFig1(seed int64, approach float64, onInput func(port int, in core.Samp
 // pipeline (indoor room highlighting). The application prefers room
 // output when the WiFi system delivers it and falls back to GPS
 // positions outdoors. Reported: outdoor position error, indoor room
-// accuracy, and handover behaviour.
-func RunE1(cfg E1Config) (Result, error) {
-	cfg = cfg.withDefaults()
-
+// accuracy, and handover behaviour. The walk starts 150 m outside the
+// building, with seed 1.
+func RunE1() (Result, error) {
 	// The application: room IDs from the WiFi branch, WGS84 points from
 	// the GPS branch.
 	type roomAt struct {
@@ -106,7 +87,7 @@ func RunE1(cfg E1Config) (Result, error) {
 	}
 	var rooms []roomAt
 	var gpsPositions []positioning.Position
-	g, tr, err := BuildFig1(cfg.Seed, cfg.Approach, func(port int, in core.Sample) {
+	g, tr, err := BuildFig1(1, 150, func(port int, in core.Sample) {
 		switch port {
 		case 0:
 			if pos, ok := in.Payload.(positioning.Position); ok {

@@ -10,39 +10,23 @@ import (
 	"perpos/internal/trace"
 )
 
-// E4Config parameterizes the satellite-filter experiment.
-type E4Config struct {
-	Seed    int64
-	MinSats int
-}
-
-func (c E4Config) withDefaults() E4Config {
-	if c.Seed == 0 {
-		c.Seed = 60
-	}
-	if c.MinSats == 0 {
-		c.MinSats = 6
-	}
-	return c
-}
-
 // RunE4 reproduces §3.1: detecting unreliable GPS readings with the
 // NumberOfSatellites Component Feature and an inserted filter
 // component. A walk that moves indoors makes the receiver emit
 // drifting low-satellite ghost fixes; the experiment compares the
 // position stream with and without the filter.
-func RunE4(cfg E4Config) (Result, error) {
-	cfg = cfg.withDefaults()
+func RunE4() (Result, error) {
+	const seed, minSats = 60, 6
 	b := building.Evaluation()
 
 	run := func(withFilter bool) (delivered int, unreliable int, stats ErrorStats, err error) {
 		// The commute trace walks in from outdoors: good fixes outside,
 		// drifting low-satellite ghosts inside — the filter must drop
 		// the ghosts and keep the outdoor stream.
-		tr := trace.Commute(b, cfg.Seed, 200, 500*time.Millisecond)
+		tr := trace.Commute(b, seed, 200, 500*time.Millisecond)
 		g := core.New()
 		comps := []core.Component{
-			gps.NewReceiver("gps", tr, gps.Config{Seed: cfg.Seed + 1, ColdStart: 2 * time.Second}),
+			gps.NewReceiver("gps", tr, gps.Config{Seed: seed + 1, ColdStart: 2 * time.Second}),
 			gps.NewParser("parser"),
 			gps.NewInterpreter("interpreter", 0),
 		}
@@ -69,7 +53,7 @@ func RunE4(cfg E4Config) (Result, error) {
 		if withFilter {
 			// The §3.1 adaptation: splice the filter in after the Parser
 			// without touching any component's code.
-			if aerr := g.InsertBetween(gps.NewSatelliteFilter("satfilter", cfg.MinSats),
+			if aerr := g.InsertBetween(gps.NewSatelliteFilter("satfilter", minSats),
 				"parser", "interpreter", 0, 0); aerr != nil {
 				return 0, 0, ErrorStats{}, aerr
 			}
@@ -85,7 +69,7 @@ func RunE4(cfg E4Config) (Result, error) {
 				continue
 			}
 			positions = append(positions, pos)
-			if n, ok := s.IntAttr(gps.AttrSatellites); ok && n < cfg.MinSats {
+			if n, ok := s.IntAttr(gps.AttrSatellites); ok && n < minSats {
 				unreliable++
 			}
 		}

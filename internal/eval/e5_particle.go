@@ -16,29 +16,19 @@ import (
 
 // E5Config parameterizes the particle-filter experiment.
 type E5Config struct {
-	Seed      int64
-	Particles int
 	// Series, when true, adds the per-step truth/raw/filtered series to
 	// the notes (the data behind a Fig. 6 style plot).
 	Series bool
 }
 
-func (c E5Config) withDefaults() E5Config {
-	if c.Seed == 0 {
-		c.Seed = 70
-	}
-	if c.Particles == 0 {
-		c.Particles = 400
-	}
-	return c
-}
-
 // RunE5 reproduces §3.2 / Figs. 5–6: the particle filter integrated via
 // the middleware's adaptation API (HDOP Component Feature + Likelihood
 // Channel Feature + wall constraints), compared against raw GPS and a
-// moving-average smoother on an indoor corridor walk.
+// moving-average smoother on an indoor corridor walk. The walk has seed
+// 70, and the particle filter runs 400 particles. Each estimator is
+// spliced in between the interpreter and the application.
 func RunE5(cfg E5Config) (Result, error) {
-	cfg = cfg.withDefaults()
+	const seed = 70
 	b := building.Evaluation()
 
 	type variant struct {
@@ -51,50 +41,14 @@ func RunE5(cfg E5Config) (Result, error) {
 			return nil
 		}},
 		{name: "moving average (w=5)", build: func(g *core.Graph, _ *channel.Layer) error {
-			ma := filter.NewMovingAverage("smoother", 5)
-			if _, err := g.Add(ma); err != nil {
-				return err
-			}
-			if err := g.Disconnect("interpreter", "app", 0); err != nil {
-				return err
-			}
-			if err := g.Connect("interpreter", "smoother", 0); err != nil {
-				return err
-			}
-			if err := g.Connect("smoother", "app", 0); err != nil {
-				return err
-			}
-			return nil
+			return g.InsertBetween(filter.NewMovingAverage("smoother", 5), "interpreter", "app", 0, 0)
 		}},
 		{name: "kalman (cv)", build: func(g *core.Graph, _ *channel.Layer) error {
-			kf := filter.NewKalmanFilter("kalman", 0.5, b.Projection())
-			if _, err := g.Add(kf); err != nil {
-				return err
-			}
-			if err := g.Disconnect("interpreter", "app", 0); err != nil {
-				return err
-			}
-			if err := g.Connect("interpreter", "kalman", 0); err != nil {
-				return err
-			}
-			if err := g.Connect("kalman", "app", 0); err != nil {
-				return err
-			}
-			return nil
+			return g.InsertBetween(filter.NewKalmanFilter("kalman", 0.5, b.Projection()), "interpreter", "app", 0, 0)
 		}},
 		{name: "particle filter", build: func(g *core.Graph, layer *channel.Layer) error {
-			pf := filter.NewParticleFilter("particle-filter", b,
-				filter.Config{Particles: cfg.Particles, Seed: cfg.Seed + 9})
-			if _, err := g.Add(pf); err != nil {
-				return err
-			}
-			if err := g.Disconnect("interpreter", "app", 0); err != nil {
-				return err
-			}
-			if err := g.Connect("interpreter", "particle-filter", 0); err != nil {
-				return err
-			}
-			if err := g.Connect("particle-filter", "app", 0); err != nil {
+			pf := filter.NewParticleFilter("particle-filter", b, filter.Config{Particles: 400, Seed: seed + 9})
+			if err := g.InsertBetween(pf, "interpreter", "app", 0, 0); err != nil {
 				return err
 			}
 			layer.Refresh()
@@ -124,13 +78,13 @@ func RunE5(cfg E5Config) (Result, error) {
 	var rawRMSE, pfRMSE float64
 	var series []string
 	for _, v := range variants {
-		tr := trace.CorridorWalk(b, cfg.Seed, 6, time.Second)
+		tr := trace.CorridorWalk(b, seed, 6, time.Second)
 		// The Fig. 6 regime: indoors the GPS is very noisy
 		// (HDOP-scaled) but not systematically drifting — the seam the
 		// particle filter's HDOP likelihood and wall constraints can
 		// actually exploit.
 		g, layer, sink, err := BuildGPSChannelPipeline(tr, gps.Config{
-			Seed:            cfg.Seed + 1,
+			Seed:            seed + 1,
 			IndoorDriftRate: 0.2,
 		})
 		if err != nil {

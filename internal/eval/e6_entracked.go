@@ -13,28 +13,6 @@ import (
 	"perpos/internal/trace"
 )
 
-// E6Config parameterizes the EnTracked experiment.
-type E6Config struct {
-	Seed int64
-	// Thresholds are the EnTracked error bounds (m) to sweep.
-	Thresholds []float64
-	// Periods are the periodic-polling baselines to sweep.
-	Periods []time.Duration
-}
-
-func (c E6Config) withDefaults() E6Config {
-	if c.Seed == 0 {
-		c.Seed = 80
-	}
-	if len(c.Thresholds) == 0 {
-		c.Thresholds = []float64{25, 50, 100}
-	}
-	if len(c.Periods) == 0 {
-		c.Periods = []time.Duration{30 * time.Second, 60 * time.Second, 120 * time.Second}
-	}
-	return c
-}
-
 // e6Policy describes one reporting policy run.
 type e6Policy struct {
 	name      string
@@ -46,19 +24,18 @@ type e6Policy struct {
 // RunE6 reproduces §3.3 / Fig. 7: the EnTracked power strategy
 // implemented as a Component Feature plus Channel Feature, swept over
 // thresholds, against always-on and periodic baselines. The table is
-// the energy/accuracy trade-off (the shape of EnTracked [3]).
-func RunE6(cfg E6Config) (Result, error) {
-	cfg = cfg.withDefaults()
-
+// the energy/accuracy trade-off (the shape of EnTracked [3]). Every
+// policy replays the walk of seed 80.
+func RunE6() (Result, error) {
 	policies := []e6Policy{{name: "always-on"}}
-	for _, p := range cfg.Periods {
+	for _, p := range []time.Duration{30 * time.Second, 60 * time.Second, 120 * time.Second} {
 		policies = append(policies, e6Policy{
 			name:     fmt.Sprintf("periodic %ds", int(p.Seconds())),
 			startOff: true,
 			period:   p,
 		})
 	}
-	for _, th := range cfg.Thresholds {
+	for _, th := range []float64{25, 50, 100} {
 		policies = append(policies, e6Policy{
 			name:      fmt.Sprintf("entracked %dm", int(th)),
 			startOff:  true,
@@ -75,7 +52,7 @@ func RunE6(cfg E6Config) (Result, error) {
 	var alwaysOnJ, entracked50J float64
 	var alwaysOnErr, entracked50Err float64
 	for _, p := range policies {
-		sum, errStats, err := runE6Policy(cfg.Seed, p)
+		sum, errStats, err := runE6Policy(80, p)
 		if err != nil {
 			return Result{}, fmt.Errorf("policy %s: %w", p.name, err)
 		}

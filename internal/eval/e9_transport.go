@@ -11,26 +11,14 @@ import (
 	"perpos/internal/transport"
 )
 
-// E9Config parameterizes the transportation-mode experiment.
-type E9Config struct {
-	Seed int64
-}
-
-func (c E9Config) withDefaults() E9Config {
-	if c.Seed == 0 {
-		c.Seed = 100
-	}
-	return c
-}
-
 // RunE9 evaluates the transportation-mode reasoning pipeline the paper
 // cites as a motivating application ([4]: segmentation, feature
 // extraction, decision-tree classification, HMM post-processing),
 // built entirely from Processing Components. The ablation compares the
 // raw classifier with the HMM-smoothed output: the HMM must raise
-// accuracy and cut mode flicker.
-func RunE9(cfg E9Config) (Result, error) {
-	cfg = cfg.withDefaults()
+// accuracy and cut mode flicker. The traces' seeds start at 100.
+func RunE9() (Result, error) {
+	const seed = 100
 	origin := geo.Point{Lat: 56.1629, Lon: 10.2039}
 
 	run := func(withHMM bool, seed int64) (acc float64, transitions int, segments int, err error) {
@@ -99,14 +87,14 @@ func RunE9(cfg E9Config) (Result, error) {
 	var rawAcc, hmmAcc float64
 	var rawTrans, hmmTrans, segments int
 	for i := int64(0); i < runs; i++ {
-		a, tr1, seg, err := run(false, cfg.Seed+i*17)
+		a, tr1, seg, err := run(false, seed+i*17)
 		if err != nil {
 			return Result{}, err
 		}
 		rawAcc += a / runs
 		rawTrans += tr1
 		segments += seg
-		a, tr2, _, err := run(true, cfg.Seed+i*17)
+		a, tr2, _, err := run(true, seed+i*17)
 		if err != nil {
 			return Result{}, err
 		}

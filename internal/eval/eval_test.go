@@ -125,7 +125,7 @@ func parseF(t *testing.T, s string) float64 {
 }
 
 func TestRunE1Shape(t *testing.T) {
-	r, err := RunE1(E1Config{})
+	r, err := RunE1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestRunE3Shape(t *testing.T) {
 }
 
 func TestRunE4Shape(t *testing.T) {
-	r, err := RunE4(E4Config{})
+	r, err := RunE4()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestRunE5Shape(t *testing.T) {
 }
 
 func TestRunE6Shape(t *testing.T) {
-	r, err := RunE6(E6Config{})
+	r, err := RunE6()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestRunE8Shape(t *testing.T) {
 }
 
 func TestRunE9Shape(t *testing.T) {
-	r, err := RunE9(E9Config{})
+	r, err := RunE9()
 	if err != nil {
 		t.Fatal(err)
 	}

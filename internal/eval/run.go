@@ -12,15 +12,15 @@ type Runner func() (Result, error)
 // configurations — the per-experiment index of DESIGN.md §4.
 func Experiments() map[string]Runner {
 	return map[string]Runner{
-		"E1":  func() (Result, error) { return RunE1(E1Config{}) },
+		"E1":  RunE1,
 		"E2":  RunE2,
 		"E3":  RunE3,
-		"E4":  func() (Result, error) { return RunE4(E4Config{}) },
+		"E4":  RunE4,
 		"E5":  func() (Result, error) { return RunE5(E5Config{}) },
-		"E6":  func() (Result, error) { return RunE6(E6Config{}) },
+		"E6":  RunE6,
 		"E7":  func() (Result, error) { return RunE7(E7Config{}) },
 		"E8":  func() (Result, error) { return RunE8(E8Config{}) },
-		"E9":  func() (Result, error) { return RunE9(E9Config{}) },
+		"E9":  RunE9,
 		"E10": func() (Result, error) { return RunE10(E10Config{}) },
 	}
 }

@@ -17,13 +17,14 @@ type Particle struct {
 	W   float64
 }
 
+// motionSigma is the particles' random-walk diffusion in m/sqrt(s), a
+// pedestrian's.
+const motionSigma = 1.0
+
 // Config parameterizes the particle filter.
 type Config struct {
 	// Particles is the population size (default 500).
 	Particles int
-	// MotionSigma is the random-walk diffusion in m/sqrt(s)
-	// (default 1.0, pedestrian).
-	MotionSigma float64
 	// InitSigma is the spread used when (re)initialising around a
 	// measurement (default 8 m).
 	InitSigma float64
@@ -34,9 +35,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Particles <= 0 {
 		c.Particles = 500
-	}
-	if c.MotionSigma <= 0 {
-		c.MotionSigma = 1.0
 	}
 	if c.InitSigma <= 0 {
 		c.InitSigma = 8
@@ -275,7 +273,7 @@ func (pf *ParticleFilter) predict(dt float64) {
 	if dt <= 0 {
 		return
 	}
-	step := pf.cfg.MotionSigma * math.Sqrt(dt)
+	step := motionSigma * math.Sqrt(dt)
 	for i := range pf.particles {
 		p := &pf.particles[i]
 		next := geo.ENU{

@@ -65,22 +65,23 @@ func (m Mode) String() string {
 // model uses it to integrate power draw.
 type TickFunc func(mode Mode, d time.Duration)
 
+// The receiver emits one epoch a second, and its horizontal error is
+// about HDOP * uere metres. An off-duration of coldThreshold or more
+// makes reacquisition cold.
+const (
+	epoch         = time.Second
+	uere          = 3
+	coldThreshold = 10 * time.Minute
+)
+
 // Config parameterizes the receiver simulation.
 type Config struct {
-	// Epoch is the output period (default 1 s).
-	Epoch time.Duration
-	// UERE is the user-equivalent range error in metres; horizontal
-	// error is ~ HDOP * UERE (default 3 m).
-	UERE float64
 	// WarmStart is the reacquisition delay after a short power-down
 	// (default 6 s).
 	WarmStart time.Duration
 	// ColdStart is the acquisition delay after a long power-down or at
 	// boot (default 30 s).
 	ColdStart time.Duration
-	// ColdThreshold is the off-duration beyond which reacquisition is
-	// cold (default 10 min).
-	ColdThreshold time.Duration
 	// IndoorDriftRate is the random-walk drift in m per sqrt(s) applied
 	// to indoor "ghost" fixes (default 1.5).
 	IndoorDriftRate float64
@@ -93,20 +94,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Epoch <= 0 {
-		c.Epoch = time.Second
-	}
-	if c.UERE <= 0 {
-		c.UERE = 3
-	}
 	if c.WarmStart <= 0 {
 		c.WarmStart = 6 * time.Second
 	}
 	if c.ColdStart <= 0 {
 		c.ColdStart = 30 * time.Second
-	}
-	if c.ColdThreshold <= 0 {
-		c.ColdThreshold = 10 * time.Minute
 	}
 	if c.IndoorDriftRate <= 0 {
 		c.IndoorDriftRate = 1.5
@@ -223,7 +215,7 @@ func (r *Receiver) PowerOn() {
 	if r.mode != ModeOff {
 		return
 	}
-	if r.offSince.IsZero() || r.now.Sub(r.offSince) >= r.cfg.ColdThreshold {
+	if r.offSince.IsZero() || r.now.Sub(r.offSince) >= coldThreshold {
 		r.acquireLeft = r.cfg.ColdStart
 	} else {
 		r.acquireLeft = r.cfg.WarmStart
@@ -255,14 +247,14 @@ func (r *Receiver) Step(emit core.Emit) (bool, error) {
 	truth, _ := r.tr.At(r.now)
 
 	for _, tick := range r.onTick {
-		tick(r.mode, r.cfg.Epoch)
+		tick(r.mode, epoch)
 	}
 
 	switch r.mode {
 	case ModeOff:
 		// Powered down: silence.
 	case ModeAcquiring:
-		r.acquireLeft -= r.cfg.Epoch
+		r.acquireLeft -= epoch
 		emitSentence(r, emit, r.noFixGGA())
 		if r.acquireLeft <= 0 {
 			r.mode = ModeTracking
@@ -271,7 +263,7 @@ func (r *Receiver) Step(emit core.Emit) (bool, error) {
 		r.emitEpoch(emit, truth)
 	}
 
-	r.now = r.now.Add(r.cfg.Epoch)
+	r.now = r.now.Add(epoch)
 	return r.cfg.Loop || !r.now.After(r.end), nil
 }
 
@@ -287,11 +279,11 @@ func (r *Receiver) emitEpoch(emit core.Emit, truth trace.Point) {
 	}
 
 	local := truth.Local
-	sigma := hdop * r.cfg.UERE
+	sigma := hdop * uere
 	if truth.Indoor {
 		// The drifting ghost fix: the device keeps reporting, anchored
 		// to a random walk around the last good position.
-		step := r.cfg.IndoorDriftRate * math.Sqrt(r.cfg.Epoch.Seconds())
+		step := r.cfg.IndoorDriftRate * math.Sqrt(epoch.Seconds())
 		r.drift.East += r.rng.NormFloat64() * step
 		r.drift.North += r.rng.NormFloat64() * step
 		local.East += r.drift.East

@@ -9,7 +9,7 @@
 // The node state machine:
 //
 //	          consecutive errors >= MaxConsecutiveErrors
-//	          or silence > deadline (watched nodes)
+//	          or silence > the node's deadline (Policy.Deadlines)
 //	Healthy ────────────────────────────────────────────▶ Down
 //	   ▲                                                   │
 //	   └───────────────────────────────────────────────────┘
@@ -20,8 +20,8 @@
 // deliveries, whichever engine drives the graph) except for a
 // half-open probe admitted every ProbeInterval — the sample that lets
 // a recovered component prove itself. Sources are not gated; a dead
-// source is restarted by its started graph with exponential backoff
-// instead.
+// source is restarted by its started graph with exponential backoff,
+// without a give-up, instead.
 package health
 
 import (
@@ -77,13 +77,10 @@ type Event struct {
 type Policy struct {
 	// MaxConsecutiveErrors trips a node's breaker (default 3).
 	MaxConsecutiveErrors int
-	// Deadline is the default last-output watchdog deadline for
-	// watched nodes; 0 disables the default watchdog. A node is only
-	// held to its deadline after its first observed output, so cold
-	// starts (GPS acquisition) don't false-trip.
-	Deadline time.Duration
-	// Deadlines overrides the watchdog deadline per node; listing a
-	// node here also marks it watched.
+	// Deadlines sets the last-output watchdog deadline per node; a
+	// node without one is never deadline-tripped. A node is only held
+	// to its deadline after its first observed output, so cold starts
+	// (GPS acquisition) don't false-trip.
 	Deadlines map[string]time.Duration
 	// RecoveryEmissions is how many outputs a Down node must produce
 	// before the breaker closes again (default 1).
@@ -114,14 +111,6 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-// deadlineFor returns the watchdog deadline for a node (0 = unwatched).
-func (p Policy) deadlineFor(node string) time.Duration {
-	if d, ok := p.Deadlines[node]; ok {
-		return d
-	}
-	return p.Deadline
-}
-
 // NodeHealth is the externally visible health snapshot of one node.
 type NodeHealth struct {
 	Node              string
@@ -147,7 +136,6 @@ type nodeState struct {
 	emissionsDown int       // outputs observed since the breaker opened
 	lastProbe     time.Time // last half-open probe admitted while Down
 	lastErr       error
-	watched       bool // held to a watchdog deadline
 }
 
 // fold moves the outputs tapped since the last fold into the record:
@@ -217,14 +205,13 @@ func NewMonitor(policy Policy, opts ...MonitorOption) *Monitor {
 // Policy returns the effective (defaulted) policy.
 func (m *Monitor) Policy() Policy { return m.policy }
 
-// Watch registers a node for supervision ahead of traffic, arming its
-// watchdog deadline (if one is configured). Unwatched nodes are still
-// tracked lazily for error rates, but never deadline-tripped.
+// Watch registers a node ahead of traffic, so Health and Snapshot
+// report it before its first emission or error. Other nodes are
+// tracked lazily, from their first emission or error on.
 func (m *Monitor) Watch(node string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := m.nodeLocked(node)
-	st.watched = true
+	m.nodeLocked(node)
 }
 
 // nodeLocked returns (creating on demand) the node's record.
@@ -316,8 +303,7 @@ func (m *Monitor) Advance(now time.Time) []Event {
 				events = append(events, m.tripLocked(st, now, "errors"))
 				continue
 			}
-			if d := m.policy.deadlineFor(st.Node); d > 0 && st.watched && st.hasOutput &&
-				now.Sub(st.LastOutput) > d {
+			if d := m.policy.Deadlines[st.Node]; d > 0 && st.hasOutput && now.Sub(st.LastOutput) > d {
 				events = append(events, m.tripLocked(st, now, "silence"))
 			}
 		case StateDown:

@@ -44,8 +44,7 @@ func TestSuccessBreaksTheStreak(t *testing.T) {
 }
 
 func TestWatchdogTripsOnSilenceOnlyAfterFirstOutput(t *testing.T) {
-	m := NewMonitor(Policy{Deadline: time.Second})
-	m.Watch("wifi")
+	m := NewMonitor(Policy{Deadlines: map[string]time.Duration{"wifi": time.Second}})
 	// Never emitted: no deadline, however much time passes (cold start).
 	if ev := m.Advance(t0.Add(time.Hour)); len(ev) != 0 {
 		t.Fatalf("cold-start watchdog tripped: %v", ev)
@@ -61,8 +60,10 @@ func TestWatchdogTripsOnSilenceOnlyAfterFirstOutput(t *testing.T) {
 	}
 }
 
+// TestUnwatchedNodesNeverDeadlineTrip: only the nodes Deadlines lists
+// are held to a deadline.
 func TestUnwatchedNodesNeverDeadlineTrip(t *testing.T) {
-	m := NewMonitor(Policy{Deadline: time.Second})
+	m := NewMonitor(Policy{Deadlines: map[string]time.Duration{"wifi": time.Second}})
 	m.Tap("lazy", core.Sample{})
 	h, _ := m.Health("lazy")
 	if ev := m.Advance(h.LastOutput.Add(time.Hour)); len(ev) != 0 {
@@ -71,10 +72,7 @@ func TestUnwatchedNodesNeverDeadlineTrip(t *testing.T) {
 }
 
 func TestPerNodeDeadlineOverride(t *testing.T) {
-	m := NewMonitor(Policy{
-		Deadline:  time.Hour,
-		Deadlines: map[string]time.Duration{"wifi": 100 * time.Millisecond},
-	})
+	m := NewMonitor(Policy{Deadlines: map[string]time.Duration{"wifi": 100 * time.Millisecond}})
 	m.Tap("wifi", core.Sample{})
 	h, _ := m.Health("wifi")
 	ev := m.Advance(h.LastOutput.Add(200 * time.Millisecond))

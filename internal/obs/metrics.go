@@ -138,12 +138,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// HistogramState is a raw copy of a histogram's bucket counts — the
-// currency of windowed (delta) analysis. Where HistogramSnapshot gives
-// cumulative quantiles since process start, two States taken at the
-// edges of an observation window give the distribution of just that
-// window via DeltaQuantile — how the rollout canary gate judges the
-// latency of the new revision without the history drowning it out.
+// HistogramState is a raw copy of a histogram's bucket counts, which
+// Count and the Prometheus exposition read.
 type HistogramState struct {
 	Count   uint64
 	Buckets [histBuckets]uint64
@@ -157,25 +153,6 @@ func (h *Histogram) State() HistogramState {
 		s.Count += s.Buckets[i]
 	}
 	return s
-}
-
-// DeltaQuantile returns the q-th quantile (upper-bound estimate, like
-// HistogramSnapshot) of the observations recorded between two States of
-// the same histogram, or 0 when the window saw none. Counts are clamped
-// per bucket, so a torn read under concurrent traffic cannot underflow.
-func DeltaQuantile(before, after HistogramState, q float64) int64 {
-	var counts [histBuckets]uint64
-	total := uint64(0)
-	for i := range counts {
-		if after.Buckets[i] > before.Buckets[i] {
-			counts[i] = after.Buckets[i] - before.Buckets[i]
-		}
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	return quantile(&counts, total, q)
 }
 
 // quantile returns the upper bound of the bucket containing the q-th

@@ -118,31 +118,3 @@ func TestPrometheusEndpoints(t *testing.T) {
 		t.Fatalf("/metrics Content-Type = %q, want application/json", ct)
 	}
 }
-
-func TestDeltaQuantile(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 100; i++ {
-		h.Observe(4) // history: all small
-	}
-	before := h.State()
-	for i := 0; i < 10; i++ {
-		h.Observe(1024) // window: all slow
-	}
-	after := h.State()
-
-	if got := DeltaQuantile(before, after, 0.99); got != 1024 {
-		t.Fatalf("window p99 = %d, want 1024", got)
-	}
-	// The cumulative view is still dominated by history.
-	if got := h.Snapshot().P50; got != 4 {
-		t.Fatalf("cumulative p50 = %d, want 4", got)
-	}
-	// Empty window.
-	if got := DeltaQuantile(after, after, 0.99); got != 0 {
-		t.Fatalf("empty window quantile = %d, want 0", got)
-	}
-	// Reversed states clamp instead of underflowing.
-	if got := DeltaQuantile(after, before, 0.5); got != 0 {
-		t.Fatalf("reversed window quantile = %d, want 0", got)
-	}
-}

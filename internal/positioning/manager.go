@@ -182,32 +182,13 @@ func (t *Target) Providers() []*Provider {
 }
 
 // Track registers (or returns) the target with the given ID. When a
-// provider source is bound and fails, Track degrades to a bare target
-// with no attached providers; use TrackErr to observe the failure.
-func (m *Manager) Track(id string) *Target {
-	if t, err := m.TrackErr(id); err == nil {
-		return t
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.targets == nil {
-		m.targets = make(map[string]*Target)
-	}
-	if t, ok := m.targets[id]; ok {
-		return t
-	}
-	t := &Target{id: id}
-	m.targets[id] = t
-	return t
-}
-
-// TrackErr registers (or returns) the target with the given ID. When a
 // provider source is bound, the target's providers are obtained from it
 // — for a session runtime source this spins up the target's pipeline
-// instance. ProvidersFor runs outside the manager lock; if two callers
-// race on the same new ID, both consult the source (which must be
-// idempotent) and one registration wins.
-func (m *Manager) TrackErr(id string) (*Target, error) {
+// instance — and when the source fails, nothing is registered and the
+// error is returned. ProvidersFor runs outside the manager lock; if two
+// callers race on the same new ID, both consult the source (which must
+// be idempotent) and one registration wins.
+func (m *Manager) Track(id string) (*Target, error) {
 	m.mu.Lock()
 	if t, ok := m.targets[id]; ok {
 		m.mu.Unlock()

@@ -181,8 +181,7 @@ func TestTargetsAndKNearest(t *testing.T) {
 		if err := m.Register(p); err != nil {
 			t.Fatal(err)
 		}
-		tgt := m.Track(id)
-		tgt.Attach(p)
+		track(t, m, id).Attach(p)
 		p.Deliver(posAt(origin.Offset(dist, 0), at, 3, "gps"))
 	}
 	mkTarget("alice", 10)
@@ -190,7 +189,7 @@ func TestTargetsAndKNearest(t *testing.T) {
 	mkTarget("carol", 40)
 
 	// An untracked target with no position does not appear.
-	m.Track("ghost")
+	track(t, m, "ghost")
 
 	near := m.KNearest(origin, 2)
 	if len(near) != 2 {
@@ -209,7 +208,7 @@ func TestTargetsAndKNearest(t *testing.T) {
 	}
 
 	// Track returns the same target for the same ID.
-	if m.Track("alice") != m.Track("alice") {
+	if track(t, m, "alice") != track(t, m, "alice") {
 		t.Error("Track not idempotent")
 	}
 	if got := len(m.Targets()); got != 4 {
@@ -230,11 +229,10 @@ func TestKNearestMatchesFullSort(t *testing.T) {
 		if err := m.Register(p); err != nil {
 			t.Fatal(err)
 		}
-		tgt := m.Track(id)
-		tgt.Attach(p)
+		track(t, m, id).Attach(p)
 		p.Deliver(posAt(origin.Offset(d, float64(i*36)), at, 3, "gps"))
 	}
-	m.Track("no-position")
+	track(t, m, "no-position")
 
 	// Reference: full sort with the same ordering rule.
 	var ref []Neighbor
@@ -305,16 +303,13 @@ func TestTrackObtainsProvidersFromSource(t *testing.T) {
 	src := &sessionSource{}
 	m.BindSource(src)
 
-	tgt, err := m.TrackErr("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tgt := track(t, m, "alice")
 	provs := tgt.Providers()
 	if len(provs) != 1 || provs[0].Name() != "alice-session" {
 		t.Fatalf("Providers = %v", provs)
 	}
 	// Tracking again reuses the registration, no second spin-up.
-	if again := m.Track("alice"); again != tgt {
+	if again := track(t, m, "alice"); again != tgt {
 		t.Error("Track not idempotent with a source")
 	}
 	if src.creates != 1 {
@@ -343,9 +338,7 @@ func TestTrackObtainsProvidersFromSource(t *testing.T) {
 	}
 
 	// Re-tracking spins up a fresh session.
-	if _, err := m.TrackErr("alice"); err != nil {
-		t.Fatal(err)
-	}
+	track(t, m, "alice")
 	if src.creates != 2 {
 		t.Errorf("creates after re-track = %d, want 2", src.creates)
 	}
@@ -355,24 +348,37 @@ func TestTrackErrSurfacesSourceFailure(t *testing.T) {
 	m := &Manager{}
 	src := &sessionSource{fail: true}
 	m.BindSource(src)
-	if _, err := m.TrackErr("alice"); err == nil {
-		t.Fatal("TrackErr swallowed the source failure")
+	if tgt, err := m.Track("alice"); err == nil || tgt != nil {
+		t.Fatalf("Track = %v, %v; want the source failure and no target", tgt, err)
 	}
 	if got := len(m.Targets()); got != 0 {
 		t.Errorf("failed track left %d targets", got)
 	}
-	// Track degrades to a bare target instead of panicking.
-	tgt := m.Track("alice")
-	if tgt == nil || len(tgt.Providers()) != 0 {
-		t.Errorf("degraded Track = %+v", tgt)
+	// Nothing was registered, so once the source recovers the target is
+	// tracked with its provider.
+	src.mu.Lock()
+	src.fail = false
+	src.mu.Unlock()
+	if provs := track(t, m, "alice").Providers(); len(provs) != 1 {
+		t.Errorf("Providers after recovery = %v, want the session's", provs)
 	}
+}
+
+// track is Manager.Track for a call that must succeed.
+func track(t *testing.T, m *Manager, id string) *Target {
+	t.Helper()
+	tgt, err := m.Track(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tgt
 }
 
 func TestTargetFreshestAcrossProviders(t *testing.T) {
 	m := &Manager{}
 	old := NewProvider("old", ProviderInfo{}, nil)
 	fresh := NewProvider("fresh", ProviderInfo{}, nil)
-	tgt := m.Track("t")
+	tgt := track(t, m, "t")
 	tgt.Attach(old)
 	tgt.Attach(fresh)
 
@@ -385,7 +391,7 @@ func TestTargetFreshestAcrossProviders(t *testing.T) {
 		t.Errorf("Last = %+v, want the fresher wifi position", got)
 	}
 
-	empty := m.Track("empty")
+	empty := track(t, m, "empty")
 	if _, ok := empty.Last(); ok {
 		t.Error("empty target reported a position")
 	}

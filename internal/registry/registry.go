@@ -244,12 +244,6 @@ func outputSatisfies(out core.OutputSpec, capabilities []string, in core.PortSpe
 			kindOK = true
 			break
 		}
-		for _, extra := range out.ExtraKinds {
-			if k == extra {
-				kindOK = true
-				break
-			}
-		}
 	}
 	if !kindOK {
 		return false

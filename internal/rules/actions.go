@@ -27,10 +27,11 @@ type Action interface {
 	Revert(g *core.Graph) error
 }
 
-// InsertAction splices a new component into an existing edge — the
-// §3.1 case study (insert a filter when accuracy degrades). Each
-// engagement builds a fresh component instance, so reverting discards
-// any filter state rather than freezing it for the next engagement.
+// InsertAction splices a new component, by its input port 0, into an
+// existing edge — the §3.1 case study (insert a filter when accuracy
+// degrades). Each engagement builds a fresh component instance, so
+// reverting discards any filter state rather than freezing it for the
+// next engagement.
 type InsertAction struct {
 	// ID is the node ID the built component must carry.
 	ID string
@@ -40,8 +41,6 @@ type InsertAction struct {
 	From string
 	To   string
 	Port int
-	// InPort is the inserted component's input port (usually 0).
-	InPort int
 }
 
 // Describe implements Action.
@@ -54,7 +53,7 @@ func (a *InsertAction) Describe() string {
 func (a *InsertAction) Edges() []core.Edge {
 	return []core.Edge{
 		{From: a.From, To: a.To, Port: a.Port},
-		{From: a.From, To: a.ID, Port: a.InPort},
+		{From: a.From, To: a.ID, Port: 0},
 		{From: a.ID, To: a.To, Port: a.Port},
 	}
 }
@@ -62,7 +61,7 @@ func (a *InsertAction) Edges() []core.Edge {
 // Apply implements Action. InsertBetween unwinds partial failures
 // itself, so a failed Apply leaves the original edge intact.
 func (a *InsertAction) Apply(g *core.Graph) error {
-	return g.InsertBetween(a.Build(a.ID), a.From, a.To, a.Port, a.InPort)
+	return g.InsertBetween(a.Build(a.ID), a.From, a.To, a.Port, 0)
 }
 
 // Revert implements Action: remove the inserted node (dropping both

@@ -110,7 +110,7 @@ type ruleState struct {
 	guardBase      float64
 	deferredNow    bool
 
-	flapTimes []time.Time // recent transition timestamps within FlapWindow
+	flapTimes []time.Time // recent transition timestamps within flapWindow
 
 	engagements    uint64
 	disengagements uint64
@@ -127,16 +127,12 @@ type Config struct {
 	// Adapter applies graph edits (runtime.Session's pause seam, which
 	// edits between source steps). Required when Rules is non-empty.
 	Adapter health.Adapter
-	// Monitor supplies per-node health signals (errors:, restarts:,
-	// silence_ms:, …). Optional; without it those signals read as
-	// unknown.
+	// Monitor supplies the errors:<node> signal. Optional; without it
+	// that signal reads as unknown.
 	Monitor *health.Monitor
 	// Claimer supplies supervisor edge claims for arbitration.
 	// Optional; without it rules never yield to the supervisor.
 	Claimer EdgeClaimer
-	// Availability supplies the provider availability ordinal for the
-	// "availability" signal. Optional.
-	Availability func() float64
 }
 
 // Engine evaluates a rule set against live signals on every supervisor
@@ -147,7 +143,6 @@ type Engine struct {
 	adapter health.Adapter
 	mon     *health.Monitor
 	claimer EdgeClaimer
-	avail   func() float64
 
 	probes []*attrProbe
 
@@ -171,7 +166,6 @@ func New(cfg Config) (*Engine, error) {
 		adapter: cfg.Adapter,
 		mon:     cfg.Monitor,
 		claimer: cfg.Claimer,
-		avail:   cfg.Availability,
 	}
 	groupIdx := make(map[string]int)
 	for i, r := range cfg.Rules {
@@ -208,11 +202,12 @@ func New(cfg Config) (*Engine, error) {
 // compile parses a condition's signal and attaches (deduplicating) the
 // attribute probe it reads.
 func (e *Engine) compile(c Condition) (signalRef, error) {
-	ref, key, err := parseSignal(c.Signal)
+	node, key, err := parseSignal(c.Signal)
 	if err != nil {
-		return ref, err
+		return signalRef{}, err
 	}
-	if ref.kind == sigAttr {
+	ref := signalRef{node: node}
+	if key != "" {
 		for _, p := range e.probes {
 			if p.key == key && p.node == ref.node {
 				ref.probe = p
@@ -311,7 +306,7 @@ func (e *Engine) Sweep(now time.Time) {
 			st.quarantined = false
 		}
 
-		e.track(&st.condSince, e.holds(&st.when, st.rule.When, now), now)
+		e.track(&st.condSince, e.holds(&st.when, st.rule.When), now)
 
 		if !st.engaged {
 			continue
@@ -328,7 +323,7 @@ func (e *Engine) Sweep(now time.Time) {
 		// Probation guard: roll back a fresh engagement that makes the
 		// guarded signal worse.
 		if st.rule.Guard != nil && now.Before(st.probationUntil) {
-			if v, ok := e.value(&st.guard, now); ok {
+			if v, ok := e.value(&st.guard); ok {
 				if st.rule.Guard.Delta {
 					v -= st.guardBase
 				}
@@ -347,8 +342,8 @@ func (e *Engine) Sweep(now time.Time) {
 		// held for the full dwell.
 		clear := false
 		if st.rule.ClearWhen != nil {
-			clear = e.holds(&st.clear, *st.rule.ClearWhen, now)
-		} else if v, ok := e.value(&st.when, now); ok {
+			clear = e.holds(&st.clear, *st.rule.ClearWhen)
+		} else if v, ok := e.value(&st.when); ok {
 			// Default clear is the negation of When — but only when the
 			// signal is actually observable. Unknown never transitions.
 			clear = !st.rule.When.compare(v)
@@ -436,24 +431,19 @@ func (e *Engine) track(since *time.Time, holding bool, now time.Time) {
 }
 
 // holds evaluates a condition; unknown signals never hold.
-func (e *Engine) holds(ref *signalRef, c Condition, now time.Time) bool {
-	v, ok := e.value(ref, now)
+func (e *Engine) holds(ref *signalRef, c Condition) bool {
+	v, ok := e.value(ref)
 	return ok && c.compare(v)
 }
 
-// value reads a compiled signal.
-func (e *Engine) value(ref *signalRef, now time.Time) (float64, bool) {
-	switch ref.kind {
-	case sigAttr:
+// value reads a compiled signal: the attribute probe's latest
+// observation, or the monitor's error count for the node.
+func (e *Engine) value(ref *signalRef) (float64, bool) {
+	if ref.probe != nil {
 		if !ref.probe.seen.Load() {
 			return 0, false
 		}
 		return math.Float64frombits(ref.probe.bits.Load()), true
-	case sigAvailability:
-		if e.avail == nil {
-			return 0, false
-		}
-		return e.avail(), true
 	}
 	if e.mon == nil {
 		return 0, false
@@ -462,22 +452,7 @@ func (e *Engine) value(ref *signalRef, now time.Time) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	switch ref.kind {
-	case sigErrors:
-		return float64(h.Errors), true
-	case sigConsecutive:
-		return float64(h.ConsecutiveErrors), true
-	case sigRestarts:
-		return float64(h.Restarts), true
-	case sigTrips:
-		return float64(h.Trips), true
-	case sigSilenceMS:
-		if h.LastOutput.IsZero() {
-			return 0, false
-		}
-		return float64(now.Sub(h.LastOutput).Milliseconds()), true
-	}
-	return 0, false
+	return float64(h.Errors), true
 }
 
 // conflicts reports whether the rule's action footprint intersects the
@@ -513,7 +488,7 @@ func (e *Engine) engage(st *ruleState, now time.Time) {
 	if st.rule.Guard != nil {
 		st.probationUntil = now.Add(st.rule.Guard.Probation)
 		st.guardBase = 0
-		if v, ok := e.value(&st.guard, now); ok {
+		if v, ok := e.value(&st.guard); ok {
 			st.guardBase = v
 		}
 	}
@@ -544,7 +519,7 @@ func (e *Engine) revert(st *ruleState, now time.Time, reason string, countFlap b
 // transition records one engage/disengage into the flap window and
 // quarantines the rule when the budget is blown.
 func (e *Engine) transition(st *ruleState, now time.Time) {
-	cutoff := now.Add(-st.rule.FlapWindow)
+	cutoff := now.Add(-flapWindow)
 	keep := st.flapTimes[:0]
 	for _, t := range st.flapTimes {
 		if t.After(cutoff) {
@@ -552,7 +527,7 @@ func (e *Engine) transition(st *ruleState, now time.Time) {
 		}
 	}
 	st.flapTimes = append(keep, now)
-	if len(st.flapTimes) > st.rule.MaxFlaps {
+	if len(st.flapTimes) > maxFlaps {
 		if st.engaged {
 			if e.revert(st, now, "flapping", false) != nil {
 				return
@@ -565,7 +540,7 @@ func (e *Engine) transition(st *ruleState, now time.Time) {
 // quarantine benches the rule and announces it.
 func (e *Engine) quarantine(st *ruleState, now time.Time, reason string) {
 	st.quarantined = true
-	st.quarUntil = now.Add(st.rule.QuarantineFor)
+	st.quarUntil = now.Add(quarantineFor)
 	st.flapTimes = st.flapTimes[:0]
 	e.emit(Event{Time: now, Rule: st.rule.Name, Type: EventQuarantined, Reason: reason})
 }

@@ -176,7 +176,6 @@ func TestEngineCooldown(t *testing.T) {
 		EngageAfter:    time.Millisecond,
 		DisengageAfter: time.Millisecond,
 		Cooldown:       5 * time.Second,
-		MaxFlaps:       100, // keep flap damping out of this test
 		Action:         act,
 	}}
 	e := newTestEngine(t, rs, Config{})
@@ -220,9 +219,6 @@ func TestEngineFlapQuarantine(t *testing.T) {
 		EngageAfter:    time.Millisecond,
 		DisengageAfter: time.Millisecond,
 		Cooldown:       time.Millisecond,
-		MaxFlaps:       3,
-		FlapWindow:     time.Minute,
-		QuarantineFor:  30 * time.Second,
 		Action:         act,
 	}}
 	e := newTestEngine(t, rs, Config{})
@@ -237,12 +233,16 @@ func TestEngineFlapQuarantine(t *testing.T) {
 		now = now.Add(2 * time.Millisecond)
 		e.Sweep(now)
 	}
-	// Each engage+disengage is 2 transitions; the 4th transition blows
-	// the budget of 3.
-	flip(5) // engage (1)
-	flip(0) // disengage (2)
-	flip(5) // engage (3)
-	flip(0) // disengage (4) → quarantine
+	// Each engage+disengage is 2 transitions; the 7th transition inside
+	// the 10 s window blows the budget of 6.
+	for i := 0; i < 3; i++ {
+		flip(5) // engage (1, 3, 5)
+		flip(0) // disengage (2, 4, 6)
+	}
+	if e.Status()[0].Quarantined {
+		t.Fatal("quarantined within the budget of 6 transitions")
+	}
+	flip(5) // engage (7) → quarantine
 	st := e.Status()[0]
 	if !st.Quarantined {
 		t.Fatalf("want quarantined, got %+v", st)
@@ -461,11 +461,10 @@ func TestEngineSupervisorConflict(t *testing.T) {
 		When:        Condition{Signal: "attr:x", Op: OpGT, Value: 1},
 		EngageAfter: time.Millisecond,
 		Cooldown:    time.Millisecond,
-		// Budget sized so the test's 6 engagements fit exactly; if the 5
-		// supervisor-forced reverts also counted, it would quarantine.
-		MaxFlaps:   6,
-		FlapWindow: time.Minute,
-		Action:     act,
+		// The test's 6 engagements fit the flap budget of 6 exactly; if
+		// the 5 supervisor-forced reverts also counted, it would
+		// quarantine.
+		Action: act,
 	}}
 	e := newTestEngine(t, rs, Config{Claimer: claimer})
 	var events []Event

@@ -1,12 +1,11 @@
 // Package rules closes the loop from observability to adaptation: a
 // declarative self-adaptation engine whose conditions read live signals
-// — per-node health counters, sample attributes flowing through the
-// graph, provider availability — and whose actions are structural graph
-// edits applied between source steps through the runtime's pause seam
-// (core.Graph.Pause on a started session). It turns
-// the paper's three hand-written case studies (§3.1–3.3: insert a
-// filter when accuracy degrades, swap providers, change power strategy)
-// into data.
+// — per-node error counters and sample attributes flowing through the
+// graph — and whose actions are structural graph edits applied between
+// source steps through the runtime's pause seam (core.Graph.Pause on a
+// started session). It turns the paper's three hand-written case
+// studies (§3.1–3.3: insert a filter when accuracy degrades, swap
+// providers, change power strategy) into data.
 //
 // Robustness is the core of the design, not an afterthought:
 //
@@ -15,8 +14,8 @@
 //     causes no transitions at all.
 //   - Cooldown and flap damping: after disengaging, a rule cannot
 //     re-engage until its cooldown expires; a rule that still manages
-//     more than MaxFlaps transitions inside FlapWindow is quarantined
-//     (reverted and barred from engaging) for QuarantineFor.
+//     more than maxFlaps transitions inside flapWindow is quarantined
+//     (reverted and barred from engaging) for quarantineFor.
 //   - Conflict arbitration: supervisor degradation reroutes always win.
 //     A rule whose action touches an edge the health.Supervisor has (or
 //     wants) engaged is reverted/deferred until the supervisor lets go.
@@ -44,14 +43,16 @@ const (
 	DefaultDisengageAfter = 500 * time.Millisecond
 	// DefaultCooldown bars re-engagement right after a disengage.
 	DefaultCooldown = 1 * time.Second
-	// DefaultMaxFlaps is the transition budget within FlapWindow.
-	DefaultMaxFlaps = 6
-	// DefaultFlapWindow is the sliding window for flap counting.
-	DefaultFlapWindow = 10 * time.Second
-	// DefaultQuarantine is how long a flapping rule stays benched.
-	DefaultQuarantine = 30 * time.Second
 	// DefaultProbation is how long a fresh engagement is guarded.
 	DefaultProbation = 2 * time.Second
+)
+
+// Flap damping: more than maxFlaps engage/disengage transitions within
+// flapWindow quarantine a rule for quarantineFor.
+const (
+	maxFlaps      = 6
+	flapWindow    = 10 * time.Second
+	quarantineFor = 30 * time.Second
 )
 
 // Op is a comparison operator in a rule condition.
@@ -73,14 +74,6 @@ const (
 //	                    observed on any emission in the graph
 //	attr:<key>@<node>   same, but only emissions from <node>
 //	errors:<node>       total processing errors recorded by the monitor
-//	consecutive_errors:<node>
-//	restarts:<node>     restart count
-//	trips:<node>        breaker trips
-//	silence_ms:<node>   milliseconds since the node last emitted, as
-//	                    the monitor's LastOutput sees it (to within
-//	                    one sweep period)
-//	availability        provider availability ordinal (0 = Available,
-//	                    1 = TemporarilyUnavailable, 2 = OutOfService)
 //
 // A signal with no observation yet (attribute never seen, node unknown
 // to the monitor) makes the condition evaluate false — unknown never
@@ -148,14 +141,6 @@ type Rule struct {
 	// Cooldown bars re-engagement after a disengage. Zero means
 	// DefaultCooldown.
 	Cooldown time.Duration
-	// MaxFlaps and FlapWindow bound transition churn: more than
-	// MaxFlaps engage/disengage transitions within FlapWindow
-	// quarantines the rule. Zeros mean the defaults.
-	MaxFlaps   int
-	FlapWindow time.Duration
-	// QuarantineFor is how long a quarantined rule stays benched
-	// before it may evaluate again. Zero means DefaultQuarantine.
-	QuarantineFor time.Duration
 	// Priority orders rules within a conflict Group: lower engages
 	// first, declaration order breaking ties (the supervisor's model).
 	Priority int
@@ -204,15 +189,6 @@ func (r Rule) normalize(idx int) (Rule, error) {
 	if r.Cooldown == 0 {
 		r.Cooldown = DefaultCooldown
 	}
-	if r.MaxFlaps == 0 {
-		r.MaxFlaps = DefaultMaxFlaps
-	}
-	if r.FlapWindow == 0 {
-		r.FlapWindow = DefaultFlapWindow
-	}
-	if r.QuarantineFor == 0 {
-		r.QuarantineFor = DefaultQuarantine
-	}
 	if r.Group == "" {
 		r.Group = r.Name
 	}
@@ -227,57 +203,32 @@ func Validate(r Rule) error {
 	return err
 }
 
-// signalKind classifies a parsed signal reference.
-type signalKind int
-
-const (
-	sigAttr signalKind = iota
-	sigErrors
-	sigConsecutive
-	sigRestarts
-	sigTrips
-	sigSilenceMS
-	sigAvailability
-)
-
 // signalRef is a compiled signal: parsed once at engine construction so
-// sweep-time evaluation is a switch and an atomic load.
+// sweep-time evaluation is an atomic load or one monitor read.
 type signalRef struct {
-	kind  signalKind
-	node  string     // monitor node, or attr node filter ("" = any)
-	probe *attrProbe // sigAttr only
+	node  string     // errors: the monitor node; attr: the emitting node filter ("" = any)
+	probe *attrProbe // attr: only
 }
 
-// parseSignal splits a signal string into its kind and operand. The
-// attr probe is attached later by the engine (probes are deduplicated
-// across rules).
-func parseSignal(s string) (signalRef, string, error) {
-	if s == "availability" {
-		return signalRef{kind: sigAvailability}, "", nil
-	}
+// parseSignal splits a signal string into its node and, for an attr:
+// signal, its attribute key. The attr probe is attached later by the
+// engine (probes are deduplicated across rules).
+func parseSignal(s string) (node, key string, err error) {
 	name, arg, ok := strings.Cut(s, ":")
 	if !ok || arg == "" {
-		return signalRef{}, "", fmt.Errorf("unknown signal %q", s)
+		return "", "", fmt.Errorf("unknown signal %q", s)
 	}
 	switch name {
 	case "attr":
 		key, node, _ := strings.Cut(arg, "@")
 		if key == "" {
-			return signalRef{}, "", fmt.Errorf("signal %q: empty attribute key", s)
+			return "", "", fmt.Errorf("signal %q: empty attribute key", s)
 		}
-		return signalRef{kind: sigAttr, node: node}, key, nil
+		return node, key, nil
 	case "errors":
-		return signalRef{kind: sigErrors, node: arg}, "", nil
-	case "consecutive_errors":
-		return signalRef{kind: sigConsecutive, node: arg}, "", nil
-	case "restarts":
-		return signalRef{kind: sigRestarts, node: arg}, "", nil
-	case "trips":
-		return signalRef{kind: sigTrips, node: arg}, "", nil
-	case "silence_ms":
-		return signalRef{kind: sigSilenceMS, node: arg}, "", nil
+		return arg, "", nil
 	}
-	return signalRef{}, "", fmt.Errorf("unknown signal %q", s)
+	return "", "", fmt.Errorf("unknown signal %q", s)
 }
 
 // validCondition checks the signal parses and the operator is known.

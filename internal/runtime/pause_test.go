@@ -167,12 +167,10 @@ func TestStepRefusedWhileStarted(t *testing.T) {
 	}
 }
 
-// failingState is a "state" feature whose capture always fails.
-type failingState struct{}
+// refusingParser is a GPS parser whose state capture always fails.
+type refusingParser struct{ *gps.Parser }
 
-func (failingState) FeatureName() string           { return core.StateFeatureName }
-func (failingState) MarshalState() ([]byte, error) { return nil, errors.New("state refused") }
-func (failingState) UnmarshalState([]byte) error   { return nil }
+func (refusingParser) MarshalState() ([]byte, error) { return nil, errors.New("state refused") }
 
 // TestCheckpointCaptureFailureCounted: a checkpoint that fails before
 // it reaches the store — periodic, manual or evict-time — is counted
@@ -185,19 +183,18 @@ func TestCheckpointCaptureFailureCounted(t *testing.T) {
 		hub := obs.New()
 		cfg := gpsSessionConfig(t)
 		cfg.Observability = hub
+		bindGPS := cfg.Overrides
+		cfg.Overrides = func(id string) []core.InstantiateOption {
+			return append(bindGPS(id), core.WithComponentOverride("parser", func(cid string) core.Component {
+				return refusingParser{gps.NewParser(cid)}
+			}))
+		}
 		m, err := NewManager(withStore(t, cfg, every, hub))
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(m.Close)
 		s, err := m.GetOrCreate("refuse")
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = s.Adapt(func(g *core.Graph, _ *channel.Layer) error {
-			n, _ := g.Node("parser")
-			return n.AttachFeature(failingState{})
-		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +213,7 @@ func TestCheckpointCaptureFailureCounted(t *testing.T) {
 	// only ones.
 	hub, m, s := refusing(t, 0)
 	if _, err := s.Checkpoint(); err == nil {
-		t.Fatal("manual checkpoint succeeded with a refusing state feature")
+		t.Fatal("manual checkpoint succeeded with a refusing parser")
 	}
 	if got := hub.CheckpointErrors.Value(); got != 1 {
 		t.Errorf("checkpoint errors = %d after a failed manual checkpoint, want 1", got)

@@ -7,8 +7,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"perpos/internal/obs"
 )
 
 // This file is the fleet-wide adaptation driver: Rollout migrates every
@@ -25,23 +23,19 @@ import (
 var ErrRolloutRolledBack = errors.New("runtime: rollout rolled back")
 
 // GateConfig bounds what the canary cohort may do to the watched nodes'
-// metrics during the canary window before the ramp is allowed.
+// error counters during the canary window before the ramp is allowed.
+// The gate watches the revision diff's Added ∪ Replaced components: the
+// nodes that exist (or changed) only because of the new revision, so
+// their deltas are attributable to the canaries.
 type GateConfig struct {
-	// Nodes are the node IDs whose error counters and process-latency
-	// histograms the gate watches. Empty defaults to the revision diff's
-	// Added ∪ Replaced components — the nodes that exist (or changed)
-	// only because of the new revision, so their deltas are attributable
-	// to the canaries.
-	Nodes []string
 	// MaxErrors is the maximum tolerated increase, summed across watched
 	// nodes, of the per-node Errors counter over the canary window.
 	// Exceeding it trips the gate. 0 means any new error trips.
 	MaxErrors uint64
-	// MaxP99 bounds the p99 process latency of the watched nodes over
-	// the canary window (computed from histogram deltas, so pre-rollout
-	// traffic does not pollute it). 0 disables the latency check.
-	MaxP99 time.Duration
 }
+
+// rolloutConcurrency bounds parallel per-session migrations.
+const rolloutConcurrency = 8
 
 // RolloutConfig parameterises one Manager.Rollout run.
 type RolloutConfig struct {
@@ -59,9 +53,6 @@ type RolloutConfig struct {
 	// Observability hub configured the rollout is ungated: canaries
 	// always pass.
 	Gate GateConfig
-	// Concurrency bounds parallel per-session migrations during the
-	// ramp (default 8).
-	Concurrency int
 	// Log, when set, receives human-readable progress lines.
 	Log func(format string, args ...any)
 }
@@ -78,19 +69,14 @@ type RolloutReport struct {
 	Reason     string // why the gate tripped (empty on success)
 }
 
-// gateSample is the watched nodes' metric state at one instant.
-type gateSample struct {
-	errors  map[string]uint64
-	latency map[string]obs.HistogramState
-}
-
 // Rollout migrates the live fleet from the active revision to cfg.To:
 // a deterministic canary cohort first, then — after the canary window
 // passes the observability gate — the active revision moves forward and
-// the remainder ramps in bounded-concurrency batches, sweeping sessions
-// created mid-ramp until the fleet converges. A tripped gate migrates
-// the canaries back and returns ErrRolloutRolledBack with the report;
-// the active revision never moved, so no session is left ahead of it.
+// the remainder ramps with up to 8 migrations in parallel, sweeping
+// sessions created mid-ramp until the fleet converges. A tripped gate
+// migrates the canaries back and returns ErrRolloutRolledBack with the
+// report; the active revision never moved, so no session is left ahead
+// of it.
 // Rollouts are serialized; ctx cancellation aborts between batches.
 func (m *Manager) Rollout(ctx context.Context, cfg RolloutConfig) (RolloutReport, error) {
 	m.rolloutMu.Lock()
@@ -125,20 +111,17 @@ func (m *Manager) Rollout(ctx context.Context, cfg RolloutConfig) (RolloutReport
 	logf("rollout %s %d->%d: %d sessions, %d canaries",
 		m.set.Name(), from, cfg.To, len(ids), len(canaries))
 
-	watch := cfg.Gate.Nodes
-	if len(watch) == 0 {
-		watch = append(append([]string{}, diff.Added...), diff.Replaced...)
-		sort.Strings(watch)
-	}
+	watch := append(append([]string{}, diff.Added...), diff.Replaced...)
+	sort.Strings(watch)
 
 	before := m.sampleGate(watch)
-	up, failed := m.migrateBatch(ctx, canaries, cfg.To, cfg.Concurrency, false)
+	up, failed := m.migrateBatch(ctx, canaries, cfg.To, false)
 	rep.Upgraded += up
 	rep.Failed += failed
 
 	if err := soak(ctx, cfg.CanaryWindow); err != nil {
 		rep.RolledBack, rep.Reason = true, "canceled during canary window"
-		rep.Reverted = m.revertCanaries(canaries, from, cfg.Concurrency)
+		rep.Reverted = m.revertCanaries(canaries, from)
 		rep.Upgraded -= rep.Reverted
 		if hub != nil {
 			hub.RolloutsRolledBack.Inc()
@@ -148,7 +131,7 @@ func (m *Manager) Rollout(ctx context.Context, cfg RolloutConfig) (RolloutReport
 	if reason := m.checkGate(cfg.Gate, watch, before); reason != "" {
 		logf("rollout gate tripped: %s", reason)
 		rep.RolledBack, rep.Reason = true, reason
-		rep.Reverted = m.revertCanaries(canaries, from, cfg.Concurrency)
+		rep.Reverted = m.revertCanaries(canaries, from)
 		rep.Upgraded -= rep.Reverted
 		if hub != nil {
 			hub.RolloutsRolledBack.Inc()
@@ -166,7 +149,7 @@ func (m *Manager) Rollout(ctx context.Context, cfg RolloutConfig) (RolloutReport
 	logf("rollout ramping: active revision now %d", cfg.To)
 
 	rest := ids[len(canaries):]
-	up, failed = m.migrateBatch(ctx, rest, cfg.To, cfg.Concurrency, false)
+	up, failed = m.migrateBatch(ctx, rest, cfg.To, false)
 	rep.Upgraded += up
 	rep.Failed += failed
 
@@ -179,7 +162,7 @@ func (m *Manager) Rollout(ctx context.Context, cfg RolloutConfig) (RolloutReport
 			break
 		}
 		logf("rollout sweep %d: %d stragglers", pass+1, len(stragglers))
-		up, failed = m.migrateBatch(ctx, stragglers, cfg.To, cfg.Concurrency, false)
+		up, failed = m.migrateBatch(ctx, stragglers, cfg.To, false)
 		rep.Upgraded += up
 		rep.Failed += failed
 		if err := ctx.Err(); err != nil {
@@ -230,28 +213,23 @@ func soak(ctx context.Context, window time.Duration) error {
 	}
 }
 
-// sampleGate captures the watched nodes' error counters and latency
-// histogram state. Returns an empty sample when unobserved.
-func (m *Manager) sampleGate(nodes []string) gateSample {
-	s := gateSample{
-		errors:  make(map[string]uint64, len(nodes)),
-		latency: make(map[string]obs.HistogramState, len(nodes)),
-	}
+// sampleGate captures the watched nodes' error counters. Returns an
+// empty sample when unobserved.
+func (m *Manager) sampleGate(nodes []string) map[string]uint64 {
+	s := make(map[string]uint64, len(nodes))
 	hub := m.cfg.Observability
 	if hub == nil {
 		return s
 	}
 	for _, id := range nodes {
-		nm := hub.Node(id)
-		s.errors[id] = nm.Errors.Value()
-		s.latency[id] = nm.ProcessNs.State()
+		s[id] = hub.Node(id).Errors.Value()
 	}
 	return s
 }
 
-// checkGate evaluates the canary window's metric deltas against the
+// checkGate evaluates the canary window's error deltas against the
 // gate, returning a non-empty reason when it trips. No hub → no gate.
-func (m *Manager) checkGate(gate GateConfig, nodes []string, before gateSample) string {
+func (m *Manager) checkGate(gate GateConfig, nodes []string, before map[string]uint64) string {
 	hub := m.cfg.Observability
 	if hub == nil {
 		return ""
@@ -259,37 +237,26 @@ func (m *Manager) checkGate(gate GateConfig, nodes []string, before gateSample) 
 	after := m.sampleGate(nodes)
 	var errDelta uint64
 	for _, id := range nodes {
-		if d := after.errors[id] - before.errors[id]; d <= after.errors[id] {
+		if d := after[id] - before[id]; d <= after[id] {
 			errDelta += d
 		}
 	}
 	if errDelta > gate.MaxErrors {
 		return fmt.Sprintf("errors +%d > max %d on watched nodes", errDelta, gate.MaxErrors)
 	}
-	if gate.MaxP99 > 0 {
-		for _, id := range nodes {
-			p99 := time.Duration(obs.DeltaQuantile(before.latency[id], after.latency[id], 0.99))
-			if p99 > gate.MaxP99 {
-				return fmt.Sprintf("node %q p99 %v > max %v", id, p99, gate.MaxP99)
-			}
-		}
-	}
 	return ""
 }
 
-// migrateBatch migrates the given sessions to rev with bounded
-// concurrency, returning (migrated, failed). Sessions that vanished or
+// migrateBatch migrates the given sessions to rev, rolloutConcurrency
+// at a time, returning (migrated, failed). Sessions that vanished or
 // closed mid-rollout are skipped silently — eviction is not a rollout
 // failure. revert marks the migrations as canary reversions for the
 // rollout counters.
-func (m *Manager) migrateBatch(ctx context.Context, ids []string, rev, concurrency int, revert bool) (migrated, failed int) {
-	if concurrency <= 0 {
-		concurrency = 8
-	}
+func (m *Manager) migrateBatch(ctx context.Context, ids []string, rev int, revert bool) (migrated, failed int) {
 	var (
 		mu   sync.Mutex
 		wg   sync.WaitGroup
-		sem  = make(chan struct{}, concurrency)
+		sem  = make(chan struct{}, rolloutConcurrency)
 		hub  = m.cfg.Observability
 		done = ctx.Done()
 	)
@@ -355,8 +322,8 @@ func (m *Manager) migrateSession(id string, rev int, revert bool) (bool, error) 
 // revertCanaries migrates the canary cohort back to the old revision
 // after a gate trip. Runs ungated and without ctx — a rollback must
 // finish even when the rollout's context died.
-func (m *Manager) revertCanaries(ids []string, from, concurrency int) int {
-	reverted, _ := m.migrateBatch(context.Background(), ids, from, concurrency, true)
+func (m *Manager) revertCanaries(ids []string, from int) int {
+	reverted, _ := m.migrateBatch(context.Background(), ids, from, true)
 	return reverted
 }
 

@@ -193,9 +193,10 @@ func TestRulesGuardRollback(t *testing.T) {
 
 	bad := rules.Rule{
 		Name: "bad-insert",
-		// Availability is always observable, so the rule engages on the
-		// first sweep — the test exercises the guard, not the dwell.
-		When: rules.Condition{Signal: "availability", Op: rules.OpGE, Value: 0},
+		// The parser's error count is observable from its first output
+		// on, so the rule engages on the sweep after it — the test
+		// exercises the guard, not the dwell.
+		When: rules.Condition{Signal: "errors:parser", Op: rules.OpGE, Value: 0},
 		Action: &rules.InsertAction{
 			ID: "bad-filter",
 			Build: func(id string) core.Component {

@@ -247,7 +247,7 @@ func TestPositioningIntegration(t *testing.T) {
 	pm := &positioning.Manager{}
 	pm.BindSource(m)
 
-	tgt, err := pm.TrackErr("eve")
+	tgt, err := pm.Track("eve")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,9 +216,6 @@ func newSession(id string, rev int, bp *core.Blueprint, cfg SessionConfig) (*Ses
 			Adapter: s.applyEdit,
 			Monitor: s.monitor,
 			Claimer: s.supervisor,
-			Availability: func() float64 {
-				return float64(s.provider.Availability())
-			},
 		})
 		if err != nil {
 			return nil, fmt.Errorf("runtime: session %q: %w", id, err)

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"perpos/internal/checkpoint"
 	"perpos/internal/core"
@@ -149,7 +148,7 @@ func TestHubEmissionsExact(t *testing.T) {
 	hub := obs.New()
 	cfg := saturatedSessionConfig(t)
 	cfg.Observability = hub
-	cfg.Health = &health.Policy{MaxConsecutiveErrors: 2, Deadline: time.Minute}
+	cfg.Health = &health.Policy{MaxConsecutiveErrors: 2}
 	store, err := checkpoint.Open(t.TempDir(), checkpoint.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,9 @@
 // Package wifi simulates an indoor WiFi positioning system: access
 // points, log-distance path-loss signal propagation with wall
-// attenuation, an offline fingerprint survey and an online k-nearest
-// -neighbour positioning engine — the indoor half of the Room Number
-// application (Fig. 1: WiFi sensor -> WiFi positioning -> Resolver).
+// attenuation (one fixed office-interior model), an offline fingerprint
+// survey and an online k-nearest-neighbour positioning engine — the
+// indoor half of the Room Number application (Fig. 1: WiFi sensor ->
+// WiFi positioning -> Resolver).
 //
 // Substitution note (DESIGN.md): the paper used a campus WiFi
 // deployment. The simulated deployment reproduces what the case studies
@@ -56,52 +57,28 @@ type AP struct {
 	TxPower float64
 }
 
-// PropagationConfig parameterizes the log-distance path-loss model:
+// The log-distance path-loss model:
 //
-//	RSSI(d) = TxPower - PL0 - 10*N*log10(max(d,1)) - WallLoss*walls + X(Shadow)
-type PropagationConfig struct {
-	// PL0 is the path loss at 1 m in dB (default 40).
-	PL0 float64
-	// N is the path-loss exponent (default 3.0 for office interiors).
-	N float64
-	// WallLoss is the per-wall attenuation in dB (default 5).
-	WallLoss float64
-	// Shadow is the lognormal shadow-fading sigma in dB (default 3).
-	Shadow float64
-	// Sensitivity is the receive floor in dBm; weaker APs are not heard
-	// (default -88).
-	Sensitivity float64
-}
-
-func (c PropagationConfig) withDefaults() PropagationConfig {
-	if c.PL0 == 0 {
-		c.PL0 = 40
-	}
-	if c.N == 0 {
-		c.N = 3.0
-	}
-	if c.WallLoss == 0 {
-		c.WallLoss = 5
-	}
-	if c.Shadow == 0 {
-		c.Shadow = 3
-	}
-	if c.Sensitivity == 0 {
-		c.Sensitivity = -88
-	}
-	return c
-}
+//	RSSI(d) = TxPower - pathLossAt1m - 10*pathLossExp*log10(max(d,1)) - wallLoss*walls + X(shadowSigma)
+//
+// An AP weaker than sensitivity is not heard.
+const (
+	pathLossAt1m = 40  // path loss at 1 m, dB
+	pathLossExp  = 3.0 // path-loss exponent of office interiors
+	wallLoss     = 5   // attenuation per wall, dB
+	shadowSigma  = 3   // lognormal shadow-fading sigma, dB
+	sensitivity  = -88 // receive floor, dBm
+)
 
 // Network is a deployed WiFi infrastructure inside one building.
 type Network struct {
 	b   *building.Building
 	aps []AP
-	cfg PropagationConfig
 }
 
 // NewNetwork returns a network of the given APs in b.
-func NewNetwork(b *building.Building, aps []AP, cfg PropagationConfig) *Network {
-	return &Network{b: b, aps: aps, cfg: cfg.withDefaults()}
+func NewNetwork(b *building.Building, aps []AP) *Network {
+	return &Network{b: b, aps: aps}
 }
 
 // Building returns the network's building.
@@ -122,8 +99,8 @@ func (n *Network) MeanRSSI(ap AP, p geo.ENU, floor int) (float64, bool) {
 		d = 1
 	}
 	walls := n.b.WallsBetween(ap.Pos, p, floor)
-	rssi := ap.TxPower - n.cfg.PL0 - 10*n.cfg.N*math.Log10(d) - n.cfg.WallLoss*float64(walls)
-	if rssi < n.cfg.Sensitivity {
+	rssi := ap.TxPower - pathLossAt1m - 10*pathLossExp*math.Log10(d) - wallLoss*float64(walls)
+	if rssi < sensitivity {
 		return 0, false
 	}
 	return rssi, true
@@ -140,8 +117,8 @@ func (n *Network) ScanAt(p geo.ENU, floor int, at time.Time, rng *rand.Rand) *Sc
 		if !heard {
 			continue
 		}
-		rssi := mean + rng.NormFloat64()*n.cfg.Shadow
-		if rssi < n.cfg.Sensitivity {
+		rssi := mean + rng.NormFloat64()*shadowSigma
+		if rssi < sensitivity {
 			continue
 		}
 		scan.Readings = append(scan.Readings, Reading{BSSID: ap.BSSID, RSSI: rssi})
@@ -171,5 +148,5 @@ func DefaultDeployment(b *building.Building) *Network {
 		mk(7, 12, 2),  // office S2
 		mk(8, 28, 2),  // office S4
 	}
-	return NewNetwork(b, aps, PropagationConfig{})
+	return NewNetwork(b, aps)
 }

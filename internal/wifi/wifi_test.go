@@ -49,7 +49,7 @@ func TestMeanRSSIWallAttenuation(t *testing.T) {
 
 func TestMeanRSSISensitivityFloor(t *testing.T) {
 	b := building.Evaluation()
-	n := NewNetwork(b, []AP{{BSSID: "x", Pos: geo.ENU{}, TxPower: 15}}, PropagationConfig{})
+	n := NewNetwork(b, []AP{{BSSID: "x", Pos: geo.ENU{}, TxPower: 15}})
 	if _, ok := n.MeanRSSI(n.APs()[0], geo.ENU{East: 3000}, 0); ok {
 		t.Error("AP 3 km away should be below sensitivity")
 	}
@@ -344,7 +344,7 @@ func TestLocateDegradesGracefullyWithDeadAP(t *testing.T) {
 	db := Survey(full, 0, SurveyConfig{Seed: 21})
 
 	aps := full.APs()
-	degraded := NewNetwork(b, aps[1:], PropagationConfig{}) // ap-1 dead
+	degraded := NewNetwork(b, aps[1:]) // ap-1 dead
 	rng := rand.New(rand.NewSource(22))
 
 	var sumFull, sumDegraded float64
@@ -380,7 +380,7 @@ func TestSurveySecondFloor(t *testing.T) {
 		ap.Floor = 1
 		aps = append(aps, ap)
 	}
-	n := NewNetwork(b, aps, PropagationConfig{})
+	n := NewNetwork(b, aps)
 	db := Survey(n, 1, SurveyConfig{Seed: 23, GridStep: 4})
 	if db.Len() == 0 {
 		t.Fatal("no fingerprints on floor 1")

@@ -1,6 +1,8 @@
 // Package shapes holds the cases TestExportScanResolvesTypes runs the
-// export scan on. Of its exports, only Square.Scale and Config.Unread
-// have no use.
+// export scan on, and TestSettingScanFindsWrites the setting scan. Of
+// its exports, only Square.Scale and Config.Unread have no use. Of its
+// settings, RateConfig.Burst and Config's Unread and Limit have no
+// setter.
 package shapes
 
 import (
@@ -40,10 +42,13 @@ func Total(shapes ...Shape) float64 {
 	return sum
 }
 
-// Config is decoded from JSON, and nothing reads its Unread field.
+// Config is decoded from JSON, and nothing reads its Unread field. The
+// definition under examples/configs sets its name key; only the
+// program's JSON sets unread and only a test's JSON sets limit.
 type Config struct {
-	Name   string
-	Unread int
+	Name   string `json:"name"`
+	Unread int    `json:"unread"`
+	Limit  int    `json:"limit"`
 }
 
 // Parse decodes a Config.
@@ -51,4 +56,24 @@ func Parse(b []byte) (Config, error) {
 	var c Config
 	err := json.Unmarshal(b, &c)
 	return c, err
+}
+
+// RateConfig's Burst only its own withDefaults writes, and only a test
+// writes its Rate.
+type RateConfig struct {
+	Rate  float64
+	Burst int
+}
+
+func (c RateConfig) withDefaults() RateConfig {
+	if c.Burst == 0 {
+		c.Burst = 4
+	}
+	return c
+}
+
+// Budget returns what the configuration allows in one burst.
+func Budget(c RateConfig) float64 {
+	c = c.withDefaults()
+	return c.Rate * float64(c.Burst)
 }

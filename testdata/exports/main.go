@@ -1,5 +1,5 @@
 // Command fixture uses every export of package shapes but Square.Scale
-// and Config.Unread.
+// and Config.Unread, and sets none of its settings.
 package main
 
 import (
@@ -13,6 +13,6 @@ func main() {
 	c.Scale(2)
 	sq := shapes.Square{Side: 1}
 	fmt.Println(c, shapes.Total(c), sq.Side)
-	cfg, err := shapes.Parse([]byte(`{"Name": "n", "Unread": 1}`))
-	fmt.Println(cfg.Name, err)
+	cfg, err := shapes.Parse([]byte(`{"name": "n", "unread": 1}`))
+	fmt.Println(cfg.Name, cfg.Limit, err, shapes.Budget(shapes.RateConfig{}))
 }
